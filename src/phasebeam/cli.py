@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .algebra import Family, build_structure
 from .checks import run_suites
 from .entropy import linear_entropy, linear_entropy_closed
 from .errors import NumericalConsistencyError, PhasebeamError, RangeError, UsageError
-from .experiments import Axis, SweepTable, evaluate_cells
+from .experiments import Axis, SweepTable, _entropy_grid
 from .splitter import SplitterParams, reduced_density, split_phase_state
 
 THREADS_ENV = "PHASEBEAM_THREADS"
@@ -60,20 +60,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse a scalar or an inclusive `start:stop:count` grid."""
+    """Parse a finite scalar or an inclusive `start:stop:count` grid."""
     parts = text.split(":")
-    if len(parts) == 1:
-        try:
-            return (float(text),)
-        except ValueError:
-            raise UsageError(f"not a number: {text!r}") from None
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(f"grid spec must be start:stop:count, got {text!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        ends = [float(p) for p in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else 1
     except ValueError:
         raise UsageError(f"malformed grid spec {text!r}") from None
+    if not all(isfinite(v) for v in ends):
+        raise UsageError(f"grid values must be finite, got {text!r}")
+    if len(parts) == 1:
+        return (ends[0],)
+    start, stop = ends
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
     if not start < stop:
@@ -144,7 +144,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--format", dest="fmt", choices=("csv", "json"),
                          default="csv")
     p_sweep.add_argument("--serial", action="store_true",
-                         help="single-threaded, bit-reproducible evaluation")
+                         help="accepted for compatibility; sweeps always run "
+                              "in one process")
 
     p_check = sub.add_parser("check", help="run the invariant suites")
     p_check.add_argument("--suite", default="all",
@@ -216,17 +217,15 @@ def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
     return data
 
 
-def _max_workers_from_env() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
+def _check_threads_env() -> None:
+    """PHASEBEAM_THREADS changes nothing but must be a positive integer."""
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
-        cap = int(raw)
+        if int(raw) >= 1:
+            return
     except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return cap
+        pass
+    raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
 
 
 def _run_compute(cfg: RunConfig) -> int:
@@ -256,20 +255,19 @@ def _run_compute(cfg: RunConfig) -> int:
 
 
 def _run_sweep(cfg: RunConfig) -> int:
+    _check_threads_env()
     axes = []
     if len(cfg.two_s) > 1:
         axes.append(Axis("two_s", tuple(float(v) for v in cfg.two_s)))
     axes.append(Axis("phi", cfg.phi))
     axes.append(Axis("r2", cfg.r2))
-    cells = [(two_s, cfg.m, phi, r2, cfg.family, cfg.kappa)
-             for two_s in cfg.two_s for phi in cfg.phi for r2 in cfg.r2]
-    values = evaluate_cells(cells, serial=cfg.serial,
-                            max_workers=_max_workers_from_env())
+    values = _entropy_grid(cfg.two_s, cfg.phi, cfg.r2, cfg.family, cfg.kappa,
+                           cfg.m)
     meta = {"family": cfg.family.value, "m": cfg.m, "kappa": cfg.kappa,
             "method": "oracle"}
     if len(cfg.two_s) == 1:
         meta["two_s"] = cfg.two_s[0]
-    table = SweepTable(axes=tuple(axes), values=np.array(values), meta=meta)
+    table = SweepTable(axes=tuple(axes), values=values.ravel(), meta=meta)
     emit(table, cfg.fmt, sys.stdout.buffer)
     return 0
 

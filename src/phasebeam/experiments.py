@@ -1,27 +1,32 @@
 """Parameter sweeps of the output entanglement over (r2, phi, 2s) grids.
 
-All sweeps use the concave level table F(n) = n(2s+1-n)/(2s) (the kappa-neg
-family), fix m = 0 (the entropy does not depend on m) and evaluate through
-the partial-trace route.  Grid cells are independent; they may be computed
-by a process pool, and a serial flag forces a plain loop for bit-for-bit
-reproducibility.
+All sweeps default to the concave level table F(n) = n(2s+1-n)/(2s) (the
+kappa-neg family) and m = 0 (the entropy does not depend on m).  They share
+one grid evaluator: for each (2s, r2) it assembles rho from the
+transmission coefficients over the whole phi axis at once, validates every
+matrix and takes S = 1 - Tr(rho^2), all in one process.  Their serial
+keyword is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Family, StructureSpec, build_structure
-from .entropy import linear_entropy
-from .splitter import SplitterParams, reduced_density, split_phase_state
+from .algebra import Family, build_structure
+from .entropy import ORACLE, EntropyValue, _clamp_unit_interval, linear_entropy
+from .splitter import (
+    SplitterParams,
+    reduced_density,
+    reduced_density_closed,
+    split_phase_state,
+    validate_density,
+)
 
-# Below this many cells a pool is pure overhead.
-_PARALLEL_THRESHOLD = 256
+# Most complex entries (1 MiB) in one stack of rho; a longer phi axis goes
+# in blocks, so that peak memory does not grow with the grid at large d.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,41 +69,47 @@ class SweepTable:
         return self.values.reshape(self.shape)
 
 
-@lru_cache(maxsize=128)
-def _cached_spec(family: Family, two_s: int, kappa: float | None) -> StructureSpec:
-    return build_structure(family, two_s, kappa)
-
-
 def entropy_point(two_s: int, m: int, phi: float, r2: float,
                   family: Family = Family.KAPPA_NEG,
                   kappa: float | None = None) -> float:
     """Oracle-route entropy at a single parameter point."""
-    spec = _cached_spec(family, two_s, kappa)
+    spec = build_structure(family, two_s, kappa)
     rho = reduced_density(split_phase_state(spec, m, phi, SplitterParams(r2)))
     return linear_entropy(rho).value
 
 
-def _entropy_cell(args: tuple) -> float:
-    two_s, m, phi, r2, family, kappa = args
-    return entropy_point(two_s, m, phi, r2, family, kappa)
-
-
-def _resolve_workers(max_workers: int | None) -> int:
-    available = os.cpu_count() or 1
-    if max_workers is None:
-        return available
-    return max(1, min(available, max_workers))
-
-
 def evaluate_cells(cells: list[tuple], *, serial: bool = False,
                    max_workers: int | None = None) -> list[float]:
-    """Map the entropy evaluator over parameter cells, preserving order."""
-    workers = 1 if serial else _resolve_workers(max_workers)
-    if workers <= 1 or len(cells) < _PARALLEL_THRESHOLD:
-        return [_entropy_cell(c) for c in cells]
-    chunk = max(1, len(cells) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_entropy_cell, cells, chunksize=chunk))
+    """entropy_point over (2s, m, phi, r2, family, kappa) cells, in order;
+    serial and max_workers are accepted for compatibility and change nothing."""
+    return [entropy_point(*cell) for cell in cells]
+
+
+def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
+                  m: int) -> np.ndarray:
+    """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
+
+    Every rho gets the checks of the single-point route: validate_density,
+    the CLAMP_TOL clamp and the [0, 1 - 1/d] bound of EntropyValue.
+    """
+    phi_axis = np.asarray(phis, dtype=float)
+    out = np.empty((len(dims), len(phi_axis), len(r2s)))
+    for i, two_s in enumerate(dims):
+        spec = build_structure(family, two_s, kappa)
+        block = max(1, _BLOCK_ENTRIES // spec.dim**2)
+        for j, r2 in enumerate(r2s):
+            params = SplitterParams(r2)
+            for lo in range(0, len(phi_axis), block):
+                rho = reduced_density_closed(spec, m, phi_axis[lo:lo + block],
+                                             params)
+                validate_density(rho)
+                s = 1.0 - np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))
+                # Clamp and bound are monotone range checks, so the extremes
+                # stand for every cell (a NaN makes both extremes NaN).
+                for extreme in (s.min(), s.max()):
+                    EntropyValue(_clamp_unit_interval(extreme), ORACLE, spec.dim)
+                out[i, lo:lo + block, j] = np.clip(s, 0.0, 1.0)
+    return out
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -108,20 +119,14 @@ def _as_float_tuple(values) -> tuple[float, ...]:
 def sweep_r2_phi(two_s: int, phi_grid, r2_grid, *,
                  family: Family = Family.KAPPA_NEG,
                  kappa: float | None = None, m: int = 0,
-                 serial: bool = False,
-                 max_workers: int | None = None) -> SweepTable:
+                 serial: bool = False) -> SweepTable:
     """Entropy surface over a (phi, r2) grid at fixed dimension; phi-major."""
     phis = _as_float_tuple(phi_grid)
     r2s = _as_float_tuple(r2_grid)
-    if not phis or not r2s:
-        raise ValueError("grids must be nonempty")
-    if any(not 0.0 <= r2 <= 1.0 for r2 in r2s):
-        raise ValueError("r2 grid values must lie in [0, 1]")
-    cells = [(two_s, m, phi, r2, family, kappa) for phi in phis for r2 in r2s]
-    values = evaluate_cells(cells, serial=serial, max_workers=max_workers)
+    values = _entropy_grid((two_s,), phis, r2s, family, kappa, m)
     return SweepTable(
         axes=(Axis("phi", phis), Axis("r2", r2s)),
-        values=np.array(values),
+        values=values.ravel(),
         meta={"family": family.value, "two_s": two_s, "m": m, "kappa": kappa,
               "method": "oracle"},
     )
@@ -130,19 +135,14 @@ def sweep_r2_phi(two_s: int, phi_grid, r2_grid, *,
 def sweep_phi_balanced(two_s_list, phi_grid, *,
                        family: Family = Family.KAPPA_NEG,
                        kappa: float | None = None, m: int = 0,
-                       serial: bool = False,
-                       max_workers: int | None = None) -> SweepTable:
+                       serial: bool = False) -> SweepTable:
     """Entropy against phi at the balanced splitter, one row per 2s."""
     dims = tuple(int(v) for v in two_s_list)
     phis = _as_float_tuple(phi_grid)
-    if not dims or not phis:
-        raise ValueError("grids must be nonempty")
-    cells = [(two_s, m, phi, 0.5, family, kappa)
-             for two_s in dims for phi in phis]
-    values = evaluate_cells(cells, serial=serial, max_workers=max_workers)
+    values = _entropy_grid(dims, phis, (0.5,), family, kappa, m)
     return SweepTable(
         axes=(Axis("two_s", _as_float_tuple(dims)), Axis("phi", phis)),
-        values=np.array(values),
+        values=values.ravel(),
         meta={"family": family.value, "m": m, "kappa": kappa, "r2": 0.5,
               "method": "oracle"},
     )
@@ -152,21 +152,16 @@ def sweep_s_balanced(two_s_max: int = 40,
                      phi_list=(0.0, np.pi / 2, np.pi, 3 * np.pi / 2), *,
                      family: Family = Family.KAPPA_NEG,
                      kappa: float | None = None, m: int = 0,
-                     serial: bool = False,
-                     max_workers: int | None = None) -> SweepTable:
+                     serial: bool = False) -> SweepTable:
     """Entropy against 2s = 1..two_s_max at the balanced splitter, per phi."""
     if two_s_max < 1:
         raise ValueError(f"two_s_max must be >= 1, got {two_s_max}")
     phis = _as_float_tuple(phi_list)
-    if not phis:
-        raise ValueError("phi list must be nonempty")
     dims = tuple(range(1, two_s_max + 1))
-    cells = [(two_s, m, phi, 0.5, family, kappa)
-             for phi in phis for two_s in dims]
-    values = evaluate_cells(cells, serial=serial, max_workers=max_workers)
+    values = _entropy_grid(dims, phis, (0.5,), family, kappa, m)
     return SweepTable(
         axes=(Axis("phi", phis), Axis("two_s", _as_float_tuple(dims))),
-        values=np.array(values),
+        values=values[:, :, 0].T.ravel(),
         meta={"family": family.value, "m": m, "kappa": kappa, "r2": 0.5,
               "method": "oracle"},
     )

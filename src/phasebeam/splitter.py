@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import StructureSpec
 from .errors import InvalidDensityError, NotNormalizedError
-from .numerics import ipow, sqrt_binomial
+from .numerics import ipow, log_factorials, sqrt_binomial
 from .phase_states import phase_state
 
 
@@ -148,51 +148,54 @@ def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray
     return rho
 
 
-def reduced_density_closed(spec: StructureSpec, m: int, phi: float,
+def reduced_density_closed(spec: StructureSpec, m: int, phi,
                            params: SplitterParams) -> np.ndarray:
     """Reduced state assembled directly from transmission coefficients.
 
     c(n, l) = sqrt(binom(n+l, n)) q^{m(n+l)} t^n (ir)^l e^{-i F(n+l) phi}
     / sqrt(d) is the amplitude for transmitting n photons while l are
-    reflected; rho[n, n'] = sum_l c(n, l) conj(c(n', l)) with l running to
-    min(2s - n, 2s - n').
+    reflected, zero where n + l > 2s; rho = c c^H, i.e.
+    rho[n, n'] = sum_l c(n, l) conj(c(n', l)).
+
+    phi is a scalar, giving rho of shape (d, d), or an array of phases,
+    giving one rho per phase with shape phi.shape + (d, d).
     """
-    two_s = spec.two_s
     d = spec.dim
-    levels = spec.levels
-    t, r = params.t, params.r
-    inv_sqrt_d = 1.0 / sqrt(d)
-    c = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        for l in range(two_s - n + 1):
-            total = n + l
-            c[n, l] = (
-                inv_sqrt_d * sqrt_binomial(total, n)
-                * np.exp(2j * pi * ((m * total) % d) / d)
-                * t**n * r**l * ipow(l)
-                * np.exp(-1j * levels[total] * phi))
-    rho = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        for n2 in range(n, d):
-            lmax = two_s - n2
-            val = complex(np.vdot(c[n2, : lmax + 1], c[n, : lmax + 1]))
-            rho[n, n2] = val
-            rho[n2, n] = val.conjugate()
-    return rho
+    k = np.arange(d)
+    total = np.add.outer(k, k)
+    inside = total < d
+    total = np.where(inside, total, 0)
+    lgf = np.array(log_factorials(spec.two_s))
+    # sqrt(binom(n+l, n)) t^n (ir)^l / sqrt(d), zero where n + l > 2s
+    weight = (np.exp(0.5 * (lgf[total] - lgf[k][:, None] - lgf[k])) * inside
+              * np.outer(params.t ** k, params.r ** k * [ipow(l) for l in range(d)])
+              / sqrt(d))
+    # q^{mk} e^{-i F(k) phi} for k = n + l
+    amp = (np.exp(2j * pi * (((m % d) * k) % d) / d)
+           * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])))
+    c = weight * amp[..., total]
+    return c @ c.conj().swapaxes(-1, -2)
 
 
 def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
                      trace_tol: float = 1e-12, psd_tol: float = 1e-10) -> None:
-    """Raise InvalidDensityError unless rho is a density matrix."""
+    """Raise InvalidDensityError unless rho is a density matrix.
+
+    rho is one (d, d) matrix or a stack (..., d, d); every matrix of a
+    stack must pass every check.
+    """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityError(f"expected a square matrix, got {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    # NaN passes the comparisons below and makes eigvalsh raise LinAlgError.
+    if not np.isfinite(rho).all():
+        raise InvalidDensityError("matrix has non-finite entries")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if herm > herm_tol:
         raise InvalidDensityError(f"not Hermitian: max deviation {herm}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidDensityError(f"trace is {tr}, expected 1")
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
+    tr_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max()
+    if tr_dev > trace_tol:
+        raise InvalidDensityError(f"trace is off 1 by {tr_dev}")
+    min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < -psd_tol:
         raise InvalidDensityError(f"negative eigenvalue {min_eig}")

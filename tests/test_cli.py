@@ -44,7 +44,8 @@ class TestParseGrid:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("bad", ["0:1:1", "1:0:5", "a:b:c", "1:2", "x",
-                                     "0:1:0", "1:1:5", "0:1:2:3"])
+                                     "0:1:0", "1:1:5", "0:1:2:3",
+                                     "nan", "inf", "-inf", "0:inf:3"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(UsageError):
             parse_grid(bad)
@@ -205,6 +206,19 @@ class TestMainCompute:
         assert main(["compute", "--two-s", "2", "--phi", "0", "--r2", "2"]) == 1
         assert main(["bogus"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--two-s", "2", "--phi", "nan", "--r2", "0.5"],
+        ["compute", "--two-s", "2", "--phi", "inf", "--r2", "0.5"],
+        ["sweep", "--two-s", "2", "--phi", "nan", "--r2", "0.5"],
+        ["sweep", "--two-s", "2", "--phi", "0:inf:3", "--r2", "0.5"],
+    ])
+    def test_non_finite_phi_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_kappa_exit_code(self, capsys):
         code = main(["compute", "--family", "kappa-pos", "--two-s", "2",

@@ -12,6 +12,7 @@ from phasebeam import (
     sweep_r2_phi,
     sweep_s_balanced,
 )
+from phasebeam.cli import main
 from phasebeam.experiments import evaluate_cells
 
 
@@ -73,6 +74,20 @@ class TestSweepR2Phi:
         grid = table.grid()
         assert grid.shape == (2, 2)
         assert grid[1, 1] == pytest.approx(0.4488015069303436, abs=1e-12)
+
+    def test_every_cell_is_checked(self, monkeypatch):
+        from phasebeam import InvalidDensityError, NumericalConsistencyError
+        from phasebeam import experiments
+
+        good = np.eye(2) / 2.0
+        # not PSD; and PSD within 1e-10 but S = -2e-10, beyond the clamp band
+        for bad, error in ((np.diag([1.5, -0.5]), InvalidDensityError),
+                           (np.diag([1.0 + 1e-10, -1e-10]), NumericalConsistencyError)):
+            stack = np.stack([good, bad.astype(complex), good])
+            monkeypatch.setattr(experiments, "reduced_density_closed",
+                                lambda spec, m, phi, params: stack)
+            with pytest.raises(error):
+                sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.5,))
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -164,6 +179,16 @@ class TestDeterminismAndParallel:
         b = sweep_r2_phi(args["two_s"], args["phi_grid"], args["r2_grid"], serial=True)
         assert np.array_equal(a.values, b.values)
 
+    def test_phi_blocks_match_one_block(self, monkeypatch):
+        from phasebeam import experiments
+
+        phis = np.linspace(0, 2 * pi, 7)
+        whole = sweep_r2_phi(3, phis, (0.2, 0.5))
+        # blocks of two phases, the last one short
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * 4 * 4)
+        assert np.array_equal(sweep_r2_phi(3, phis, (0.2, 0.5)).values,
+                              whole.values)
+
     def test_parallel_matches_serial(self):
         # enough cells to actually engage the pool
         cells = [(1, 0, phi, r2, Family.KAPPA_NEG, None)
@@ -172,3 +197,43 @@ class TestDeterminismAndParallel:
         serial = evaluate_cells(cells, serial=True)
         parallel = evaluate_cells(cells, serial=False, max_workers=2)
         assert serial == parallel
+
+
+class TestSweepsPinnedToEntropyPoint:
+    """Every sweep path against the single-point partial-trace route."""
+
+    PHIS = (0.0, pi / 2, pi)     # the CLI grid 0:pi:3
+    R2S = (0.0, 0.5, 1.0)        # the CLI grid 0:1:3
+
+    @pytest.mark.parametrize("family, kappa", [
+        (Family.PEGG_BARNETT, None), (Family.KAPPA_NEG, None),
+        (Family.KAPPA_POS, 0.5)])
+    def test_sweeps_match_entropy_point(self, family, kappa, capsys):
+        worst = 0.0
+
+        def compare(got, expected):
+            nonlocal worst
+            worst = max(worst, float(np.max(np.abs(
+                np.asarray(got) - np.asarray(expected)))))
+
+        kw = dict(family=family, kappa=kappa)
+        cli_kappa = [] if kappa is None else ["--kappa", str(kappa)]
+        for two_s in (1, 2, 3, 10, 40):
+            for m in sorted({0, 1, two_s}):
+                point = {(phi, r2): entropy_point(two_s, m, phi, r2, family, kappa)
+                         for phi in self.PHIS for r2 in self.R2S}
+                balanced = [point[phi, 0.5] for phi in self.PHIS]
+                compare(sweep_r2_phi(two_s, self.PHIS, self.R2S, m=m, **kw).values,
+                        [point[phi, r2] for phi in self.PHIS for r2 in self.R2S])
+                compare(sweep_phi_balanced((two_s,), self.PHIS, m=m, **kw).values,
+                        balanced)
+                compare(sweep_s_balanced(two_s, self.PHIS, m=m, **kw).grid()[:, -1],
+                        balanced)
+                assert main(["sweep", "--family", family.value, *cli_kappa,
+                             "--two-s", str(two_s), "--m", str(m),
+                             "--phi", f"0:{pi!r}:3", "--r2", "0:1:3"]) == 0
+                rows = [line.split(",") for line in
+                        capsys.readouterr().out.splitlines()[1:]]
+                assert [(float(phi), float(r2)) for phi, r2, _ in rows] == list(point)
+                compare([float(s) for _, _, s in rows], list(point.values()))
+        assert worst <= 1e-12

@@ -254,6 +254,7 @@ class TestReducedDensityClosed:
 class TestValidateDensity:
     def test_accepts_valid(self):
         validate_density(np.eye(3) / 3.0)
+        validate_density(np.stack([np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0])]))
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
@@ -266,8 +267,12 @@ class TestValidateDensity:
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(InvalidDensityError):
-            validate_density(rho)
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        # one bad matrix in a stack of good ones
+        stack = np.stack([np.eye(2) / 2.0, rho, np.eye(2) / 2.0])
+        for bad in (rho, nan, stack):
+            with pytest.raises(InvalidDensityError):
+                validate_density(bad)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidDensityError):
