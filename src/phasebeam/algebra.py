@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class StructureSpec:
         if spacings.shape != (d,):
             raise InvalidStructureError(
                 f"spacing table must have length {d}, got {spacings.shape}")
+        if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(spacings))):
+            raise InvalidStructureError("level and spacing tables must be finite")
         if abs(levels[0]) > TABLE_TOL:
             raise InvalidStructureError(f"F(0) must be 0, got {levels[0]}")
         if np.any(levels[1:d] <= 0.0):
@@ -152,18 +154,21 @@ def build_structure(
             kappa = None
         elif family is Family.KAPPA_NEG:
             fixed = -1.0 / two_s
-            if kappa is not None and abs(kappa - fixed) > 1e-12:
+            if kappa is not None and not abs(kappa - fixed) <= 1e-12:
                 raise InvalidStructureError(
                     f"kappa for {family.value} is fixed to -1/(2s) = {fixed}, got {kappa}")
             kappa = fixed
         elif family is Family.KAPPA_POS:
             if kappa is None:
                 raise MissingKappaError("kappa > 0 is required for kappa-pos")
-            if kappa <= 0:
-                raise MissingKappaError(f"kappa must be > 0 for kappa-pos, got {kappa}")
+            if not 0 < kappa < inf:
+                raise MissingKappaError(
+                    f"kappa must be finite and > 0 for kappa-pos, got {kappa}")
         table = _levels_from_closed_form(family, two_s, 0.0 if kappa is None else kappa)
 
-    spacings = np.diff(table)
+    # StructureSpec refuses the non-finite differences of a non-finite table.
+    with np.errstate(invalid="ignore", over="ignore"):
+        spacings = np.diff(table)
     return StructureSpec(family=family, two_s=two_s, kappa=kappa,
                          levels=table, spacings=spacings)
 
@@ -178,6 +183,8 @@ def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSp
     if g.ndim != 1 or g.size < 2:
         raise InvalidDimensionError(
             f"need at least two spacings, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise InvalidStructureError("spacing table must be finite")
     total = float(np.sum(g))
     if abs(total) > SPACING_SUM_TOL:
         raise TraceNotZeroError(f"spacings must sum to 0, got {total}")

@@ -2,8 +2,9 @@
 
 Three subcommands: `compute` evaluates the entropy at a single parameter
 point, `sweep` produces a CSV/JSON grid, `check` runs the invariant suites.
-Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure,
-3 I/O failure.  Data goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure
+(any ArithmeticError, such as an overflow), 3 I/O failure.  Data goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .algebra import Family, build_structure
 from .checks import run_suites
 from .entropy import linear_entropy, linear_entropy_closed
-from .errors import NumericalConsistencyError, PhasebeamError, RangeError, UsageError
+from .errors import PhasebeamError, RangeError, UsageError
 from .experiments import Axis, SweepTable, _entropy_grid
 from .splitter import SplitterParams, reduced_density, split_phase_state
 
@@ -106,6 +107,16 @@ def _check_r2_range(values: tuple[float, ...]) -> tuple[float, ...]:
     return values
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _family(text: str) -> Family:
     if text not in _CLI_FAMILIES:
         raise UsageError(
@@ -121,7 +132,7 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--family", default="kappa-neg",
                        help="pegg-barnett | kappa-neg | kappa-pos")
-        p.add_argument("--kappa", type=float, default=None,
+        p.add_argument("--kappa", type=_finite_float, default=None,
                        help="deformation parameter (kappa-pos only)")
         p.add_argument("--m", type=int, default=0, help="phase-state label")
 
@@ -298,7 +309,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except NumericalConsistencyError as exc:
+    except ArithmeticError as exc:
         print(f"numerical consistency error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,30 +1,10 @@
-"""Small numerical helpers: compensated summation, exact quarter turns,
+"""Small numerical helpers: exact quarter turns, log-factorial tables,
 log-space binomial square roots."""
 
 from math import exp, lgamma
 
 # Powers of the imaginary unit, exact to the bit.
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-class KahanSum:
-    """Compensated running sum.
-
-    Keeps a carry term so that long mixed-sign series lose far less
-    precision than a bare ``+=`` accumulator.
-    """
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        value += self.carry
-        previous = self.total
-        self.total = previous + value
-        self.carry = value - (self.total - previous)
 
 
 def ipow(k: int) -> complex:

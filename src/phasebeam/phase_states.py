@@ -33,7 +33,7 @@ def phase_state(spec: StructureSpec, m: int, phi: float) -> np.ndarray:
     """Amplitude vector of |m, phi>; every component has modulus 1/sqrt(d)."""
     d = spec.dim
     n = np.arange(d)
-    root_powers = np.exp(2j * pi * ((m * n) % d) / d)
+    root_powers = np.exp(2j * pi * (((m % d) * n) % d) / d)
     return np.exp(-1j * spec.levels[:d] * phi) * root_powers / sqrt(d)
 
 

@@ -11,6 +11,7 @@ from phasebeam import (
     InvalidStructureError,
     MissingKappaError,
     NonPositiveLevelError,
+    StructureSpec,
     TraceNotZeroError,
     build_structure,
     hamiltonian,
@@ -79,6 +80,26 @@ class TestBuildStructure:
         with pytest.raises(TraceNotZeroError):
             build_structure(Family.CUSTOM, 2, levels=[0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected(self, bad):
+        with pytest.raises(MissingKappaError):
+            build_structure(Family.KAPPA_POS, 2, kappa=bad)
+        with pytest.raises(InvalidStructureError):
+            build_structure(Family.KAPPA_NEG, 2, kappa=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tables_rejected(self, bad):
+        with pytest.raises(InvalidStructureError):
+            build_structure(Family.CUSTOM, 3, levels=[0.0, 1.0, bad, 1.0, 0.0])
+        with pytest.raises(InvalidStructureError):
+            build_structure(Family.CUSTOM, 3, levels=[0.0, bad, bad, 1.0, 0.0])
+        with pytest.raises(InvalidStructureError):
+            StructureSpec(Family.CUSTOM, 2, None, levels=[0.0, 1.0, bad, 0.0],
+                          spacings=[1.0, bad, -bad])
+        with pytest.raises(InvalidStructureError):
+            StructureSpec(Family.CUSTOM, 2, None, levels=[0.0, 1.0, 1.0, 0.0],
+                          spacings=[1.0, bad, -1.0])
+
     def test_custom_requires_table(self):
         with pytest.raises(InvalidStructureError):
             build_structure(Family.CUSTOM, 2)
@@ -111,6 +132,12 @@ class TestStructureFromSpacings:
     def test_non_positive_prefix(self):
         with pytest.raises(NonPositiveLevelError):
             structure_from_spacings([-1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[float("nan"), 1.0, -1.0],
+                                     [float("inf"), -float("inf"), 0.0]])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidStructureError):
+            structure_from_spacings(bad)
 
     def test_too_short(self):
         with pytest.raises(InvalidDimensionError):

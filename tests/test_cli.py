@@ -220,6 +220,40 @@ class TestMainCompute:
         assert "usage error" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_label_beyond_int64(self, capsys):
+        argv = ["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5", "--m"]
+        assert main(argv + [str(10**20)]) == 0
+        huge = capsys.readouterr()
+        assert main(argv + [str(10**20 % 3)]) == 0
+        assert huge == capsys.readouterr()
+        assert huge.err == ""
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5",
+         "--method", "closed"],
+        ["sweep", "--two-s", "2", "--phi", "0", "--r2", "0.5"],
+    ])
+    def test_non_finite_kappa_is_usage_error(self, capsys, command, kappa):
+        assert main(command + ["--family", "kappa-pos", f"--kappa={kappa}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+        assert "finite" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
+        # what `compute --two-s 2200` meets: sqrt_binomial overflows
+        def overflow(n, p):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("phasebeam.splitter.sqrt_binomial", overflow)
+        code = main(["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical consistency error: math range error" in captured.err
+
     def test_missing_kappa_exit_code(self, capsys):
         code = main(["compute", "--family", "kappa-pos", "--two-s", "2",
                      "--phi", "0", "--r2", "0.5"])

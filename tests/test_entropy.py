@@ -1,4 +1,4 @@
-from math import pi
+from math import exp, fsum, pi
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from phasebeam import (
     phase_term,
     reduced_density,
     split_phase_state,
+    structure_from_spacings,
 )
+from phasebeam.numerics import log_factorials
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -30,6 +32,46 @@ BALANCED = SplitterParams(0.5)
 
 def oracle_entropy(spec, m, phi, params):
     return linear_entropy(reduced_density(split_phase_state(spec, m, phi, params)))
+
+
+def _closed_loop_reference(two_s, *, folded):
+    """The closed-form sum as a plain loop over its terms.
+
+    Nested loops visit (n, n', l, l') one term at a time, apart from the
+    blocked index arrays of linear_entropy_closed, and record each term's
+    indices and its magnitude without the splitter powers.  The returned function
+    completes every term for one (spec, phi, r2), with a level bracket of
+    exactly 0 where n == n' or l == l', and sums them with math.fsum.  It
+    gives S and, unfolded, the imaginary part of the sum (must be zero).
+    """
+    d = two_s + 1
+    lgf = log_factorials(two_s)
+    terms = []
+    for n in range(d):
+        for n2 in range(n if folded else 0, d):
+            lmax = two_s - max(n, n2)
+            for l in range(lmax + 1):
+                for l2 in range(l if folded else 0, lmax + 1):
+                    mag = exp(0.5 * (lgf[n + l] + lgf[n2 + l2]
+                                     + lgf[n + l2] + lgf[n2 + l])
+                              - lgf[n] - lgf[n2] - lgf[l] - lgf[l2]) / (d * d)
+                    if folded:
+                        mag *= (1.0 if n == n2 else 2.0) * (1.0 if l == l2 else 2.0)
+                    terms.append((mag, n, n2, l, l2))
+    mag, n, n2, l, l2 = (np.array(col) for col in zip(*terms))
+    flat = (n == n2) | (l == l2)
+
+    def evaluate(spec, phi, r2):
+        levels = spec.levels
+        bracket = np.where(flat, 0.0, levels[n + l] + levels[n2 + l2]
+                           - levels[n2 + l] - levels[n + l2])
+        full = mag * (1.0 - r2) ** (n + n2) * r2 ** (l + l2)
+        s = 1.0 - fsum((full * np.cos(bracket * phi)).tolist())
+        if folded:
+            return s, 0.0
+        return s, -fsum((full * np.sin(bracket * phi)).tolist())
+
+    return evaluate
 
 
 class TestLinearEntropyFromRho:
@@ -167,6 +209,32 @@ class TestLinearEntropyClosed:
                     unfolded = linear_entropy_closed(spec, phi, params,
                                                      folded=False).value
                     assert abs(folded - unfolded) <= 1e-13
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 30])
+    def test_pinned_to_loop_reference(self, two_s):
+        # 2s = 20 and 30 span several blocks of the numpy sum
+        rng = np.random.default_rng(two_s)
+        custom = rng.uniform(0.5, 3.0, two_s)
+        specs = [build_structure(family, two_s, kappa) for family, kappa in FAMILIES]
+        specs.append(structure_from_spacings(np.diff(np.r_[0.0, custom, 0.0])))
+        for folded in (True, False):
+            reference = _closed_loop_reference(two_s, folded=folded)
+            for spec in specs:
+                for phi in (0.0, 1.0, pi):
+                    for r2 in (0.0, 0.5, 1.0):
+                        want, imag = reference(spec, phi, r2)
+                        got = linear_entropy_closed(spec, phi, SplitterParams(r2),
+                                                    folded=folded).value
+                        assert abs(got - want) <= 1e-13
+                        assert abs(imag) <= 1e-13
+
+    def test_matches_partial_trace_at_two_s_40(self):
+        for family, kappa in FAMILIES:
+            spec = build_structure(family, 40, kappa)
+            for phi in (0.0, 1.0, pi):
+                params = SplitterParams(0.3)
+                closed = linear_entropy_closed(spec, phi, params).value
+                assert abs(closed - oracle_entropy(spec, 0, phi, params).value) <= 1e-10
 
     def test_closed_vs_oracle_grid(self):
         phis = np.linspace(0.0, 2 * pi, 5)

@@ -60,6 +60,11 @@ class TestPhaseState:
         assert np.array_equal(phase_state(spec, 1, 0.4), phase_state(spec, 4, 0.4))
         assert np.array_equal(phase_state(spec, -2, 0.4), phase_state(spec, 1, 0.4))
 
+    def test_label_beyond_int64(self):
+        spec = build_structure(Family.KAPPA_NEG, 2)
+        assert np.array_equal(phase_state(spec, 10**20, 0.4),
+                              phase_state(spec, 10**20 % 3, 0.4))
+
     def test_phi_zero_collapses_families(self):
         # at phi = 0 every family reduces to the Fourier transform of the
         # number basis, so all tables with the same dimension agree
