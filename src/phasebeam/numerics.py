@@ -3,13 +3,19 @@ log-space binomial square roots."""
 
 from math import exp, lgamma
 
+import numpy as np
+
 # Powers of the imaginary unit, exact to the bit.
-_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-def ipow(k: int) -> complex:
-    """i**k as an exact unit complex number (no rounding for any k)."""
-    return _QUARTER_TURNS[k & 3]
+def ipow(k: "int | np.ndarray"):
+    """i**k as an exact unit complex number (no rounding for any k).
+
+    k is an int, giving a complex scalar, or an integer array, giving one
+    quarter turn per element.
+    """
+    return _QUARTER_TURNS[np.bitwise_and(k, 3)]
 
 
 def log_factorials(n_max: int) -> list[float]:

@@ -3,22 +3,25 @@
 A number state |n, 0> scatters into sum_p sqrt(binom(n, p)) t^p (ir)^{n-p}
 |p, n-p> with t = cos(theta/2), r = sin(theta/2).  Total photon number is
 conserved, so two-mode outputs live on the triangle p + k <= 2s and are
-stored in a packed triangular layout.  The reduced state of the transmitted
-mode is available through two independent routes: an explicit partial trace
-of the two-mode vector, and direct assembly from the transmission
-coefficients c(n, l).
+stored in a packed triangular layout.  Every amplitude of that triangle is
+formed in one array expression: the square-root binomial and the powers of
+t and r are summed as one exponent from the log-factorial table, which
+keeps each weight at most 1 for any 2s, and the powers of i are exact
+quarter turns.  The reduced state of the transmitted mode is available
+through two independent routes: an explicit partial trace of the two-mode
+vector, and direct assembly from the transmission coefficients c(n, l).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
 
 from .algebra import StructureSpec
 from .errors import InvalidDensityError, NotNormalizedError
-from .numerics import ipow, log_factorials, sqrt_binomial
+from .numerics import ipow, log_factorials
 from .phase_states import phase_state
 
 
@@ -81,6 +84,39 @@ class BipartiteVector:
         return float(np.linalg.norm(self.amp))
 
 
+def _triangle(two_s: int) -> np.ndarray:
+    """Mask of the pairs (p, k) with p + k <= two_s, shape (d, d).
+
+    Its row-major order is tri_index order, so np.nonzero of it gives the
+    (p, k) index arrays of the packed layout and a[mask] = amp unpacks it.
+    """
+    n = np.arange(two_s + 1)
+    return n[:, None] + n <= two_s
+
+
+def _log_powers(x: float, two_s: int) -> np.ndarray:
+    """ln(x^j) for j = 0..two_s; at x = 0 that is 0, then -inf."""
+    j = np.arange(two_s + 1)
+    if x > 0.0:
+        return j * log(x)
+    return np.where(j == 0, 0.0, -np.inf)
+
+
+def _triangle_weights(two_s: int, params: SplitterParams):
+    """Shell p + k and weight sqrt(binom(p+k, p)) t^p (ir)^k of every pair.
+
+    Both arrays run over the triangle in tri_index order.  The binomial and
+    both powers are summed as one exponent, so nothing overflows: every
+    weight has modulus at most 1, and a power of a zero t or r is exactly 0.
+    """
+    p, k = np.nonzero(_triangle(two_s))
+    half_lgf = 0.5 * np.array(log_factorials(two_s))
+    shell = p + k
+    expo = (half_lgf[shell] + (_log_powers(params.t, two_s) - half_lgf)[p]
+            + (_log_powers(params.r, two_s) - half_lgf)[k])
+    return shell, np.exp(expo) * ipow(k)
+
+
 def split_number_state(n: int, params: SplitterParams,
                        two_s: int | None = None) -> BipartiteVector:
     """Beam splitter output for the input |n> (x) |0>.
@@ -99,52 +135,39 @@ def split_number_state(n: int, params: SplitterParams,
         two_s = n
     if two_s < n:
         raise ValueError(f"layout two_s={two_s} cannot hold {n} photons")
-    t, r = params.t, params.r
-    amp = np.zeros(tri_size(two_s), dtype=complex)
-    for p in range(n + 1):
-        amp[tri_index(two_s, p, n - p)] = (
-            sqrt_binomial(n, p) * t**p * r ** (n - p) * ipow(n - p))
-    return BipartiteVector(two_s, amp)
+    shell, weights = _triangle_weights(two_s, params)
+    return BipartiteVector(two_s, np.where(shell == n, weights, 0.0))
 
 
 def split_phase_state(spec: StructureSpec, m: int, phi: float,
                       params: SplitterParams) -> BipartiteVector:
-    """Beam splitter output for the input |m, phi> (x) |0>."""
-    two_s = spec.two_s
-    state = phase_state(spec, m, phi)
-    t, r = params.t, params.r
-    t_pow = [t**p for p in range(two_s + 1)]
-    r_pow = [r**k for k in range(two_s + 1)]
-    amp = np.zeros(tri_size(two_s), dtype=complex)
-    for n in range(two_s + 1):
-        for p in range(n + 1):
-            amp[tri_index(two_s, p, n - p)] += (
-                state[n] * sqrt_binomial(n, p)
-                * t_pow[p] * r_pow[n - p] * ipow(n - p))
-    return BipartiteVector(two_s, amp)
+    """Beam splitter output for the input |m, phi> (x) |0>.
+
+    Each |n> (x) |0> of the phase state scatters on its own shell p + k = n,
+    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.
+    """
+    shell, weights = _triangle_weights(spec.two_s, params)
+    return BipartiteVector(spec.two_s, phase_state(spec, m, phi)[shell] * weights)
 
 
 def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray:
     """Reduced state of the first mode by tracing out the second.
 
-    rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)); the upper triangle is
-    computed and mirrored, so the result is Hermitian to the bit.
+    With the packed vector unpacked into A[p, k], zero outside the triangle,
+    rho = A A^H, i.e. rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)).  The
+    strict upper triangle is mirrored and the diagonal made real, so the
+    result is Hermitian to the bit.
     """
     nrm = b.norm()
     if abs(nrm - 1.0) > norm_tol:
         raise NotNormalizedError(f"two-mode vector has norm {nrm}")
-    two_s = b.two_s
-    d = two_s + 1
-    rho = np.zeros((d, d), dtype=complex)
-    starts = [tri_index(two_s, p, 0) for p in range(d)]
-    for p in range(d):
-        row_p = b.amp[starts[p]: starts[p] + (two_s - p) + 1]
-        for p2 in range(p, d):
-            common = two_s - p2 + 1
-            row_p2 = b.amp[starts[p2]: starts[p2] + common]
-            val = complex(np.vdot(row_p2, row_p[:common]))
-            rho[p, p2] = val
-            rho[p2, p] = val.conjugate()
+    mask = _triangle(b.two_s)
+    a = np.zeros(mask.shape, dtype=complex)
+    a[mask] = b.amp
+    full = a @ a.conj().T
+    n = np.arange(b.two_s + 1)
+    rho = np.where(n[:, None] < n, full, full.conj().T)
+    np.fill_diagonal(rho, full.diagonal().real)
     return rho
 
 
@@ -165,11 +188,11 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     total = np.add.outer(k, k)
     inside = total < d
     total = np.where(inside, total, 0)
-    lgf = np.array(log_factorials(spec.two_s))
-    # sqrt(binom(n+l, n)) t^n (ir)^l / sqrt(d), zero where n + l > 2s
-    weight = (np.exp(0.5 * (lgf[total] - lgf[k][:, None] - lgf[k])) * inside
-              * np.outer(params.t ** k, params.r ** k * [ipow(l) for l in range(d)])
-              / sqrt(d))
+    # ln of sqrt(binom(n+l, n)) t^n r^l as one exponent, so nothing overflows
+    half_lgf = 0.5 * np.array(log_factorials(spec.two_s))
+    expo = (half_lgf[total] + (_log_powers(params.t, spec.two_s) - half_lgf)[:, None]
+            + (_log_powers(params.r, spec.two_s) - half_lgf))
+    weight = np.exp(np.where(inside, expo, -np.inf)) * ipow(k) / sqrt(d)
     # q^{mk} e^{-i F(k) phi} for k = n + l
     amp = (np.exp(2j * pi * (((m % d) * k) % d) / d)
            * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])))

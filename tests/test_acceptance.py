@@ -49,11 +49,53 @@ def _oracle(spec, m, phi, params):
     return linear_entropy(reduced_density(split_phase_state(spec, m, phi, params))).value
 
 
+def _eigh_oracle_rho(family, two_s: int, kappa, m: int, phi: float,
+                     r2: float) -> np.ndarray:
+    """rho of the state |m, phi> after the splitter, sharing no code with
+    phasebeam.
+
+    The levels come from each family's formula: F(n) = n (pegg-barnett),
+    n(2s+1-n)/(2s) (kappa-neg) or n(1 + kappa(n-1)) (kappa-pos).  The phase
+    state has amplitudes e^{-i F(n) phi} e^{2 pi i m n/d} / sqrt(d).  The
+    splitter is exp(i theta (a^dag b + a b^dag)) with tan(theta) = r/t, built
+    from numpy.linalg.eigh of the generator on each fixed-photon-number
+    block; the reduced state is a plain partial trace of the two-mode
+    amplitudes.
+    """
+    d = two_s + 1
+    n = np.arange(d)
+    if family is Family.PEGG_BARNETT:
+        levels = n.astype(float)
+    elif family is Family.KAPPA_NEG:
+        levels = n * (two_s + 1 - n) / two_s
+    else:
+        levels = n * (1.0 + kappa * (n - 1))
+    amp = np.exp(-1j * levels * phi + 2j * pi * ((m * n) % d) / d) / np.sqrt(d)
+    theta = np.arctan2(np.sqrt(r2), np.sqrt(1.0 - r2))
+    psi = np.zeros((d, d), dtype=complex)       # psi[p, k]: p transmitted, k reflected
+    for total in range(d):
+        p = np.arange(total)
+        hop = np.sqrt((p + 1.0) * (total - p))  # <p+1, total-p-1| G |p, total-p>
+        w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+        out = v @ (np.exp(1j * theta * w) * v[total].conj())  # U |total, 0>
+        for q in range(total + 1):
+            psi[q, total - q] = amp[total] * out[q]
+    return psi @ psi.conj().T
+
+
+def _eigh_oracle(two_s: int, phi: float, r2: float) -> float:
+    """S of the kappa-neg state |0, phi> after the splitter, from the eigh
+    oracle's rho."""
+    rho = _eigh_oracle_rho(Family.KAPPA_NEG, two_s, None, 0, phi, r2)
+    return 1.0 - float(np.sum(np.abs(rho) ** 2))
+
+
 def test_c01_oracle_equivalence_central_gate():
     rng = np.random.default_rng(20250809)
     start = time.perf_counter()
     worst_s = 0.0
     worst_rho = 0.0
+    worst_eigh = 0.0
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
@@ -63,16 +105,24 @@ def test_c01_oracle_equivalence_central_gate():
                 params = SplitterParams(float(rng.uniform(0.0, 1.0)))
                 rho_traced = reduced_density(split_phase_state(spec, m, phi, params))
                 rho_direct = reduced_density_closed(spec, m, phi, params)
+                rho_eigh = _eigh_oracle_rho(family, two_s, kappa, m, phi, params.r2)
                 worst_rho = max(worst_rho, float(np.max(np.abs(rho_traced - rho_direct))))
+                worst_eigh = max(worst_eigh,
+                                 float(np.max(np.abs(rho_traced - rho_eigh))),
+                                 float(np.max(np.abs(rho_direct - rho_eigh))))
                 s_oracle = linear_entropy(rho_traced).value
                 s_closed = linear_entropy_closed(spec, phi, params).value
                 worst_s = max(worst_s, abs(s_oracle - s_closed))
     elapsed = time.perf_counter() - start
-    ok = worst_s <= 1e-10 and worst_rho <= 1e-12 and elapsed < 30.0
+    ok = (worst_s <= 1e-10 and worst_rho <= 1e-12 and worst_eigh <= 1e-12
+          and elapsed < 30.0)
     _report(1, ok, f"|S_closed - S_oracle| <= {worst_s:.3e} (tol 1e-10), "
-                   f"rho routes <= {worst_rho:.3e} (tol 1e-12), {elapsed:.1f}s")
+                   f"rho routes <= {worst_rho:.3e} (tol 1e-12), "
+                   f"rho routes vs eigh oracle <= {worst_eigh:.3e} (tol 1e-12), "
+                   f"{elapsed:.1f}s")
     assert worst_s <= 1e-10
     assert worst_rho <= 1e-12
+    assert worst_eigh <= 1e-12
     assert elapsed < 30.0
 
 
@@ -159,31 +209,6 @@ def test_c06_quartit_shape():
             f"[{lo:.4f}, {hi:.4f}], contains pi: {brackets_pi} "
             f"(curve peaks at ~2.9424 = 0.937 pi)")
     assert pattern_ok
-
-
-def _eigh_oracle(two_s: int, phi: float, r2: float) -> float:
-    """S of the kappa-neg state |0, phi> after the splitter, sharing no code
-    with phasebeam.
-
-    The levels come from F(n) = n(2s+1-n)/(2s).  The splitter is
-    exp(i theta (a^dag b + a b^dag)) with tan(theta) = r/t, built from
-    numpy.linalg.eigh of the generator on each fixed-photon-number block;
-    the reduced state is a plain partial trace of the two-mode amplitudes.
-    """
-    d = two_s + 1
-    n = np.arange(d)
-    amp = np.exp(-1j * (n * (two_s + 1 - n) / two_s) * phi) / np.sqrt(d)
-    theta = np.arctan2(np.sqrt(r2), np.sqrt(1.0 - r2))
-    psi = np.zeros((d, d), dtype=complex)       # psi[p, k]: p transmitted, k reflected
-    for total in range(d):
-        p = np.arange(total)
-        hop = np.sqrt((p + 1.0) * (total - p))  # <p+1, total-p-1| G |p, total-p>
-        w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
-        out = v @ (np.exp(1j * theta * w) * v[total].conj())  # U |total, 0>
-        for q in range(total + 1):
-            psi[q, total - q] = amp[total] * out[q]
-    rho = psi @ psi.conj().T
-    return 1.0 - float(np.sum(np.abs(rho) ** 2))
 
 
 def test_c07_dimension_growth():

@@ -243,11 +243,12 @@ class TestMainCompute:
         assert "Traceback" not in captured.err
 
     def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
-        # what `compute --two-s 2200` meets: sqrt_binomial overflows
-        def overflow(n, p):
+        # an overflow raised inside the oracle route, here where the splitter
+        # builds its log-factorial table, ends the run as a numerical error
+        def overflow(n_max):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr("phasebeam.splitter.sqrt_binomial", overflow)
+        monkeypatch.setattr("phasebeam.splitter.log_factorials", overflow)
         code = main(["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5"])
         assert code == 2
         captured = capsys.readouterr()

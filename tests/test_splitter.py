@@ -17,16 +17,51 @@ from phasebeam import (
     reduced_density_closed,
     split_number_state,
     split_phase_state,
+    structure_from_spacings,
     tri_index,
     tri_size,
     validate_density,
 )
+from phasebeam.numerics import ipow, sqrt_binomial
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
     (Family.KAPPA_NEG, None),
     (Family.KAPPA_POS, 0.5),
 ]
+
+
+def _split_loop_reference(state, params):
+    """Splitter output of sum_n state[n] |n> (x) |0>, one amplitude at a time.
+
+    Each |n> (x) |0> adds state[n] sqrt(binom(n, p)) t^p (ir)^(n-p) at the
+    pair (p, n - p); a number state is a unit vector.
+    """
+    two_s = len(state) - 1
+    t, r = params.t, params.r
+    amp = np.zeros(tri_size(two_s), dtype=complex)
+    for n in range(two_s + 1):
+        for p in range(n + 1):
+            amp[tri_index(two_s, p, n - p)] += (
+                state[n] * sqrt_binomial(n, p) * t**p * r ** (n - p) * ipow(n - p))
+    return amp
+
+
+def _partial_trace_loop_reference(b):
+    """rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)), one entry at a time."""
+    two_s = b.two_s
+    d = two_s + 1
+    rho = np.zeros((d, d), dtype=complex)
+    starts = [tri_index(two_s, p, 0) for p in range(d)]
+    for p in range(d):
+        row_p = b.amp[starts[p]: starts[p] + (two_s - p) + 1]
+        for p2 in range(p, d):
+            common = two_s - p2 + 1
+            row_p2 = b.amp[starts[p2]: starts[p2] + common]
+            val = complex(np.vdot(row_p2, row_p[:common]))
+            rho[p, p2] = val
+            rho[p2, p] = val.conjugate()
+    return rho
 
 
 class TestSplitterParams:
@@ -161,6 +196,65 @@ class TestSplitPhaseState:
                 r2 = float(rng.uniform(0, 1))
                 b = split_phase_state(spec, m, phi, SplitterParams(r2))
                 assert abs(b.norm() - 1.0) <= 1e-12
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 40])
+    def test_phase_state_route_pinned(self, two_s):
+        rng = np.random.default_rng(two_s)
+        custom = rng.uniform(0.5, 3.0, two_s)
+        specs = [build_structure(family, two_s, kappa) for family, kappa in FAMILIES]
+        specs.append(structure_from_spacings(np.diff(np.r_[0.0, custom, 0.0])))
+        for spec in specs:
+            for m in (0, 1, two_s):
+                for r2 in (0.0, 0.5, 1.0):
+                    params = SplitterParams(r2)
+                    b = split_phase_state(spec, m, 0.9, params)
+                    want = _split_loop_reference(phase_state(spec, m, 0.9), params)
+                    assert np.max(np.abs(b.amp - want)) <= 1e-14
+                    rho = reduced_density(b)
+                    assert np.max(np.abs(rho - _partial_trace_loop_reference(b))) <= 1e-14
+
+    def test_number_state_pinned(self):
+        for n in range(21):
+            for two_s in (n, n + 1, n + 5):
+                unit = np.zeros(two_s + 1)
+                unit[n] = 1.0
+                for r2 in (0.0, 0.3, 0.5, 1.0):
+                    params = SplitterParams(r2)
+                    got = split_number_state(n, params, two_s=two_s).amp
+                    assert np.max(np.abs(got - _split_loop_reference(unit, params))) <= 1e-14
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 40])
+    def test_partial_trace_pinned_on_random_vectors(self, two_s):
+        rng = np.random.default_rng(100 + two_s)
+        for _ in range(5):
+            amp = rng.normal(size=tri_size(two_s)) + 1j * rng.normal(size=tri_size(two_s))
+            b = BipartiteVector(two_s, amp / np.linalg.norm(amp))
+            rho = reduced_density(b)
+            assert np.array_equal(rho, rho.conj().T)
+            assert np.max(np.abs(rho - _partial_trace_loop_reference(b))) <= 1e-14
+
+
+class TestLargeTwoS:
+    def test_split_at_two_s_2200_is_finite_and_normalized(self):
+        # sqrt(binom(2200, 1100)) alone is about 1e330, far past the float range
+        spec = build_structure(Family.KAPPA_NEG, 2200)
+        b = split_phase_state(spec, 0, 0.0, SplitterParams(0.5))
+        assert np.isfinite(b.amp).all()
+        assert abs(b.norm() - 1.0) <= 1e-9
+
+    def test_exact_at_the_ends(self):
+        # r2 = 0 passes the state through, r2 = 1 reflects it with i^k
+        spec = build_structure(Family.KAPPA_POS, 6, kappa=0.3)
+        v = phase_state(spec, 2, 1.3)
+        k = np.arange(spec.dim)
+        through = split_phase_state(spec, 2, 1.3, SplitterParams(0.0))
+        reflected = split_phase_state(spec, 2, 1.3, SplitterParams(1.0))
+        assert np.array_equal([through.get(p, 0) for p in k], v)
+        assert np.array_equal([reflected.get(0, j) for j in k],
+                              v * np.array([1, 1j, -1, -1j])[k % 4])
+        assert np.count_nonzero(through.amp) == np.count_nonzero(reflected.amp) == spec.dim
 
 
 class TestReducedDensity:
