@@ -22,7 +22,7 @@ from .algebra import (
     structure_from_spacings,
 )
 from .entropy import linear_entropy, linear_entropy_closed, m_independence_report
-from .numerics import sqrt_binomial
+from .numerics import ipow
 from .phase_states import (
     apply_phase_operator,
     closure_matrix,
@@ -205,12 +205,16 @@ def splitter_suite(seed: int = 0) -> list[CheckResult]:
     out.append(_result("splitter", "phase_state_norm", worst_state_norm, 1e-12))
     out.append(_result("splitter", "reduced_density_two_routes", worst_rho, 1e-12))
 
-    worst_exact = max(
-        abs(sqrt_binomial(n, p) - sqrt(comb(n, p))) / sqrt(comb(n, p))
-        for n in range(0, 21) for p in range(n + 1))
-    worst_large = max(
-        abs(sqrt_binomial(n, p) - sqrt(comb(n, p))) / sqrt(comb(n, p))
-        for n in (40, 50, 60) for p in range(0, n + 1, 5))
+    # The routes' log-space weights against sqrt(binom(n, p)) t^p (ir)^(n-p).
+    params = SplitterParams(0.3)
+    split = {n: split_number_state(n, params) for n in (*range(0, 21), 40, 50, 60)}
+
+    def rel_err(n: int, p: int) -> float:
+        want = sqrt(comb(n, p)) * params.t**p * params.r**(n - p) * ipow(n - p)
+        return abs(split[n].get(p, n - p) - want) / abs(want)
+
+    worst_exact = max(rel_err(n, p) for n in range(0, 21) for p in range(n + 1))
+    worst_large = max(rel_err(n, p) for n in (40, 50, 60) for p in range(0, n + 1, 5))
     out.append(_result("splitter", "sqrt_binomial_exact_small", worst_exact, 1e-13))
     out.append(_result("splitter", "sqrt_binomial_relative_large", worst_large, 1e-13))
     return out
@@ -227,18 +231,16 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            for phi in phis:
-                for r2 in r2s:
-                    params = SplitterParams(float(r2))
-                    closed = linear_entropy_closed(spec, float(phi), params).value
-                    unfolded = linear_entropy_closed(
-                        spec, float(phi), params, folded=False).value
-                    worst_fold = max(worst_fold, abs(closed - unfolded))
-                    for m in range(spec.dim):
-                        rho = reduced_density(split_phase_state(
-                            spec, m, float(phi), params))
-                        worst_routes = max(
-                            worst_routes, abs(linear_entropy(rho).value - closed))
+            for r2 in r2s:
+                params = SplitterParams(float(r2))
+                closed, unfolded = np.array([
+                    [linear_entropy_closed(spec, float(phi), params, folded=f).value
+                     for phi in phis] for f in (True, False)])
+                worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
+                for m in range(spec.dim):
+                    rho = reduced_density(split_phase_state(spec, m, phis, params))
+                    worst_routes = max(worst_routes, np.max(np.abs(
+                        linear_entropy(rho).value - closed)))
     out.append(_result("entropy", "closed_vs_oracle", worst_routes, 1e-10))
     out.append(_result("entropy", "folded_vs_unfolded", worst_fold, 1e-12))
 

@@ -10,7 +10,6 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -21,10 +20,10 @@ import numpy as np
 
 from .algebra import Family, build_structure
 from .checks import run_suites
-from .entropy import linear_entropy, linear_entropy_closed
+from .entropy import linear_entropy_closed
 from .errors import PhasebeamError, RangeError, UsageError
-from .experiments import Axis, SweepTable, _entropy_grid
-from .splitter import SplitterParams, reduced_density, split_phase_state
+from .experiments import Axis, SweepTable, _entropy_grid, entropy_point
+from .splitter import SplitterParams
 
 THREADS_ENV = "PHASEBEAM_THREADS"
 # `compute --method both` refuses to report routes that disagree by more.
@@ -197,12 +196,10 @@ def _fmt_float(x: float) -> str:
 
 def render_csv(table: SweepTable) -> str:
     header = ",".join([axis.name for axis in table.axes] + ["S"])
-    lines = [header]
-    coords_iter = itertools.product(*(axis.values for axis in table.axes))
-    for coords, value in zip(coords_iter, table.values):
-        lines.append(",".join(_fmt_float(c) for c in coords)
-                     + "," + _fmt_float(float(value)))
-    return "\n".join(lines) + "\n"
+    grids = np.meshgrid(*(axis.values for axis in table.axes), indexing="ij")
+    columns = [g.ravel().tolist() for g in grids] + [table.values.tolist()]
+    row = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header, *(row % cells for cells in zip(*columns))]) + "\n"
 
 
 def render_json(table: SweepTable) -> str:
@@ -245,8 +242,7 @@ def _run_compute(cfg: RunConfig) -> int:
     phi = cfg.phi[0]
 
     def oracle() -> float:
-        rho = reduced_density(split_phase_state(spec, cfg.m, phi, params))
-        return linear_entropy(rho).value
+        return entropy_point(cfg.two_s[0], cfg.m, phi, cfg.r2[0], cfg.family, cfg.kappa)
 
     if cfg.method == "oracle":
         print(_fmt_float(oracle()))

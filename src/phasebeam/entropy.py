@@ -46,17 +46,24 @@ _BLOCK_TERMS = 1 << 11
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """A linear entropy together with the route that produced it."""
+    """A linear entropy together with the route that produced it.
 
-    value: float
+    value is a float for one matrix, or an array with one entropy per
+    matrix of a stack.  It is clamped to [0, 1] as _clamp_unit_interval
+    does, and every entry must then lie in [0, 1 - 1/d].
+    """
+
+    value: float | np.ndarray
     method: str
     dim: int
 
     def __post_init__(self) -> None:
-        bound = 1.0 - 1.0 / self.dim + 1e-12
-        if not 0.0 <= self.value <= bound:
+        value = _clamp_unit_interval(self.value)
+        hi = value.item(value.argmax())  # NaN if value holds a NaN
+        if not hi <= 1.0 - 1.0 / self.dim + 1e-12:
             raise NumericalConsistencyError(
-                f"S = {self.value} outside [0, 1 - 1/d] for d = {self.dim}")
+                f"S = {hi} outside [0, 1 - 1/d] for d = {self.dim}")
+        object.__setattr__(self, "value", float(value) if value.ndim == 0 else value)
 
 
 @dataclass(frozen=True)
@@ -68,23 +75,30 @@ class MIndependenceReport:
     values: tuple[float, ...]
 
 
-def _clamp_unit_interval(s: float) -> float:
-    if -CLAMP_TOL <= s < 0.0:
-        return 0.0
-    if 1.0 < s <= 1.0 + CLAMP_TOL:
-        return 1.0
-    if s < -CLAMP_TOL or s > 1.0 + CLAMP_TOL:
-        raise NumericalConsistencyError(f"entropy {s} outside [0, 1]")
-    return s
+def _clamp_unit_interval(s):
+    """s clipped to [0, 1]; s is a float or an array of entropies.
+
+    The range checks are monotone, so the extremes stand for every entry.
+    """
+    s = np.asarray(s, dtype=float)
+    lo, hi = s.item(s.argmin()), s.item(s.argmax())
+    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
+        raise NumericalConsistencyError(
+            f"entropy {lo if lo < -CLAMP_TOL else hi} outside [0, 1]")
+    return s.clip(0.0, 1.0) if lo < 0.0 or hi > 1.0 else s
 
 
 def linear_entropy(rho: np.ndarray, *, validate: bool = True) -> EntropyValue:
-    """S = 1 - sum |rho[a, b]|^2 for a Hermitian rho (oracle route)."""
+    """S = 1 - sum |rho[a, b]|^2 for a Hermitian rho (oracle route).
+
+    rho is one (d, d) matrix, giving a float value, or a stack (..., d, d),
+    giving one entropy per matrix; validate checks every matrix.
+    """
     rho = np.asarray(rho, dtype=complex)
     if validate:
         validate_density(rho)
-    purity = float(np.vdot(rho, rho).real)
-    return EntropyValue(_clamp_unit_interval(1.0 - purity), ORACLE, rho.shape[0])
+    purity = (rho.real**2 + rho.imag**2).sum(axis=(-2, -1))
+    return EntropyValue(1.0 - purity, ORACLE, rho.shape[-1])
 
 
 def phase_term(spec: StructureSpec, n: int, n2: int, l: int, l2: int,
@@ -173,7 +187,7 @@ def linear_entropy_closed(spec: StructureSpec, phi: float,
     if abs(imag) > 1e-12:
         raise NumericalConsistencyError(
             f"imaginary residual {imag} in the unfolded sum")
-    return EntropyValue(_clamp_unit_interval(1.0 - total), CLOSED_FORM, d)
+    return EntropyValue(1.0 - total, CLOSED_FORM, d)
 
 
 def m_independence_report(spec: StructureSpec, phi: float,

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Family, build_structure
-from .entropy import ORACLE, EntropyValue, _clamp_unit_interval, linear_entropy
+from .entropy import linear_entropy
 from .splitter import (
     SplitterParams,
     reduced_density,
     reduced_density_closed,
     split_phase_state,
-    validate_density,
 )
 
 # Most complex entries (1 MiB) in one stack of rho; a longer phi axis goes
@@ -78,19 +77,12 @@ def entropy_point(two_s: int, m: int, phi: float, r2: float,
     return linear_entropy(rho).value
 
 
-def evaluate_cells(cells: list[tuple], *, serial: bool = False,
-                   max_workers: int | None = None) -> list[float]:
-    """entropy_point over (2s, m, phi, r2, family, kappa) cells, in order;
-    serial and max_workers are accepted for compatibility and change nothing."""
-    return [entropy_point(*cell) for cell in cells]
-
-
 def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
                   m: int) -> np.ndarray:
     """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
 
-    Every rho gets the checks of the single-point route: validate_density,
-    the CLAMP_TOL clamp and the [0, 1 - 1/d] bound of EntropyValue.
+    linear_entropy validates every rho and bounds every S, as on the
+    single-point route.
     """
     phi_axis = np.asarray(phis, dtype=float)
     out = np.empty((len(dims), len(phi_axis), len(r2s)))
@@ -102,13 +94,7 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
             for lo in range(0, len(phi_axis), block):
                 rho = reduced_density_closed(spec, m, phi_axis[lo:lo + block],
                                              params)
-                validate_density(rho)
-                s = 1.0 - np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))
-                # Clamp and bound are monotone range checks, so the extremes
-                # stand for every cell (a NaN makes both extremes NaN).
-                for extreme in (s.min(), s.max()):
-                    EntropyValue(_clamp_unit_interval(extreme), ORACLE, spec.dim)
-                out[i, lo:lo + block, j] = np.clip(s, 0.0, 1.0)
+                out[i, lo:lo + block, j] = linear_entropy(rho).value
     return out
 
 

@@ -1,7 +1,6 @@
-"""Small numerical helpers: exact quarter turns, log-factorial tables,
-log-space binomial square roots."""
+"""Small numerical helpers: exact quarter turns and log-factorial tables."""
 
-from math import exp, lgamma
+from math import lgamma
 
 import numpy as np
 
@@ -21,15 +20,3 @@ def ipow(k: "int | np.ndarray"):
 def log_factorials(n_max: int) -> list[float]:
     """Table of ln(k!) for k = 0..n_max."""
     return [lgamma(k + 1) for k in range(n_max + 1)]
-
-
-def sqrt_binomial(n: int, p: int) -> float:
-    """sqrt(n! / (p! (n-p)!)) evaluated in log space.
-
-    Stays accurate (relative error well under 1e-13) far beyond the point
-    where the factorials themselves overflow intermediate integers cast to
-    float.
-    """
-    if p < 0 or n < 0 or p > n:
-        raise ValueError(f"binomial indices out of range: n={n}, p={p}")
-    return exp(0.5 * (lgamma(n + 1) - lgamma(p + 1) - lgamma(n - p + 1)))

@@ -29,12 +29,16 @@ class PhaseLabel:
         object.__setattr__(self, "m", self.m % (self.two_s + 1))
 
 
-def phase_state(spec: StructureSpec, m: int, phi: float) -> np.ndarray:
-    """Amplitude vector of |m, phi>; every component has modulus 1/sqrt(d)."""
+def phase_state(spec: StructureSpec, m: int, phi) -> np.ndarray:
+    """Amplitude vector of |m, phi>; every component has modulus 1/sqrt(d).
+
+    phi is a scalar, giving shape (d,), or an array of phases, giving one
+    vector per phase with shape phi.shape + (d,).
+    """
     d = spec.dim
     n = np.arange(d)
     root_powers = np.exp(2j * pi * (((m % d) * n) % d) / d)
-    return np.exp(-1j * spec.levels[:d] * phi) * root_powers / sqrt(d)
+    return np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])) * root_powers / sqrt(d)
 
 
 def apply_phase_operator(spec: StructureSpec, phi: float, state: np.ndarray) -> np.ndarray:
@@ -88,9 +92,5 @@ def overlap_closed(spec: StructureSpec, m: int, phi: float,
 
 def closure_matrix(spec: StructureSpec, phi: float) -> np.ndarray:
     """sum_m |m,phi><m,phi|; the identity, up to roundoff, for any phi."""
-    d = spec.dim
-    total = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        v = phase_state(spec, m, phi)
-        total += np.outer(v, v.conj())
-    return total
+    states = np.array([phase_state(spec, m, phi) for m in range(spec.dim)])
+    return states.T @ states.conj()

@@ -63,14 +63,18 @@ def tri_index(two_s: int, p: int, k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteVector:
-    """Two-mode amplitudes on the triangle p + k <= two_s, packed flat."""
+    """Two-mode amplitudes on the triangle p + k <= two_s, packed flat.
+
+    amp has shape (tri_size,) for one vector, or (..., tri_size) for a
+    stack of vectors; get reads one vector.
+    """
 
     two_s: int
     amp: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         amp = np.ascontiguousarray(np.asarray(self.amp, dtype=complex))
-        if amp.shape != (tri_size(self.two_s),):
+        if amp.shape[-1:] != (tri_size(self.two_s),):
             raise ValueError(
                 f"amplitude vector must have length {tri_size(self.two_s)}, "
                 f"got {amp.shape}")
@@ -80,8 +84,10 @@ class BipartiteVector:
     def get(self, p: int, k: int) -> complex:
         return complex(self.amp[tri_index(self.two_s, p, k)])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm, one per vector of a stack."""
+        nrm = np.linalg.norm(self.amp, axis=-1)
+        return float(nrm) if nrm.ndim == 0 else nrm
 
 
 def _triangle(two_s: int) -> np.ndarray:
@@ -139,15 +145,16 @@ def split_number_state(n: int, params: SplitterParams,
     return BipartiteVector(two_s, np.where(shell == n, weights, 0.0))
 
 
-def split_phase_state(spec: StructureSpec, m: int, phi: float,
+def split_phase_state(spec: StructureSpec, m: int, phi,
                       params: SplitterParams) -> BipartiteVector:
     """Beam splitter output for the input |m, phi> (x) |0>.
 
     Each |n> (x) |0> of the phase state scatters on its own shell p + k = n,
-    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.
+    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.  An array
+    phi gives a stack of vectors, amp of shape phi.shape + (tri_size,).
     """
     shell, weights = _triangle_weights(spec.two_s, params)
-    return BipartiteVector(spec.two_s, phase_state(spec, m, phi)[shell] * weights)
+    return BipartiteVector(spec.two_s, phase_state(spec, m, phi)[..., shell] * weights)
 
 
 def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray:
@@ -156,18 +163,22 @@ def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray
     With the packed vector unpacked into A[p, k], zero outside the triangle,
     rho = A A^H, i.e. rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)).  The
     strict upper triangle is mirrored and the diagonal made real, so the
-    result is Hermitian to the bit.
+    result is Hermitian to the bit.  A stack of vectors gives a stack of
+    matrices, shape (..., d, d); every vector must be normalised, which is
+    checked on the trace of its rho, the squared norm.
     """
-    nrm = b.norm()
-    if abs(nrm - 1.0) > norm_tol:
-        raise NotNormalizedError(f"two-mode vector has norm {nrm}")
     mask = _triangle(b.two_s)
-    a = np.zeros(mask.shape, dtype=complex)
-    a[mask] = b.amp
-    full = a @ a.conj().T
+    a = np.zeros(b.amp.shape[:-1] + mask.shape, dtype=complex)
+    a[..., mask] = b.amp
+    full = a @ a.conj().swapaxes(-1, -2)
     n = np.arange(b.two_s + 1)
-    rho = np.where(n[:, None] < n, full, full.conj().T)
-    np.fill_diagonal(rho, full.diagonal().real)
+    diag = full[..., n, n].real
+    nrm = np.sqrt(diag.sum(axis=-1))
+    worst = nrm.flat[np.abs(nrm - 1.0).argmax()]
+    if abs(worst - 1.0) > norm_tol:
+        raise NotNormalizedError(f"two-mode vector has norm {worst}")
+    rho = np.where(n[:, None] < n, full, full.conj().swapaxes(-1, -2))
+    rho[..., n, n] = diag
     return rho
 
 

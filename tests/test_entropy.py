@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from phasebeam import (
+    BipartiteVector,
     EntropyValue,
     Family,
     IndexOutOfRangeError,
     InvalidDensityError,
+    NotNormalizedError,
     NumericalConsistencyError,
     SplitterParams,
     build_structure,
@@ -18,6 +20,7 @@ from phasebeam import (
     reduced_density,
     split_phase_state,
     structure_from_spacings,
+    tri_size,
 )
 from phasebeam.numerics import log_factorials
 
@@ -103,6 +106,10 @@ class TestEntropyValue:
             EntropyValue(0.6, "oracle", 2)
         with pytest.raises(NumericalConsistencyError):
             EntropyValue(-0.1, "closed", 3)
+        # every entry of a stack is checked, a NaN included
+        for bad in (0.6, -0.1, np.nan):
+            with pytest.raises(NumericalConsistencyError):
+                EntropyValue(np.array([0.1, bad, 0.2]), "oracle", 2)
 
     def test_valid_range(self):
         ev = EntropyValue(0.5, "closed", 2)
@@ -319,6 +326,9 @@ class TestClamping:
         assert _clamp_unit_interval(-5e-11) == 0.0
         assert _clamp_unit_interval(1.0 + 5e-11) == 1.0
         assert _clamp_unit_interval(0.3) == 0.3
+        got = _clamp_unit_interval(np.array([0.3, -5e-11, 1.0 + 5e-11]))
+        assert np.array_equal(got, [0.3, 0.0, 1.0])
+        assert EntropyValue(-5e-11, "oracle", 2).value == 0.0
 
     def test_large_excursions_refused(self):
         from phasebeam.entropy import _clamp_unit_interval
@@ -327,3 +337,75 @@ class TestClamping:
             _clamp_unit_interval(-1e-9)
         with pytest.raises(NumericalConsistencyError):
             _clamp_unit_interval(1.0 + 1e-9)
+        for bad in (-1e-9, 1.0 + 1e-9):
+            with pytest.raises(NumericalConsistencyError):
+                _clamp_unit_interval(np.array([0.3, bad, 0.5]))
+
+
+def _stack_specs():
+    """The three families and one spacing table, at 2s in {1, 2, 8, 40}."""
+    rng = np.random.default_rng(11)
+    for two_s in (1, 2, 8, 40):
+        for family, kappa in FAMILIES:
+            yield build_structure(family, two_s, kappa)
+        g = rng.uniform(0.5, 1.5, two_s)
+        yield structure_from_spacings(np.append(g, -g.sum()))
+
+
+class TestPhaseStacks:
+    """An array of phases gives the per-phase results on its leading axes."""
+
+    PHIS = np.array([[0.0, 0.7, pi], [2.5, 4.0, 11.0]])
+    PARAMS = SplitterParams(0.3)
+
+    @pytest.mark.parametrize(
+        "spec", list(_stack_specs()),
+        ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
+    def test_stack_matches_per_phase(self, spec):
+        shape = self.PHIS.shape
+        for m in sorted({0, 1, spec.two_s}):
+            b = split_phase_state(spec, m, self.PHIS, self.PARAMS)
+            rho = reduced_density(b)
+            s = linear_entropy(rho).value
+            assert b.amp.shape == shape + (tri_size(spec.two_s),)
+            assert rho.shape == shape + (spec.dim, spec.dim)
+            assert s.shape == shape
+            assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+            for idx in np.ndindex(shape):
+                one = split_phase_state(spec, m, float(self.PHIS[idx]), self.PARAMS)
+                rho_one = reduced_density(one)
+                assert np.max(np.abs(b.amp[idx] - one.amp)) <= 1e-15
+                assert np.max(np.abs(rho[idx] - rho_one)) <= 1e-15
+                assert abs(s[idx] - linear_entropy(rho_one).value) <= 1e-15
+
+    def test_scalar_return_types(self):
+        spec = build_structure(Family.KAPPA_NEG, 3)
+        b = split_phase_state(spec, 1, 0.7, self.PARAMS)
+        assert b.amp.shape == (tri_size(3),)
+        assert type(b.get(1, 2)) is complex
+        assert type(b.norm()) is float
+        assert type(linear_entropy(reduced_density(b)).value) is float
+        assert type(linear_entropy_closed(spec, 0.7, self.PARAMS).value) is float
+
+    def test_norm_is_per_vector(self):
+        spec = build_structure(Family.KAPPA_NEG, 3)
+        b = split_phase_state(spec, 0, self.PHIS, self.PARAMS)
+        assert b.norm().shape == self.PHIS.shape
+        assert np.max(np.abs(b.norm() - 1.0)) <= 1e-12
+
+    def test_one_unnormalised_vector_refused(self):
+        spec = build_structure(Family.KAPPA_NEG, 3)
+        amp = split_phase_state(spec, 0, self.PHIS, self.PARAMS).amp.copy()
+        amp[1, 2] *= 1.1
+        with pytest.raises(NotNormalizedError):
+            reduced_density(BipartiteVector(3, amp))
+
+    def test_one_entropy_beyond_clamp_refused(self):
+        good = np.eye(2) / 2.0
+        # PSD within 1e-10, but S = -2e-10, beyond the clamp band
+        bad = np.diag([1.0 + 1e-10, -1e-10])
+        stack = np.stack([good, bad, good]).astype(complex)
+        with pytest.raises(NumericalConsistencyError):
+            linear_entropy(stack)
+        with pytest.raises(NumericalConsistencyError):
+            linear_entropy(stack, validate=False)

@@ -13,7 +13,6 @@ from phasebeam import (
     sweep_s_balanced,
 )
 from phasebeam.cli import main
-from phasebeam.experiments import evaluate_cells
 
 
 class TestSweepTable:
@@ -188,15 +187,6 @@ class TestDeterminismAndParallel:
         monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * 4 * 4)
         assert np.array_equal(sweep_r2_phi(3, phis, (0.2, 0.5)).values,
                               whole.values)
-
-    def test_parallel_matches_serial(self):
-        # enough cells to actually engage the pool
-        cells = [(1, 0, phi, r2, Family.KAPPA_NEG, None)
-                 for phi in np.linspace(0, 2 * pi, 20)
-                 for r2 in np.linspace(0, 1, 15)]
-        serial = evaluate_cells(cells, serial=True)
-        parallel = evaluate_cells(cells, serial=False, max_workers=2)
-        assert serial == parallel
 
 
 class TestSweepsPinnedToEntropyPoint:

@@ -1,4 +1,4 @@
-from math import pi, sqrt
+from math import comb, pi, sqrt
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from phasebeam import (
     tri_size,
     validate_density,
 )
-from phasebeam.numerics import ipow, sqrt_binomial
+from phasebeam.numerics import ipow
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -43,7 +43,7 @@ def _split_loop_reference(state, params):
     for n in range(two_s + 1):
         for p in range(n + 1):
             amp[tri_index(two_s, p, n - p)] += (
-                state[n] * sqrt_binomial(n, p) * t**p * r ** (n - p) * ipow(n - p))
+                state[n] * sqrt(comb(n, p)) * t**p * r ** (n - p) * ipow(n - p))
     return amp
 
 
