@@ -2,9 +2,9 @@
 
 Three subcommands: `compute` evaluates the entropy at a single parameter
 point, `sweep` produces a CSV/JSON grid, `check` runs the invariant suites.
-Exit codes: 0 success, 1 usage error, 2 numerical-consistency failure
-(any ArithmeticError, such as an overflow), 3 I/O failure.  Data goes to
-stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 usage error (a run estimated over its work budget
+included), 2 numerical-consistency failure (any ArithmeticError, such as an
+overflow), 3 I/O failure.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import comb, isfinite, pi
 
 import numpy as np
 
@@ -28,6 +28,14 @@ from .splitter import SplitterParams
 THREADS_ENV = "PHASEBEAM_THREADS"
 # `compute --method both` refuses to report routes that disagree by more.
 BOTH_ROUTES_TOL = 1e-8
+# Work budgets, checked before a run starts; a run estimated above one is a
+# usage error.  A rho costs about d^3: a sweep sums that over its cells, and
+# compute's partial-trace route takes one cell.  2^34 admits one cell up to
+# 2s = 2579 and the default 128 x 101 grid at 2s = 80 (6.9e9).
+CUBE_BUDGET = 1 << 34
+# The closed form sums C(2s+4, 4) folded terms, about 1e7 per second; 2^30
+# admits 2s <= 398.
+TERMS_BUDGET = 1 << 30
 
 _CLI_FAMILIES = {
     "pegg-barnett": Family.PEGG_BARNETT,
@@ -181,13 +189,28 @@ def parse_args(argv=None) -> RunConfig:
     if ns.command == "compute":
         if len(two_s) != 1 or len(phi) != 1 or len(r2) != 1:
             raise UsageError("compute takes scalar --two-s, --phi and --r2")
+        if ns.method != "closed":
+            _check_budget("the partial-trace route", (two_s[0] + 1)**3,
+                          CUBE_BUDGET, "d^3")
+        if ns.method != "oracle":
+            _check_budget("the closed form", comb(two_s[0] + 4, 4),
+                          TERMS_BUDGET, "folded terms")
         return RunConfig(command="compute", family=family, two_s=two_s,
                          kappa=ns.kappa, m=ns.m, phi=phi, r2=r2,
                          method=ns.method)
 
+    cubes = len(phi) * len(r2) * sum((v + 1)**3 for v in two_s)
+    _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 summed over its cells")
     return RunConfig(command="sweep", family=family, two_s=two_s,
                      kappa=ns.kappa, m=ns.m, phi=phi, r2=r2,
                      fmt=ns.fmt, serial=ns.serial)
+
+
+def _check_budget(what: str, work: int, budget: int, unit: str) -> None:
+    """Refuse a run whose estimated work exceeds its budget."""
+    if work > budget:
+        raise UsageError(f"{what} needs about {work:.3g} {unit}, over the "
+                         f"work budget of {budget:.3g}")
 
 
 def _fmt_float(x: float) -> str:
@@ -195,11 +218,18 @@ def _fmt_float(x: float) -> str:
 
 
 def render_csv(table: SweepTable) -> str:
+    """Header, then one row per cell: coordinates row-major, S last.
+
+    Each axis value is formatted once; the rows' coordinate prefixes are
+    joined in product order and only S is formatted per row.
+    """
     header = ",".join([axis.name for axis in table.axes] + ["S"])
-    grids = np.meshgrid(*(axis.values for axis in table.axes), indexing="ij")
-    columns = [g.ravel().tolist() for g in grids] + [table.values.tolist()]
-    row = ",".join(["%.17g"] * len(columns))
-    return "\n".join([header, *(row % cells for cells in zip(*columns))]) + "\n"
+    prefixes = [""]
+    for axis in table.axes:
+        cells = ["%.17g," % v for v in axis.values]
+        prefixes = [p + c for p in prefixes for c in cells]
+    rows = map("%s%.17g".__mod__, zip(prefixes, table.values.tolist()))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def render_json(table: SweepTable) -> str:

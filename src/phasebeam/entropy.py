@@ -24,6 +24,7 @@ from .errors import IndexOutOfRangeError, NumericalConsistencyError
 from .numerics import log_factorials
 from .splitter import (
     SplitterParams,
+    _one_r2,
     reduced_density,
     split_phase_state,
     validate_density,
@@ -138,6 +139,7 @@ def linear_entropy_closed(spec: StructureSpec, phi: float,
     l, l' <= 2s - max(n, n'), a prefix of the grid ordered by max(l, l').
     Blocks hold whole pairs, at most about _BLOCK_TERMS terms each.
     """
+    _one_r2(params)
     two_s = spec.two_s
     d = spec.dim
     if folded:

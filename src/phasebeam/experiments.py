@@ -2,15 +2,17 @@
 
 All sweeps default to the concave level table F(n) = n(2s+1-n)/(2s) (the
 kappa-neg family) and m = 0 (the entropy does not depend on m).  They share
-one grid evaluator: for each (2s, r2) it assembles rho from the
-transmission coefficients over the whole phi axis at once, validates every
-matrix and takes S = 1 - Tr(rho^2), all in one process.  Their serial
-keyword is accepted for compatibility and changes nothing.
+one grid evaluator: for each 2s it covers the (phi, r2) plane with tiles,
+and for each tile it assembles one stack of rho from the transmission
+coefficients, validates every matrix and takes S = 1 - Tr(rho^2), all in
+one process.  Their serial keyword is accepted for compatibility and
+changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -23,8 +25,9 @@ from .splitter import (
     split_phase_state,
 )
 
-# Most complex entries (1 MiB) in one stack of rho; a longer phi axis goes
-# in blocks, so that peak memory does not grow with the grid at large d.
+# Most complex entries (1 MiB) in one tile's stack of rho; a larger
+# (phi, r2) plane goes in tiles, so that peak memory does not grow with the
+# grid at large d.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -81,20 +84,24 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
                   m: int) -> np.ndarray:
     """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
 
+    Each 2s slice goes in near-square tiles of at most _BLOCK_ENTRIES // d^2
+    cells (at least one), each one reduced_density_closed call.
     linear_entropy validates every rho and bounds every S, as on the
     single-point route.
     """
     phi_axis = np.asarray(phis, dtype=float)
-    out = np.empty((len(dims), len(phi_axis), len(r2s)))
+    r2_axis = np.asarray(r2s, dtype=float)
+    out = np.empty((len(dims), len(phi_axis), len(r2_axis)))
     for i, two_s in enumerate(dims):
         spec = build_structure(family, two_s, kappa)
-        block = max(1, _BLOCK_ENTRIES // spec.dim**2)
-        for j, r2 in enumerate(r2s):
-            params = SplitterParams(r2)
-            for lo in range(0, len(phi_axis), block):
-                rho = reduced_density_closed(spec, m, phi_axis[lo:lo + block],
-                                             params)
-                out[i, lo:lo + block, j] = linear_entropy(rho).value
+        cells = max(1, _BLOCK_ENTRIES // spec.dim**2)
+        cols = min(len(r2_axis), isqrt(cells))
+        rows = cells // cols
+        for c in range(0, len(r2_axis), cols):
+            params = SplitterParams(r2_axis[c:c + cols])
+            for r in range(0, len(phi_axis), rows):
+                rho = reduced_density_closed(spec, m, phi_axis[r:r + rows], params)
+                out[i, r:r + rows, c:c + cols] = linear_entropy(rho).value
     return out
 
 

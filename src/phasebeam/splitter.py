@@ -27,26 +27,47 @@ from .phase_states import phase_state
 
 @dataclass(frozen=True)
 class SplitterParams:
-    """Beam splitter keyed on the reflection probability r2 = r**2."""
+    """Beam splitter keyed on the reflection probability r2 = r**2.
 
-    r2: float
+    r2 is one probability, or a 1-D array of them for a row of splitters;
+    only reduced_density_closed takes the array form, along an r2 axis of
+    its own.
+    """
+
+    r2: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.r2 <= 1.0:
+        # NaN fails both comparisons, so it is refused too.
+        if np.isscalar(self.r2):
+            inside = 0.0 <= self.r2 <= 1.0
+        else:
+            r2 = np.array(self.r2, dtype=float)
+            if r2.ndim != 1:
+                raise ValueError(f"r2 must be one value or a 1-D array, got {self.r2}")
+            r2.setflags(write=False)
+            object.__setattr__(self, "r2", r2)
+            inside = ((0.0 <= r2) & (r2 <= 1.0)).all()
+        if not inside:
             raise ValueError(f"r2 must lie in [0, 1], got {self.r2}")
 
     @property
-    def t2(self) -> float:
+    def t2(self) -> float | np.ndarray:
         """Transmission probability; t2 + r2 = 1 exactly."""
         return 1.0 - self.r2
 
     @property
-    def t(self) -> float:
-        return sqrt(1.0 - self.r2)
+    def t(self) -> float | np.ndarray:
+        return np.sqrt(self.t2)
 
     @property
-    def r(self) -> float:
-        return sqrt(self.r2)
+    def r(self) -> float | np.ndarray:
+        return np.sqrt(self.r2)
+
+
+def _one_r2(params: SplitterParams) -> None:
+    """Refuse a row of splitters on a route that takes one r2."""
+    if isinstance(params.r2, np.ndarray):
+        raise ValueError("this route takes one r2, not an array")
 
 
 def tri_size(two_s: int) -> int:
@@ -100,8 +121,14 @@ def _triangle(two_s: int) -> np.ndarray:
     return n[:, None] + n <= two_s
 
 
-def _log_powers(x: float, two_s: int) -> np.ndarray:
-    """ln(x^j) for j = 0..two_s; at x = 0 that is 0, then -inf."""
+def _log_powers(x, two_s: int) -> np.ndarray:
+    """ln(x^j) for j = 0..two_s along a last axis; at x = 0 that is 0, then -inf.
+
+    x is one value, giving shape (two_s + 1,), or a 1-D array, giving one
+    such row per value, so each row matches its value alone to the bit.
+    """
+    if isinstance(x, np.ndarray):
+        return np.stack([_log_powers(v, two_s) for v in x])
     j = np.arange(two_s + 1)
     if x > 0.0:
         return j * log(x)
@@ -115,6 +142,7 @@ def _triangle_weights(two_s: int, params: SplitterParams):
     both powers are summed as one exponent, so nothing overflows: every
     weight has modulus at most 1, and a power of a zero t or r is exactly 0.
     """
+    _one_r2(params)
     p, k = np.nonzero(_triangle(two_s))
     half_lgf = 0.5 * np.array(log_factorials(two_s))
     shell = p + k
@@ -191,8 +219,10 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     reflected, zero where n + l > 2s; rho = c c^H, i.e.
     rho[n, n'] = sum_l c(n, l) conj(c(n', l)).
 
-    phi is a scalar, giving rho of shape (d, d), or an array of phases,
-    giving one rho per phase with shape phi.shape + (d, d).
+    phi is a scalar or an array of phases, and params.r2 a scalar or a 1-D
+    array; the result has shape phi.shape + r2.shape + (d, d), one rho per
+    (phi, r2) cell.  The phase factor is formed once per phi and the
+    weight once per r2.
     """
     d = spec.dim
     k = np.arange(d)
@@ -201,13 +231,14 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     total = np.where(inside, total, 0)
     # ln of sqrt(binom(n+l, n)) t^n r^l as one exponent, so nothing overflows
     half_lgf = 0.5 * np.array(log_factorials(spec.two_s))
-    expo = (half_lgf[total] + (_log_powers(params.t, spec.two_s) - half_lgf)[:, None]
-            + (_log_powers(params.r, spec.two_s) - half_lgf))
+    expo = (half_lgf[total] + (_log_powers(params.t, spec.two_s) - half_lgf)[..., :, None]
+            + (_log_powers(params.r, spec.two_s) - half_lgf)[..., None, :])
     weight = np.exp(np.where(inside, expo, -np.inf)) * ipow(k) / sqrt(d)
-    # q^{mk} e^{-i F(k) phi} for k = n + l
+    # q^{mk} e^{-i F(k) phi} for k = n + l, with an axis of 1 per r2 axis
     amp = (np.exp(2j * pi * (((m % d) * k) % d) / d)
            * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])))
-    c = weight * amp[..., total]
+    phase = amp[..., total].reshape(amp.shape[:-1] + (1,) * (weight.ndim - 2) + (d, d))
+    c = weight * phase
     return c @ c.conj().swapaxes(-1, -2)
 
 
@@ -216,12 +247,13 @@ def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
     """Raise InvalidDensityError unless rho is a density matrix.
 
     rho is one (d, d) matrix or a stack (..., d, d); every matrix of a
-    stack must pass every check.
+    stack must pass every check.  Positive semidefiniteness is certified by
+    one batched Cholesky factorisation of rho + psd_tol I.
     """
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityError(f"expected a square matrix, got {rho.shape}")
-    # NaN passes the comparisons below and makes eigvalsh raise LinAlgError.
+    # NaN passes the comparisons below and makes the factorisations raise.
     if not np.isfinite(rho).all():
         raise InvalidDensityError("matrix has non-finite entries")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
@@ -230,6 +262,12 @@ def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
     tr_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max()
     if tr_dev > trace_tol:
         raise InvalidDensityError(f"trace is off 1 by {tr_dev}")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < -psd_tol:
-        raise InvalidDensityError(f"negative eigenvalue {min_eig}")
+    # rho + psd_tol I has a Cholesky factor exactly when lambda_min > -psd_tol,
+    # up to roundoff of about d eps; the spectrum is taken only on failure,
+    # to name the eigenvalue or to accept a case on the border.
+    try:
+        np.linalg.cholesky(rho + psd_tol * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(rho).min())
+        if min_eig < -psd_tol:
+            raise InvalidDensityError(f"negative eigenvalue {min_eig}") from None

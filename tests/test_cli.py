@@ -1,4 +1,5 @@
 import json
+import time
 from math import pi
 
 import numpy as np
@@ -16,6 +17,7 @@ from phasebeam import (
     SplitterParams,
     split_phase_state,
 )
+from phasebeam import cli
 from phasebeam.cli import (
     emit,
     main,
@@ -25,6 +27,15 @@ from phasebeam.cli import (
     render_csv,
     render_json,
 )
+
+
+def _render_csv_reference(table):
+    """CSV with every coordinate of every row formatted again."""
+    header = ",".join([axis.name for axis in table.axes] + ["S"])
+    grids = np.meshgrid(*(axis.values for axis in table.axes), indexing="ij")
+    columns = [g.ravel().tolist() for g in grids] + [table.values.tolist()]
+    row = ",".join(["%.17g"] * len(columns))
+    return "\n".join([header, *(row % cells for cells in zip(*columns))]) + "\n"
 
 
 class TestParseGrid:
@@ -166,6 +177,18 @@ class TestEmit:
         with pytest.raises(UsageError):
             emit(self._table(), "xml")
 
+    @pytest.mark.parametrize("axes", [
+        (Axis("phi", (0.1, 1e-300, 5e-324, 1.0, pi)),),
+        (Axis("two_s", (1.0, 2.0, 40.0)), Axis("phi", (0.0, 0.1, 2 * pi / 3))),
+        (Axis("two_s", (3.0, 2200.0)), Axis("phi", (5e-324, 1e-300)),
+         Axis("r2", (0.0, 0.1, 0.5, 1.0))),
+    ])
+    def test_csv_bytes_match_per_row_formatting(self, axes):
+        size = int(np.prod([len(a.values) for a in axes]))
+        values = np.resize([0.1, 1e-300, 5e-324, 1.0, 0.0, 1.0 / 3.0], size)
+        table = SweepTable(axes=axes, values=values)
+        assert emit(table, "csv") == _render_csv_reference(table).encode("utf-8")
+
 
 class TestMainCompute:
     def test_single_value(self, capsys):
@@ -260,6 +283,44 @@ class TestMainCompute:
                      "--phi", "0", "--r2", "0.5"])
         assert code == 1
         assert "kappa" in capsys.readouterr().err
+
+
+class TestWorkBudget:
+    """Runs estimated over a budget are refused before any work starts."""
+
+    @pytest.mark.parametrize("argv, route", [
+        (["sweep", "--two-s", "1:100000"], "_entropy_grid"),
+        (["compute", "--two-s", "1000", "--phi", "0", "--r2", "0.5",
+          "--method", "closed"], "linear_entropy_closed"),
+    ])
+    def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
+        def started(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        monkeypatch.setattr(cli, route, started)
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert "budget" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_message_names_estimate_and_budget(self):
+        with pytest.raises(UsageError, match=r"1\.07e\+09") as err:
+            parse_args(["compute", "--two-s", "1000", "--phi", "0", "--r2", "0.5",
+                        "--method", "both"])
+        assert "4.21e+10 folded terms" in str(err.value)
+        with pytest.raises(UsageError, match=r"1\.72e\+10"):
+            parse_args(["compute", "--two-s", "3000", "--phi", "0", "--r2", "0.5"])
+
+    def test_large_standard_runs_admitted(self):
+        big = ["--two-s", "2200", "--phi", "0", "--r2", "0.5"]
+        for argv in (["compute", *big], ["sweep", *big], ["sweep", "--two-s", "80"],
+                     ["sweep", "--two-s", "1:40", "--phi", "0:6.283185307179586:5",
+                      "--r2", "0.5"]):
+            assert parse_args(argv).command == argv[0]
 
 
 class TestMainSweep:

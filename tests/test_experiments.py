@@ -188,6 +188,26 @@ class TestDeterminismAndParallel:
         assert np.array_equal(sweep_r2_phi(3, phis, (0.2, 0.5)).values,
                               whole.values)
 
+    def test_tiles_match_one_block(self, monkeypatch):
+        from phasebeam import experiments
+
+        phis = np.linspace(0, 2 * pi, 7)
+        r2s = (0.0, 0.2, 0.5, 0.9, 1.0)
+        whole = sweep_r2_phi(3, phis, r2s)
+        tiles = []
+        tile_call = experiments.reduced_density_closed
+
+        def spy(spec, m, phi, params):
+            tiles.append((len(phi), len(params.r2)))
+            return tile_call(spec, m, phi, params)
+
+        # tiles of 2 phi x 2 r2 cells, the last row and column short
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 4 * 4 * 4)
+        monkeypatch.setattr(experiments, "reduced_density_closed", spy)
+        assert np.array_equal(sweep_r2_phi(3, phis, r2s).values, whole.values)
+        assert sorted(set(tiles)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert len(tiles) == 4 * 3
+
 
 class TestSweepsPinnedToEntropyPoint:
     """Every sweep path against the single-point partial-trace route."""

@@ -81,6 +81,28 @@ class TestSplitterParams:
         assert params.t == pytest.approx(1 / sqrt(2))
         assert params.r == pytest.approx(1 / sqrt(2))
 
+    def test_row_of_splitters(self):
+        r2 = [0.0, 0.3, 1.0]
+        params = SplitterParams(r2)
+        assert params.r2.shape == (3,)
+        assert not params.r2.flags.writeable
+        assert np.array_equal(params.t, [sqrt(1.0 - v) for v in r2])
+        assert np.array_equal(params.r, [sqrt(v) for v in r2])
+        for bad in ([0.2, 1.5], [0.2, np.nan], [[0.5]]):
+            with pytest.raises(ValueError):
+                SplitterParams(bad)
+
+    def test_row_refused_by_single_r2_routes(self):
+        from phasebeam import linear_entropy_closed
+
+        spec = build_structure(Family.KAPPA_NEG, 2)
+        params = SplitterParams([0.2, 0.5])
+        for call in (lambda: split_number_state(2, params),
+                     lambda: split_phase_state(spec, 0, 0.3, params),
+                     lambda: linear_entropy_closed(spec, 0.3, params)):
+            with pytest.raises(ValueError, match="one r2"):
+                call()
+
 
 class TestTriangularLayout:
     def test_size(self):
@@ -337,6 +359,21 @@ class TestReducedDensityClosed:
             rho = reduced_density_closed(spec, 0, 0.0, SplitterParams(0.0))
             assert rho[0, 0] == pytest.approx(1.0 / spec.dim, abs=1e-13)
 
+    def test_r2_axis_matches_scalar_calls_bitwise(self):
+        r2s = [0.0, 0.1, 0.5, 0.77, 1.0]
+        phis = np.linspace(0.0, 2 * pi, 5)
+        for family, kappa in FAMILIES:
+            for two_s in (1, 2, 7, 40):
+                spec = build_structure(family, two_s, kappa)
+                for phi in (phis, phis.reshape(1, 5), 0.9):
+                    row = reduced_density_closed(spec, 3, phi, SplitterParams(r2s))
+                    assert row.shape == np.shape(phi) + (5, spec.dim, spec.dim)
+                    assert row.dtype == complex
+                    for j, r2 in enumerate(r2s):
+                        one = reduced_density_closed(spec, 3, phi, SplitterParams(r2))
+                        assert one.shape == np.shape(phi) + (spec.dim, spec.dim)
+                        assert np.array_equal(row[..., j, :, :], one)
+
     def test_transmitting_row_moduli(self):
         # at r2 = 0 the only l = 0 column survives: rho[n, n] = |c(n, 0)|^2
         # with |c(n, 0)| = t^n / sqrt(d) and t = 1
@@ -345,10 +382,63 @@ class TestReducedDensityClosed:
         assert np.allclose(np.diag(rho).real, 1.0 / spec.dim, atol=1e-13)
 
 
+def _density_with_min_eig(rng, d, min_eig):
+    """A random Hermitian unit-trace d x d matrix whose least eigenvalue is
+    min_eig (to about 1e-15); the rest of the spectrum is positive."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    u, _ = np.linalg.qr(z)
+    eigs = np.concatenate([[min_eig], (1.0 - min_eig) * rng.dirichlet(np.ones(d - 1))])
+    rho = (u * eigs) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
 class TestValidateDensity:
     def test_accepts_valid(self):
         validate_density(np.eye(3) / 3.0)
         validate_density(np.stack([np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0])]))
+
+    def test_accepts_exact_zero_eigenvalues(self):
+        psi = np.exp(1j * np.arange(5)) / sqrt(5)
+        validate_density(np.outer(psi, psi.conj()))
+        validate_density(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        validate_density(np.zeros((2, 3, 3)) + np.diag([0.0, 1.0, 0.0]))
+
+    def test_tolerance_band(self):
+        rng = np.random.default_rng(11)
+        validate_density(np.diag([1.0 + 5e-11, -5e-11]))
+        validate_density(_density_with_min_eig(rng, 6, -5e-11))
+        for bad in (np.diag([1.0 + 2e-10, -2e-10]), _density_with_min_eig(rng, 6, -2e-10)):
+            with pytest.raises(InvalidDensityError, match="negative eigenvalue") as err:
+                validate_density(bad)
+            assert float(str(err.value).split()[-1]) == pytest.approx(-2e-10, abs=1e-14)
+
+    def test_rejects_one_bad_cell_of_a_tile(self):
+        rng = np.random.default_rng(12)
+        d = 5
+        tile = np.stack([_density_with_min_eig(rng, d, 1e-3) for _ in range(12)])
+        tile = tile.reshape(4, 3, d, d)
+        validate_density(tile)
+        tile[2, 1] = _density_with_min_eig(rng, d, -2e-10)
+        with pytest.raises(InvalidDensityError, match="negative eigenvalue"):
+            validate_density(tile)
+
+    def test_same_decision_as_the_spectrum(self):
+        rng = np.random.default_rng(13)
+        psd_tol = 1e-10
+        decided = []
+        while len(decided) < 30:
+            min_eig = rng.uniform(-1e-9, 1e-12) if len(decided) % 2 else (
+                rng.uniform(-1.2e-10, 1e-12))
+            if abs(min_eig + psd_tol) <= 1e-13:
+                continue
+            rho = _density_with_min_eig(rng, int(rng.integers(2, 42)), min_eig)
+            expected = np.linalg.eigvalsh(rho).min() >= -psd_tol
+            try:
+                validate_density(rho, psd_tol=psd_tol)
+                decided.append(expected)
+            except InvalidDensityError:
+                decided.append(not expected)
+        assert all(decided)
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
