@@ -226,21 +226,19 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
 
     phis = np.linspace(0.0, 2.0 * pi, 5)
     r2s = np.linspace(0.0, 1.0, 5)
+    grid = SplitterParams(r2s)
     worst_routes = 0.0
     worst_fold = 0.0
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            for r2 in r2s:
-                params = SplitterParams(float(r2))
-                closed, unfolded = np.array([
-                    [linear_entropy_closed(spec, float(phi), params, folded=f).value
-                     for phi in phis] for f in (True, False)])
-                worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
-                for m in range(spec.dim):
-                    rho = reduced_density(split_phase_state(spec, m, phis, params))
-                    worst_routes = max(worst_routes, np.max(np.abs(
-                        linear_entropy(rho).value - closed)))
+            closed, unfolded = (linear_entropy_closed(spec, phis, grid, folded=f).value
+                                for f in (True, False))
+            worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
+            for m in range(spec.dim):
+                rho = reduced_density(split_phase_state(spec, m, phis, grid))
+                worst_routes = max(worst_routes, np.max(np.abs(
+                    linear_entropy(rho).value - closed)))
     out.append(_result("entropy", "closed_vs_oracle", worst_routes, 1e-10))
     out.append(_result("entropy", "folded_vs_unfolded", worst_fold, 1e-12))
 
@@ -265,35 +263,28 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
             worst_swap = max(worst_swap, abs(s_a - s_b))
     out.append(_result("entropy", "reflection_swap_symmetry", worst_swap, 1e-10))
 
-    coarse = np.round(np.linspace(0.0, 1.0, 21), 10)
+    coarse = SplitterParams(np.round(np.linspace(0.0, 1.0, 21), 10))
     balanced_ok = True
     for family, kappa in FAMILIES:
         for two_s in (1, 2, 3):
             spec = build_structure(family, two_s, kappa)
-            for phi in (0.0, pi / 2, pi):
-                vals = [linear_entropy_closed(spec, phi, SplitterParams(float(r2))).value
-                        for r2 in coarse]
-                balanced_ok = balanced_ok and int(np.argmax(vals)) == 10
+            vals = linear_entropy_closed(spec, np.array([0.0, pi / 2, pi]), coarse).value
+            balanced_ok = balanced_ok and bool((np.argmax(vals, axis=-1) == 10).all())
     out.append(CheckResult("entropy", "balanced_splitter_maximum", balanced_ok,
                            "argmax over the 21-point r2 grid is 0.5"))
 
-    worst_d2 = 0.0
-    spec = build_structure(Family.KAPPA_NEG, 1)
-    for phi in phis:
-        for r2 in r2s:
-            s = linear_entropy_closed(spec, float(phi), SplitterParams(float(r2))).value
-            worst_d2 = max(worst_d2, abs(s - float(r2) * (1.0 - float(r2)) / 2.0))
+    s = linear_entropy_closed(build_structure(Family.KAPPA_NEG, 1), phis, grid).value
+    worst_d2 = np.max(np.abs(s - r2s * (1.0 - r2s) / 2.0))
     out.append(_result("entropy", "qubit_analytic_form", worst_d2, 1e-12))
 
     spec = build_structure(Family.KAPPA_NEG, 2)
-    worst_period = worst_parity = 0.0
-    for phi in np.linspace(0.0, 2.0 * pi, 17):
-        params = SplitterParams(0.5)
-        s = linear_entropy_closed(spec, float(phi), params).value
-        worst_period = max(worst_period, abs(
-            s - linear_entropy_closed(spec, float(phi) + 2.0 * pi, params).value))
-        worst_parity = max(worst_parity, abs(
-            s - linear_entropy_closed(spec, 2.0 * pi - float(phi), params).value))
+    params = SplitterParams(0.5)
+    phis = np.linspace(0.0, 2.0 * pi, 17)
+    s = linear_entropy_closed(spec, phis, params).value
+    worst_period = np.max(np.abs(
+        s - linear_entropy_closed(spec, phis + 2.0 * pi, params).value))
+    worst_parity = np.max(np.abs(
+        s - linear_entropy_closed(spec, 2.0 * pi - phis, params).value))
     out.append(_result("entropy", "integer_family_periodicity", worst_period, 1e-12))
     out.append(_result("entropy", "cosine_parity", worst_parity, 1e-12))
     return out

@@ -29,10 +29,11 @@ THREADS_ENV = "PHASEBEAM_THREADS"
 # `compute --method both` refuses to report routes that disagree by more.
 BOTH_ROUTES_TOL = 1e-8
 # Work budgets, checked before a run starts; a run estimated above one is a
-# usage error.  A rho costs about d^3: a sweep sums that over its cells, and
-# compute's partial-trace route takes one cell.  2^34 admits one cell up to
-# 2s = 2579 and the default 128 x 101 grid at 2s = 80 (6.9e9).
+# usage error.  A rho costs about d^3, a sweep cell CELL_FLOOR more (its CSV
+# row, its share of per-call costs).  2^34 admits compute up to 2s = 2579,
+# the default 128 x 101 sweep at 2s = 80 (6.9e9), 2^24 points on an axis.
 CUBE_BUDGET = 1 << 34
+CELL_FLOOR = 1 << 10
 # The closed form sums C(2s+4, 4) folded terms, about 1e7 per second; 2^30
 # admits 2s <= 398.
 TERMS_BUDGET = 1 << 30
@@ -84,6 +85,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     start, stop = ends
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
+    # Checked before np.linspace allocates the grid.
+    _check_budget(f"the grid {text!r}", count, CUBE_BUDGET // CELL_FLOOR, "points")
     if not start < stop:
         raise UsageError(f"grid must be strictly increasing, got {text!r}")
     return tuple(float(v) for v in np.linspace(start, stop, count))
@@ -179,6 +182,8 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("a subcommand is required: compute | sweep | check")
 
     if ns.command == "check":
+        if ns.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {ns.seed}")
         return RunConfig(command="check", suite=ns.suite, seed=ns.seed)
 
     family = _family(ns.family)
@@ -199,8 +204,8 @@ def parse_args(argv=None) -> RunConfig:
                          kappa=ns.kappa, m=ns.m, phi=phi, r2=r2,
                          method=ns.method)
 
-    cubes = len(phi) * len(r2) * sum((v + 1)**3 for v in two_s)
-    _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 summed over its cells")
+    cubes = len(phi) * len(r2) * sum((v + 1)**3 + CELL_FLOOR for v in two_s)
+    _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
     return RunConfig(command="sweep", family=family, two_s=two_s,
                      kappa=ns.kappa, m=ns.m, phi=phi, r2=r2,
                      fmt=ns.fmt, serial=ns.serial)

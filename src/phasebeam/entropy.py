@@ -24,7 +24,7 @@ from .errors import IndexOutOfRangeError, NumericalConsistencyError
 from .numerics import log_factorials
 from .splitter import (
     SplitterParams,
-    _one_r2,
+    _phi_axes,
     reduced_density,
     split_phase_state,
     validate_density,
@@ -122,24 +122,24 @@ def phase_term(spec: StructureSpec, n: int, n2: int, l: int, l2: int,
                  - levels[n2 + l] - levels[n + l2]) * phi
 
 
-def linear_entropy_closed(spec: StructureSpec, phi: float,
+def linear_entropy_closed(spec: StructureSpec, phi,
                           params: SplitterParams, *,
                           folded: bool = True) -> EntropyValue:
     """Closed-form linear entropy of the split phase state.
 
-    The result carries no dependence on the label m.  With folded=True
-    (the default) the sum runs over the half-domain with cosine terms;
-    folded=False keeps the full complex sum, whose imaginary part must
-    come out <= 1e-12, as a cross-check path.
+    The result carries no dependence on the label m.  It has one entropy
+    per (phi, r2) cell, shape phi.shape + r2.shape.  With folded=True (the
+    default) the sum runs over the half-domain with cosine terms;
+    folded=False keeps the full complex sum, whose imaginary part must come
+    out <= 1e-12 in every cell, as a cross-check path.
 
     The domain is a list of (n, n') pairs, each carrying a prefix of one
     (l, l') enumeration.  Folded: pairs n <= n' and the triangle
     l <= l' <= 2s - n', a prefix of the lower triangle (as from
     np.tril_indices(d)) ordered by l'.  Unfolded: all pairs and the square
     l, l' <= 2s - max(n, n'), a prefix of the grid ordered by max(l, l').
-    Blocks hold whole pairs, at most about _BLOCK_TERMS terms each.
+    Blocks hold whole pairs, at most about _BLOCK_TERMS terms per cell.
     """
-    _one_r2(params)
     two_s = spec.two_s
     d = spec.dim
     if folded:
@@ -159,37 +159,46 @@ def linear_entropy_closed(spec: StructureSpec, phi: float,
     lgf = np.array(log_factorials(two_s))
     half_lgf = 0.5 * lgf
     powers = np.arange(2 * d - 1)
-    pair_w = pair_w * params.t2 ** powers[n + n2]
-    pos_w = pos_w * params.r2 ** powers[l + l2]
+    pair_w = pair_w * np.power.outer(params.t2, powers[n + n2])
+    pos_w = pos_w * np.power.outer(params.r2, powers[l + l2])
     pair_log = -(lgf[n] + lgf[n2])
     pos_log = -(lgf[l] + lgf[l2])
     levels = spec.levels
+    phi = _phi_axes(phi, params)
     ends = np.cumsum(lengths)
     starts = ends - lengths
 
-    def block_sums(lo: int, hi: int) -> tuple[float, float]:
-        """Real and imaginary sums over the terms of pairs lo..hi-1."""
+    def block_sums(lo: int, hi: int):
+        """Real and imaginary sums over the terms of pairs lo..hi-1, per cell."""
         pair = np.repeat(np.arange(lo, hi), lengths[lo:hi])
         pos = np.arange(starts[lo], ends[hi - 1]) - starts[pair]
         bn, bn2, bl, bl2 = n[pair], n2[pair], l[pos], l2[pos]
         k11, k22, k12, k21 = bn + bl, bn2 + bl2, bn + bl2, bn2 + bl
-        mag = np.exp(half_lgf[k11] + half_lgf[k22] + half_lgf[k12]
-                     + half_lgf[k21] + pair_log[pair] + pos_log[pos])
-        mag *= pair_w[pair] * pos_w[pos]
+        mag = pair_w.take(pair, axis=-1) * pos_w.take(pos, axis=-1)
+        mag *= np.exp(half_lgf[k11] + half_lgf[k22] + half_lgf[k12]
+                      + half_lgf[k21] + pair_log[pair] + pos_log[pos])
         # Grouped so that n == n' or l == l' gives exactly x - x = 0.
-        angle = ((levels[k11] - levels[k21]) - (levels[k12] - levels[k22])) * phi
-        im = 0.0 if folded else -float(np.sum(mag * np.sin(angle)))
-        return float(np.sum(mag * np.cos(angle))), im
+        angle = np.multiply.outer(
+            phi, (levels[k11] - levels[k21]) - (levels[k12] - levels[k22]))
+        im = 0.0 if folded else -(mag * np.sin(angle)).sum(axis=-1)
+        return (mag * np.cos(angle)).sum(axis=-1), im
 
     bounds = [0, *(np.flatnonzero(np.diff(starts // _BLOCK_TERMS)) + 1).tolist(),
               n.size]
-    sums = [block_sums(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    total = fsum(re for re, _ in sums) / (d * d)
-    imag = fsum(im for _, im in sums) / (d * d)
-    if abs(imag) > 1e-12:
+    re, im = zip(*(block_sums(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])))
+    total = _fsum_blocks(re) / (d * d)
+    residual = 0.0 if folded else np.abs(_fsum_blocks(im)).max() / (d * d)
+    if residual > 1e-12:
         raise NumericalConsistencyError(
-            f"imaginary residual {imag} in the unfolded sum")
+            f"imaginary residual {residual} in the unfolded sum")
     return EntropyValue(1.0 - total, CLOSED_FORM, d)
+
+
+def _fsum_blocks(sums) -> np.ndarray:
+    """math.fsum over the blocks of each cell; sums holds the cells of each block."""
+    blocks = np.array(sums)
+    cells = blocks.reshape(len(blocks), -1).T.tolist()
+    return np.reshape([fsum(c) for c in cells], blocks.shape[1:])
 
 
 def m_independence_report(spec: StructureSpec, phi: float,

@@ -29,26 +29,23 @@ from .phase_states import phase_state
 class SplitterParams:
     """Beam splitter keyed on the reflection probability r2 = r**2.
 
-    r2 is one probability, or a 1-D array of them for a row of splitters;
-    only reduced_density_closed takes the array form, along an r2 axis of
-    its own.
+    r2 is one probability, or a 1-D array of them for a row of splitters.
+    Every route takes either: its result has leading axes
+    phi.shape + r2.shape, one per (phi, r2) cell.
     """
 
     r2: float | np.ndarray
 
     def __post_init__(self) -> None:
+        r2 = np.array(self.r2, dtype=float)
+        if r2.ndim > 1:
+            raise ValueError(f"r2 must be one value or a 1-D array, got {self.r2}")
         # NaN fails both comparisons, so it is refused too.
-        if np.isscalar(self.r2):
-            inside = 0.0 <= self.r2 <= 1.0
-        else:
-            r2 = np.array(self.r2, dtype=float)
-            if r2.ndim != 1:
-                raise ValueError(f"r2 must be one value or a 1-D array, got {self.r2}")
+        if not ((0.0 <= r2) & (r2 <= 1.0)).all():
+            raise ValueError(f"r2 must lie in [0, 1], got {self.r2}")
+        if r2.ndim:
             r2.setflags(write=False)
             object.__setattr__(self, "r2", r2)
-            inside = ((0.0 <= r2) & (r2 <= 1.0)).all()
-        if not inside:
-            raise ValueError(f"r2 must lie in [0, 1], got {self.r2}")
 
     @property
     def t2(self) -> float | np.ndarray:
@@ -64,10 +61,10 @@ class SplitterParams:
         return np.sqrt(self.r2)
 
 
-def _one_r2(params: SplitterParams) -> None:
-    """Refuse a row of splitters on a route that takes one r2."""
-    if isinstance(params.r2, np.ndarray):
-        raise ValueError("this route takes one r2, not an array")
+def _phi_axes(phi, params: SplitterParams) -> np.ndarray:
+    """phi with an axis of 1 per r2 axis, to broadcast to phi.shape + r2.shape."""
+    phi = np.asarray(phi)
+    return phi.reshape(phi.shape + (1,) * np.ndim(params.r2))
 
 
 def tri_size(two_s: int) -> int:
@@ -138,22 +135,21 @@ def _log_powers(x, two_s: int) -> np.ndarray:
 def _triangle_weights(two_s: int, params: SplitterParams):
     """Shell p + k and weight sqrt(binom(p+k, p)) t^p (ir)^k of every pair.
 
-    Both arrays run over the triangle in tri_index order.  The binomial and
-    both powers are summed as one exponent, so nothing overflows: every
+    Both run over the triangle in tri_index order, weights after any r2 axis.
+    The binomial and both powers are one exponent, so nothing overflows: every
     weight has modulus at most 1, and a power of a zero t or r is exactly 0.
     """
-    _one_r2(params)
     p, k = np.nonzero(_triangle(two_s))
     half_lgf = 0.5 * np.array(log_factorials(two_s))
     shell = p + k
-    expo = (half_lgf[shell] + (_log_powers(params.t, two_s) - half_lgf)[p]
-            + (_log_powers(params.r, two_s) - half_lgf)[k])
+    expo = (half_lgf[shell] + (_log_powers(params.t, two_s) - half_lgf)[..., p]
+            + (_log_powers(params.r, two_s) - half_lgf)[..., k])
     return shell, np.exp(expo) * ipow(k)
 
 
 def split_number_state(n: int, params: SplitterParams,
                        two_s: int | None = None) -> BipartiteVector:
-    """Beam splitter output for the input |n> (x) |0>.
+    """Beam splitter output for the input |n> (x) |0>, one per r2 cell.
 
     Parameters
     ----------
@@ -178,11 +174,12 @@ def split_phase_state(spec: StructureSpec, m: int, phi,
     """Beam splitter output for the input |m, phi> (x) |0>.
 
     Each |n> (x) |0> of the phase state scatters on its own shell p + k = n,
-    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.  An array
-    phi gives a stack of vectors, amp of shape phi.shape + (tri_size,).
+    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.  Arrays give
+    a stack of vectors, amp of shape phi.shape + r2.shape + (tri_size,).
     """
     shell, weights = _triangle_weights(spec.two_s, params)
-    return BipartiteVector(spec.two_s, phase_state(spec, m, phi)[..., shell] * weights)
+    state = phase_state(spec, m, _phi_axes(phi, params))
+    return BipartiteVector(spec.two_s, state[..., shell] * weights)
 
 
 def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray:
@@ -219,10 +216,8 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     reflected, zero where n + l > 2s; rho = c c^H, i.e.
     rho[n, n'] = sum_l c(n, l) conj(c(n', l)).
 
-    phi is a scalar or an array of phases, and params.r2 a scalar or a 1-D
-    array; the result has shape phi.shape + r2.shape + (d, d), one rho per
-    (phi, r2) cell.  The phase factor is formed once per phi and the
-    weight once per r2.
+    The result has shape phi.shape + r2.shape + (d, d), one rho per cell;
+    the phase factor is formed once per phi and the weight once per r2.
     """
     d = spec.dim
     k = np.arange(d)
@@ -234,11 +229,10 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     expo = (half_lgf[total] + (_log_powers(params.t, spec.two_s) - half_lgf)[..., :, None]
             + (_log_powers(params.r, spec.two_s) - half_lgf)[..., None, :])
     weight = np.exp(np.where(inside, expo, -np.inf)) * ipow(k) / sqrt(d)
-    # q^{mk} e^{-i F(k) phi} for k = n + l, with an axis of 1 per r2 axis
+    # q^{mk} e^{-i F(k) phi} for k = n + l
     amp = (np.exp(2j * pi * (((m % d) * k) % d) / d)
-           * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])))
-    phase = amp[..., total].reshape(amp.shape[:-1] + (1,) * (weight.ndim - 2) + (d, d))
-    c = weight * phase
+           * np.exp(-1j * np.multiply.outer(_phi_axes(phi, params), spec.levels[:d])))
+    c = weight * amp[..., total]
     return c @ c.conj().swapaxes(-1, -2)
 
 

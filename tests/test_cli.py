@@ -229,6 +229,10 @@ class TestMainCompute:
         assert main(["compute", "--two-s", "2", "--phi", "0", "--r2", "2"]) == 1
         assert main(["bogus"]) == 1
         capsys.readouterr()
+        assert main(["check", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "seed" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--two-s", "2", "--phi", "nan", "--r2", "0.5"],
@@ -292,6 +296,12 @@ class TestWorkBudget:
         (["sweep", "--two-s", "1:100000"], "_entropy_grid"),
         (["compute", "--two-s", "1000", "--phi", "0", "--r2", "0.5",
           "--method", "closed"], "linear_entropy_closed"),
+        # 1e9 cells of d^3 = 8: each cell's floor cost puts it over
+        (["sweep", "--two-s", "1", "--phi", "0:1:100000", "--r2", "0:1:10000"],
+         "_entropy_grid"),
+        # a grid axis too long to build
+        (["sweep", "--two-s", "1", "--phi", "0:1:1000000000000", "--r2", "0.5"],
+         "_entropy_grid"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):

@@ -18,6 +18,7 @@ from phasebeam import (
     m_independence_report,
     phase_term,
     reduced_density,
+    split_number_state,
     split_phase_state,
     structure_from_spacings,
     tri_size,
@@ -224,15 +225,20 @@ class TestLinearEntropyClosed:
         custom = rng.uniform(0.5, 3.0, two_s)
         specs = [build_structure(family, two_s, kappa) for family, kappa in FAMILIES]
         specs.append(structure_from_spacings(np.diff(np.r_[0.0, custom, 0.0])))
+        phis, r2s = (0.0, 1.0, pi), (0.0, 0.5, 1.0)
         for folded in (True, False):
             reference = _closed_loop_reference(two_s, folded=folded)
             for spec in specs:
-                for phi in (0.0, 1.0, pi):
-                    for r2 in (0.0, 0.5, 1.0):
+                grid = linear_entropy_closed(spec, np.array(phis), SplitterParams(r2s),
+                                             folded=folded).value
+                assert grid.shape == (3, 3)
+                for i, phi in enumerate(phis):
+                    for j, r2 in enumerate(r2s):
                         want, imag = reference(spec, phi, r2)
                         got = linear_entropy_closed(spec, phi, SplitterParams(r2),
                                                     folded=folded).value
                         assert abs(got - want) <= 1e-13
+                        assert abs(grid[i, j] - want) <= 1e-13
                         assert abs(imag) <= 1e-13
 
     def test_matches_partial_trace_at_two_s_40(self):
@@ -353,30 +359,47 @@ def _stack_specs():
 
 
 class TestPhaseStacks:
-    """An array of phases gives the per-phase results on its leading axes."""
+    """Arrays of phases and of r2 give the per-cell results on their leading axes."""
 
     PHIS = np.array([[0.0, 0.7, pi], [2.5, 4.0, 11.0]])
     PARAMS = SplitterParams(0.3)
+    # phi of shape (), (4,) and (2, 3); r2 of shape () and (5,)
+    PHI_CASES = (1.9, np.array([0.0, 0.7, pi, 11.0]), PHIS)
+    R2_CASES = (0.3, np.array([0.0, 0.3, 0.5, 0.8, 1.0]))
 
     @pytest.mark.parametrize(
         "spec", list(_stack_specs()),
         ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
     def test_stack_matches_per_phase(self, spec):
-        shape = self.PHIS.shape
-        for m in sorted({0, 1, spec.two_s}):
-            b = split_phase_state(spec, m, self.PHIS, self.PARAMS)
-            rho = reduced_density(b)
-            s = linear_entropy(rho).value
-            assert b.amp.shape == shape + (tri_size(spec.two_s),)
-            assert rho.shape == shape + (spec.dim, spec.dim)
-            assert s.shape == shape
-            assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
-            for idx in np.ndindex(shape):
-                one = split_phase_state(spec, m, float(self.PHIS[idx]), self.PARAMS)
-                rho_one = reduced_density(one)
-                assert np.max(np.abs(b.amp[idx] - one.amp)) <= 1e-15
-                assert np.max(np.abs(rho[idx] - rho_one)) <= 1e-15
-                assert abs(s[idx] - linear_entropy(rho_one).value) <= 1e-15
+        labels = sorted({0, 1, spec.two_s})
+        for r2 in self.R2_CASES:
+            params = SplitterParams(r2)
+            for n in labels:
+                b = split_number_state(n, params, spec.two_s)
+                assert b.amp.shape == np.shape(r2) + (tri_size(spec.two_s),)
+                for j in np.ndindex(np.shape(r2)):
+                    one = split_number_state(n, SplitterParams(float(np.asarray(r2)[j])),
+                                             spec.two_s)
+                    assert np.max(np.abs(b.amp[j] - one.amp)) <= 1e-15
+            for phis in self.PHI_CASES:
+                shape = np.shape(phis) + np.shape(r2)
+                for m in labels:
+                    b = split_phase_state(spec, m, phis, params)
+                    rho = reduced_density(b)
+                    s = np.asarray(linear_entropy(rho).value)
+                    assert b.amp.shape == shape + (tri_size(spec.two_s),)
+                    assert rho.shape == shape + (spec.dim, spec.dim)
+                    assert s.shape == shape
+                    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+                    for i in np.ndindex(np.shape(phis)):
+                        for j in np.ndindex(np.shape(r2)):
+                            one = split_phase_state(
+                                spec, m, float(np.asarray(phis)[i]),
+                                SplitterParams(float(np.asarray(r2)[j])))
+                            rho_one = reduced_density(one)
+                            assert np.max(np.abs(b.amp[i + j] - one.amp)) <= 1e-15
+                            assert np.max(np.abs(rho[i + j] - rho_one)) <= 1e-15
+                            assert abs(s[i + j] - linear_entropy(rho_one).value) <= 1e-15
 
     def test_scalar_return_types(self):
         spec = build_structure(Family.KAPPA_NEG, 3)

@@ -92,16 +92,16 @@ class TestSplitterParams:
             with pytest.raises(ValueError):
                 SplitterParams(bad)
 
-    def test_row_refused_by_single_r2_routes(self):
+    def test_row_accepted_by_every_route(self):
         from phasebeam import linear_entropy_closed
 
         spec = build_structure(Family.KAPPA_NEG, 2)
         params = SplitterParams([0.2, 0.5])
-        for call in (lambda: split_number_state(2, params),
-                     lambda: split_phase_state(spec, 0, 0.3, params),
-                     lambda: linear_entropy_closed(spec, 0.3, params)):
-            with pytest.raises(ValueError, match="one r2"):
-                call()
+        assert split_number_state(2, params).amp.shape == (2, tri_size(2))
+        assert split_phase_state(spec, 0, 0.3, params).amp.shape == (2, tri_size(2))
+        assert linear_entropy_closed(spec, 0.3, params).value.shape == (2,)
+        with pytest.raises(ValueError, match="1-D"):
+            SplitterParams([[0.2, 0.5]])
 
 
 class TestTriangularLayout:
