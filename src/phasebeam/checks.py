@@ -128,24 +128,23 @@ def phase_suite(seed: int = 0) -> list[CheckResult]:
             spec = build_structure(family, two_s, kappa)
             d = spec.dim
             phi = float(rng.uniform(0.0, 4.0 * pi))
-            states = [phase_state(spec, m, phi) for m in range(d)]
-            for m, v in enumerate(states):
-                worst_equi = max(worst_equi, np.max(np.abs(np.abs(v) - 1.0 / sqrt(d))))
-                ev = apply_phase_operator(spec, phi, v)
-                worst_eigen = max(worst_eigen, np.max(np.abs(
-                    ev - np.exp(2j * pi * m / d) * v)))
-                for m2, w in enumerate(states):
-                    got = overlap_direct(v, w)
-                    worst_ortho = max(worst_ortho, abs(got - (1.0 if m == m2 else 0.0)))
+            labels = np.arange(d)
+            states = phase_state(spec, labels, phi)
+            worst_equi = max(worst_equi, np.max(np.abs(np.abs(states) - 1.0 / sqrt(d))))
+            worst_eigen = max(worst_eigen, np.max(np.abs(
+                apply_phase_operator(spec, phi, states)
+                - np.exp(2j * pi * labels / d)[:, None] * states)))
+            gram = overlap_direct(states[:, None], states)
+            worst_ortho = max(worst_ortho, np.max(np.abs(gram - np.eye(d))))
             worst_closure = max(worst_closure, np.max(np.abs(
                 closure_matrix(spec, phi) - np.eye(d))))
-            for _ in range(100):
-                m, m2 = rng.integers(0, d, size=2)
-                p1, p2 = rng.uniform(0.0, 4.0 * pi, size=2)
-                direct = overlap_direct(phase_state(spec, int(m), p1),
-                                        phase_state(spec, int(m2), p2))
-                closed = overlap_closed(spec, int(m), p1, int(m2), p2)
-                worst_overlap = max(worst_overlap, abs(direct - closed))
+            # Drawn pair by pair, in the order of one overlap at a time.
+            draws = [(rng.integers(0, d, size=2), rng.uniform(0.0, 4.0 * pi, size=2))
+                     for _ in range(100)]
+            (m, m2), (p1, p2) = (np.transpose(a) for a in zip(*draws))
+            direct = overlap_direct(phase_state(spec, m, p1), phase_state(spec, m2, p2))
+            worst_overlap = max(worst_overlap, np.max(np.abs(
+                direct - overlap_closed(spec, m, p1, m2, p2))))
             m = int(rng.integers(0, d))
             t = float(rng.uniform(-2.0 * pi, 2.0 * pi))
             worst_temporal = max(worst_temporal, np.max(np.abs(
@@ -235,10 +234,10 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
             closed, unfolded = (linear_entropy_closed(spec, phis, grid, folded=f).value
                                 for f in (True, False))
             worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
-            for m in range(spec.dim):
-                rho = reduced_density(split_phase_state(spec, m, phis, grid))
-                worst_routes = max(worst_routes, np.max(np.abs(
-                    linear_entropy(rho).value - closed)))
+            labels = np.arange(spec.dim)[:, None]
+            rho = reduced_density(split_phase_state(spec, labels, phis, grid))
+            worst_routes = max(worst_routes, np.max(np.abs(
+                linear_entropy(rho).value - closed)))
     out.append(_result("entropy", "closed_vs_oracle", worst_routes, 1e-10))
     out.append(_result("entropy", "folded_vs_unfolded", worst_fold, 1e-12))
 

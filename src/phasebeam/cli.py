@@ -70,6 +70,12 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse a finite scalar or an inclusive `start:stop:count` grid."""
+    start, stop, count = _grid_spec(text)
+    return (start,) if count == 1 else tuple(float(v) for v in np.linspace(start, stop, count))
+
+
+def _grid_spec(text: str) -> tuple[float, float, int]:
+    """Check a grid spec without building it: (start, stop, count)."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise UsageError(f"grid spec must be start:stop:count, got {text!r}")
@@ -81,15 +87,14 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if not all(isfinite(v) for v in ends):
         raise UsageError(f"grid values must be finite, got {text!r}")
     if len(parts) == 1:
-        return (ends[0],)
+        return ends[0], ends[0], 1
     start, stop = ends
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
-    # Checked before np.linspace allocates the grid.
     _check_budget(f"the grid {text!r}", count, CUBE_BUDGET // CELL_FLOOR, "points")
     if not start < stop:
         raise UsageError(f"grid must be strictly increasing, got {text!r}")
-    return tuple(float(v) for v in np.linspace(start, stop, count))
+    return start, stop, count
 
 
 def parse_two_s(text: str) -> tuple[int, ...]:
@@ -188,11 +193,10 @@ def parse_args(argv=None) -> RunConfig:
 
     family = _family(ns.family)
     two_s = parse_two_s(ns.two_s)
-    phi = parse_grid(ns.phi)
-    r2 = _check_r2_range(parse_grid(ns.r2))
-
+    # Every budget is checked on the grid counts, before a grid is built.
+    cells = _grid_spec(ns.phi)[2] * _grid_spec(ns.r2)[2]
     if ns.command == "compute":
-        if len(two_s) != 1 or len(phi) != 1 or len(r2) != 1:
+        if len(two_s) != 1 or cells != 1:
             raise UsageError("compute takes scalar --two-s, --phi and --r2")
         if ns.method != "closed":
             _check_budget("the partial-trace route", (two_s[0] + 1)**3,
@@ -200,15 +204,14 @@ def parse_args(argv=None) -> RunConfig:
         if ns.method != "oracle":
             _check_budget("the closed form", comb(two_s[0] + 4, 4),
                           TERMS_BUDGET, "folded terms")
-        return RunConfig(command="compute", family=family, two_s=two_s,
-                         kappa=ns.kappa, m=ns.m, phi=phi, r2=r2,
-                         method=ns.method)
-
-    cubes = len(phi) * len(r2) * sum((v + 1)**3 + CELL_FLOOR for v in two_s)
-    _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
-    return RunConfig(command="sweep", family=family, two_s=two_s,
-                     kappa=ns.kappa, m=ns.m, phi=phi, r2=r2,
-                     fmt=ns.fmt, serial=ns.serial)
+        extra = {"method": ns.method}
+    else:
+        cubes = cells * sum((v + 1)**3 + CELL_FLOOR for v in two_s)
+        _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
+        extra = {"fmt": ns.fmt, "serial": ns.serial}
+    return RunConfig(command=ns.command, family=family, two_s=two_s, kappa=ns.kappa,
+                     m=ns.m, phi=parse_grid(ns.phi), r2=_check_r2_range(parse_grid(ns.r2)),
+                     **extra)
 
 
 def _check_budget(what: str, work: int, budget: int, unit: str) -> None:

@@ -24,7 +24,7 @@ from .errors import IndexOutOfRangeError, NumericalConsistencyError
 from .numerics import log_factorials
 from .splitter import (
     SplitterParams,
-    _phi_axes,
+    _label_axes,
     reduced_density,
     split_phase_state,
     validate_density,
@@ -164,7 +164,7 @@ def linear_entropy_closed(spec: StructureSpec, phi,
     pair_log = -(lgf[n] + lgf[n2])
     pos_log = -(lgf[l] + lgf[l2])
     levels = spec.levels
-    phi = _phi_axes(phi, params)
+    phi = _label_axes(phi, params)
     ends = np.cumsum(lengths)
     starts = ends - lengths
 
@@ -204,11 +204,9 @@ def _fsum_blocks(sums) -> np.ndarray:
 def m_independence_report(spec: StructureSpec, phi: float,
                           params: SplitterParams, *,
                           tol: float = 1e-12) -> MIndependenceReport:
-    """Oracle entropy for every m; the spread must not exceed tol."""
-    values = []
-    for m in range(spec.dim):
-        rho = reduced_density(split_phase_state(spec, m, phi, params))
-        values.append(linear_entropy(rho).value)
+    """Oracle entropy for every m from one split; the spread must not exceed tol."""
+    rho = reduced_density(split_phase_state(spec, np.arange(spec.dim), phi, params))
+    values = linear_entropy(rho).value.tolist()
     spread = max(values) - min(values)
     if spread > tol:
         raise NumericalConsistencyError(

@@ -29,25 +29,37 @@ class PhaseLabel:
         object.__setattr__(self, "m", self.m % (self.two_s + 1))
 
 
-def phase_state(spec: StructureSpec, m: int, phi) -> np.ndarray:
+def phase_state(spec: StructureSpec, m, phi) -> np.ndarray:
     """Amplitude vector of |m, phi>; every component has modulus 1/sqrt(d).
 
-    phi is a scalar, giving shape (d,), or an array of phases, giving one
-    vector per phase with shape phi.shape + (d,).
+    m is an int or an integer array and phi a scalar or an array; the two
+    broadcast to one label shape, and the result has shape
+    label.shape + (d,), one vector per label.
     """
     d = spec.dim
-    n = np.arange(d)
-    root_powers = np.exp(2j * pi * (((m % d) * n) % d) / d)
-    return np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])) * root_powers / sqrt(d)
+    return np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])) * _root_powers(m, d) / sqrt(d)
+
+
+def _root_powers(m, d: int) -> np.ndarray:
+    """q^{mn} for n = 0..d-1 along a last axis, one row per label m.
+
+    A Python int is reduced mod d before numpy sees it, so labels beyond
+    int64 work; an array label must have an integer dtype.
+    """
+    if not isinstance(m, int):
+        m = np.asarray(m)
+        if not np.issubdtype(m.dtype, np.integer):
+            raise ValueError(f"phase-state labels must be integers, got dtype {m.dtype}")
+    return np.exp(2j * pi * (np.multiply.outer(m % d, np.arange(d)) % d) / d)
 
 
 def apply_phase_operator(spec: StructureSpec, phi: float, state: np.ndarray) -> np.ndarray:
-    """Apply the unitary phase operator to an arbitrary state vector."""
+    """Apply the unitary phase operator to a state vector or a stack (..., d)."""
     state = np.asarray(state, dtype=complex)
-    if state.shape != (spec.dim,):
+    if state.shape[-1:] != (spec.dim,):
         raise DimensionMismatchError(
-            f"state has shape {state.shape}, expected ({spec.dim},)")
-    return phase_operator(spec, phi) @ state
+            f"state has shape {state.shape}, expected (..., {spec.dim})")
+    return (phase_operator(spec, phi) @ state[..., None])[..., 0]
 
 
 def evolve(spec: StructureSpec, label: PhaseLabel, t: float) -> PhaseLabel:
@@ -67,30 +79,33 @@ def evolve_vector(spec: StructureSpec, state: np.ndarray, t: float) -> np.ndarra
     return state * np.exp(-1j * spec.levels[: spec.dim] * t)
 
 
-def overlap_direct(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> = sum conj(a[n]) b[n]."""
+def overlap_direct(a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
+    """Inner product <a|b> = sum conj(a[n]) b[n]; two vectors give a complex,
+    stacks (..., d) broadcast to one overlap per pair."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))
+    out = np.vecdot(a, b)
+    return complex(out) if out.ndim == 0 else out
 
 
-def overlap_closed(spec: StructureSpec, m: int, phi: float,
-                   m2: int, phi2: float) -> complex:
+def overlap_closed(spec: StructureSpec, m, phi, m2, phi2) -> complex | np.ndarray:
     """Closed form of <m, phi | m2, phi2>.
 
     Evaluates (1/d) sum_n q^{x(n)} with exponent
     x(n) = -(m - m2) n + d (phi - phi2) F(n) / (2 pi), where a root-of-unity
-    power with non-integer exponent means q^x := e^{2 pi i x / d}.
+    power with non-integer exponent means q^x := e^{2 pi i x / d}.  The four
+    labels broadcast together; one pair gives a complex.
     """
     d = spec.dim
-    n = np.arange(d)
-    exponent = -(m - m2) * n + d / (2.0 * pi) * (phi - phi2) * spec.levels[:d]
-    return complex(np.sum(np.exp(2j * pi * exponent / d)) / d)
+    exponent = (np.multiply.outer(-(m - m2), np.arange(d))
+                + np.multiply.outer(d / (2.0 * pi) * (phi - phi2), spec.levels[:d]))
+    out = np.exp(2j * pi * exponent / d).sum(axis=-1) / d
+    return complex(out) if out.ndim == 0 else out
 
 
 def closure_matrix(spec: StructureSpec, phi: float) -> np.ndarray:
     """sum_m |m,phi><m,phi|; the identity, up to roundoff, for any phi."""
-    states = np.array([phase_state(spec, m, phi) for m in range(spec.dim)])
+    states = phase_state(spec, np.arange(spec.dim), phi)
     return states.T @ states.conj()

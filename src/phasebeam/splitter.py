@@ -15,14 +15,14 @@ vector, and direct assembly from the transmission coefficients c(n, l).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, pi, sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
 from .algebra import StructureSpec
 from .errors import InvalidDensityError, NotNormalizedError
 from .numerics import ipow, log_factorials
-from .phase_states import phase_state
+from .phase_states import _root_powers, phase_state
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class SplitterParams:
 
     r2 is one probability, or a 1-D array of them for a row of splitters.
     Every route takes either: its result has leading axes
-    phi.shape + r2.shape, one per (phi, r2) cell.
+    label.shape + r2.shape, one per (label, r2) cell.
     """
 
     r2: float | np.ndarray
@@ -61,10 +61,13 @@ class SplitterParams:
         return np.sqrt(self.r2)
 
 
-def _phi_axes(phi, params: SplitterParams) -> np.ndarray:
-    """phi with an axis of 1 per r2 axis, to broadcast to phi.shape + r2.shape."""
-    phi = np.asarray(phi)
-    return phi.reshape(phi.shape + (1,) * np.ndim(params.r2))
+def _label_axes(label, params: SplitterParams):
+    """A label (m or phi) with an axis of 1 per r2 axis, to broadcast to
+    label.shape + r2.shape; a scalar, such as an int m, is kept as it is."""
+    if np.ndim(label) == 0:
+        return label
+    label = np.asarray(label)
+    return label.reshape(label.shape + (1,) * np.ndim(params.r2))
 
 
 def tri_size(two_s: int) -> int:
@@ -119,17 +122,16 @@ def _triangle(two_s: int) -> np.ndarray:
 
 
 def _log_powers(x, two_s: int) -> np.ndarray:
-    """ln(x^j) for j = 0..two_s along a last axis; at x = 0 that is 0, then -inf.
+    """ln(x^j) for j = 0..two_s along a last axis: 0, then j ln(x), or -inf at x = 0.
 
-    x is one value, giving shape (two_s + 1,), or a 1-D array, giving one
-    such row per value, so each row matches its value alone to the bit.
+    x of any shape gives x.shape + (two_s + 1,): one row per value, from one
+    math.log, so each row matches its value alone to the bit.
     """
-    if isinstance(x, np.ndarray):
-        return np.stack([_log_powers(v, two_s) for v in x])
-    j = np.arange(two_s + 1)
-    if x > 0.0:
-        return j * log(x)
-    return np.where(j == 0, 0.0, -np.inf)
+    x = np.asarray(x)
+    out = np.zeros(x.shape + (two_s + 1,))
+    logs = np.array([log(v) if v > 0.0 else -inf for v in x.ravel().tolist()])
+    out[..., 1:] = logs.reshape(x.shape + (1,)) * np.arange(1, two_s + 1)
+    return out
 
 
 def _triangle_weights(two_s: int, params: SplitterParams):
@@ -142,8 +144,8 @@ def _triangle_weights(two_s: int, params: SplitterParams):
     p, k = np.nonzero(_triangle(two_s))
     half_lgf = 0.5 * np.array(log_factorials(two_s))
     shell = p + k
-    expo = (half_lgf[shell] + (_log_powers(params.t, two_s) - half_lgf)[..., p]
-            + (_log_powers(params.r, two_s) - half_lgf)[..., k])
+    log_t, log_r = _log_powers(np.array([params.t, params.r]), two_s) - half_lgf
+    expo = half_lgf[shell] + log_t[..., p] + log_r[..., k]
     return shell, np.exp(expo) * ipow(k)
 
 
@@ -169,16 +171,17 @@ def split_number_state(n: int, params: SplitterParams,
     return BipartiteVector(two_s, np.where(shell == n, weights, 0.0))
 
 
-def split_phase_state(spec: StructureSpec, m: int, phi,
+def split_phase_state(spec: StructureSpec, m, phi,
                       params: SplitterParams) -> BipartiteVector:
     """Beam splitter output for the input |m, phi> (x) |0>.
 
     Each |n> (x) |0> of the phase state scatters on its own shell p + k = n,
     so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.  Arrays give
-    a stack of vectors, amp of shape phi.shape + r2.shape + (tri_size,).
+    a stack of vectors, amp of shape label.shape + r2.shape + (tri_size,),
+    where m and phi broadcast to the label shape.
     """
     shell, weights = _triangle_weights(spec.two_s, params)
-    state = phase_state(spec, m, _phi_axes(phi, params))
+    state = phase_state(spec, _label_axes(m, params), _label_axes(phi, params))
     return BipartiteVector(spec.two_s, state[..., shell] * weights)
 
 
@@ -207,7 +210,7 @@ def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray
     return rho
 
 
-def reduced_density_closed(spec: StructureSpec, m: int, phi,
+def reduced_density_closed(spec: StructureSpec, m, phi,
                            params: SplitterParams) -> np.ndarray:
     """Reduced state assembled directly from transmission coefficients.
 
@@ -216,8 +219,9 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     reflected, zero where n + l > 2s; rho = c c^H, i.e.
     rho[n, n'] = sum_l c(n, l) conj(c(n', l)).
 
-    The result has shape phi.shape + r2.shape + (d, d), one rho per cell;
-    the phase factor is formed once per phi and the weight once per r2.
+    m and phi broadcast to the label shape; the result has shape
+    label.shape + r2.shape + (d, d), one rho per cell.  The phase factor is
+    formed once per label and the weight once per r2.
     """
     d = spec.dim
     k = np.arange(d)
@@ -226,12 +230,12 @@ def reduced_density_closed(spec: StructureSpec, m: int, phi,
     total = np.where(inside, total, 0)
     # ln of sqrt(binom(n+l, n)) t^n r^l as one exponent, so nothing overflows
     half_lgf = 0.5 * np.array(log_factorials(spec.two_s))
-    expo = (half_lgf[total] + (_log_powers(params.t, spec.two_s) - half_lgf)[..., :, None]
-            + (_log_powers(params.r, spec.two_s) - half_lgf)[..., None, :])
+    log_t, log_r = _log_powers(np.array([params.t, params.r]), spec.two_s) - half_lgf
+    expo = half_lgf[total] + log_t[..., :, None] + log_r[..., None, :]
     weight = np.exp(np.where(inside, expo, -np.inf)) * ipow(k) / sqrt(d)
     # q^{mk} e^{-i F(k) phi} for k = n + l
-    amp = (np.exp(2j * pi * (((m % d) * k) % d) / d)
-           * np.exp(-1j * np.multiply.outer(_phi_axes(phi, params), spec.levels[:d])))
+    amp = (_root_powers(_label_axes(m, params), d)
+           * np.exp(-1j * np.multiply.outer(_label_axes(phi, params), spec.levels[:d])))
     c = weight * amp[..., total]
     return c @ c.conj().swapaxes(-1, -2)
 

@@ -1,0 +1,111 @@
+"""The batched check suites against their one-label-at-a-time loops."""
+
+from math import pi, sqrt
+
+import numpy as np
+import pytest
+
+from phasebeam import (
+    Family,
+    SplitterParams,
+    apply_phase_operator,
+    build_structure,
+    closure_matrix,
+    evolve_vector,
+    linear_entropy,
+    linear_entropy_closed,
+    overlap_closed,
+    overlap_direct,
+    phase_state,
+    reduced_density,
+    split_phase_state,
+)
+from phasebeam.checks import FAMILIES, entropy_suite, phase_suite
+
+
+def _phase_suite_loop(seed):
+    """The phase suite's looped checks, one label and one overlap per call,
+    drawing from the generator in the same order as the suite."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(("equiprobability", "orthonormality", "closure",
+                           "eigenvalue_relation", "temporal_stability",
+                           "overlap_closed_vs_direct", "evolution_unitary"), 0.0)
+
+    def note(name, value):
+        worst[name] = max(worst[name], float(value))
+
+    for family, kappa in FAMILIES:
+        for two_s in range(1, 11):
+            spec = build_structure(family, two_s, kappa)
+            d = spec.dim
+            phi = float(rng.uniform(0.0, 4.0 * pi))
+            states = [phase_state(spec, m, phi) for m in range(d)]
+            for m, v in enumerate(states):
+                note("equiprobability", np.max(np.abs(np.abs(v) - 1.0 / sqrt(d))))
+                note("eigenvalue_relation", np.max(np.abs(
+                    apply_phase_operator(spec, phi, v) - np.exp(2j * pi * m / d) * v)))
+                for m2, w in enumerate(states):
+                    note("orthonormality", abs(overlap_direct(v, w) - (m == m2)))
+            note("closure", np.max(np.abs(closure_matrix(spec, phi) - np.eye(d))))
+            for _ in range(100):
+                m, m2 = (int(v) for v in rng.integers(0, d, size=2))
+                p1, p2 = rng.uniform(0.0, 4.0 * pi, size=2)
+                direct = overlap_direct(phase_state(spec, m, p1), phase_state(spec, m2, p2))
+                note("overlap_closed_vs_direct",
+                     abs(direct - overlap_closed(spec, m, p1, m2, p2)))
+            m = int(rng.integers(0, d))
+            t = float(rng.uniform(-2.0 * pi, 2.0 * pi))
+            note("temporal_stability", np.max(np.abs(
+                evolve_vector(spec, phase_state(spec, m, phi), t)
+                - phase_state(spec, m, phi + t))))
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            note("evolution_unitary",
+                 abs(np.linalg.norm(evolve_vector(spec, v, t)) - np.linalg.norm(v)))
+    return worst
+
+
+def _entropy_suite_loop(seed):
+    """closed_vs_oracle and m_independence with one oracle call per label m."""
+    rng = np.random.default_rng(seed)
+    phis = np.linspace(0.0, 2.0 * pi, 5)
+    grid = SplitterParams(np.linspace(0.0, 1.0, 5))
+    worst = {"closed_vs_oracle": 0.0, "m_independence": 0.0}
+    for family, kappa in FAMILIES:
+        for two_s in range(1, 9):
+            spec = build_structure(family, two_s, kappa)
+            closed = linear_entropy_closed(spec, phis, grid).value
+            for m in range(spec.dim):
+                rho = reduced_density(split_phase_state(spec, m, phis, grid))
+                worst["closed_vs_oracle"] = max(worst["closed_vs_oracle"], np.max(np.abs(
+                    linear_entropy(rho).value - closed)))
+    for two_s in range(1, 7):
+        spec = build_structure(Family.KAPPA_NEG, two_s)
+        for _ in range(10):
+            phi = float(rng.uniform(0.0, 4.0 * pi))
+            params = SplitterParams(float(rng.uniform(0.0, 1.0)))
+            values = [linear_entropy(reduced_density(split_phase_state(spec, m, phi, params))).value
+                      for m in range(spec.dim)]
+            worst["m_independence"] = max(worst["m_independence"], max(values) - min(values))
+    return worst
+
+
+def _deviation(result):
+    """The max deviation a check prints, as a float."""
+    return float(result.detail.split()[2])
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_phase_suite_matches_loop(seed):
+    reference = _phase_suite_loop(seed)
+    got = {r.name: r for r in phase_suite(seed)}
+    for name, worst in reference.items():
+        # the same samples give the same worst deviation, to its printed digits
+        assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_entropy_suite_matches_loop(seed):
+    reference = _entropy_suite_loop(seed)
+    got = {r.name: r for r in entropy_suite(seed)}
+    for name, worst in reference.items():
+        assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -289,6 +290,9 @@ class TestMainCompute:
         assert "kappa" in capsys.readouterr().err
 
 
+LONG_AXIS_SWEEP = ["sweep", "--two-s", "1", "--phi", "0:1:4194304", "--r2", "0:1:5"]
+
+
 class TestWorkBudget:
     """Runs estimated over a budget are refused before any work starts."""
 
@@ -302,6 +306,8 @@ class TestWorkBudget:
         # a grid axis too long to build
         (["sweep", "--two-s", "1", "--phi", "0:1:1000000000000", "--r2", "0.5"],
          "_entropy_grid"),
+        # each axis within its bound, the product of the two over the budget
+        (LONG_AXIS_SWEEP, "_entropy_grid"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):
@@ -316,6 +322,19 @@ class TestWorkBudget:
         assert captured.err.startswith("usage error: ")
         assert "budget" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_refused_before_the_grids_are_built(self):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(UsageError, match="the sweep needs"):
+                parse_args(LONG_AXIS_SWEEP)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 10 * 2**20
 
     def test_message_names_estimate_and_budget(self):
         with pytest.raises(UsageError, match=r"1\.07e\+09") as err:

@@ -18,6 +18,7 @@ from phasebeam import (
     m_independence_report,
     phase_term,
     reduced_density,
+    reduced_density_closed,
     split_number_state,
     split_phase_state,
     structure_from_spacings,
@@ -314,6 +315,17 @@ class TestMIndependence:
             assert len(report.values) == spec.dim
             assert report.value == report.values[0]
 
+    def test_values_match_scalar_calls(self):
+        rng = np.random.default_rng(73)
+        for family, kappa in FAMILIES:
+            for two_s in (1, 2, 5, 9):
+                spec = build_structure(family, two_s, kappa)
+                phi, r2 = rng.uniform(0.0, 4 * pi), rng.uniform()
+                report = m_independence_report(spec, phi, SplitterParams(r2))
+                for m, value in enumerate(report.values):
+                    one = oracle_entropy(spec, m, phi, SplitterParams(r2)).value
+                    assert abs(value - one) <= 1e-15
+
     def test_zero_reflection_all_zero(self):
         spec = build_structure(Family.KAPPA_NEG, 2)
         report = m_independence_report(spec, 1.0, SplitterParams(0.0))
@@ -400,6 +412,33 @@ class TestPhaseStacks:
                             assert np.max(np.abs(b.amp[i + j] - one.amp)) <= 1e-15
                             assert np.max(np.abs(rho[i + j] - rho_one)) <= 1e-15
                             assert abs(s[i + j] - linear_entropy(rho_one).value) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "spec", list(_stack_specs()),
+        ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
+    def test_label_axis_matches_scalar_calls(self, spec):
+        # m of shape (), (3,) and (3, 1) against phi of shape () and (4,)
+        m_cases = (2, np.array([0, 1, 5]), np.array([[0], [4], [-7]]))
+        routes = (lambda *a: split_phase_state(*a).amp, reduced_density_closed)
+        for r2 in self.R2_CASES:
+            params = SplitterParams(r2)
+            for m in m_cases:
+                for phis in self.PHI_CASES[:2]:
+                    if np.ndim(m) == 1 and np.ndim(phis) == 1:
+                        for route in routes:  # (3,) and (4,) do not broadcast
+                            with pytest.raises(ValueError):
+                                route(spec, m, phis, params)
+                        continue
+                    label = np.broadcast_shapes(np.shape(m), np.shape(phis))
+                    ms, ps = np.broadcast_arrays(m, phis)
+                    for route in routes:
+                        got = route(spec, m, phis, params)
+                        assert got.shape[:len(label) + np.ndim(r2)] == label + np.shape(r2)
+                        for i in np.ndindex(label):
+                            for j in np.ndindex(np.shape(r2)):
+                                one = route(spec, int(ms[i]), float(ps[i]),
+                                            SplitterParams(float(np.asarray(r2)[j])))
+                                assert np.array_equal(got[i + j], one)
 
     def test_scalar_return_types(self):
         spec = build_structure(Family.KAPPA_NEG, 3)

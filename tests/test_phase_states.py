@@ -245,3 +245,70 @@ class TestClosure:
                 spec = build_structure(family, two_s, kappa)
                 deviation = np.max(np.abs(closure_matrix(spec, 1.23) - np.eye(spec.dim)))
                 assert deviation <= 1e-12
+
+
+class TestLabelAxis:
+    """m and phi broadcast to one label shape; each cell is its scalar call."""
+
+    # m of shape (), (3,) and (3, 1); phi of shape () and (4,)
+    M_CASES = (2, np.array([0, 1, 5]), np.array([[0], [4], [-7]]))
+    PHI_CASES = (1.9, np.array([0.0, 0.7, pi, 11.0]))
+
+    @pytest.mark.parametrize("family, kappa", FAMILIES)
+    def test_phase_state_cells_bitwise(self, family, kappa):
+        spec = build_structure(family, 3, kappa)
+        for m in self.M_CASES:
+            for phi in self.PHI_CASES:
+                if np.ndim(m) == 1 and np.ndim(phi) == 1:
+                    with pytest.raises(ValueError):  # (3,) and (4,) do not broadcast
+                        phase_state(spec, m, phi)
+                    continue
+                label = np.broadcast_shapes(np.shape(m), np.shape(phi))
+                states = phase_state(spec, m, phi)
+                assert states.shape == label + (spec.dim,)
+                ms, phis = np.broadcast_arrays(m, phi)
+                for i in np.ndindex(label):
+                    one = phase_state(spec, int(ms[i]), float(phis[i]))
+                    assert np.array_equal(states[i], one)
+
+    def test_overlaps_on_stacks(self):
+        rng = np.random.default_rng(41)
+        for family, kappa in FAMILIES:
+            spec = build_structure(family, 4, kappa)
+            m = np.array([[0], [3], [-2]])
+            m2 = np.array([1, 4, 0, 2])
+            p1, p2 = rng.uniform(0.0, 4 * pi, size=(2, 3, 4))
+            a, b = phase_state(spec, m, p1), phase_state(spec, m2, p2)
+            direct = overlap_direct(a, b)
+            closed = overlap_closed(spec, m, p1, m2, p2)
+            assert direct.shape == closed.shape == (3, 4)
+            for i, j in np.ndindex(3, 4):
+                one = overlap_direct(a[i, j], b[i, j])
+                assert type(one) is complex
+                assert abs(direct[i, j] - one) <= 1e-15
+                one = overlap_closed(spec, int(m[i, 0]), p1[i, j], int(m2[j]), p2[i, j])
+                assert type(one) is complex
+                assert abs(closed[i, j] - one) <= 1e-15
+            states = phase_state(spec, np.arange(spec.dim), 0.9)
+            gram = overlap_direct(states[:, None], states)
+            assert np.max(np.abs(gram - np.eye(spec.dim))) <= 1e-12
+
+    def test_phase_operator_on_a_stack(self):
+        spec = build_structure(Family.KAPPA_POS, 5, kappa=0.3)
+        states = phase_state(spec, np.array([[0], [2]]), np.array([0.4, 1.6, 9.0]))
+        got = apply_phase_operator(spec, 1.1, states)
+        assert got.shape == (2, 3, spec.dim)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(got[i], apply_phase_operator(spec, 1.1, states[i]))
+
+    def test_float_labels_refused(self):
+        spec = build_structure(Family.KAPPA_NEG, 2)
+        with pytest.raises(ValueError, match="integers"):
+            phase_state(spec, np.array([0.0, 1.0]), 0.3)
+
+    def test_wrong_last_axis_refused(self):
+        spec = build_structure(Family.KAPPA_NEG, 2)
+        with pytest.raises(DimensionMismatchError):
+            overlap_direct(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(DimensionMismatchError):
+            apply_phase_operator(spec, 0.0, np.ones((4, 5)))

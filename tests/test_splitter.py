@@ -1,4 +1,4 @@
-from math import comb, pi, sqrt
+from math import comb, log, pi, sqrt
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from phasebeam import (
     validate_density,
 )
 from phasebeam.numerics import ipow
+from phasebeam.splitter import _log_powers
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -278,6 +279,16 @@ class TestLargeTwoS:
                               v * np.array([1, 1j, -1, -1j])[k % 4])
         assert np.count_nonzero(through.amp) == np.count_nonzero(reflected.amp) == spec.dim
 
+
+    def test_log_powers_rows(self):
+        # ln(x^j): 0 at j = 0 for every x, then j ln(x), or -inf at x = 0
+        x = np.array([0.0, 0.25, 1.0])
+        got = _log_powers(x, 4)
+        assert np.array_equal(got[0], [0.0, -np.inf, -np.inf, -np.inf, -np.inf])
+        assert np.array_equal(got[1], np.arange(5) * log(0.25))
+        assert np.array_equal(got[2], np.zeros(5))
+        for v, row in zip(x.tolist(), got):
+            assert np.array_equal(_log_powers(v, 4), row)
 
 class TestReducedDensity:
     def test_product_input_gives_projector(self):
