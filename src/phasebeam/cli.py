@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import comb, isfinite, pi
+from math import comb, inf, isfinite, pi
 
 import numpy as np
 
@@ -34,8 +34,8 @@ BOTH_ROUTES_TOL = 1e-8
 # the default 128 x 101 sweep at 2s = 80 (6.9e9), 2^24 points on an axis.
 CUBE_BUDGET = 1 << 34
 CELL_FLOOR = 1 << 10
-# The closed form sums C(2s+4, 4) folded terms, about 1e7 per second; 2^30
-# admits 2s <= 398.
+# The closed form is estimated by its C(2s+4, 4) folded terms; 2^30 admits
+# 2s <= 398, about 1 s on a 2-core x86 host (2s = 160: 0.05 s).
 TERMS_BUDGET = 1 << 30
 
 _CLI_FAMILIES = {
@@ -99,21 +99,24 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
 
 def parse_two_s(text: str) -> tuple[int, ...]:
     """Parse an int, a comma list, or an inclusive `lo:hi` integer range."""
+    return tuple(v for run in _two_s_runs(text) for v in run)
+
+
+def _two_s_runs(text: str) -> tuple[range, ...]:
+    """Check a two-s spec without building it: its values as ranges."""
     try:
         if ":" in text:
             lo_s, hi_s = text.split(":")
-            values = tuple(range(int(lo_s), int(hi_s) + 1))
-        elif "," in text:
-            values = tuple(int(v) for v in text.split(","))
+            runs = (range(int(lo_s), int(hi_s) + 1),)
         else:
-            values = (int(text),)
+            runs = tuple(range(int(v), int(v) + 1) for v in text.split(","))
     except ValueError:
         raise UsageError(f"malformed two-s spec {text!r}") from None
-    if not values:
+    if not all(runs):
         raise UsageError(f"empty range {text!r}")
-    if any(v < 1 for v in values):
+    if min(run.start for run in runs) < 1:
         raise RangeError(f"two-s values must be >= 1: {text!r}")
-    return values
+    return runs
 
 
 def _check_r2_range(values: tuple[float, ...]) -> tuple[float, ...]:
@@ -192,32 +195,35 @@ def parse_args(argv=None) -> RunConfig:
         return RunConfig(command="check", suite=ns.suite, seed=ns.seed)
 
     family = _family(ns.family)
-    two_s = parse_two_s(ns.two_s)
-    # Every budget is checked on the grid counts, before a grid is built.
+    runs = _two_s_runs(ns.two_s)
+    # Every budget is checked on the grid and 2s counts, before either is built.
     cells = _grid_spec(ns.phi)[2] * _grid_spec(ns.r2)[2]
     if ns.command == "compute":
-        if len(two_s) != 1 or cells != 1:
+        if sum(r.stop - r.start for r in runs) != 1 or cells != 1:
             raise UsageError("compute takes scalar --two-s, --phi and --r2")
         if ns.method != "closed":
-            _check_budget("the partial-trace route", (two_s[0] + 1)**3,
+            _check_budget("the partial-trace route", (runs[0].start + 1)**3,
                           CUBE_BUDGET, "d^3")
         if ns.method != "oracle":
-            _check_budget("the closed form", comb(two_s[0] + 4, 4),
+            _check_budget("the closed form", comb(runs[0].start + 4, 4),
                           TERMS_BUDGET, "folded terms")
         extra = {"method": ns.method}
     else:
-        cubes = cells * sum((v + 1)**3 + CELL_FLOOR for v in two_s)
+        # sum of x^3 for x = lo+1..hi+1 is T(hi+1)^2 - T(lo)^2, T(n) = n(n+1)/2
+        cubes = cells * sum((r.stop * (r.stop + 1) // 2)**2 - (r.start * (r.start + 1) // 2)**2
+                            + CELL_FLOOR * (r.stop - r.start) for r in runs)
         _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
         extra = {"fmt": ns.fmt, "serial": ns.serial}
-    return RunConfig(command=ns.command, family=family, two_s=two_s, kappa=ns.kappa,
-                     m=ns.m, phi=parse_grid(ns.phi), r2=_check_r2_range(parse_grid(ns.r2)),
-                     **extra)
+    return RunConfig(command=ns.command, family=family, kappa=ns.kappa, m=ns.m,
+                     two_s=tuple(v for run in runs for v in run), phi=parse_grid(ns.phi),
+                     r2=_check_r2_range(parse_grid(ns.r2)), **extra)
 
 
 def _check_budget(what: str, work: int, budget: int, unit: str) -> None:
     """Refuse a run whose estimated work exceeds its budget."""
     if work > budget:
-        raise UsageError(f"{what} needs about {work:.3g} {unit}, over the "
+        about = work if work < 1e300 else inf  # an int beyond any float prints as inf
+        raise UsageError(f"{what} needs about {about:.3g} {unit}, over the "
                          f"work budget of {budget:.3g}")
 
 

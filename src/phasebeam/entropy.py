@@ -1,21 +1,21 @@
 """Linear entropy S = 1 - Tr(rho^2) of the beam splitter output.
 
 Two routes are provided.  The oracle route squares an explicit reduced
-density matrix.  The closed-form route evaluates a quadruple sum over
-(n, n', l, l') whose terms carry the phase
-    angle = [F(n+l) + F(n'+l') - F(n'+l) - F(n+l')] * phi
-and whose magnitude involves ratios of factorials, computed in log space.
-The angle is antisymmetric under l <-> l' and under n <-> n' separately,
-and invariant under swapping both pairs at once, so the sum is real and can
-be folded onto the half-domain n <= n', l <= l' with cosine terms.
-The terms are gathered as numpy arrays, a block of whole (n, n') pairs at
-a time; numpy sums each block and math.fsum combines the block sums.
+density matrix.  The closed-form route evaluates the quadruple sum over
+(n, n', l, l') whose terms carry the angle
+    [F(n+l) + F(n'+l') - F(n'+l) - F(n+l')] * phi.
+With j = n' - n, s = n + l and s' = n + l' the angle depends on (j, s, s')
+alone, and the magnitudes summed over n form one Gram matrix per j, from
+real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
+folded onto j >= 0, s <= s' with one cosine per (j, s, s'), in blocks of
+whole j slabs; numpy sums each block and math.fsum combines the block sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from itertools import accumulate, groupby
+from math import fsum, inf
 
 import numpy as np
 
@@ -37,11 +37,9 @@ CLOSED_FORM = "closed"
 # clamped; anything larger is a genuine inconsistency and is refused.
 CLAMP_TOL = 1e-10
 
-# Terms per block of the closed-form sum.  The folded domain holds
-# C(2s+4, 4) terms, 1.9e6 at 2s = 80.  Blocks of about 2^11 terms keep the
-# per-term arrays small and in cache: on a 2-core x86 host, 2^11 ran
-# 2s = 40 in about half the time of 2^14 and raised peak memory by 0.1 MB
-# where 2^14 raised it by 1.9 MB.
+# Terms per block of the closed-form sum, counted as (s, s') square entries.
+# At 2s = 40 on a 2-core x86 host, 2^11 ran as fast as 2^12 and 2^13 and
+# kept the peak traced memory of one call at 0.3 MB (0.9 MB at 2^13).
 _BLOCK_TERMS = 1 << 11
 
 
@@ -133,59 +131,63 @@ def linear_entropy_closed(spec: StructureSpec, phi,
     folded=False keeps the full complex sum, whose imaginary part must come
     out <= 1e-12 in every cell, as a cross-check path.
 
-    The domain is a list of (n, n') pairs, each carrying a prefix of one
-    (l, l') enumeration.  Folded: pairs n <= n' and the triangle
-    l <= l' <= 2s - n', a prefix of the lower triangle (as from
-    np.tril_indices(d)) ordered by l'.  Unfolded: all pairs and the square
-    l, l' <= 2s - max(n, n'), a prefix of the grid ordered by max(l, l').
-    Blocks hold whole pairs, at most about _BLOCK_TERMS terms per cell.
+    With b[n, s] = sqrt(binom(s, n)) t^n r^(s-n) and Q_j[n, s] = b[n, s]
+    b[n+j, s+j], the term magnitudes summed over n are G_j = Q_j^T Q_j.
+    Slab j holds s, s' = lo_j + u, u < side_j = d - |j|, lo_j = max(0, -j):
+    folded, j >= 0 and s <= s'; unfolded, every j and the whole square.  A
+    block holds whole slabs, about _BLOCK_TERMS square entries per cell.
     """
-    two_s = spec.two_s
     d = spec.dim
-    if folded:
-        # (n, n') and (l, l') run over the same lower triangle.
-        n2, n = np.nonzero(np.tri(d, dtype=bool))
-        l2, l = n2, n
-        side = two_s + 1 - n2
-        lengths = side * (side + 1) // 2
-        pair_w = pos_w = 2.0 - (n == n2)
-    else:
-        n, n2 = np.divmod(np.arange(d * d), d)
-        # The same grid for (l, l'), reordered by max(l, l').
-        l, l2 = np.divmod(np.argsort(np.maximum(n, n2), kind="stable"), d)
-        side = two_s + 1 - np.maximum(n, n2)
-        lengths = side * side
-        pair_w = pos_w = 1.0
-    lgf = np.array(log_factorials(two_s))
-    half_lgf = 0.5 * lgf
-    powers = np.arange(2 * d - 1)
-    pair_w = pair_w * np.power.outer(params.t2, powers[n + n2])
-    pos_w = pos_w * np.power.outer(params.r2, powers[l + l2])
-    pair_log = -(lgf[n] + lgf[n2])
-    pos_log = -(lgf[l] + lgf[l2])
-    levels = spec.levels
+    # ln(k!) for k < d, then +inf: a negative index s - n lands there.
+    lgf = np.array(log_factorials(spec.two_s) + [inf] * d)
+    k = np.arange(d)
+    col = k[:, None]
+    gap = k - col
+    # b[..., n, s] = sqrt(binom(s, n) t2^n r2^(s-n)), zero for n > s and in the padding.
+    t2_pow, r2_pow = np.power.outer((params.t2, params.r2), k)
+    pmf = np.exp(lgf[:d] - lgf[col] - lgf[gap]) * t2_pow[..., col] * r2_pow[..., gap]
+    b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
+    b[..., :d, :d] = np.sqrt(pmf)
+    rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
+    win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
+                     strides=b.strides[:-2] + (rs + cs, rs, cs))
+    j = np.arange(0 if folded else -spec.two_s, d)
+    side = d - abs(j)
+    lo = np.maximum(-j, 0)
+    hi = lo + j
+    inside = np.greater.outer(side, k)
+    # F(s) - F(s + j) at s = lo_j + u; clipped indices lie outside the domain.
+    edge = (spec.levels.take(np.add.outer(lo, k), mode="clip")
+            - spec.levels.take(np.add.outer(hi, k), mode="clip"))
+    # Fold weights, powers of two: 2 - [s == s'] for s <= s' (0 below), and
+    # 2 for j > 0, which is row 0 of pair_w; all 1 unfolded.
+    pair_w = np.sign(gap) + 1 if folded else np.ones((d, d), int)
+    slab_w = pair_w[0, abs(j), None, None]
+    sides = side.tolist()
     phi = _label_axes(phi, params)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
 
-    def block_sums(lo: int, hi: int):
-        """Real and imaginary sums over the terms of pairs lo..hi-1, per cell."""
-        pair = np.repeat(np.arange(lo, hi), lengths[lo:hi])
-        pos = np.arange(starts[lo], ends[hi - 1]) - starts[pair]
-        bn, bn2, bl, bl2 = n[pair], n2[pair], l[pos], l2[pos]
-        k11, k22, k12, k21 = bn + bl, bn2 + bl2, bn + bl2, bn2 + bl
-        mag = pair_w.take(pair, axis=-1) * pos_w.take(pos, axis=-1)
-        mag *= np.exp(half_lgf[k11] + half_lgf[k22] + half_lgf[k12]
-                      + half_lgf[k21] + pair_log[pair] + pos_log[pos])
-        # Grouped so that n == n' or l == l' gives exactly x - x = 0.
-        angle = np.multiply.outer(
-            phi, (levels[k11] - levels[k21]) - (levels[k12] - levels[k22]))
+    def block_sums(block: slice):
+        """Real and imaginary sums over the terms of a run of slabs, per cell."""
+        m = max(sides[block])
+        q = win[..., lo[block], :m, :m] * win[..., hi[block], :m, :m]
+        # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
+        gram = np.matmul(q.swapaxes(-1, -2) * slab_w[block], q)
+        ok = inside[block, :m]
+        weight = pair_w[:m, :m] * ok[:, None, :]
+        if not folded:
+            weight *= ok[:, :, None]
+        terms = weight.ravel().nonzero()[0]
+        mag = (gram * weight).reshape(gram.shape[:-3] + (-1,)).take(terms, axis=-1)
+        e = edge[block, :m]
+        # Exactly x - x = 0 where j == 0 or s == s'.
+        angle = np.multiply.outer(phi, (e[:, :, None] - e[:, None, :]).take(terms))
         im = 0.0 if folded else -(mag * np.sin(angle)).sum(axis=-1)
         return (mag * np.cos(angle)).sum(axis=-1), im
 
-    bounds = [0, *(np.flatnonzero(np.diff(starts // _BLOCK_TERMS)) + 1).tolist(),
-              n.size]
-    re, im = zip(*(block_sums(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])))
+    # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
+    starts = list(accumulate((m * m for m in sides), initial=0))
+    runs = [list(g) for _, g in groupby(range(j.size), lambda i: starts[i] // _BLOCK_TERMS)]
+    re, im = zip(*(block_sums(slice(r[0], r[-1] + 1)) for r in runs))
     total = _fsum_blocks(re) / (d * d)
     residual = 0.0 if folded else np.abs(_fsum_blocks(im)).max() / (d * d)
     if residual > 1e-12:
@@ -198,7 +200,7 @@ def _fsum_blocks(sums) -> np.ndarray:
     """math.fsum over the blocks of each cell; sums holds the cells of each block."""
     blocks = np.array(sums)
     cells = blocks.reshape(len(blocks), -1).T.tolist()
-    return np.reshape([fsum(c) for c in cells], blocks.shape[1:])
+    return np.array([fsum(c) for c in cells]).reshape(blocks.shape[1:])
 
 
 def m_independence_report(spec: StructureSpec, phi: float,

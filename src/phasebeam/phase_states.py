@@ -99,7 +99,10 @@ def overlap_closed(spec: StructureSpec, m, phi, m2, phi2) -> complex | np.ndarra
     labels broadcast together; one pair gives a complex.
     """
     d = spec.dim
-    exponent = (np.multiply.outer(-(m - m2), np.arange(d))
+    dm = m - m2  # a Python int too large for exact products with n: sign * (|dm| mod d)
+    big = isinstance(dm, int) and abs(dm) * d >= 2**53
+    dm = (abs(dm) % d if dm > 0 else -(abs(dm) % d)) if big else dm
+    exponent = (np.multiply.outer(-dm, np.arange(d))
                 + np.multiply.outer(d / (2.0 * pi) * (phi - phi2), spec.levels[:d]))
     out = np.exp(2j * pi * exponent / d).sum(axis=-1) / d
     return complex(out) if out.ndim == 0 else out

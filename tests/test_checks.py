@@ -65,11 +65,12 @@ def _phase_suite_loop(seed):
 
 
 def _entropy_suite_loop(seed):
-    """closed_vs_oracle and m_independence with one oracle call per label m."""
+    """closed_vs_oracle and m_independence with one oracle call per label m,
+    reflection_swap_symmetry with one closed-form call per draw and side."""
     rng = np.random.default_rng(seed)
     phis = np.linspace(0.0, 2.0 * pi, 5)
     grid = SplitterParams(np.linspace(0.0, 1.0, 5))
-    worst = {"closed_vs_oracle": 0.0, "m_independence": 0.0}
+    worst = {"closed_vs_oracle": 0.0, "m_independence": 0.0, "reflection_swap_symmetry": 0.0}
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
@@ -86,6 +87,15 @@ def _entropy_suite_loop(seed):
             values = [linear_entropy(reduced_density(split_phase_state(spec, m, phi, params))).value
                       for m in range(spec.dim)]
             worst["m_independence"] = max(worst["m_independence"], max(values) - min(values))
+    for family, kappa in FAMILIES:
+        spec = build_structure(family, 3, kappa)
+        for _ in range(10):
+            phi = float(rng.uniform(0.0, 2.0 * pi))
+            r2 = float(rng.uniform(0.0, 1.0))
+            s_a = linear_entropy_closed(spec, phi, SplitterParams(r2)).value
+            s_b = linear_entropy_closed(spec, phi, SplitterParams(1.0 - r2)).value
+            worst["reflection_swap_symmetry"] = max(worst["reflection_swap_symmetry"],
+                                                   abs(s_a - s_b))
     return worst
 
 

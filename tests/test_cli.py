@@ -308,6 +308,9 @@ class TestWorkBudget:
          "_entropy_grid"),
         # each axis within its bound, the product of the two over the budget
         (LONG_AXIS_SWEEP, "_entropy_grid"),
+        # a 2s range too long to build, and one whose estimate is beyond any float
+        (["sweep", "--two-s", "1:10000000000"], "_entropy_grid"),
+        (["sweep", "--two-s", "1:" + "9" * 400], "_entropy_grid"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):
@@ -335,6 +338,34 @@ class TestWorkBudget:
             tracemalloc.stop()
         assert elapsed < 0.1
         assert peak < 10 * 2**20
+
+    def test_two_s_range_refused_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(UsageError, match="the sweep needs about 3.23e"):
+                parse_args(["sweep", "--two-s", "1:10000000000"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 2**20
+        # a range of more than 2^63 values is a usage error for compute too
+        with pytest.raises(UsageError, match="compute takes scalar"):
+            parse_args(["compute", "--two-s", "1:" + "9" * 30, "--phi", "0", "--r2", "0.5"])
+
+    @pytest.mark.parametrize("spec", ["1:40", "7:23", "40:40", "2,5,9", "3"])
+    def test_two_s_estimate_is_exact(self, monkeypatch, spec):
+        # (v + 1)^3 + 2^10 summed over the 2s values, per cell; a lo:hi
+        # range is summed in closed form
+        cubes = 2 * sum((v + 1) ** 3 + cli.CELL_FLOOR for v in parse_two_s(spec))
+        argv = ["sweep", "--two-s", spec, "--phi", "0:1:2", "--r2", "0.5"]
+        monkeypatch.setattr(cli, "CUBE_BUDGET", cubes)
+        assert parse_args(argv).two_s == parse_two_s(spec)
+        monkeypatch.setattr(cli, "CUBE_BUDGET", cubes - 1)
+        with pytest.raises(UsageError, match="the sweep needs"):
+            parse_args(argv)
 
     def test_message_names_estimate_and_budget(self):
         with pytest.raises(UsageError, match=r"1\.07e\+09") as err:

@@ -25,6 +25,7 @@ from phasebeam import (
     tri_size,
 )
 from phasebeam.numerics import log_factorials
+from test_acceptance import _eigh_oracle_rho
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -219,20 +220,20 @@ class TestLinearEntropyClosed:
                                                      folded=False).value
                     assert abs(folded - unfolded) <= 1e-13
 
-    @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 30])
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 30, 40])
     def test_pinned_to_loop_reference(self, two_s):
-        # 2s = 20 and 30 span several blocks of the numpy sum
+        # 2s = 20, 30 and 40 span several blocks of the numpy sum
         rng = np.random.default_rng(two_s)
         custom = rng.uniform(0.5, 3.0, two_s)
         specs = [build_structure(family, two_s, kappa) for family, kappa in FAMILIES]
         specs.append(structure_from_spacings(np.diff(np.r_[0.0, custom, 0.0])))
-        phis, r2s = (0.0, 1.0, pi), (0.0, 0.5, 1.0)
+        phis, r2s = (0.0, 1.0, pi, 100.0), (0.0, 1e-9, 0.5, 1.0)
         for folded in (True, False):
             reference = _closed_loop_reference(two_s, folded=folded)
             for spec in specs:
                 grid = linear_entropy_closed(spec, np.array(phis), SplitterParams(r2s),
                                              folded=folded).value
-                assert grid.shape == (3, 3)
+                assert grid.shape == (4, 4)
                 for i, phi in enumerate(phis):
                     for j, r2 in enumerate(r2s):
                         want, imag = reference(spec, phi, r2)
@@ -249,6 +250,14 @@ class TestLinearEntropyClosed:
                 params = SplitterParams(0.3)
                 closed = linear_entropy_closed(spec, phi, params).value
                 assert abs(closed - oracle_entropy(spec, 0, phi, params).value) <= 1e-10
+
+    def test_pinned_to_eigh_oracle_at_two_s_80(self):
+        # one cell per family against the tests-only eigh oracle's rho
+        for (family, kappa), phi, r2 in zip(FAMILIES, (0.7, pi, 100.0), (0.3, 0.5, 0.8)):
+            rho = _eigh_oracle_rho(family, 80, kappa, 0, phi, r2)
+            want = 1.0 - float(np.sum(np.abs(rho) ** 2))
+            spec = build_structure(family, 80, kappa)
+            assert abs(linear_entropy_closed(spec, phi, SplitterParams(r2)).value - want) <= 1e-12
 
     def test_closed_vs_oracle_grid(self):
         phis = np.linspace(0.0, 2 * pi, 5)
@@ -439,6 +448,24 @@ class TestPhaseStacks:
                                 one = route(spec, int(ms[i]), float(ps[i]),
                                             SplitterParams(float(np.asarray(r2)[j])))
                                 assert np.array_equal(got[i + j], one)
+
+    @pytest.mark.parametrize(
+        "spec", list(_stack_specs()),
+        ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
+    def test_closed_form_cells_equal_scalar_calls(self, spec):
+        # every cell of an array call is its scalar call, to the bit
+        for folded in (True, False):
+            for r2 in self.R2_CASES:
+                for phis in self.PHI_CASES:
+                    got = linear_entropy_closed(spec, phis, SplitterParams(r2),
+                                                folded=folded).value
+                    assert np.shape(got) == np.shape(phis) + np.shape(r2)
+                    for i in np.ndindex(np.shape(phis)):
+                        for j in np.ndindex(np.shape(r2)):
+                            one = linear_entropy_closed(
+                                spec, float(np.asarray(phis)[i]),
+                                SplitterParams(float(np.asarray(r2)[j])), folded=folded)
+                            assert np.asarray(got)[i + j] == one.value
 
     def test_scalar_return_types(self):
         spec = build_structure(Family.KAPPA_NEG, 3)

@@ -65,6 +65,15 @@ class TestPhaseState:
         assert np.array_equal(phase_state(spec, 10**20, 0.4),
                               phase_state(spec, 10**20 % 3, 0.4))
 
+    def test_overlap_label_beyond_int64(self):
+        for family, kappa in FAMILIES:
+            spec = build_structure(family, 5, kappa)
+            d = spec.dim
+            for m, m2 in ((10**20, 0), (0, 10**20), (-10**20, 3), (2**62, 1)):
+                got = overlap_closed(spec, m, 0.4, m2, 1.3)
+                assert type(got) is complex
+                assert abs(got - overlap_closed(spec, m % d, 0.4, m2 % d, 1.3)) <= 1e-15
+
     def test_phi_zero_collapses_families(self):
         # at phi = 0 every family reduces to the Fourier transform of the
         # number basis, so all tables with the same dimension agree
