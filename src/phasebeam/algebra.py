@@ -102,15 +102,13 @@ class StructureSpec:
         return self.two_s + 1
 
 
-def _levels_from_closed_form(family: Family, two_s: int, kappa: float) -> np.ndarray:
-    levels = np.zeros(two_s + 2)
-    for n in range(1, two_s + 1):
-        if family is Family.PEGG_BARNETT:
-            levels[n] = float(n)
-        else:
-            levels[n] = n * (1.0 + kappa * (n - 1))
-    # F(2s+1) = 0 exactly; the last spacing absorbs the truncation.
-    levels[two_s + 1] = 0.0
+def _levels_from_closed_form(two_s: int, kappa: float) -> np.ndarray:
+    """F(n) = n(1 + kappa(n-1)); kappa = 0 gives Pegg-Barnett's F(n) = n exactly."""
+    n = np.arange(two_s + 2, dtype=float)
+    levels = n * (1.0 + kappa * (n - 1.0))
+    # F(2s+1) = 0 exactly; the last spacing absorbs the truncation.  F(0) is
+    # set too, as the formula gives -0.0 there for kappa > 1.
+    levels[[0, two_s + 1]] = 0.0
     return levels
 
 
@@ -164,7 +162,7 @@ def build_structure(
             if not 0 < kappa < inf:
                 raise MissingKappaError(
                     f"kappa must be finite and > 0 for kappa-pos, got {kappa}")
-        table = _levels_from_closed_form(family, two_s, 0.0 if kappa is None else kappa)
+        table = _levels_from_closed_form(two_s, 0.0 if kappa is None else kappa)
 
     # StructureSpec refuses the non-finite differences of a non-finite table.
     with np.errstate(invalid="ignore", over="ignore"):

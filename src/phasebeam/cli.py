@@ -1,7 +1,9 @@
 """Command line front end.
 
 Three subcommands: `compute` evaluates the entropy at a single parameter
-point, `sweep` produces a CSV/JSON grid, `check` runs the invariant suites.
+point, `sweep` produces a CSV/JSON grid with the same table builder as the
+library's sweep_* functions, `check` runs the invariant suites.  Sweeps run
+in one process; `sweep --serial` is accepted for compatibility and ignored.
 Exit codes: 0 success, 1 usage error (a run estimated over its work budget
 included), 2 numerical-consistency failure (any ArithmeticError, such as an
 overflow), 3 I/O failure.  Data goes to stdout, diagnostics to stderr.
@@ -11,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
-from math import comb, inf, isfinite, pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
@@ -22,21 +23,20 @@ from .algebra import Family, build_structure
 from .checks import run_suites
 from .entropy import linear_entropy_closed
 from .errors import PhasebeamError, RangeError, UsageError
-from .experiments import Axis, SweepTable, _entropy_grid, entropy_point
+from .experiments import SweepTable, _sweep, entropy_point
 from .splitter import SplitterParams
 
-THREADS_ENV = "PHASEBEAM_THREADS"
 # `compute --method both` refuses to report routes that disagree by more.
 BOTH_ROUTES_TOL = 1e-8
-# Work budgets, checked before a run starts; a run estimated above one is a
-# usage error.  A rho costs about d^3, a sweep cell CELL_FLOOR more (its CSV
-# row, its share of per-call costs).  2^34 admits compute up to 2s = 2579,
-# the default 128 x 101 sweep at 2s = 80 (6.9e9), 2^24 points on an axis.
+# The work budget, checked before a run starts; a run estimated above it is
+# a usage error.  A rho costs about d^3, a sweep cell CELL_FLOOR more (its CSV
+# row, its share of per-call costs), and the closed form about d^4/4
+# multiply-adds.  2^34 admits the partial-trace compute up to 2s = 2579, the
+# closed form up to 2s = 511 (3-4.5 s there on a 2-core x86 host, where
+# 2s = 2200 by the partial trace takes 5 s), the default 128 x 101 sweep at
+# 2s = 80 (6.9e9), 2^24 points on an axis.
 CUBE_BUDGET = 1 << 34
 CELL_FLOOR = 1 << 10
-# The closed form is estimated by its C(2s+4, 4) folded terms; 2^30 admits
-# 2s <= 398, about 1 s on a 2-core x86 host (2s = 160: 0.05 s).
-TERMS_BUDGET = 1 << 30
 
 _CLI_FAMILIES = {
     "pegg-barnett": Family.PEGG_BARNETT,
@@ -59,7 +59,6 @@ class RunConfig:
     method: str = "oracle"
     fmt: str = "csv"
     seed: int = 0
-    serial: bool = False
     suite: str = "all"
 
 
@@ -173,8 +172,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--format", dest="fmt", choices=("csv", "json"),
                          default="csv")
     p_sweep.add_argument("--serial", action="store_true",
-                         help="accepted for compatibility; sweeps always run "
-                              "in one process")
+                         help="accepted for compatibility and ignored")
 
     p_check = sub.add_parser("check", help="run the invariant suites")
     p_check.add_argument("--suite", default="all",
@@ -205,15 +203,15 @@ def parse_args(argv=None) -> RunConfig:
             _check_budget("the partial-trace route", (runs[0].start + 1)**3,
                           CUBE_BUDGET, "d^3")
         if ns.method != "oracle":
-            _check_budget("the closed form", comb(runs[0].start + 4, 4),
-                          TERMS_BUDGET, "folded terms")
+            _check_budget("the closed form", (runs[0].start + 1)**4 // 4,
+                          CUBE_BUDGET, "multiply-adds")
         extra = {"method": ns.method}
     else:
         # sum of x^3 for x = lo+1..hi+1 is T(hi+1)^2 - T(lo)^2, T(n) = n(n+1)/2
         cubes = cells * sum((r.stop * (r.stop + 1) // 2)**2 - (r.start * (r.start + 1) // 2)**2
                             + CELL_FLOOR * (r.stop - r.start) for r in runs)
         _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
-        extra = {"fmt": ns.fmt, "serial": ns.serial}
+        extra = {"fmt": ns.fmt}
     return RunConfig(command=ns.command, family=family, kappa=ns.kappa, m=ns.m,
                      two_s=tuple(v for run in runs for v in run), phi=parse_grid(ns.phi),
                      r2=_check_r2_range(parse_grid(ns.r2)), **extra)
@@ -269,17 +267,6 @@ def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
     return data
 
 
-def _check_threads_env() -> None:
-    """PHASEBEAM_THREADS changes nothing but must be a positive integer."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        if int(raw) >= 1:
-            return
-    except ValueError:
-        pass
-    raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-
-
 def _run_compute(cfg: RunConfig) -> int:
     spec = build_structure(cfg.family, cfg.two_s[0], cfg.kappa)
     params = SplitterParams(cfg.r2[0])
@@ -306,19 +293,8 @@ def _run_compute(cfg: RunConfig) -> int:
 
 
 def _run_sweep(cfg: RunConfig) -> int:
-    _check_threads_env()
-    axes = []
-    if len(cfg.two_s) > 1:
-        axes.append(Axis("two_s", tuple(float(v) for v in cfg.two_s)))
-    axes.append(Axis("phi", cfg.phi))
-    axes.append(Axis("r2", cfg.r2))
-    values = _entropy_grid(cfg.two_s, cfg.phi, cfg.r2, cfg.family, cfg.kappa,
-                           cfg.m)
-    meta = {"family": cfg.family.value, "m": cfg.m, "kappa": cfg.kappa,
-            "method": "oracle"}
-    if len(cfg.two_s) == 1:
-        meta["two_s"] = cfg.two_s[0]
-    table = SweepTable(axes=tuple(axes), values=values.ravel(), meta=meta)
+    names = ("two_s", "phi", "r2") if len(cfg.two_s) > 1 else ("phi", "r2")
+    table = _sweep(names, cfg.two_s, cfg.phi, cfg.r2, cfg.family, cfg.kappa, cfg.m)
     emit(table, cfg.fmt, sys.stdout.buffer)
     return 0
 

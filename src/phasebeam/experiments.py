@@ -1,12 +1,14 @@
 """Parameter sweeps of the output entanglement over (r2, phi, 2s) grids.
 
 All sweeps default to the concave level table F(n) = n(2s+1-n)/(2s) (the
-kappa-neg family) and m = 0 (the entropy does not depend on m).  They share
-one grid evaluator: for each 2s it covers the (phi, r2) plane with tiles,
-and for each tile it assembles one stack of rho from the transmission
+kappa-neg family) and m = 0 (the entropy does not depend on m).  The three
+sweep_* functions and the CLI's sweep build their tables with one builder,
+which differs between them only in the axes it names.  It makes one call
+of the grid evaluator, which for each 2s covers the (phi, r2) plane with
+tiles, and for each tile assembles one stack of rho from the transmission
 coefficients, validates every matrix and takes S = 1 - Tr(rho^2), all in
-one process.  Their serial keyword is accepted for compatibility and
-changes nothing.
+one process.  The serial keyword is accepted for compatibility and changes
+nothing.
 """
 
 from __future__ import annotations
@@ -109,20 +111,29 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _sweep(names, two_s, phis, r2s, family: Family, kappa: float | None,
+           m: int) -> SweepTable:
+    """S from one _entropy_grid call, along the named axes in output order.
+
+    Each grid coordinate not named must hold a single value; it goes in meta.
+    """
+    grid = {"two_s": tuple(int(v) for v in two_s), "phi": _as_float_tuple(phis),
+            "r2": _as_float_tuple(r2s)}
+    values = _entropy_grid(*grid.values(), family, kappa, m)
+    meta = {"family": family.value, "m": m, "kappa": kappa, "method": "oracle"}
+    for name in [name for name in grid if name not in names]:
+        (meta[name],) = grid[name]
+    values = np.moveaxis(values, [list(grid).index(name) for name in names], range(len(names)))
+    return SweepTable(axes=tuple(Axis(name, _as_float_tuple(grid[name])) for name in names),
+                      values=values.ravel(), meta=meta)
+
+
 def sweep_r2_phi(two_s: int, phi_grid, r2_grid, *,
                  family: Family = Family.KAPPA_NEG,
                  kappa: float | None = None, m: int = 0,
                  serial: bool = False) -> SweepTable:
     """Entropy surface over a (phi, r2) grid at fixed dimension; phi-major."""
-    phis = _as_float_tuple(phi_grid)
-    r2s = _as_float_tuple(r2_grid)
-    values = _entropy_grid((two_s,), phis, r2s, family, kappa, m)
-    return SweepTable(
-        axes=(Axis("phi", phis), Axis("r2", r2s)),
-        values=values.ravel(),
-        meta={"family": family.value, "two_s": two_s, "m": m, "kappa": kappa,
-              "method": "oracle"},
-    )
+    return _sweep(("phi", "r2"), (two_s,), phi_grid, r2_grid, family, kappa, m)
 
 
 def sweep_phi_balanced(two_s_list, phi_grid, *,
@@ -130,15 +141,7 @@ def sweep_phi_balanced(two_s_list, phi_grid, *,
                        kappa: float | None = None, m: int = 0,
                        serial: bool = False) -> SweepTable:
     """Entropy against phi at the balanced splitter, one row per 2s."""
-    dims = tuple(int(v) for v in two_s_list)
-    phis = _as_float_tuple(phi_grid)
-    values = _entropy_grid(dims, phis, (0.5,), family, kappa, m)
-    return SweepTable(
-        axes=(Axis("two_s", _as_float_tuple(dims)), Axis("phi", phis)),
-        values=values.ravel(),
-        meta={"family": family.value, "m": m, "kappa": kappa, "r2": 0.5,
-              "method": "oracle"},
-    )
+    return _sweep(("two_s", "phi"), two_s_list, phi_grid, (0.5,), family, kappa, m)
 
 
 def sweep_s_balanced(two_s_max: int = 40,
@@ -149,12 +152,5 @@ def sweep_s_balanced(two_s_max: int = 40,
     """Entropy against 2s = 1..two_s_max at the balanced splitter, per phi."""
     if two_s_max < 1:
         raise ValueError(f"two_s_max must be >= 1, got {two_s_max}")
-    phis = _as_float_tuple(phi_list)
-    dims = tuple(range(1, two_s_max + 1))
-    values = _entropy_grid(dims, phis, (0.5,), family, kappa, m)
-    return SweepTable(
-        axes=(Axis("phi", phis), Axis("two_s", _as_float_tuple(dims))),
-        values=values[:, :, 0].T.ravel(),
-        meta={"family": family.value, "m": m, "kappa": kappa, "r2": 0.5,
-              "method": "oracle"},
-    )
+    return _sweep(("phi", "two_s"), range(1, two_s_max + 1), phi_list, (0.5,),
+                  family, kappa, m)

@@ -96,12 +96,11 @@ def overlap_closed(spec: StructureSpec, m, phi, m2, phi2) -> complex | np.ndarra
     Evaluates (1/d) sum_n q^{x(n)} with exponent
     x(n) = -(m - m2) n + d (phi - phi2) F(n) / (2 pi), where a root-of-unity
     power with non-integer exponent means q^x := e^{2 pi i x / d}.  The four
-    labels broadcast together; one pair gives a complex.
+    labels broadcast together; one pair gives a complex.  Each label is
+    reduced mod d first, as in phase_state, so every product with n is exact.
     """
     d = spec.dim
-    dm = m - m2  # a Python int too large for exact products with n: sign * (|dm| mod d)
-    big = isinstance(dm, int) and abs(dm) * d >= 2**53
-    dm = (abs(dm) % d if dm > 0 else -(abs(dm) % d)) if big else dm
+    dm = m % d - m2 % d
     exponent = (np.multiply.outer(-dm, np.arange(d))
                 + np.multiply.outer(d / (2.0 * pi) * (phi - phi2), spec.levels[:d]))
     out = np.exp(2j * pi * exponent / d).sum(axis=-1) / d

@@ -18,7 +18,7 @@ from phasebeam import (
     SplitterParams,
     split_phase_state,
 )
-from phasebeam import cli
+from phasebeam import cli, experiments
 from phasebeam.cli import (
     emit,
     main,
@@ -96,7 +96,6 @@ class TestParseArgs:
         assert cfg.phi[-1] == pytest.approx(2 * pi)
         assert len(cfg.r2) == 101
         assert cfg.fmt == "csv"
-        assert not cfg.serial
 
     def test_check_defaults(self):
         cfg = parse_args(["check"])
@@ -316,7 +315,8 @@ class TestWorkBudget:
         def started(*args, **kwargs):
             raise AssertionError("the computation started")
 
-        monkeypatch.setattr(cli, route, started)
+        # the sweep builder looks its grid evaluator up in experiments
+        monkeypatch.setattr(experiments if route == "_entropy_grid" else cli, route, started)
         start = time.perf_counter()
         assert main(argv) == 1
         assert time.perf_counter() - start < 1.0
@@ -368,10 +368,10 @@ class TestWorkBudget:
             parse_args(argv)
 
     def test_message_names_estimate_and_budget(self):
-        with pytest.raises(UsageError, match=r"1\.07e\+09") as err:
+        with pytest.raises(UsageError, match=r"1\.72e\+10") as err:
             parse_args(["compute", "--two-s", "1000", "--phi", "0", "--r2", "0.5",
                         "--method", "both"])
-        assert "4.21e+10 folded terms" in str(err.value)
+        assert "2.51e+11 multiply-adds" in str(err.value)
         with pytest.raises(UsageError, match=r"1\.72e\+10"):
             parse_args(["compute", "--two-s", "3000", "--phi", "0", "--r2", "0.5"])
 
@@ -412,6 +412,7 @@ class TestMainSweep:
         assert [a["name"] for a in payload["axes"]] == ["phi", "r2"]
         assert len(payload["values"]) == 5
         assert payload["meta"]["two_s"] == 2
+        assert list(payload["meta"]) == ["family", "m", "kappa", "method", "two_s"]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--two-s", "2", "--phi", "0:6.28:6", "--r2", "0:1:5",
@@ -421,16 +422,6 @@ class TestMainSweep:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
-
-    def test_threads_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHASEBEAM_THREADS", "abc")
-        argv = ["sweep", "--two-s", "1", "--phi", "0.5", "--r2", "0.5"]
-        assert main(argv) == 1
-        monkeypatch.setenv("PHASEBEAM_THREADS", "0")
-        assert main(argv) == 1
-        monkeypatch.setenv("PHASEBEAM_THREADS", "2")
-        assert main(argv) == 0
-        capsys.readouterr()
 
 
 class TestMainCheck:

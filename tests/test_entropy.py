@@ -46,9 +46,12 @@ def _closed_loop_reference(two_s, *, folded):
     Nested loops visit (n, n', l, l') one term at a time, apart from the
     blocked index arrays of linear_entropy_closed, and record each term's
     indices and its magnitude without the splitter powers.  The returned function
-    completes every term for one (spec, phi, r2), with a level bracket of
-    exactly 0 where n == n' or l == l', and sums them with math.fsum.  It
-    gives S and, unfolded, the imaginary part of the sum (must be zero).
+    completes every term for each cell (phi, r2) of a grid and one spec, with
+    a level bracket of exactly 0 where n == n' or l == l', and sums each
+    cell's terms with math.fsum.  The bracket is formed once per spec, the
+    splitter powers once per r2 and the cosines and sines once per phi.  It
+    gives S and, unfolded, the imaginary part of the sum (must be zero), each
+    as a list of rows over phi.
     """
     d = two_s + 1
     lgf = log_factorials(two_s)
@@ -67,15 +70,21 @@ def _closed_loop_reference(two_s, *, folded):
     mag, n, n2, l, l2 = (np.array(col) for col in zip(*terms))
     flat = (n == n2) | (l == l2)
 
-    def evaluate(spec, phi, r2):
+    def evaluate(spec, phis, r2s):
         levels = spec.levels
         bracket = np.where(flat, 0.0, levels[n + l] + levels[n2 + l2]
                            - levels[n2 + l] - levels[n + l2])
-        full = mag * (1.0 - r2) ** (n + n2) * r2 ** (l + l2)
-        s = 1.0 - fsum((full * np.cos(bracket * phi)).tolist())
-        if folded:
-            return s, 0.0
-        return s, -fsum((full * np.sin(bracket * phi)).tolist())
+        fulls = [mag * (1.0 - r2) ** (n + n2) * r2 ** (l + l2) for r2 in r2s]
+        s_rows, imag_rows = [], []
+        for phi in phis:
+            cos = np.cos(bracket * phi)
+            s_rows.append([1.0 - fsum((full * cos).tolist()) for full in fulls])
+            if folded:
+                imag_rows.append([0.0] * len(fulls))
+                continue
+            sin = np.sin(bracket * phi)
+            imag_rows.append([-fsum((full * sin).tolist()) for full in fulls])
+        return s_rows, imag_rows
 
     return evaluate
 
@@ -234,14 +243,15 @@ class TestLinearEntropyClosed:
                 grid = linear_entropy_closed(spec, np.array(phis), SplitterParams(r2s),
                                              folded=folded).value
                 assert grid.shape == (4, 4)
+                wants, imags = reference(spec, phis, r2s)
                 for i, phi in enumerate(phis):
                     for j, r2 in enumerate(r2s):
-                        want, imag = reference(spec, phi, r2)
+                        want = wants[i][j]
                         got = linear_entropy_closed(spec, phi, SplitterParams(r2),
                                                     folded=folded).value
                         assert abs(got - want) <= 1e-13
                         assert abs(grid[i, j] - want) <= 1e-13
-                        assert abs(imag) <= 1e-13
+                        assert abs(imags[i][j]) <= 1e-13
 
     def test_matches_partial_trace_at_two_s_40(self):
         for family, kappa in FAMILIES:

@@ -73,6 +73,15 @@ class TestPhaseState:
                 got = overlap_closed(spec, m, 0.4, m2, 1.3)
                 assert type(got) is complex
                 assert abs(got - overlap_closed(spec, m % d, 0.4, m2 % d, 1.3)) <= 1e-15
+            # integer-array labels near the int64 limit, against the reduced
+            # labels and the inner product of the two phase states (the two
+            # routes differ by up to 2e-15 on labels in [0, d) already)
+            m = np.array([2**62 + 1, 2**62, -2**62, 7, 2**63 - 1])
+            m2 = np.array([0, 3, 1, 2**62 + 5, -2**63])
+            got = overlap_closed(spec, m, 0.4, m2, 0.9)
+            assert np.max(np.abs(got - overlap_closed(spec, m % d, 0.4, m2 % d, 0.9))) <= 1e-15
+            direct = overlap_direct(phase_state(spec, m, 0.4), phase_state(spec, m2, 0.9))
+            assert np.max(np.abs(got - direct)) <= 1e-12
 
     def test_phi_zero_collapses_families(self):
         # at phi = 0 every family reduces to the Fourier transform of the
