@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import inf, sqrt
+from math import inf
 
 import numpy as np
 
@@ -193,12 +193,8 @@ def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSp
 
 def ladder_minus(spec: StructureSpec, phi: float) -> np.ndarray:
     """Lowering operator: entry (n-1, n) = sqrt(F(n)) e^{i[F(n)-F(n-1)] phi}."""
-    d = spec.dim
-    levels = spec.levels
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = sqrt(levels[n]) * np.exp(1j * (levels[n] - levels[n - 1]) * phi)
-    return a
+    f = spec.levels[: spec.dim]
+    return np.diag(np.sqrt(f[1:]) * np.exp(1j * np.diff(f) * phi), 1)
 
 
 def ladder_plus(spec: StructureSpec, phi: float) -> np.ndarray:
@@ -229,9 +225,7 @@ def phase_operator(spec: StructureSpec, phi: float) -> np.ndarray:
     holds by construction.
     """
     d = spec.dim
-    levels = spec.levels
-    e = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        e[n - 1, n] = np.exp(1j * (levels[n] - levels[n - 1]) * phi)
-    e[d - 1, 0] = np.exp(1j * (levels[0] - levels[d - 1]) * phi)
+    f = spec.levels[:d]
+    e = np.diag(np.exp(1j * np.diff(f) * phi), 1)
+    e[d - 1, 0] = np.exp(1j * (f[0] - f[d - 1]) * phi)
     return e

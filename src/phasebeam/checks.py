@@ -192,15 +192,16 @@ def splitter_suite(seed: int = 0) -> list[CheckResult]:
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            for _ in range(20):
-                m = int(rng.integers(0, spec.dim))
-                phi = float(rng.uniform(0.0, 4.0 * pi))
-                params = SplitterParams(float(rng.uniform(0.0, 1.0)))
-                b = split_phase_state(spec, m, phi, params)
-                worst_state_norm = max(worst_state_norm, abs(b.norm() - 1.0))
-                rho_traced = reduced_density(b)
-                rho_direct = reduced_density_closed(spec, m, phi, params)
-                worst_rho = max(worst_rho, np.max(np.abs(rho_traced - rho_direct)))
+            # Drawn cell by cell, in the order of one call per (m, phi, r2).
+            draws = [(rng.integers(0, spec.dim), rng.uniform(0.0, 4.0 * pi),
+                      rng.uniform(0.0, 1.0)) for _ in range(20)]
+            m, phi, r2 = (np.array(a) for a in zip(*draws))
+            params = SplitterParams(r2)
+            b = split_phase_state(spec, m, phi, params)
+            worst_state_norm = max(worst_state_norm, np.max(np.abs(b.norm() - 1.0)))
+            rho_traced = reduced_density(b)
+            rho_direct = reduced_density_closed(spec, m, phi, params)
+            worst_rho = max(worst_rho, np.max(np.abs(rho_traced - rho_direct)))
     out.append(_result("splitter", "phase_state_norm", worst_state_norm, 1e-12))
     out.append(_result("splitter", "reduced_density_two_routes", worst_rho, 1e-12))
 
@@ -231,11 +232,11 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            closed, unfolded = (linear_entropy_closed(spec, phis, grid, folded=f).value
+            closed, unfolded = (linear_entropy_closed(spec, phis[:, None], grid, folded=f).value
                                 for f in (True, False))
             worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
-            labels = np.arange(spec.dim)[:, None]
-            rho = reduced_density(split_phase_state(spec, labels, phis, grid))
+            labels = np.arange(spec.dim)[:, None, None]
+            rho = reduced_density(split_phase_state(spec, labels, phis[:, None], grid))
             worst_routes = max(worst_routes, np.max(np.abs(
                 linear_entropy(rho).value - closed)))
     out.append(_result("entropy", "closed_vs_oracle", worst_routes, 1e-10))
@@ -254,9 +255,9 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     worst_swap = 0.0
     for family, kappa in FAMILIES:
         spec = build_structure(family, 3, kappa)
-        # Drawn pair by pair; the diagonal of one 10 x 10 call per side.
+        # Drawn pair by pair; one paired call of 10 cells per side.
         phi, r2 = np.array([rng.uniform((0.0, 0.0), (2.0 * pi, 1.0)) for _ in range(10)]).T
-        s_a, s_b = (linear_entropy_closed(spec, phi, SplitterParams(x)).value.diagonal()
+        s_a, s_b = (linear_entropy_closed(spec, phi, SplitterParams(x)).value
                     for x in (r2, 1.0 - r2))
         worst_swap = max(worst_swap, np.max(np.abs(s_a - s_b)))
     out.append(_result("entropy", "reflection_swap_symmetry", worst_swap, 1e-10))
@@ -266,12 +267,12 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     for family, kappa in FAMILIES:
         for two_s in (1, 2, 3):
             spec = build_structure(family, two_s, kappa)
-            vals = linear_entropy_closed(spec, np.array([0.0, pi / 2, pi]), coarse).value
+            vals = linear_entropy_closed(spec, np.array([0.0, pi / 2, pi])[:, None], coarse).value
             balanced_ok = balanced_ok and bool((np.argmax(vals, axis=-1) == 10).all())
     out.append(CheckResult("entropy", "balanced_splitter_maximum", balanced_ok,
                            "argmax over the 21-point r2 grid is 0.5"))
 
-    s = linear_entropy_closed(build_structure(Family.KAPPA_NEG, 1), phis, grid).value
+    s = linear_entropy_closed(build_structure(Family.KAPPA_NEG, 1), phis[:, None], grid).value
     worst_d2 = np.max(np.abs(s - r2s * (1.0 - r2s) / 2.0))
     out.append(_result("entropy", "qubit_analytic_form", worst_d2, 1e-12))
 

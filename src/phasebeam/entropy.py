@@ -24,7 +24,6 @@ from .errors import IndexOutOfRangeError, NumericalConsistencyError
 from .numerics import log_factorials
 from .splitter import (
     SplitterParams,
-    _label_axes,
     reduced_density,
     split_phase_state,
     validate_density,
@@ -125,11 +124,12 @@ def linear_entropy_closed(spec: StructureSpec, phi,
                           folded: bool = True) -> EntropyValue:
     """Closed-form linear entropy of the split phase state.
 
-    The result carries no dependence on the label m.  It has one entropy
-    per (phi, r2) cell, shape phi.shape + r2.shape.  With folded=True (the
-    default) the sum runs over the half-domain with cosine terms;
-    folded=False keeps the full complex sum, whose imaginary part must come
-    out <= 1e-12 in every cell, as a cross-check path.
+    The result carries no dependence on the label m.  phi and r2 broadcast
+    together, and it has one entropy per cell, shape
+    np.broadcast_shapes(phi, r2).  With folded=True (the default) the sum
+    runs over the half-domain with cosine terms; folded=False keeps the full
+    complex sum, whose imaginary part must come out <= 1e-12 in every cell,
+    as a cross-check path.
 
     With b[n, s] = sqrt(binom(s, n)) t^n r^(s-n) and Q_j[n, s] = b[n, s]
     b[n+j, s+j], the term magnitudes summed over n are G_j = Q_j^T Q_j.
@@ -164,7 +164,6 @@ def linear_entropy_closed(spec: StructureSpec, phi,
     pair_w = np.sign(gap) + 1 if folded else np.ones((d, d), int)
     slab_w = pair_w[0, abs(j), None, None]
     sides = side.tolist()
-    phi = _label_axes(phi, params)
 
     def block_sums(block: slice):
         """Real and imaginary sums over the terms of a run of slabs, per cell."""

@@ -87,7 +87,8 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
     """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
 
     Each 2s slice goes in near-square tiles of at most _BLOCK_ENTRIES // d^2
-    cells (at least one), each one reduced_density_closed call.
+    cells (at least one), each one reduced_density_closed call on a column
+    of phases against a row of r2, which broadcast to the tile.
     linear_entropy validates every rho and bounds every S, as on the
     single-point route.
     """
@@ -102,7 +103,7 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
         for c in range(0, len(r2_axis), cols):
             params = SplitterParams(r2_axis[c:c + cols])
             for r in range(0, len(phi_axis), rows):
-                rho = reduced_density_closed(spec, m, phi_axis[r:r + rows], params)
+                rho = reduced_density_closed(spec, m, phi_axis[r:r + rows, None], params)
                 out[i, r:r + rows, c:c + cols] = linear_entropy(rho).value
     return out
 

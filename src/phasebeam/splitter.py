@@ -29,17 +29,16 @@ from .phase_states import _root_powers, phase_state
 class SplitterParams:
     """Beam splitter keyed on the reflection probability r2 = r**2.
 
-    r2 is one probability, or a 1-D array of them for a row of splitters.
-    Every route takes either: its result has leading axes
-    label.shape + r2.shape, one per (label, r2) cell.
+    r2 is one probability or an array of them, of any shape.  Every route
+    broadcasts m, phi and r2 together by numpy's rule: its result has
+    leading axes np.broadcast_shapes(m, phi, r2), one per cell, so equal
+    shapes pair up and a product grid is spelled phi[:, None].
     """
 
     r2: float | np.ndarray
 
     def __post_init__(self) -> None:
         r2 = np.array(self.r2, dtype=float)
-        if r2.ndim > 1:
-            raise ValueError(f"r2 must be one value or a 1-D array, got {self.r2}")
         # NaN fails both comparisons, so it is refused too.
         if not ((0.0 <= r2) & (r2 <= 1.0)).all():
             raise ValueError(f"r2 must lie in [0, 1], got {self.r2}")
@@ -59,15 +58,6 @@ class SplitterParams:
     @property
     def r(self) -> float | np.ndarray:
         return np.sqrt(self.r2)
-
-
-def _label_axes(label, params: SplitterParams):
-    """A label (m or phi) with an axis of 1 per r2 axis, to broadcast to
-    label.shape + r2.shape; a scalar, such as an int m, is kept as it is."""
-    if np.ndim(label) == 0:
-        return label
-    label = np.asarray(label)
-    return label.reshape(label.shape + (1,) * np.ndim(params.r2))
 
 
 def tri_size(two_s: int) -> int:
@@ -177,11 +167,11 @@ def split_phase_state(spec: StructureSpec, m, phi,
 
     Each |n> (x) |0> of the phase state scatters on its own shell p + k = n,
     so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.  Arrays give
-    a stack of vectors, amp of shape label.shape + r2.shape + (tri_size,),
-    where m and phi broadcast to the label shape.
+    a stack of vectors: m, phi and r2 broadcast together, and amp has shape
+    np.broadcast_shapes(m, phi, r2) + (tri_size,).
     """
     shell, weights = _triangle_weights(spec.two_s, params)
-    state = phase_state(spec, _label_axes(m, params), _label_axes(phi, params))
+    state = phase_state(spec, m, phi)
     return BipartiteVector(spec.two_s, state[..., shell] * weights)
 
 
@@ -219,9 +209,9 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     reflected, zero where n + l > 2s; rho = c c^H, i.e.
     rho[n, n'] = sum_l c(n, l) conj(c(n', l)).
 
-    m and phi broadcast to the label shape; the result has shape
-    label.shape + r2.shape + (d, d), one rho per cell.  The phase factor is
-    formed once per label and the weight once per r2.
+    m, phi and r2 broadcast together; the result has shape
+    np.broadcast_shapes(m, phi, r2) + (d, d), one rho per cell.  The phase
+    factor is formed once per (m, phi) and the weight once per r2.
     """
     d = spec.dim
     k = np.arange(d)
@@ -234,8 +224,7 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     expo = half_lgf[total] + log_t[..., :, None] + log_r[..., None, :]
     weight = np.exp(np.where(inside, expo, -np.inf)) * ipow(k) / sqrt(d)
     # q^{mk} e^{-i F(k) phi} for k = n + l
-    amp = (_root_powers(_label_axes(m, params), d)
-           * np.exp(-1j * np.multiply.outer(_label_axes(phi, params), spec.levels[:d])))
+    amp = _root_powers(m, d) * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d]))
     c = weight * amp[..., total]
     return c @ c.conj().swapaxes(-1, -2)
 

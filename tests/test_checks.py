@@ -1,4 +1,4 @@
-"""The batched check suites against their one-label-at-a-time loops."""
+"""The batched check suites against their one-cell-at-a-time loops."""
 
 from math import pi, sqrt
 
@@ -18,9 +18,11 @@ from phasebeam import (
     overlap_direct,
     phase_state,
     reduced_density,
+    reduced_density_closed,
+    split_number_state,
     split_phase_state,
 )
-from phasebeam.checks import FAMILIES, entropy_suite, phase_suite
+from phasebeam.checks import FAMILIES, entropy_suite, phase_suite, splitter_suite
 
 
 def _phase_suite_loop(seed):
@@ -74,9 +76,9 @@ def _entropy_suite_loop(seed):
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            closed = linear_entropy_closed(spec, phis, grid).value
+            closed = linear_entropy_closed(spec, phis[:, None], grid).value
             for m in range(spec.dim):
-                rho = reduced_density(split_phase_state(spec, m, phis, grid))
+                rho = reduced_density(split_phase_state(spec, m, phis[:, None], grid))
                 worst["closed_vs_oracle"] = max(worst["closed_vs_oracle"], np.max(np.abs(
                     linear_entropy(rho).value - closed)))
     for two_s in range(1, 7):
@@ -99,6 +101,35 @@ def _entropy_suite_loop(seed):
     return worst
 
 
+def _splitter_suite_loop(seed):
+    """The splitter suite's seeded checks with one split, one partial trace
+    and one closed-form rho per (m, phi, r2) draw."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(("number_state_norm", "transmit_reflect_mirror",
+                           "phase_state_norm", "reduced_density_two_routes"), 0.0)
+    for n in range(0, 21):
+        r2 = float(rng.uniform(0.0, 1.0))
+        b = split_number_state(n, SplitterParams(r2))
+        worst["number_state_norm"] = max(worst["number_state_norm"], abs(b.norm() - 1.0))
+        b_swapped = split_number_state(n, SplitterParams(1.0 - r2))
+        for p in range(n + 1):
+            worst["transmit_reflect_mirror"] = max(worst["transmit_reflect_mirror"], abs(
+                abs(b.get(p, n - p)) - abs(b_swapped.get(n - p, p))))
+    for family, kappa in FAMILIES:
+        for two_s in range(1, 9):
+            spec = build_structure(family, two_s, kappa)
+            for _ in range(20):
+                m = int(rng.integers(0, spec.dim))
+                phi = float(rng.uniform(0.0, 4.0 * pi))
+                params = SplitterParams(float(rng.uniform(0.0, 1.0)))
+                b = split_phase_state(spec, m, phi, params)
+                worst["phase_state_norm"] = max(worst["phase_state_norm"], abs(b.norm() - 1.0))
+                worst["reduced_density_two_routes"] = max(
+                    worst["reduced_density_two_routes"], np.max(np.abs(
+                        reduced_density(b) - reduced_density_closed(spec, m, phi, params))))
+    return worst
+
+
 def _deviation(result):
     """The max deviation a check prints, as a float."""
     return float(result.detail.split()[2])
@@ -117,5 +148,13 @@ def test_phase_suite_matches_loop(seed):
 def test_entropy_suite_matches_loop(seed):
     reference = _entropy_suite_loop(seed)
     got = {r.name: r for r in entropy_suite(seed)}
+    for name, worst in reference.items():
+        assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_splitter_suite_matches_loop(seed):
+    reference = _splitter_suite_loop(seed)
+    got = {r.name: r for r in splitter_suite(seed)}
     for name, worst in reference.items():
         assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)

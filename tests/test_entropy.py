@@ -2,6 +2,9 @@ from math import exp, fsum, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from phasebeam import (
     BipartiteVector,
@@ -240,7 +243,7 @@ class TestLinearEntropyClosed:
         for folded in (True, False):
             reference = _closed_loop_reference(two_s, folded=folded)
             for spec in specs:
-                grid = linear_entropy_closed(spec, np.array(phis), SplitterParams(r2s),
+                grid = linear_entropy_closed(spec, np.array(phis)[:, None], SplitterParams(r2s),
                                              folded=folded).value
                 assert grid.shape == (4, 4)
                 wants, imags = reference(spec, phis, r2s)
@@ -390,20 +393,31 @@ def _stack_specs():
 
 
 class TestPhaseStacks:
-    """Arrays of phases and of r2 give the per-cell results on their leading axes."""
+    """m, phi and r2 broadcast together; each cell is its scalar call."""
 
     PHIS = np.array([[0.0, 0.7, pi], [2.5, 4.0, 11.0]])
     PARAMS = SplitterParams(0.3)
-    # phi of shape (), (4,) and (2, 3); r2 of shape () and (5,)
-    PHI_CASES = (1.9, np.array([0.0, 0.7, pi, 11.0]), PHIS)
-    R2_CASES = (0.3, np.array([0.0, 0.3, 0.5, 0.8, 1.0]))
+    PHI4 = np.array([0.0, 0.7, pi, 11.0])
+    R2_4 = np.array([0.0, 0.5, 0.8, 1.0])
+    R2_5 = np.array([0.0, 0.3, 0.5, 0.8, 1.0])
+    # (phi, r2): scalars, a phase row, a splitter row, a paired row, the
+    # (4, 5) product, a paired 2-D grid and a row against a 2-D r2
+    CELL_CASES = ((1.9, 0.3), (PHI4, 0.3), (1.9, R2_5), (PHI4, R2_4),
+                  (PHI4[:, None], R2_5), (PHIS, PHIS / 11.0), (PHIS[0], PHIS / 11.0))
+
+    @staticmethod
+    def _cells(*args):
+        """The broadcast shape of args and, per cell, its index and scalars."""
+        shape = np.broadcast_shapes(*map(np.shape, args))
+        arrays = np.broadcast_arrays(*args)
+        return shape, [(i, [a[i].item() for a in arrays]) for i in np.ndindex(shape)]
 
     @pytest.mark.parametrize(
         "spec", list(_stack_specs()),
         ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
     def test_stack_matches_per_phase(self, spec):
         labels = sorted({0, 1, spec.two_s})
-        for r2 in self.R2_CASES:
+        for r2 in (0.3, self.R2_5, self.PHIS / 11.0):
             params = SplitterParams(r2)
             for n in labels:
                 b = split_number_state(n, params, spec.two_s)
@@ -412,52 +426,49 @@ class TestPhaseStacks:
                     one = split_number_state(n, SplitterParams(float(np.asarray(r2)[j])),
                                              spec.two_s)
                     assert np.max(np.abs(b.amp[j] - one.amp)) <= 1e-15
-            for phis in self.PHI_CASES:
-                shape = np.shape(phis) + np.shape(r2)
-                for m in labels:
-                    b = split_phase_state(spec, m, phis, params)
-                    rho = reduced_density(b)
-                    s = np.asarray(linear_entropy(rho).value)
-                    assert b.amp.shape == shape + (tri_size(spec.two_s),)
-                    assert rho.shape == shape + (spec.dim, spec.dim)
-                    assert s.shape == shape
-                    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
-                    for i in np.ndindex(np.shape(phis)):
-                        for j in np.ndindex(np.shape(r2)):
-                            one = split_phase_state(
-                                spec, m, float(np.asarray(phis)[i]),
-                                SplitterParams(float(np.asarray(r2)[j])))
-                            rho_one = reduced_density(one)
-                            assert np.max(np.abs(b.amp[i + j] - one.amp)) <= 1e-15
-                            assert np.max(np.abs(rho[i + j] - rho_one)) <= 1e-15
-                            assert abs(s[i + j] - linear_entropy(rho_one).value) <= 1e-15
+        for phis, r2 in self.CELL_CASES:
+            shape, cells = self._cells(phis, r2)
+            for m in labels:
+                b = split_phase_state(spec, m, phis, SplitterParams(r2))
+                rho = reduced_density(b)
+                s = np.asarray(linear_entropy(rho).value)
+                assert b.amp.shape == shape + (tri_size(spec.two_s),)
+                assert rho.shape == shape + (spec.dim, spec.dim)
+                assert s.shape == shape
+                assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+                for i, (phi, r2_one) in cells:
+                    one = split_phase_state(spec, m, phi, SplitterParams(r2_one))
+                    rho_one = reduced_density(one)
+                    assert np.max(np.abs(b.amp[i] - one.amp)) <= 1e-15
+                    assert np.max(np.abs(rho[i] - rho_one)) <= 1e-15
+                    assert abs(s[i] - linear_entropy(rho_one).value) <= 1e-15
 
     @pytest.mark.parametrize(
         "spec", list(_stack_specs()),
         ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
     def test_label_axis_matches_scalar_calls(self, spec):
-        # m of shape (), (3,) and (3, 1) against phi of shape () and (4,)
+        # m of shape (), (3,) and (3, 1), phi of shape () and (4,), r2 of
+        # shape (), (4,), (5,) and (3, 1): paired, product, 2-D and refused
         m_cases = (2, np.array([0, 1, 5]), np.array([[0], [4], [-7]]))
+        r2_cases = (0.3, self.R2_4, self.R2_5, np.array([[0.1], [0.5], [1.0]]))
         routes = (lambda *a: split_phase_state(*a).amp, reduced_density_closed)
-        for r2 in self.R2_CASES:
+        for r2 in r2_cases:
             params = SplitterParams(r2)
             for m in m_cases:
-                for phis in self.PHI_CASES[:2]:
-                    if np.ndim(m) == 1 and np.ndim(phis) == 1:
-                        for route in routes:  # (3,) and (4,) do not broadcast
+                for phis in (1.9, self.PHI4):
+                    try:
+                        shape, cells = self._cells(m, phis, r2)
+                    except ValueError:
+                        for route in routes:
                             with pytest.raises(ValueError):
                                 route(spec, m, phis, params)
                         continue
-                    label = np.broadcast_shapes(np.shape(m), np.shape(phis))
-                    ms, ps = np.broadcast_arrays(m, phis)
                     for route in routes:
                         got = route(spec, m, phis, params)
-                        assert got.shape[:len(label) + np.ndim(r2)] == label + np.shape(r2)
-                        for i in np.ndindex(label):
-                            for j in np.ndindex(np.shape(r2)):
-                                one = route(spec, int(ms[i]), float(ps[i]),
-                                            SplitterParams(float(np.asarray(r2)[j])))
-                                assert np.array_equal(got[i + j], one)
+                        assert got.shape[:len(shape)] == shape
+                        for i, (m_one, phi, r2_one) in cells:
+                            one = route(spec, m_one, phi, SplitterParams(r2_one))
+                            assert np.array_equal(got[i], one)
 
     @pytest.mark.parametrize(
         "spec", list(_stack_specs()),
@@ -465,17 +476,48 @@ class TestPhaseStacks:
     def test_closed_form_cells_equal_scalar_calls(self, spec):
         # every cell of an array call is its scalar call, to the bit
         for folded in (True, False):
-            for r2 in self.R2_CASES:
-                for phis in self.PHI_CASES:
-                    got = linear_entropy_closed(spec, phis, SplitterParams(r2),
-                                                folded=folded).value
-                    assert np.shape(got) == np.shape(phis) + np.shape(r2)
-                    for i in np.ndindex(np.shape(phis)):
-                        for j in np.ndindex(np.shape(r2)):
-                            one = linear_entropy_closed(
-                                spec, float(np.asarray(phis)[i]),
-                                SplitterParams(float(np.asarray(r2)[j])), folded=folded)
-                            assert np.asarray(got)[i + j] == one.value
+            for phis, r2 in self.CELL_CASES:
+                got = linear_entropy_closed(spec, phis, SplitterParams(r2),
+                                            folded=folded).value
+                shape, cells = self._cells(phis, r2)
+                assert np.shape(got) == shape
+                for i, (phi, r2_one) in cells:
+                    one = linear_entropy_closed(spec, phi, SplitterParams(r2_one),
+                                                folded=folded)
+                    assert np.asarray(got)[i] == one.value
+            with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
+                linear_entropy_closed(spec, self.PHI4, SplitterParams(self.R2_5),
+                                      folded=folded)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), two_s=st.sampled_from((1, 2, 5)),
+           shapes=mutually_broadcastable_shapes(num_shapes=3, max_dims=2, max_side=3))
+    def test_broadcast_cells_equal_scalar_calls(self, data, two_s, shapes):
+        m_shape, phi_shape, r2_shape = shapes.input_shapes
+        m = data.draw(arrays(np.int64, m_shape, elements=st.integers(-20, 20)))
+        phi = data.draw(arrays(float, phi_shape, elements=st.floats(-20.0, 20.0)))
+        r2 = data.draw(arrays(float, r2_shape, elements=st.floats(0.0, 1.0)))
+        spec = build_structure(Family.KAPPA_POS, two_s, 0.7)
+        params = SplitterParams(r2)
+        shape, cells = self._cells(m, phi, r2)
+        assert shape == shapes.result_shape
+
+        def routes(m, phi, params):
+            b = split_phase_state(spec, m, phi, params)
+            rho = reduced_density(b)
+            return (b.amp, rho, reduced_density_closed(spec, m, phi, params),
+                    linear_entropy(rho).value)
+
+        got = routes(m, phi, params)
+        closed = linear_entropy_closed(spec, phi, params).value
+        assert [np.shape(g)[:len(shape)] for g in got] == [shape] * 4
+        assert np.shape(closed) == np.broadcast_shapes(phi_shape, r2_shape)
+        closed = np.broadcast_to(closed, shape)  # S does not depend on m
+        for i, (m_one, phi_one, r2_one) in cells:
+            one_params = SplitterParams(r2_one)
+            for g, one in zip(got, routes(m_one, phi_one, one_params)):
+                assert np.array_equal(np.asarray(g)[i], one)
+            assert closed[i] == linear_entropy_closed(spec, phi_one, one_params).value
 
     def test_scalar_return_types(self):
         spec = build_structure(Family.KAPPA_NEG, 3)

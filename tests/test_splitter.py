@@ -89,9 +89,10 @@ class TestSplitterParams:
         assert not params.r2.flags.writeable
         assert np.array_equal(params.t, [sqrt(1.0 - v) for v in r2])
         assert np.array_equal(params.r, [sqrt(v) for v in r2])
-        for bad in ([0.2, 1.5], [0.2, np.nan], [[0.5]]):
+        for bad in ([0.2, 1.5], [0.2, np.nan], [[0.5, -0.1]]):
             with pytest.raises(ValueError):
                 SplitterParams(bad)
+        assert SplitterParams([[0.5]]).r2.shape == (1, 1)  # any shape
 
     def test_row_accepted_by_every_route(self):
         from phasebeam import linear_entropy_closed
@@ -101,8 +102,14 @@ class TestSplitterParams:
         assert split_number_state(2, params).amp.shape == (2, tri_size(2))
         assert split_phase_state(spec, 0, 0.3, params).amp.shape == (2, tri_size(2))
         assert linear_entropy_closed(spec, 0.3, params).value.shape == (2,)
-        with pytest.raises(ValueError, match="1-D"):
-            SplitterParams([[0.2, 0.5]])
+        # a 2-D r2 broadcasts with m and phi like any other argument
+        square = SplitterParams([[0.2, 0.5], [0.1, 0.9]])
+        assert split_number_state(2, square).amp.shape == (2, 2, tri_size(2))
+        assert split_phase_state(spec, [[0], [2]], 0.3, square).amp.shape == (2, 2, tri_size(2))
+        assert reduced_density_closed(spec, 0, [0.3, 0.4], square).shape == (2, 2, 3, 3)
+        assert linear_entropy_closed(spec, [0.3, 0.4], square).value.shape == (2, 2)
+        with pytest.raises(ValueError):  # (3,) and (2,) do not broadcast
+            linear_entropy_closed(spec, [0.3, 0.4, 0.5], params)
 
 
 class TestTriangularLayout:
@@ -371,19 +378,26 @@ class TestReducedDensityClosed:
             assert rho[0, 0] == pytest.approx(1.0 / spec.dim, abs=1e-13)
 
     def test_r2_axis_matches_scalar_calls_bitwise(self):
-        r2s = [0.0, 0.1, 0.5, 0.77, 1.0]
+        r2s = np.array([0.0, 0.1, 0.5, 0.77, 1.0])
         phis = np.linspace(0.0, 2 * pi, 5)
+        # the (phi, r2) product, a paired row, a paired (1, 5) row against a
+        # 2-D r2 column, and one phase against a row of splitters
+        cases = ((phis[:, None], r2s), (phis, r2s), (phis.reshape(1, 5), r2s[:, None]),
+                 (0.9, r2s))
         for family, kappa in FAMILIES:
             for two_s in (1, 2, 7, 40):
                 spec = build_structure(family, two_s, kappa)
-                for phi in (phis, phis.reshape(1, 5), 0.9):
-                    row = reduced_density_closed(spec, 3, phi, SplitterParams(r2s))
-                    assert row.shape == np.shape(phi) + (5, spec.dim, spec.dim)
+                for phi, r2 in cases:
+                    row = reduced_density_closed(spec, 3, phi, SplitterParams(r2))
+                    shape = np.broadcast_shapes(np.shape(phi), r2.shape)
+                    assert row.shape == shape + (spec.dim, spec.dim)
                     assert row.dtype == complex
-                    for j, r2 in enumerate(r2s):
-                        one = reduced_density_closed(spec, 3, phi, SplitterParams(r2))
-                        assert one.shape == np.shape(phi) + (spec.dim, spec.dim)
-                        assert np.array_equal(row[..., j, :, :], one)
+                    phi_b, r2_b = np.broadcast_arrays(phi, r2)
+                    for i in np.ndindex(shape):
+                        one = reduced_density_closed(spec, 3, float(phi_b[i]),
+                                                     SplitterParams(float(r2_b[i])))
+                        assert one.shape == (spec.dim, spec.dim)
+                        assert np.array_equal(row[i], one)
 
     def test_transmitting_row_moduli(self):
         # at r2 = 0 the only l = 0 column survives: rho[n, n] = |c(n, 0)|^2
