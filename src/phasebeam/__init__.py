@@ -23,6 +23,7 @@ from .entropy import (
     MIndependenceReport,
     linear_entropy,
     linear_entropy_closed,
+    linear_entropy_spectral,
     m_independence_report,
     phase_term,
 )
@@ -34,6 +35,7 @@ from .errors import (
     InvalidStructureError,
     MissingKappaError,
     NonPositiveLevelError,
+    NonQuadraticLevelsError,
     NotNormalizedError,
     NumericalConsistencyError,
     PhasebeamError,
@@ -104,6 +106,7 @@ __all__ = [
     "MIndependenceReport",
     "linear_entropy",
     "linear_entropy_closed",
+    "linear_entropy_spectral",
     "phase_term",
     "m_independence_report",
     "Axis",
@@ -116,6 +119,7 @@ __all__ = [
     "InvalidDimensionError",
     "InvalidStructureError",
     "NonPositiveLevelError",
+    "NonQuadraticLevelsError",
     "TraceNotZeroError",
     "MissingKappaError",
     "DimensionMismatchError",

@@ -21,7 +21,12 @@ from .algebra import (
     phase_operator,
     structure_from_spacings,
 )
-from .entropy import linear_entropy, linear_entropy_closed, m_independence_report
+from .entropy import (
+    linear_entropy,
+    linear_entropy_closed,
+    linear_entropy_spectral,
+    m_independence_report,
+)
 from .numerics import ipow
 from .phase_states import (
     apply_phase_operator,
@@ -237,8 +242,9 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
             worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
             labels = np.arange(spec.dim)[:, None, None]
             rho = reduced_density(split_phase_state(spec, labels, phis[:, None], grid))
+            spectral = linear_entropy_spectral(spec, phis[:, None], grid).value
             worst_routes = max(worst_routes, np.max(np.abs(
-                linear_entropy(rho).value - closed)))
+                linear_entropy(rho).value - closed)), np.max(np.abs(spectral - closed)))
     out.append(_result("entropy", "closed_vs_oracle", worst_routes, 1e-10))
     out.append(_result("entropy", "folded_vs_unfolded", worst_fold, 1e-12))
 

@@ -1,6 +1,6 @@
 """Linear entropy S = 1 - Tr(rho^2) of the beam splitter output.
 
-Two routes are provided.  The oracle route squares an explicit reduced
+Three routes are provided.  The oracle route squares an explicit reduced
 density matrix.  The closed-form route evaluates the quadruple sum over
 (n, n', l, l') whose terms carry the angle
     [F(n+l) + F(n'+l') - F(n'+l) - F(n+l')] * phi.
@@ -9,6 +9,10 @@ alone, and the magnitudes summed over n form one Gram matrix per j, from
 real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
 folded onto j >= 0, s <= s' with one cosine per (j, s, s'), in blocks of
 whole j slabs; numpy sums each block and math.fsum combines the block sums.
+The spectral route serves the quadratic tables F(n) = n(1 + kappa(n-1)) of
+every built-in family, where that angle is 2 kappa k phi with the integer
+k = j (s' - s): it bins the same Gram entries by k into a table W_k(r2),
+once per r2, and S = 1 - sum_k W_k cos(2 kappa k phi) / d^2 per phase.
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ from math import fsum, inf
 import numpy as np
 
 from .algebra import StructureSpec
-from .errors import IndexOutOfRangeError, NumericalConsistencyError
+from .errors import (
+    IndexOutOfRangeError,
+    NonQuadraticLevelsError,
+    NumericalConsistencyError,
+)
 from .numerics import log_factorials
 from .splitter import (
     SplitterParams,
@@ -31,6 +39,7 @@ from .splitter import (
 
 ORACLE = "oracle"
 CLOSED_FORM = "closed"
+SPECTRAL = "spectral"
 
 # Excursions beyond [0, 1] by at most this much are roundoff and get
 # clamped; anything larger is a genuine inconsistency and is refused.
@@ -40,6 +49,14 @@ CLAMP_TOL = 1e-10
 # At 2s = 40 on a 2-core x86 host, 2^11 ran as fast as 2^12 and 2^13 and
 # kept the peak traced memory of one call at 0.3 MB (0.9 MB at 2^13).
 _BLOCK_TERMS = 1 << 11
+
+# The spectral route takes F(0..2s) as n(1 + kappa(n-1)) when they agree
+# this closely, relative to max |F|.
+QUADRATIC_TOL = 1e-14
+# Every column of a spectral table's binomial pmf must sum to 1 this closely;
+# the largest deviations measured were 5.6e-14 at 2s = 80 (101 r2 values)
+# and 7.4e-13 at 511 (2001 r2 values).
+PMF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,6 +136,75 @@ def phase_term(spec: StructureSpec, n: int, n2: int, l: int, l2: int,
                  - levels[n2 + l] - levels[n + l2]) * phi
 
 
+def _binomial_pmf(spec: StructureSpec, params: SplitterParams) -> np.ndarray:
+    """pmf[..., n, s] = binom(s, n) t2^n r2^(s-n), zero for n > s, after any r2 axes.
+
+    Column s is the binomial distribution of the n of s photons transmitted.
+    """
+    d = spec.dim
+    # ln(k!) for k < d, then +inf: a negative index s - n lands there.
+    lgf = np.array(log_factorials(spec.two_s) + [inf] * d)
+    k = np.arange(d)
+    col = k[:, None]
+    gap = k - col
+    t2_pow, r2_pow = np.power.outer((params.t2, params.r2), k)
+    return np.exp(lgf[:d] - lgf[col] - lgf[gap]) * t2_pow[..., col] * r2_pow[..., gap]
+
+
+def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, levels: np.ndarray, *,
+                folded: bool = True):
+    """Yield, per block of whole j slabs, the weighted Gram entries and their gaps.
+
+    With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
+    term magnitudes summed over n are G_j = Q_j^T Q_j.  Slab j holds
+    s, s' = lo_j + u, u < side_j = d - |j|, lo_j = max(0, -j): folded,
+    j >= 0 and s <= s' with fold weight w = 2 - [j == 0] times 2 - [s == s'];
+    unfolded, every j and the whole square with w = 1.  A block holds whole
+    slabs, about _BLOCK_TERMS square entries per cell.  Each item is
+    (w G_j[s, s'], gap): the entries with the cells of pmf leading and one
+    axis of terms, and per term the gap (L(s) - L(s+j)) - (L(s') - L(s'+j))
+    of the table levels = L(0..2s+1), exactly 0 where j == 0 or s == s'.
+    """
+    d = spec.dim
+    k = np.arange(d)
+    # b[..., n, s], zero for n > s and in the padding.
+    b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
+    b[..., :d, :d] = np.sqrt(pmf)
+    rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
+    win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
+                     strides=b.strides[:-2] + (rs + cs, rs, cs))
+    j = np.arange(0 if folded else -spec.two_s, d)
+    side = d - abs(j)
+    lo = np.maximum(-j, 0)
+    hi = lo + j
+    inside = np.greater.outer(side, k)
+    # L(s) - L(s + j) at s = lo_j + u; clipped indices lie outside the domain.
+    edge = (levels.take(np.add.outer(lo, k), mode="clip")
+            - levels.take(np.add.outer(hi, k), mode="clip"))
+    # Fold weights, powers of two: 2 - [s == s'] for s <= s' (0 below), and
+    # 2 for j > 0, which is row 0 of pair_w; all 1 unfolded.
+    pair_w = np.sign(k - k[:, None]) + 1 if folded else np.ones((d, d), int)
+    slab_w = pair_w[0, abs(j), None, None]
+    sides = side.tolist()
+    # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
+    starts = list(accumulate((m * m for m in sides), initial=0))
+    for _, run in groupby(range(j.size), lambda i: starts[i] // _BLOCK_TERMS):
+        run = list(run)
+        block = slice(run[0], run[-1] + 1)
+        m = max(sides[block])
+        q = win[..., lo[block], :m, :m] * win[..., hi[block], :m, :m]
+        # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
+        gram = np.matmul(q.swapaxes(-1, -2) * slab_w[block], q)
+        ok = inside[block, :m]
+        weight = pair_w[:m, :m] * ok[:, None, :]
+        if not folded:
+            weight *= ok[:, :, None]
+        terms = weight.ravel().nonzero()[0]
+        mag = (gram * weight).reshape(gram.shape[:-3] + (-1,)).take(terms, axis=-1)
+        e = edge[block, :m]
+        yield mag, (e[:, :, None] - e[:, None, :]).take(terms)
+
+
 def linear_entropy_closed(spec: StructureSpec, phi,
                           params: SplitterParams, *,
                           folded: bool = True) -> EntropyValue:
@@ -131,68 +217,105 @@ def linear_entropy_closed(spec: StructureSpec, phi,
     complex sum, whose imaginary part must come out <= 1e-12 in every cell,
     as a cross-check path.
 
-    With b[n, s] = sqrt(binom(s, n)) t^n r^(s-n) and Q_j[n, s] = b[n, s]
-    b[n+j, s+j], the term magnitudes summed over n are G_j = Q_j^T Q_j.
-    Slab j holds s, s' = lo_j + u, u < side_j = d - |j|, lo_j = max(0, -j):
-    folded, j >= 0 and s <= s'; unfolded, every j and the whole square.  A
-    block holds whole slabs, about _BLOCK_TERMS square entries per cell.
+    Each block of _gram_slabs gives its terms w G_j[s, s'] the angle
+    phi [(F(s) - F(s+j)) - (F(s') - F(s'+j))]; numpy sums each block per
+    cell and math.fsum combines the block sums.
     """
     d = spec.dim
-    # ln(k!) for k < d, then +inf: a negative index s - n lands there.
-    lgf = np.array(log_factorials(spec.two_s) + [inf] * d)
-    k = np.arange(d)
-    col = k[:, None]
-    gap = k - col
-    # b[..., n, s] = sqrt(binom(s, n) t2^n r2^(s-n)), zero for n > s and in the padding.
-    t2_pow, r2_pow = np.power.outer((params.t2, params.r2), k)
-    pmf = np.exp(lgf[:d] - lgf[col] - lgf[gap]) * t2_pow[..., col] * r2_pow[..., gap]
-    b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
-    b[..., :d, :d] = np.sqrt(pmf)
-    rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
-    win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
-                     strides=b.strides[:-2] + (rs + cs, rs, cs))
-    j = np.arange(0 if folded else -spec.two_s, d)
-    side = d - abs(j)
-    lo = np.maximum(-j, 0)
-    hi = lo + j
-    inside = np.greater.outer(side, k)
-    # F(s) - F(s + j) at s = lo_j + u; clipped indices lie outside the domain.
-    edge = (spec.levels.take(np.add.outer(lo, k), mode="clip")
-            - spec.levels.take(np.add.outer(hi, k), mode="clip"))
-    # Fold weights, powers of two: 2 - [s == s'] for s <= s' (0 below), and
-    # 2 for j > 0, which is row 0 of pair_w; all 1 unfolded.
-    pair_w = np.sign(gap) + 1 if folded else np.ones((d, d), int)
-    slab_w = pair_w[0, abs(j), None, None]
-    sides = side.tolist()
-
-    def block_sums(block: slice):
-        """Real and imaginary sums over the terms of a run of slabs, per cell."""
-        m = max(sides[block])
-        q = win[..., lo[block], :m, :m] * win[..., hi[block], :m, :m]
-        # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
-        gram = np.matmul(q.swapaxes(-1, -2) * slab_w[block], q)
-        ok = inside[block, :m]
-        weight = pair_w[:m, :m] * ok[:, None, :]
+    re, im = [], []
+    pmf = _binomial_pmf(spec, params)
+    for mag, gap in _gram_slabs(spec, pmf, spec.levels, folded=folded):
+        angle = np.multiply.outer(phi, gap)
+        re.append((mag * np.cos(angle)).sum(axis=-1))
         if not folded:
-            weight *= ok[:, :, None]
-        terms = weight.ravel().nonzero()[0]
-        mag = (gram * weight).reshape(gram.shape[:-3] + (-1,)).take(terms, axis=-1)
-        e = edge[block, :m]
-        # Exactly x - x = 0 where j == 0 or s == s'.
-        angle = np.multiply.outer(phi, (e[:, :, None] - e[:, None, :]).take(terms))
-        im = 0.0 if folded else -(mag * np.sin(angle)).sum(axis=-1)
-        return (mag * np.cos(angle)).sum(axis=-1), im
-
-    # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
-    starts = list(accumulate((m * m for m in sides), initial=0))
-    runs = [list(g) for _, g in groupby(range(j.size), lambda i: starts[i] // _BLOCK_TERMS)]
-    re, im = zip(*(block_sums(slice(r[0], r[-1] + 1)) for r in runs))
+            im.append(-(mag * np.sin(angle)).sum(axis=-1))
     total = _fsum_blocks(re) / (d * d)
     residual = 0.0 if folded else np.abs(_fsum_blocks(im)).max() / (d * d)
     if residual > 1e-12:
         raise NumericalConsistencyError(
             f"imaginary residual {residual} in the unfolded sum")
     return EntropyValue(1.0 - total, CLOSED_FORM, d)
+
+
+@dataclass(frozen=True, eq=False)
+class _SpectralTable:
+    """S = 1 - sum_k weights[..., k] cos(rates[k] phi) / dim^2 for the cells of r2.
+
+    rates holds 2 kappa k for each distinct k, weights one row per r2 cell.
+    """
+
+    rates: np.ndarray
+    weights: np.ndarray
+    dim: int
+
+    def entropy(self, phi) -> EntropyValue:
+        """One entropy per cell of np.broadcast_shapes(phi, r2).
+
+        The contraction is an elementwise product summed over k, so every
+        cell of an array call equals its scalar call to the bit.
+        """
+        cos = np.cos(np.multiply.outer(phi, self.rates))
+        purity = (self.weights * cos).sum(axis=-1) / (self.dim * self.dim)
+        return EntropyValue(1.0 - purity, SPECTRAL, self.dim)
+
+
+def _quadratic_kappa(spec: StructureSpec) -> float:
+    """spec.kappa (0 where it has none), once F(0..2s) fit n(1 + kappa(n-1)).
+
+    F(2s+1) = 0 is the truncation and takes no part in the fit.
+    """
+    kappa = spec.kappa or 0.0
+    levels = spec.levels[:spec.dim]
+    n = np.arange(spec.dim, dtype=float)
+    dev = np.abs(levels - n * (1.0 + kappa * (n - 1.0))).max()
+    if not dev <= QUADRATIC_TOL * np.abs(levels).max():
+        raise NonQuadraticLevelsError(
+            f"{spec.family.value} levels are off n(1 + kappa(n-1)) at kappa = "
+            f"{kappa} by {dev}; the spectral route needs that form")
+    return kappa
+
+
+def _spectral_table(spec: StructureSpec, params: SplitterParams) -> _SpectralTable:
+    """The closed form's Gram entries binned by k = j (s' - s), one row per r2 cell.
+
+    With F(n) = n(1 + kappa(n-1)) the angle of the term (j, s, s') is
+    2 kappa k phi, so S = 1 - sum_k W_k cos(2 kappa k phi) / d^2, where W_k
+    sums w G_j[s, s'] over the terms with that k, 0 <= k <= (2s)^2 / 4.
+    np.bincount sums each block's entries per (r2 cell, k) in term order, and
+    the block sums are added into W in block order.
+    """
+    kappa = _quadratic_kappa(spec)
+    pmf = _binomial_pmf(spec, params)
+    dev = np.abs(pmf.sum(axis=-2) - 1.0).max()
+    if not dev <= PMF_TOL:
+        raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
+    cells = pmf.shape[:-2]
+    width = spec.two_s**2 // 4 + 1
+    # Bin k of the c-th r2 cell (row-major) is c * width + k.
+    first = np.arange(0, pmf[..., 0, 0].size * width, width)[:, None]
+    table = np.zeros(first.size * width)
+    seen = np.zeros(width, dtype=bool)
+    # The gap of L(n) = n(n-1)/2, exact in integers, is k itself.
+    n = np.arange(spec.dim + 1)
+    for mag, key in _gram_slabs(spec, pmf, n * (n - 1) // 2):
+        table += np.bincount((first + key).ravel(), mag.ravel(), table.size)
+        seen[key] = True
+    keys = seen.nonzero()[0]
+    weights = table.reshape(cells + (width,)).take(keys, axis=-1)
+    return _SpectralTable(2.0 * kappa * keys, weights, spec.dim)
+
+
+def linear_entropy_spectral(spec: StructureSpec, phi,
+                            params: SplitterParams) -> EntropyValue:
+    """Linear entropy from the spectral table, for quadratic level tables.
+
+    Same axis contract as linear_entropy_closed: one entropy per cell of
+    np.broadcast_shapes(phi, r2), each cell equal to its scalar call to the
+    bit.  The built-in families all qualify (Pegg-Barnett has kappa = 0);
+    a table that does not fit n(1 + kappa(n-1)) within QUADRATIC_TOL raises
+    NonQuadraticLevelsError, and linear_entropy_closed takes it instead.
+    """
+    return _spectral_table(spec, params).entropy(phi)
 
 
 def _fsum_blocks(sums) -> np.ndarray:

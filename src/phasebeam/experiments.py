@@ -4,11 +4,20 @@ All sweeps default to the concave level table F(n) = n(2s+1-n)/(2s) (the
 kappa-neg family) and m = 0 (the entropy does not depend on m).  The three
 sweep_* functions and the CLI's sweep build their tables with one builder,
 which differs between them only in the axes it names.  It makes one call
-of the grid evaluator, which for each 2s covers the (phi, r2) plane with
-tiles, and for each tile assembles one stack of rho from the transmission
-coefficients, validates every matrix and takes S = 1 - Tr(rho^2), all in
-one process.  The serial keyword is accepted for compatibility and changes
-nothing.
+of the grid evaluator, which takes each 2s slice of the (phi, r2) plane by
+one of two routes, chosen from the slice's size:
+
+- spectral tables, where a slice has many phases per r2 value.  Every
+  family a sweep takes has quadratic levels, so one table per tile of r2
+  values gives S = 1 - sum_k W_k(r2) cos(2 kappa k phi) / d^2, contracted
+  with tiles of phases.  A table costs about d^4/4 multiply-adds per r2
+  value, each phase then about d^2/4 cosines.
+- one rho per cell otherwise: tiles of cells, each assembled from the
+  transmission coefficients, validated, and S = 1 - Tr(rho^2), about d^3
+  multiply-adds per cell.
+
+Every S is bounded as on the single-point routes, all in one process.  The
+serial keyword is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from math import isqrt
 import numpy as np
 
 from .algebra import Family, build_structure
-from .entropy import linear_entropy
+from .entropy import _spectral_table, linear_entropy
 from .splitter import (
     SplitterParams,
     reduced_density,
@@ -27,10 +36,18 @@ from .splitter import (
     split_phase_state,
 )
 
-# Most complex entries (1 MiB) in one tile's stack of rho; a larger
-# (phi, r2) plane goes in tiles, so that peak memory does not grow with the
-# grid at large d.
+# Tile bound in entries: a rho tile holds at most _BLOCK_ENTRIES // d^2
+# complex matrices of d^2 entries (1 MiB); an r2 tile of the spectral route
+# holds at most _BLOCK_ENTRIES // d^2 values, so its table's pmf and weights
+# stay within a few times this, and a phase tile's product with the table
+# holds at most this many floats.  A larger (phi, r2) plane goes in tiles,
+# so that peak memory does not grow with the grid at large d.
 _BLOCK_ENTRIES = 1 << 16
+
+# The thresholds of _tables_pay.
+_TABLE_PHASES = 16
+_TABLE_DIM_PER_PHASE = 6
+_TABLE_MIN_WORK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,29 +99,69 @@ def entropy_point(two_s: int, m: int, phi: float, r2: float,
     return linear_entropy(rho).value
 
 
-def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
-                  m: int) -> np.ndarray:
-    """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
+def _tables_pay(dim: int, phases: int, r2s: int) -> bool:
+    """Whether spectral tables beat one rho per cell on a phases x r2s slice.
 
-    Each 2s slice goes in near-square tiles of at most _BLOCK_ENTRIES // d^2
+    A table for one r2 value took at most as long as 12-14 rho cells up to
+    d = 81, 22 at d = 161 and 32 at d = 321, and a table call about 0.1 ms
+    more than a rho tile (2-core x86 host, numpy 2.4).  So the tables need
+    max(16, d // 6) phases per r2 value, which keeps a margin at every d
+    measured, and a slice on which the rho route would spend at least
+    _TABLE_MIN_WORK multiply-adds (cells * d^3).
+    """
+    return (phases >= max(_TABLE_PHASES, dim // _TABLE_DIM_PER_PHASE)
+            and phases * r2s * dim**3 >= _TABLE_MIN_WORK)
+
+
+def _table_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
+    """Fill out (phi, r2) with S from spectral tables; S does not depend on m.
+
+    The r2 axis goes in tiles of at most _BLOCK_ENTRIES // d^2 values (at
+    least one), one _spectral_table each.  A table with K distinct k is
+    contracted with a column of phases in tiles of at most
+    _BLOCK_ENTRIES // (K * tile width) (at least one); EntropyValue bounds
+    every S.
+    """
+    cols = max(1, _BLOCK_ENTRIES // spec.dim**2)
+    for c in range(0, len(r2_axis), cols):
+        table = _spectral_table(spec, SplitterParams(r2_axis[c:c + cols]))
+        rows = max(1, _BLOCK_ENTRIES // table.weights.size)
+        for r in range(0, len(phi_axis), rows):
+            out[r:r + rows, c:c + cols] = table.entropy(phi_axis[r:r + rows, None]).value
+
+
+def _rho_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
+    """Fill out (phi, r2) with S = 1 - Tr(rho^2), one rho per cell.
+
+    The plane goes in near-square tiles of at most _BLOCK_ENTRIES // d^2
     cells (at least one), each one reduced_density_closed call on a column
     of phases against a row of r2, which broadcast to the tile.
     linear_entropy validates every rho and bounds every S, as on the
     single-point route.
+    """
+    cells = max(1, _BLOCK_ENTRIES // spec.dim**2)
+    cols = min(len(r2_axis), isqrt(cells))
+    rows = cells // cols
+    for c in range(0, len(r2_axis), cols):
+        params = SplitterParams(r2_axis[c:c + cols])
+        for r in range(0, len(phi_axis), rows):
+            rho = reduced_density_closed(spec, m, phi_axis[r:r + rows, None], params)
+            out[r:r + rows, c:c + cols] = linear_entropy(rho).value
+
+
+def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
+                  m: int) -> np.ndarray:
+    """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
+
+    Each 2s slice goes by _table_tiles where _tables_pay, else by _rho_tiles.
     """
     phi_axis = np.asarray(phis, dtype=float)
     r2_axis = np.asarray(r2s, dtype=float)
     out = np.empty((len(dims), len(phi_axis), len(r2_axis)))
     for i, two_s in enumerate(dims):
         spec = build_structure(family, two_s, kappa)
-        cells = max(1, _BLOCK_ENTRIES // spec.dim**2)
-        cols = min(len(r2_axis), isqrt(cells))
-        rows = cells // cols
-        for c in range(0, len(r2_axis), cols):
-            params = SplitterParams(r2_axis[c:c + cols])
-            for r in range(0, len(phi_axis), rows):
-                rho = reduced_density_closed(spec, m, phi_axis[r:r + rows, None], params)
-                out[i, r:r + rows, c:c + cols] = linear_entropy(rho).value
+        tables = _tables_pay(spec.dim, len(phi_axis), len(r2_axis))
+        (_table_tiles if tables else _rho_tiles)(spec, m, phi_axis, r2_axis, out[i])
     return out
 
 

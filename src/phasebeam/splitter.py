@@ -42,7 +42,11 @@ class SplitterParams:
         # NaN fails both comparisons, so it is refused too.
         if not ((0.0 <= r2) & (r2 <= 1.0)).all():
             raise ValueError(f"r2 must lie in [0, 1], got {self.r2}")
-        if r2.ndim:
+        # Anything but a Python or float64 scalar is kept as this read-only
+        # float64 copy: a 0-d array too, so that the caller's array can
+        # change without changing r2 or t2, and a float32 scalar, whose t2
+        # would be rounded to float32.
+        if not isinstance(self.r2, (int, float)):
             r2.setflags(write=False)
             object.__setattr__(self, "r2", r2)
 

@@ -204,6 +204,18 @@ class TestMainCompute:
         got = float(capsys.readouterr().out.strip())
         assert got == pytest.approx(0.17928373411758292, abs=1e-12)
 
+    def test_spectral_method(self, capsys):
+        from phasebeam import linear_entropy_spectral
+
+        for family, kappa in (("pegg-barnett", []), ("kappa-neg", []),
+                              ("kappa-pos", ["--kappa", "0.5"])):
+            code = main(["compute", "--family", family, *kappa, "--two-s", "7",
+                         "--phi", "1.0", "--r2", "0.3", "--method", "spectral"])
+            assert code == 0
+            spec = build_structure(Family(family), 7, 0.5 if kappa else None)
+            want = linear_entropy_spectral(spec, 1.0, SplitterParams(0.3)).value
+            assert capsys.readouterr().out == f"{want:.17g}\n"
+
     def test_both_methods_agree(self, capsys):
         code = main(["compute", "--two-s", "3", "--phi", "2.0", "--r2", "0.6",
                      "--method", "both"])
@@ -310,6 +322,8 @@ class TestWorkBudget:
         # a 2s range too long to build, and one whose estimate is beyond any float
         (["sweep", "--two-s", "1:10000000000"], "_entropy_grid"),
         (["sweep", "--two-s", "1:" + "9" * 400], "_entropy_grid"),
+        (["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
+          "--method", "spectral"], "linear_entropy_spectral"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):
@@ -374,12 +388,16 @@ class TestWorkBudget:
         assert "2.51e+11 multiply-adds" in str(err.value)
         with pytest.raises(UsageError, match=r"1\.72e\+10"):
             parse_args(["compute", "--two-s", "3000", "--phi", "0", "--r2", "0.5"])
+        with pytest.raises(UsageError, match="the spectral route needs about 1.73e"):
+            parse_args(["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
+                        "--method", "spectral"])
 
     def test_large_standard_runs_admitted(self):
         big = ["--two-s", "2200", "--phi", "0", "--r2", "0.5"]
         for argv in (["compute", *big], ["sweep", *big], ["sweep", "--two-s", "80"],
                      ["sweep", "--two-s", "1:40", "--phi", "0:6.283185307179586:5",
-                      "--r2", "0.5"]):
+                      "--r2", "0.5"],
+                     ["compute", "--two-s", "511", *big[2:], "--method", "spectral"]):
             assert parse_args(argv).command == argv[0]
 
 

@@ -76,8 +76,9 @@ class TestSweepR2Phi:
 
     def test_every_cell_is_checked(self, monkeypatch):
         from phasebeam import InvalidDensityError, NumericalConsistencyError
-        from phasebeam import experiments
+        from phasebeam import entropy, experiments
 
+        # three phases of one r2 value at 2s = 1 go by one rho per cell
         good = np.eye(2) / 2.0
         # not PSD; and PSD within 1e-10 but S = -2e-10, beyond the clamp band
         for bad, error in ((np.diag([1.5, -0.5]), InvalidDensityError),
@@ -87,6 +88,34 @@ class TestSweepR2Phi:
                                 lambda spec, m, phi, params: stack)
             with pytest.raises(error):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.5,))
+        monkeypatch.undo()
+
+        # the same slice by spectral tables
+        monkeypatch.setattr(experiments, "_tables_pay", lambda *args: True)
+        table_call = experiments._spectral_table
+        # the weights of one r2 value of three scaled: S = -0.05 there, beyond
+        # the clamp band, then S = 0.9125 > 1 - 1/d
+        for scale in (1.2, 0.1):
+            def scaled(spec, params, scale=scale):
+                table = table_call(spec, params)
+                rows = np.where(params.r2 == 0.5, scale, 1.0)[:, None]
+                return entropy._SpectralTable(table.rates, table.weights * rows, table.dim)
+
+            monkeypatch.setattr(experiments, "_spectral_table", scaled)
+            with pytest.raises(NumericalConsistencyError):
+                sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
+        monkeypatch.setattr(experiments, "_spectral_table", table_call)
+        # one binomial column of one r2 value sums to 1 + 1e-11
+        pmf_call = entropy._binomial_pmf
+
+        def off(spec, params):
+            pmf = pmf_call(spec, params)
+            pmf[1, 0, 1] += 1e-11
+            return pmf
+
+        monkeypatch.setattr(entropy, "_binomial_pmf", off)
+        with pytest.raises(NumericalConsistencyError, match="pmf"):
+            sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -178,6 +207,26 @@ class TestDeterminismAndParallel:
         b = sweep_r2_phi(args["two_s"], args["phi_grid"], args["r2_grid"], serial=True)
         assert np.array_equal(a.values, b.values)
 
+    @staticmethod
+    def _spy_tables(monkeypatch, tables, contractions):
+        """Record (2s, r2 tile width) per table and (2s, phases, width) per contraction."""
+        from phasebeam import experiments
+
+        table_call = experiments._spectral_table
+
+        class Spy:
+            def __init__(self, spec, params):
+                self.table = table_call(spec, params)
+                self.weights = self.table.weights
+                self.key = (spec.two_s, len(params.r2))
+                tables.append(self.key)
+
+            def entropy(self, phi):
+                contractions.append((self.key[0], len(phi), self.key[1]))
+                return self.table.entropy(phi)
+
+        monkeypatch.setattr(experiments, "_spectral_table", Spy)
+
     def test_phi_blocks_match_one_block(self, monkeypatch):
         from phasebeam import experiments
 
@@ -207,6 +256,120 @@ class TestDeterminismAndParallel:
         assert np.array_equal(sweep_r2_phi(3, phis, r2s).values, whole.values)
         assert sorted(set(tiles)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert len(tiles) == 4 * 3
+
+    @staticmethod
+    def _spy_tables(monkeypatch, tables, contractions):
+        """Take every slice by tables; record (2s, r2 tile width) per table
+        and (2s, phases, width) per contraction."""
+        from phasebeam import experiments
+
+        table_call = experiments._spectral_table
+
+        class Spy:
+            def __init__(self, spec, params):
+                self.table = table_call(spec, params)
+                self.weights = self.table.weights
+                self.key = (spec.two_s, len(params.r2))
+                tables.append(self.key)
+
+            def entropy(self, phi):
+                contractions.append((self.key[0], len(phi), self.key[1]))
+                return self.table.entropy(phi)
+
+        monkeypatch.setattr(experiments, "_tables_pay", lambda *args: True)
+        monkeypatch.setattr(experiments, "_spectral_table", Spy)
+
+    def test_table_phi_blocks_match_one_block(self, monkeypatch):
+        from phasebeam import experiments
+
+        phis = np.linspace(0, 2 * pi, 7)
+        tables, contractions = [], []
+        self._spy_tables(monkeypatch, tables, contractions)
+        whole = sweep_r2_phi(3, phis, (0.2, 0.5))
+        assert tables == [(3, 2)]
+        tables.clear()
+        contractions.clear()
+        # d^2 = 16 and 3 distinct k at 2s = 3: one table of both r2 values,
+        # contracted with blocks of 32 // (3 * 2) = 5 phases, the last one short
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * 16)
+        assert np.array_equal(sweep_r2_phi(3, phis, (0.2, 0.5)).values, whole.values)
+        assert tables == [(3, 2)]
+        assert contractions == [(3, 5, 2), (3, 2, 2)]
+
+    def test_table_tiles_match_one_block(self, monkeypatch):
+        from phasebeam import experiments
+
+        phis = np.linspace(0, 2 * pi, 7)
+        r2s = (0.0, 0.2, 0.5, 0.9, 1.0)
+
+        def sweep():
+            return experiments._sweep(("two_s", "phi", "r2"), (2, 3), phis, r2s,
+                                      Family.KAPPA_NEG, None, 0)
+
+        tables, contractions = [], []
+        self._spy_tables(monkeypatch, tables, contractions)
+        whole = sweep()
+        assert tables == [(2, 5), (3, 5)]
+        assert contractions == [(2, 7, 5), (3, 7, 5)]
+        tables.clear()
+        contractions.clear()
+        # r2 tiles of 32 // d^2 values: 3 at 2s = 2 and 2 at 2s = 3, the
+        # last one short; phase tiles of 32 // (K * width), K = 2 and 3
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 32)
+        assert np.array_equal(sweep().values, whole.values)
+        assert tables == [(2, 3), (2, 2), (3, 2), (3, 2), (3, 1)]
+        assert contractions == [(2, 5, 3), (2, 2, 3), (2, 7, 2),
+                                (3, 5, 2), (3, 2, 2), (3, 5, 2), (3, 2, 2), (3, 7, 1)]
+
+    def test_routes_agree(self, monkeypatch):
+        from phasebeam import experiments
+
+        phis = np.linspace(0, 2 * pi, 7)
+        r2s = (0.0, 0.2, 0.5, 0.9, 1.0)
+        for family, kappa in ((Family.PEGG_BARNETT, None), (Family.KAPPA_NEG, None),
+                              (Family.KAPPA_POS, 0.5)):
+            sweeps = []
+            for tables in (False, True):
+                monkeypatch.setattr(experiments, "_tables_pay", lambda *args: tables)
+                sweeps.append(experiments._sweep(("two_s", "phi", "r2"), (1, 4, 9), phis,
+                                                 r2s, family, kappa, 0).values)
+            assert np.max(np.abs(sweeps[0] - sweeps[1])) <= 1e-13
+
+
+class TestRouteChoice:
+    """Spectral tables only where a slice has many phases per r2 value."""
+
+    @pytest.mark.parametrize("dim, phases, r2s, tables", [
+        (3, 128, 101, True),     # the default qutrit surface
+        (11, 128, 1, True),      # sweep --two-s 1:10 --r2 0.5 at 2s = 10
+        (4, 128, 1, False),      # ... and at 2s = 3: under 2^15 multiply-adds
+        (41, 5, 1, False),       # the growth table: 5 phases per r2 value
+        (3, 15, 101, False),     # under 16 phases per r2 value
+        (161, 26, 1, True),      # d // 6 = 26 phases
+        (161, 25, 1, False),
+        (2201, 1, 1, False),     # sweep --two-s 2200 --phi 0 --r2 0.5
+    ])
+    def test_threshold(self, dim, phases, r2s, tables):
+        from phasebeam import experiments
+
+        assert experiments._tables_pay(dim, phases, r2s) is tables
+
+    def test_each_slice_picks_its_route(self, monkeypatch):
+        from phasebeam import experiments
+
+        routes = []
+        for name in ("_table_tiles", "_rho_tiles"):
+            call = getattr(experiments, name)
+
+            def spy(spec, *args, name=name, call=call):
+                routes.append((spec.two_s, name))
+                return call(spec, *args)
+
+            monkeypatch.setattr(experiments, name, spy)
+        phis = np.linspace(0, 2 * pi, 32)
+        sweep_phi_balanced((1, 30, 200), phis)
+        # 32 * d^3 is under 2^15 at d = 2; d // 6 = 33 > 32 at d = 201
+        assert routes == [(1, "_rho_tiles"), (30, "_table_tiles"), (200, "_rho_tiles")]
 
 
 class TestSweepsPinnedToEntropyPoint:
@@ -247,3 +410,32 @@ class TestSweepsPinnedToEntropyPoint:
                 assert [(float(phi), float(r2)) for phi, r2, _ in rows] == list(point)
                 compare([float(s) for _, _, s in rows], list(point.values()))
         assert worst <= 1e-12
+
+
+class TestReadmeSweepsPinnedToRhoRoute:
+    """The five README sweeps, every cell, against one rho per cell.
+
+    The reference is one stack of reduced_density_closed per 2s,
+    S = 1 - Tr(rho^2); the sweeps take spectral tables at 2s = 1, 2, 3 and
+    at 2s = 6..10 of the 1:10 sweep, and that same rho route elsewhere.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["--two-s", "1"], ["--two-s", "2"], ["--two-s", "3"],
+        ["--two-s", "1:10", "--r2", "0.5"],
+        ["--two-s", "1:40", "--phi", "0:6.283185307179586:5", "--r2", "0.5"]])
+    def test_every_cell(self, argv, capsys):
+        from phasebeam import SplitterParams, build_structure, linear_entropy
+        from phasebeam.splitter import reduced_density_closed
+
+        assert main(["sweep", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        if lines[0] == "phi,r2,S":
+            rows = np.column_stack([np.full(len(rows), float(argv[1])), rows])
+        dims, phis, r2s = (np.unique(rows[:, i]) for i in range(3))
+        got = rows[:, 3].reshape(len(dims), len(phis), len(r2s))
+        for two_s, plane in zip(dims, got):
+            spec = build_structure(Family.KAPPA_NEG, int(two_s))
+            rho = reduced_density_closed(spec, 0, phis[:, None], SplitterParams(r2s))
+            assert np.max(np.abs(plane - linear_entropy(rho).value)) <= 1e-12

@@ -77,6 +77,24 @@ class TestSplitterParams:
         with pytest.raises(ValueError):
             SplitterParams(1.01)
 
+    def test_caller_array_copied(self):
+        # a 0-d array as well as a row: changing the caller's array later
+        # changes neither r2 nor t2
+        for r2 in (np.array(0.3), np.array([0.3, 0.5])):
+            params = SplitterParams(r2)
+            r2[...] = 5.0
+            assert np.all(params.r2 <= 0.5)
+            assert np.all(params.t2 >= 0.5)
+            assert not params.r2.flags.writeable
+        # a Python float stays one, with the same t2
+        assert type(SplitterParams(0.3).r2) is float
+        assert SplitterParams(np.array(0.3)).t2 == SplitterParams(0.3).t2 == 1.0 - 0.3
+        # a float32 scalar gets a float64 t2: the splitter output stays normalised
+        params = SplitterParams(np.float32(0.3))
+        assert params.t2 == 1.0 - float(np.float32(0.3))
+        spec = build_structure(Family.KAPPA_NEG, 4)
+        assert abs(split_phase_state(spec, 0, 0.7, params).norm() - 1.0) <= 1e-12
+
     def test_amplitudes(self):
         params = SplitterParams(0.5)
         assert params.t == pytest.approx(1 / sqrt(2))
