@@ -1,9 +1,9 @@
 """Finite-dimensional generalized Weyl-Heisenberg algebras.
 
 An algebra instance is specified by a table of energy levels F(0)..F(2s+1)
-with F(0) = F(2s+1) = 0 and F(n) > 0 in between, together with the level
-spacings G(n) = F(n+1) - F(n).  The table fixes the ladder operators, the
-Hamiltonian diag(F) and the unitary phase operator obtained from the polar
+with F(0) = F(2s+1) = 0 and F(n) > 0 in between.  The table fixes the level
+spacings G(n) = F(n+1) - F(n), the ladder operators, the Hamiltonian
+diag(F) and the unitary phase operator obtained from the polar
 decomposition of the lowering operator.
 """
 
@@ -40,7 +40,7 @@ class Family(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class StructureSpec:
-    """Validated level/spacing tables of one algebra.
+    """Validated level table of one algebra, with its spacings.
 
     Attributes
     ----------
@@ -53,29 +53,26 @@ class StructureSpec:
     levels : ndarray, shape (2s+2,)
         F(0)..F(2s+1).  F(0) = F(2s+1) = 0, F(n) > 0 for 0 < n <= 2s.
     spacings : ndarray, shape (2s+1,)
-        G(0)..G(2s) with G(n) = F(n+1) - F(n) and sum(G) = 0.
+        G(0)..G(2s) = np.diff(levels), set once the levels pass their checks
+        (not an argument); sum(G) = F(2s+1) - F(0).
     """
 
     family: Family
     two_s: int
     kappa: float | None
     levels: np.ndarray = field(repr=False)
-    spacings: np.ndarray = field(repr=False)
+    spacings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.two_s < 1:
             raise InvalidDimensionError(f"two_s must be >= 1, got {self.two_s}")
         levels = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
-        spacings = np.ascontiguousarray(np.asarray(self.spacings, dtype=float))
         d = self.two_s + 1
         if levels.shape != (d + 1,):
             raise InvalidStructureError(
                 f"level table must have length {d + 1}, got {levels.shape}")
-        if spacings.shape != (d,):
-            raise InvalidStructureError(
-                f"spacing table must have length {d}, got {spacings.shape}")
-        if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(spacings))):
-            raise InvalidStructureError("level and spacing tables must be finite")
+        if not np.all(np.isfinite(levels)):
+            raise InvalidStructureError("level table must be finite")
         if abs(levels[0]) > TABLE_TOL:
             raise InvalidStructureError(f"F(0) must be 0, got {levels[0]}")
         if np.any(levels[1:d] <= 0.0):
@@ -85,12 +82,8 @@ class StructureSpec:
         if abs(levels[d]) > TABLE_TOL:
             raise TraceNotZeroError(
                 f"truncation requires F(2s+1) = 0, got {levels[d]}")
-        if abs(float(np.sum(spacings))) > TABLE_TOL:
-            raise TraceNotZeroError(
-                f"spacings must sum to 0, got {np.sum(spacings)}")
-        if np.max(np.abs(np.diff(levels) - spacings)) > TABLE_TOL:
-            raise InvalidStructureError(
-                "spacing table is not the first difference of the level table")
+        # Every level is finite and above -TABLE_TOL, so no difference overflows.
+        spacings = np.diff(levels)
         levels.setflags(write=False)
         spacings.setflags(write=False)
         object.__setattr__(self, "levels", levels)
@@ -164,18 +157,15 @@ def build_structure(
                     f"kappa must be finite and > 0 for kappa-pos, got {kappa}")
         table = _levels_from_closed_form(two_s, 0.0 if kappa is None else kappa)
 
-    # StructureSpec refuses the non-finite differences of a non-finite table.
-    with np.errstate(invalid="ignore", over="ignore"):
-        spacings = np.diff(table)
-    return StructureSpec(family=family, two_s=two_s, kappa=kappa,
-                         levels=table, spacings=spacings)
+    return StructureSpec(family=family, two_s=two_s, kappa=kappa, levels=table)
 
 
 def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSpec:
     """Build an algebra from a spacing table G(0)..G(2s) by prefix summation.
 
     The spacings must sum to zero (within 1e-12); the levels follow as
-    F(0) = 0, F(n) = G(0) + ... + G(n-1).
+    F(0) = 0, F(n) = G(0) + ... + G(n-1).  The spec's spacings are the first
+    difference of those levels, which can differ from g by a few ulps.
     """
     g = np.asarray(spacings, dtype=float)
     if g.ndim != 1 or g.size < 2:
@@ -188,7 +178,7 @@ def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSp
         raise TraceNotZeroError(f"spacings must sum to 0, got {total}")
     levels = np.concatenate(([0.0], np.cumsum(g)))
     return StructureSpec(family=Family.CUSTOM, two_s=g.size - 1, kappa=None,
-                         levels=levels, spacings=g)
+                         levels=levels)
 
 
 def ladder_minus(spec: StructureSpec, phi: float) -> np.ndarray:

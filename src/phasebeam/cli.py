@@ -21,10 +21,10 @@ import numpy as np
 
 from .algebra import Family, build_structure
 from .checks import run_suites
-from .entropy import linear_entropy_closed, linear_entropy_spectral
+from .entropy import linear_entropy, linear_entropy_closed, linear_entropy_spectral
 from .errors import PhasebeamError, RangeError, UsageError
-from .experiments import SweepTable, _sweep, entropy_point
-from .splitter import SplitterParams
+from .experiments import SweepTable, _sweep
+from .splitter import SplitterParams, reduced_density, split_phase_state
 
 # `compute --method both` refuses to report routes that disagree by more.
 BOTH_ROUTES_TOL = 1e-8
@@ -91,6 +91,8 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     if len(parts) == 1:
         return ends[0], ends[0], 1
     start, stop = ends
+    if not isfinite(stop - start):
+        raise UsageError(f"grid span must be finite, got {text!r}")
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
     _check_budget(f"the grid {text!r}", count, CUBE_BUDGET // CELL_FLOOR, "points")
@@ -101,7 +103,12 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
 
 def parse_two_s(text: str) -> tuple[int, ...]:
     """Parse an int, a comma list, or an inclusive `lo:hi` integer range."""
-    return tuple(v for run in _two_s_runs(text) for v in run)
+    return _two_s_values(_two_s_runs(text))
+
+
+def _two_s_values(runs: tuple[range, ...]) -> tuple[int, ...]:
+    """The values of _two_s_runs, in order."""
+    return tuple(v for run in runs for v in run)
 
 
 def _two_s_runs(text: str) -> tuple[range, ...]:
@@ -216,7 +223,7 @@ def parse_args(argv=None) -> RunConfig:
         _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
         extra = {"fmt": ns.fmt}
     return RunConfig(command=ns.command, family=family, kappa=ns.kappa, m=ns.m,
-                     two_s=tuple(v for run in runs for v in run), phi=parse_grid(ns.phi),
+                     two_s=_two_s_values(runs), phi=parse_grid(ns.phi),
                      r2=_check_r2_range(parse_grid(ns.r2)), **extra)
 
 
@@ -276,7 +283,7 @@ def _run_compute(cfg: RunConfig) -> int:
     phi = cfg.phi[0]
 
     def oracle() -> float:
-        return entropy_point(cfg.two_s[0], cfg.m, phi, cfg.r2[0], cfg.family, cfg.kappa)
+        return linear_entropy(reduced_density(split_phase_state(spec, cfg.m, phi, params))).value
 
     if cfg.method == "oracle":
         print(_fmt_float(oracle()))

@@ -57,6 +57,8 @@ QUADRATIC_TOL = 1e-14
 # the largest deviations measured were 5.6e-14 at 2s = 80 (101 r2 values)
 # and 7.4e-13 at 511 (2001 r2 values).
 PMF_TOL = 1e-12
+# m_independence_report refuses entropies that vary with m by more.
+M_SPREAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -326,13 +328,12 @@ def _fsum_blocks(sums) -> np.ndarray:
 
 
 def m_independence_report(spec: StructureSpec, phi: float,
-                          params: SplitterParams, *,
-                          tol: float = 1e-12) -> MIndependenceReport:
-    """Oracle entropy for every m from one split; the spread must not exceed tol."""
+                          params: SplitterParams) -> MIndependenceReport:
+    """Oracle entropy for every m from one split; the spread must not exceed M_SPREAD_TOL."""
     rho = reduced_density(split_phase_state(spec, np.arange(spec.dim), phi, params))
     values = linear_entropy(rho).value.tolist()
     spread = max(values) - min(values)
-    if spread > tol:
+    if spread > M_SPREAD_TOL:
         raise NumericalConsistencyError(
-            f"entropy varies with m by {spread} (tolerance {tol})")
+            f"entropy varies with m by {spread} (tolerance {M_SPREAD_TOL})")
     return MIndependenceReport(values[0], spread, tuple(values))

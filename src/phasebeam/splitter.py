@@ -24,6 +24,13 @@ from .errors import InvalidDensityError, NotNormalizedError
 from .numerics import ipow, log_factorials
 from .phase_states import _root_powers, phase_state
 
+# reduced_density's bound on a norm's distance from 1, then validate_density's
+# on |rho - rho^H|, the trace's distance from 1 and -lambda_min.
+NORM_TOL = 1e-9
+HERM_TOL = 1e-12
+TRACE_TOL = 1e-12
+PSD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SplitterParams:
@@ -143,26 +150,16 @@ def _triangle_weights(two_s: int, params: SplitterParams):
     return shell, np.exp(expo) * ipow(k)
 
 
-def split_number_state(n: int, params: SplitterParams,
-                       two_s: int | None = None) -> BipartiteVector:
+def split_number_state(n: int, params: SplitterParams) -> BipartiteVector:
     """Beam splitter output for the input |n> (x) |0>, one per r2 cell.
 
-    Parameters
-    ----------
-    n : int
-        Photon number on the transmitted input port.
-    params : SplitterParams
-    two_s : int, optional
-        Triangle size of the output layout; defaults to n.  Must be >= n.
+    The output lives on the triangle p + k <= n, which is its layout: every
+    amplitude off the shell p + k = n is zero.
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    if two_s is None:
-        two_s = n
-    if two_s < n:
-        raise ValueError(f"layout two_s={two_s} cannot hold {n} photons")
-    shell, weights = _triangle_weights(two_s, params)
-    return BipartiteVector(two_s, np.where(shell == n, weights, 0.0))
+    shell, weights = _triangle_weights(n, params)
+    return BipartiteVector(n, np.where(shell == n, weights, 0.0))
 
 
 def split_phase_state(spec: StructureSpec, m, phi,
@@ -179,15 +176,15 @@ def split_phase_state(spec: StructureSpec, m, phi,
     return BipartiteVector(spec.two_s, state[..., shell] * weights)
 
 
-def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray:
+def reduced_density(b: BipartiteVector) -> np.ndarray:
     """Reduced state of the first mode by tracing out the second.
 
     With the packed vector unpacked into A[p, k], zero outside the triangle,
     rho = A A^H, i.e. rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)).  The
     strict upper triangle is mirrored and the diagonal made real, so the
     result is Hermitian to the bit.  A stack of vectors gives a stack of
-    matrices, shape (..., d, d); every vector must be normalised, which is
-    checked on the trace of its rho, the squared norm.
+    matrices, shape (..., d, d); every vector must be normalised within
+    NORM_TOL, which is checked on the trace of its rho, the squared norm.
     """
     mask = _triangle(b.two_s)
     a = np.zeros(b.amp.shape[:-1] + mask.shape, dtype=complex)
@@ -197,7 +194,7 @@ def reduced_density(b: BipartiteVector, *, norm_tol: float = 1e-9) -> np.ndarray
     diag = full[..., n, n].real
     nrm = np.sqrt(diag.sum(axis=-1))
     worst = nrm.flat[np.abs(nrm - 1.0).argmax()]
-    if abs(worst - 1.0) > norm_tol:
+    if abs(worst - 1.0) > NORM_TOL:
         raise NotNormalizedError(f"two-mode vector has norm {worst}")
     rho = np.where(n[:, None] < n, full, full.conj().swapaxes(-1, -2))
     rho[..., n, n] = diag
@@ -233,13 +230,13 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     return c @ c.conj().swapaxes(-1, -2)
 
 
-def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
-                     trace_tol: float = 1e-12, psd_tol: float = 1e-10) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Raise InvalidDensityError unless rho is a density matrix.
 
     rho is one (d, d) matrix or a stack (..., d, d); every matrix of a
-    stack must pass every check.  Positive semidefiniteness is certified by
-    one batched Cholesky factorisation of rho + psd_tol I.
+    stack must pass every check: Hermitian within HERM_TOL, trace 1 within
+    TRACE_TOL, no eigenvalue below -PSD_TOL.  Positive semidefiniteness is
+    certified by one batched Cholesky factorisation of rho + PSD_TOL I.
     """
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -248,17 +245,17 @@ def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12,
     if not np.isfinite(rho).all():
         raise InvalidDensityError("matrix has non-finite entries")
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if herm > herm_tol:
+    if herm > HERM_TOL:
         raise InvalidDensityError(f"not Hermitian: max deviation {herm}")
     tr_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max()
-    if tr_dev > trace_tol:
+    if tr_dev > TRACE_TOL:
         raise InvalidDensityError(f"trace is off 1 by {tr_dev}")
-    # rho + psd_tol I has a Cholesky factor exactly when lambda_min > -psd_tol,
+    # rho + PSD_TOL I has a Cholesky factor exactly when lambda_min > -PSD_TOL,
     # up to roundoff of about d eps; the spectrum is taken only on failure,
     # to name the eigenvalue or to accept a case on the border.
     try:
-        np.linalg.cholesky(rho + psd_tol * np.eye(rho.shape[-1]))
+        np.linalg.cholesky(rho + PSD_TOL * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(rho).min())
-        if min_eig < -psd_tol:
+        if min_eig < -PSD_TOL:
             raise InvalidDensityError(f"negative eigenvalue {min_eig}") from None

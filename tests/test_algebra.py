@@ -94,15 +94,23 @@ class TestBuildStructure:
         with pytest.raises(InvalidStructureError):
             build_structure(Family.CUSTOM, 3, levels=[0.0, bad, bad, 1.0, 0.0])
         with pytest.raises(InvalidStructureError):
-            StructureSpec(Family.CUSTOM, 2, None, levels=[0.0, 1.0, bad, 0.0],
-                          spacings=[1.0, bad, -bad])
-        with pytest.raises(InvalidStructureError):
-            StructureSpec(Family.CUSTOM, 2, None, levels=[0.0, 1.0, 1.0, 0.0],
-                          spacings=[1.0, bad, -1.0])
+            StructureSpec(Family.CUSTOM, 2, None, levels=[0.0, 1.0, bad, 0.0])
 
     def test_custom_requires_table(self):
         with pytest.raises(InvalidStructureError):
             build_structure(Family.CUSTOM, 2)
+
+    @pytest.mark.parametrize("family, kappa", FAMILIES)
+    def test_spacings_are_the_level_differences(self, family, kappa):
+        for two_s in range(1, 41):
+            spec = build_structure(family, two_s, kappa)
+            assert np.array_equal(spec.spacings, np.diff(spec.levels))
+            assert not spec.spacings.flags.writeable
+
+    def test_spacings_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            StructureSpec(Family.CUSTOM, 2, None, levels=[0.0, 1.0, 1.0, 0.0],
+                          spacings=[1.0, 0.0, -1.0])
 
     def test_tables_are_read_only(self):
         spec = build_structure(Family.KAPPA_NEG, 3)
@@ -142,6 +150,16 @@ class TestStructureFromSpacings:
     def test_too_short(self):
         with pytest.raises(InvalidDimensionError):
             structure_from_spacings([0.0])
+
+    def test_levels_are_the_prefix_sums(self):
+        rng = np.random.default_rng(14)
+        for two_s in (1, 2, 5, 20, 40):
+            g = rng.uniform(0.5, 1.5, two_s)
+            g = np.append(g, -g.sum())
+            spec = structure_from_spacings(g)
+            assert np.array_equal(spec.levels, np.concatenate(([0.0], np.cumsum(g))))
+            # the spec's spacings are the levels' differences, a few ulps from g
+            assert np.max(np.abs(spec.spacings - g)) <= 1e-15 * np.abs(spec.levels).max()
 
     def test_roundtrip_from_families(self):
         for family, kappa in FAMILIES:

@@ -10,7 +10,9 @@ from phasebeam import (
     SplitterParams,
     apply_phase_operator,
     build_structure,
+    checks,
     closure_matrix,
+    entropy,
     evolve_vector,
     linear_entropy,
     linear_entropy_closed,
@@ -23,6 +25,7 @@ from phasebeam import (
     split_phase_state,
 )
 from phasebeam.checks import FAMILIES, entropy_suite, phase_suite, splitter_suite
+from phasebeam.cli import main
 
 
 def _phase_suite_loop(seed):
@@ -158,3 +161,19 @@ def test_splitter_suite_matches_loop(seed):
     got = {r.name: r for r in splitter_suite(seed)}
     for name, worst in reference.items():
         assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)
+
+
+def test_m_spread_over_tolerance_is_a_fail(monkeypatch, capsys):
+    """A spread above the tolerance is reported as FAIL, and the checks after
+    it still run; m_independence_report would raise at that tolerance."""
+    monkeypatch.setattr(entropy, "M_SPREAD_TOL", -1.0)
+    monkeypatch.setattr(checks, "M_SPREAD_TOL", -1.0)
+    got = {r.name: r for r in checks.run_suites(["entropy"])}
+    assert not got["m_independence"].passed
+    later = ("reflection_swap_symmetry", "balanced_splitter_maximum",
+             "qubit_analytic_form", "integer_family_periodicity", "cosine_parity")
+    assert all(got[name].passed for name in later)
+    assert main(["check", "--suite", "entropy"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL entropy.m_independence" in out
+    assert out.endswith(f"{len(got) - 1} passed, 1 failed\n")

@@ -57,7 +57,8 @@ class TestParseGrid:
 
     @pytest.mark.parametrize("bad", ["0:1:1", "1:0:5", "a:b:c", "1:2", "x",
                                      "0:1:0", "1:1:5", "0:1:2:3",
-                                     "nan", "inf", "-inf", "0:inf:3"])
+                                     "nan", "inf", "-inf", "0:inf:3",
+                                     "-1.7e308:1.7e308:3", "-1e308:1e308:64"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(UsageError):
             parse_grid(bad)
@@ -251,6 +252,9 @@ class TestMainCompute:
         ["compute", "--two-s", "2", "--phi", "inf", "--r2", "0.5"],
         ["sweep", "--two-s", "2", "--phi", "nan", "--r2", "0.5"],
         ["sweep", "--two-s", "2", "--phi", "0:inf:3", "--r2", "0.5"],
+        # finite ends whose span overflows
+        ["sweep", "--two-s", "2", "--phi=-1.7e308:1.7e308:3", "--r2", "0.5"],
+        ["sweep", "--two-s", "40", "--phi=-1e308:1e308:64", "--r2", "0:1:3"],
     ])
     def test_non_finite_phi_is_usage_error(self, capsys, argv):
         assert main(argv) == 1

@@ -18,6 +18,7 @@ from phasebeam import (
     NumericalConsistencyError,
     SplitterParams,
     build_structure,
+    entropy,
     linear_entropy,
     linear_entropy_closed,
     linear_entropy_spectral,
@@ -457,10 +458,11 @@ class TestMIndependence:
         report = m_independence_report(spec, 1.0, SplitterParams(0.0))
         assert all(v == 0.0 for v in report.values)
 
-    def test_raises_on_absurd_tolerance(self):
+    def test_raises_on_absurd_tolerance(self, monkeypatch):
+        monkeypatch.setattr(entropy, "M_SPREAD_TOL", -1.0)
         spec = build_structure(Family.KAPPA_NEG, 2)
         with pytest.raises(NumericalConsistencyError):
-            m_independence_report(spec, 1.0, SplitterParams(0.4), tol=-1.0)
+            m_independence_report(spec, 1.0, SplitterParams(0.4))
 
 
 class TestClamping:
@@ -524,11 +526,10 @@ class TestPhaseStacks:
         for r2 in (0.3, self.R2_5, self.PHIS / 11.0):
             params = SplitterParams(r2)
             for n in labels:
-                b = split_number_state(n, params, spec.two_s)
-                assert b.amp.shape == np.shape(r2) + (tri_size(spec.two_s),)
+                b = split_number_state(n, params)
+                assert b.amp.shape == np.shape(r2) + (tri_size(n),)
                 for j in np.ndindex(np.shape(r2)):
-                    one = split_number_state(n, SplitterParams(float(np.asarray(r2)[j])),
-                                             spec.two_s)
+                    one = split_number_state(n, SplitterParams(float(np.asarray(r2)[j])))
                     assert np.max(np.abs(b.amp[j] - one.amp)) <= 1e-15
         for phis, r2 in self.CELL_CASES:
             shape, cells = self._cells(phis, r2)

@@ -23,7 +23,7 @@ from phasebeam import (
     validate_density,
 )
 from phasebeam.numerics import ipow
-from phasebeam.splitter import _log_powers
+from phasebeam.splitter import PSD_TOL, _log_powers
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -177,12 +177,13 @@ class TestSplitNumberState:
         assert b.get(0, 2) == pytest.approx((1j * r) ** 2, abs=1e-15)
 
     def test_support_is_one_shell(self):
-        two_s = 6
-        b = split_number_state(3, SplitterParams(0.5), two_s=two_s)
-        for p in range(two_s + 1):
-            for k in range(two_s + 1 - p):
-                if p + k != 3:
-                    assert b.get(p, k) == 0.0
+        for n in (3, 6):
+            b = split_number_state(n, SplitterParams(0.5))
+            assert b.two_s == n
+            for p in range(n + 1):
+                for k in range(n + 1 - p):
+                    if p + k != n:
+                        assert b.get(p, k) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(0, 30), r2=st.floats(0.0, 1.0))
@@ -198,10 +199,6 @@ class TestSplitNumberState:
             for p in range(n + 1):
                 assert abs(fwd.get(p, n - p)) == pytest.approx(
                     abs(rev.get(n - p, p)), abs=1e-12)
-
-    def test_layout_too_small(self):
-        with pytest.raises(ValueError):
-            split_number_state(3, SplitterParams(0.5), two_s=2)
 
     def test_negative_photon_number(self):
         with pytest.raises(ValueError):
@@ -265,13 +262,12 @@ class TestLoopReference:
 
     def test_number_state_pinned(self):
         for n in range(21):
-            for two_s in (n, n + 1, n + 5):
-                unit = np.zeros(two_s + 1)
-                unit[n] = 1.0
-                for r2 in (0.0, 0.3, 0.5, 1.0):
-                    params = SplitterParams(r2)
-                    got = split_number_state(n, params, two_s=two_s).amp
-                    assert np.max(np.abs(got - _split_loop_reference(unit, params))) <= 1e-14
+            unit = np.zeros(n + 1)
+            unit[n] = 1.0
+            for r2 in (0.0, 0.3, 0.5, 1.0):
+                params = SplitterParams(r2)
+                got = split_number_state(n, params).amp
+                assert np.max(np.abs(got - _split_loop_reference(unit, params))) <= 1e-14
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 40])
     def test_partial_trace_pinned_on_random_vectors(self, two_s):
@@ -467,17 +463,16 @@ class TestValidateDensity:
 
     def test_same_decision_as_the_spectrum(self):
         rng = np.random.default_rng(13)
-        psd_tol = 1e-10
         decided = []
         while len(decided) < 30:
             min_eig = rng.uniform(-1e-9, 1e-12) if len(decided) % 2 else (
                 rng.uniform(-1.2e-10, 1e-12))
-            if abs(min_eig + psd_tol) <= 1e-13:
+            if abs(min_eig + PSD_TOL) <= 1e-13:
                 continue
             rho = _density_with_min_eig(rng, int(rng.integers(2, 42)), min_eig)
-            expected = np.linalg.eigvalsh(rho).min() >= -psd_tol
+            expected = np.linalg.eigvalsh(rho).min() >= -PSD_TOL
             try:
-                validate_density(rho, psd_tol=psd_tol)
+                validate_density(rho)
                 decided.append(expected)
             except InvalidDensityError:
                 decided.append(not expected)
