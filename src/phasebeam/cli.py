@@ -242,22 +242,17 @@ def _fmt_float(x: float) -> str:
 def render_csv(table: SweepTable) -> str:
     """Header, then one row per cell: coordinates row-major, S last.
 
-    Each axis value is formatted once; the rows' coordinate prefixes are
-    joined in product order and only S is formatted per row.
+    Every number prints as "%.17g" % v, so each reads back to the same
+    double.  phasebeam.csvfmt writes the bytes; it loads on the first CSV,
+    not with the CLI.
     """
-    header = ",".join([axis.name for axis in table.axes] + ["S"])
-    prefixes = [""]
-    for axis in table.axes:
-        cells = ["%.17g," % v for v in axis.values]
-        prefixes = [p + c for p in prefixes for c in cells]
-    rows = map("%s%.17g".__mod__, zip(prefixes, table.values.tolist()))
-    return "\n".join([header, *rows]) + "\n"
+    return emit(table, "csv").decode("utf-8")
 
 
 def render_json(table: SweepTable) -> str:
     payload = {
         "axes": [{"name": a.name, "values": list(a.values)} for a in table.axes],
-        "values": [float(v) for v in table.values],
+        "values": table.values.tolist(),
         "meta": table.meta,
     }
     return json.dumps(payload) + "\n"
@@ -266,7 +261,9 @@ def render_json(table: SweepTable) -> str:
 def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
     """Serialize a sweep table; writes to `stream` (binary) when given."""
     if fmt == "csv":
-        data = render_csv(table).encode("utf-8")
+        from .csvfmt import csv_bytes
+
+        data = csv_bytes(table)
     elif fmt == "json":
         data = render_json(table).encode("utf-8")
     else:
@@ -277,8 +274,25 @@ def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
     return data
 
 
+def _check_phase_product(specs, phis) -> None:
+    """Refuse phases whose product with the levels can overflow a double.
+
+    The oracle forms phi F(n); the closed form's angles are phi times a
+    difference of two level differences, and the spectral rates 2 kappa k
+    reach 2 max F for kappa-neg.  With levels >= 0, as in every CLI family,
+    no angle exceeds 2 max|phi| max|F|; past a double it would be a NaN
+    phase (and numpy warnings) on any route.
+    """
+    phi = max(abs(v) for v in phis)
+    level = max(float(np.abs(spec.levels).max()) for spec in specs)
+    if not isfinite(2.0 * phi * level):
+        raise UsageError(f"2 max|phi| max|F| = 2 * {phi:.6g} * {level:.6g} "
+                         "overflows a double")
+
+
 def _run_compute(cfg: RunConfig) -> int:
     spec = build_structure(cfg.family, cfg.two_s[0], cfg.kappa)
+    _check_phase_product([spec], cfg.phi)
     params = SplitterParams(cfg.r2[0])
     phi = cfg.phi[0]
 
@@ -306,6 +320,8 @@ def _run_compute(cfg: RunConfig) -> int:
 
 def _run_sweep(cfg: RunConfig) -> int:
     names = ("two_s", "phi", "r2") if len(cfg.two_s) > 1 else ("phi", "r2")
+    _check_phase_product([build_structure(cfg.family, t, cfg.kappa) for t in cfg.two_s],
+                         cfg.phi)
     table = _sweep(names, cfg.two_s, cfg.phi, cfg.r2, cfg.family, cfg.kappa, cfg.m)
     emit(table, cfg.fmt, sys.stdout.buffer)
     return 0

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasebeam import (
     Family,
@@ -18,7 +25,7 @@ from phasebeam import (
     SplitterParams,
     split_phase_state,
 )
-from phasebeam import cli, experiments
+from phasebeam import cli, csvfmt, experiments
 from phasebeam.cli import (
     emit,
     main,
@@ -29,6 +36,8 @@ from phasebeam.cli import (
     render_json,
 )
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def _render_csv_reference(table):
     """CSV with every coordinate of every row formatted again."""
@@ -37,6 +46,33 @@ def _render_csv_reference(table):
     columns = [g.ravel().tolist() for g in grids] + [table.values.tolist()]
     row = ",".join(["%.17g"] * len(columns))
     return "\n".join([header, *(row % cells for cells in zip(*columns))]) + "\n"
+
+
+def _render_json_reference(table):
+    """JSON with every value converted by float() one at a time."""
+    payload = {
+        "axes": [{"name": a.name, "values": list(a.values)} for a in table.axes],
+        "values": [float(v) for v in table.values],
+        "meta": table.meta,
+    }
+    return json.dumps(payload) + "\n"
+
+
+def _kernel_bytes(values):
+    """The S records of render_csv's decimal kernel, padding removed."""
+    return csvfmt.g17_records(np.asarray(values, dtype=float)).tobytes().replace(b"\0", b"")
+
+
+def _assert_prints_as_g17(values):
+    """Every value prints as "%.17g" % v, through the kernel and, where the
+    value is a valid entropy, through render_csv."""
+    values = np.asarray(values, dtype=float)
+    assert _kernel_bytes(values) == b"".join(b"%.17g\n" % v for v in values.tolist())
+    entropies = values[~(values < 0.0) & ~(values > 1.0)]
+    if entropies.size:
+        table = SweepTable(axes=(Axis("i", tuple(map(float, range(entropies.size)))),),
+                           values=entropies)
+        assert render_csv(table) == _render_csv_reference(table)
 
 
 class TestParseGrid:
@@ -191,6 +227,82 @@ class TestEmit:
         assert emit(table, "csv") == _render_csv_reference(table).encode("utf-8")
 
 
+class TestCsvDecimalKernel:
+    """S prints as "%.17g" % v from render_csv's exact decimal kernel."""
+
+    def test_seeded_decades(self):
+        rng = np.random.default_rng(2024)
+        for e in range(-6, 17):
+            _assert_prints_as_g17(10.0 ** rng.uniform(e, e + 1, 2000))
+        _assert_prints_as_g17(rng.uniform(0.0, 1.0, 20000))
+
+    @pytest.mark.parametrize("e10", [-1, -2, -3, -4])
+    def test_half_even_ties(self, e10):
+        # x = m 2^-(q+1) with m odd puts x 10^q, q = 16 - e10, exactly halfway
+        # between two 17-digit integers
+        q = 16 - e10
+        lo, hi = int(np.ceil(10.0**e10 * 2 ** (q + 1))), int(10.0 ** (e10 + 1) * 2 ** (q + 1))
+        m = np.random.default_rng(q).integers(lo // 2, hi // 2, 5000) * 2 + 1
+        ties = m * 2.0 ** -(q + 1)
+        assert all((Fraction(x) * 10**q).denominator == 2 for x in ties.tolist())
+        assert np.all((10.0**e10 <= ties) & (ties < 10.0 ** (e10 + 1)))
+        _assert_prints_as_g17(ties)
+
+    def test_powers_of_ten_and_edges(self):
+        powers = 10.0 ** np.arange(-8, 17)
+        _assert_prints_as_g17(np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            [1.0 - 2.0**-53, np.nextafter(1e-4, 0.0), 1e-4, 0.0, -0.0, 5e-324,
+             np.nan, np.inf, -np.inf, -0.5]]))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_double(self, x):
+        _assert_prints_as_g17([x])
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    def test_any_entropy_column(self, values):
+        _assert_prints_as_g17(values)
+
+    @pytest.mark.parametrize("argv", [
+        ["--two-s", "1"], ["--two-s", "2"], ["--two-s", "3"],
+        ["--two-s", "1:10", "--r2", "0.5"],
+        ["--two-s", "1:40", "--phi", "0:6.283185307179586:5", "--r2", "0.5"],
+        # every S below 1e-4: the per-value fallback
+        ["--two-s", "5", "--r2", "0:1e-6:11"],
+    ])
+    def test_sweeps_pinned_to_reference(self, argv, capsysbinary, monkeypatch):
+        tables = []
+
+        def record(table, fmt, stream=None):
+            tables.append(table)
+            return emit(table, fmt, stream)
+
+        monkeypatch.setattr(cli, "emit", record)
+        assert main(["sweep", *argv]) == 0
+        (table,) = tables
+        if argv[-1] == "0:1e-6:11":
+            assert np.all(table.values < 1e-4)
+        assert capsysbinary.readouterr().out == _render_csv_reference(table).encode()
+
+    def test_cli_import_leaves_the_writer_unloaded(self):
+        # compute and check pay nothing for the CSV writer, not even its compile
+        code = "import sys, phasebeam.cli; print('phasebeam.csvfmt' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+        assert out == "False\n"
+
+    def test_json_pinned_to_reference(self, capsys, monkeypatch):
+        tables = []
+        monkeypatch.setattr(cli, "render_json",
+                            lambda table: tables.append(table) or render_json(table))
+        assert main(["sweep", "--two-s", "2", "--format", "json"]) == 0
+        (table,) = tables
+        assert capsys.readouterr().out == _render_json_reference(table)
+        odd = SweepTable(axes=(Axis("phi", (0.0, 1.0, 2.0, 3.0)),),
+                         values=np.array([0.0, -0.0, 5e-324, 0.1]))
+        assert render_json(odd) == _render_json_reference(odd)
+
+
 class TestMainCompute:
     def test_single_value(self, capsys):
         code = main(["compute", "--two-s", "1", "--phi", "0.7", "--r2", "0.3"])
@@ -262,6 +374,40 @@ class TestMainCompute:
         assert captured.out == ""
         assert "usage error" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        *(["compute", "--family", "kappa-pos", "--kappa", "1e300", "--two-s", "3",
+           "--phi", "1e10", "--r2", "0.5", "--method", method]
+          for method in ("oracle", "closed", "spectral", "both")),
+        ["sweep", "--family", "kappa-pos", "--kappa", "1e300", "--two-s", "1:3",
+         "--phi=-1e10:0:4", "--r2", "0:1:3"],
+    ])
+    def test_phase_product_overflow_is_usage_error(self, capsys, argv):
+        # F(3) = 6e300 at kappa = 1e300, and phi F(3) overflows a double
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: 2 max|phi| max|F| = 2 * 1e+10 * 6e+300 "
+                                "overflows a double\n")
+
+    @pytest.mark.parametrize("method", ["closed", "spectral"])
+    def test_doubled_phase_product_overflow_is_usage_error(self, capsys, method):
+        # max F = 1.5 at 2s = 4: phi max F is finite, but an angle of the
+        # closed form, 2 phi, and a spectral rate times phi, 2 phi, are not
+        assert main(["compute", "--two-s", "4", "--phi", "1.1e308", "--r2", "0.5",
+                     "--method", method]) == 1
+        assert capsys.readouterr().err == ("usage error: 2 max|phi| max|F| = "
+                                           "2 * 1.1e+308 * 1.5 overflows a double\n")
+
+    @pytest.mark.parametrize("method", ["oracle", "closed", "spectral"])
+    @pytest.mark.parametrize("argv", [
+        # 2 phi max F = 1.2e308 and 1.5e308, under the largest double
+        ["--family", "kappa-pos", "--kappa", "1e300", "--two-s", "3", "--phi", "1e7"],
+        ["--two-s", "4", "--phi", "5e307"],
+    ])
+    def test_phase_product_within_a_double_runs(self, capsys, argv, method):
+        assert main(["compute", *argv, "--r2", "0.5", "--method", method]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_label_beyond_int64(self, capsys):
         argv = ["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5", "--m"]
