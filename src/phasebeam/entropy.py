@@ -9,6 +9,14 @@ alone, and the magnitudes summed over n form one Gram matrix per j, from
 real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
 folded onto j >= 0, s <= s' with one cosine per (j, s, s'), in blocks of
 whole j slabs; numpy sums each block and math.fsum combines the block sums.
+Which terms each block holds, with their weights and the level indices of
+their gaps, depends on d alone: that slab plan is built once per size and
+kept (numerics.per_size) while it holds at most RETAIN_ENTRIES terms, which
+keeps 2s <= 80 folded; larger plans stream block by block from the same
+builder on every call.  A call then forms sqrt(pmf), gathers Q_j, runs the
+matrix products and takes the plan's terms, with the same operations in
+the same order as when the plan was built per call, so every value is
+unchanged to the bit.
 The spectral route serves the quadratic tables F(n) = n(1 + kappa(n-1)) of
 every built-in family, where that angle is 2 kappa k phi with the integer
 k = j (s' - s): it bins the same Gram entries by k into a table W_k(r2),
@@ -29,7 +37,7 @@ from .errors import (
     NonQuadraticLevelsError,
     NumericalConsistencyError,
 )
-from .numerics import log_factorials
+from .numerics import log_factorials, per_size, read_only
 from .splitter import (
     SplitterParams,
     reduced_density,
@@ -138,55 +146,79 @@ def phase_term(spec: StructureSpec, n: int, n2: int, l: int, l2: int,
                  - levels[n2 + l] - levels[n + l2]) * phi
 
 
+@per_size(lambda d: d * d)
+def _binomial_table(d: int):
+    """binom(s, n) at [n, s], zero for n > s, with its index tables, read-only.
+
+    Also n and s as a column and the gap s - n, which is negative for n > s.
+    """
+    # ln(k!) for k < d, then +inf: a negative index s - n lands there.
+    lgf = np.concatenate([log_factorials(d - 1), np.full(d, inf)])
+    k = np.arange(d)
+    col = k[:, None]
+    gap = k - col
+    return read_only(np.exp(lgf[:d] - lgf[col] - lgf[gap]), k, col, gap)
+
+
 def _binomial_pmf(spec: StructureSpec, params: SplitterParams) -> np.ndarray:
     """pmf[..., n, s] = binom(s, n) t2^n r2^(s-n), zero for n > s, after any r2 axes.
 
     Column s is the binomial distribution of the n of s photons transmitted.
     """
-    d = spec.dim
-    # ln(k!) for k < d, then +inf: a negative index s - n lands there.
-    lgf = np.array(log_factorials(spec.two_s) + [inf] * d)
-    k = np.arange(d)
-    col = k[:, None]
-    gap = k - col
+    binom, k, col, gap = _binomial_table(spec.dim)
     t2_pow, r2_pow = np.power.outer((params.t2, params.r2), k)
-    return np.exp(lgf[:d] - lgf[col] - lgf[gap]) * t2_pow[..., col] * r2_pow[..., gap]
+    return binom * t2_pow[..., col] * r2_pow[..., gap]
 
 
-def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, levels: np.ndarray, *,
-                folded: bool = True):
-    """Yield, per block of whole j slabs, the weighted Gram entries and their gaps.
+def _plan_terms(d: int, folded: bool) -> int:
+    """Terms of the slab plan: C(d + 2, 3) folded, d (2 d^2 + 1) / 3 unfolded."""
+    return d * (d + 1) * (d + 2) // 6 if folded else d * (2 * d * d + 1) // 3
 
-    With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
-    term magnitudes summed over n are G_j = Q_j^T Q_j.  Slab j holds
-    s, s' = lo_j + u, u < side_j = d - |j|, lo_j = max(0, -j): folded,
-    j >= 0 and s <= s' with fold weight w = 2 - [j == 0] times 2 - [s == s'];
-    unfolded, every j and the whole square with w = 1.  A block holds whole
-    slabs, about _BLOCK_TERMS square entries per cell.  Each item is
-    (w G_j[s, s'], gap): the entries with the cells of pmf leading and one
-    axis of terms, and per term the gap (L(s) - L(s+j)) - (L(s') - L(s'+j))
-    of the table levels = L(0..2s+1), exactly 0 where j == 0 or s == s'.
+
+@dataclass(frozen=True, eq=False)
+class _SlabBlock:
+    """One block of whole j slabs of the Gram sum; it depends on d alone.
+
+    rows[0] and rows[1] hold lo_j and hi_j = lo_j + j of each slab, side the
+    widest slab's side m and slab_w the fold weight of each slab, shape
+    (slabs, 1, 1).  pair_w holds the pair weights of (s, s'), shape (m, m),
+    and terms the flat indices of the block's terms in its (slabs, m, m)
+    Gram stack.  edges[0] and edges[1] hold the level indices s and s + j at
+    s = lo_j + u, u < m, clipped to the table, shape (2, slabs, m).  Every
+    array is read-only.
     """
-    d = spec.dim
+
+    rows: np.ndarray
+    side: int
+    slab_w: np.ndarray
+    pair_w: np.ndarray
+    terms: np.ndarray
+    edges: np.ndarray
+
+
+@per_size(_plan_terms)
+def _slab_plan(d: int, folded: bool):
+    """Yield the _SlabBlock of each block of whole j slabs, in j order.
+
+    Slab j holds s, s' = lo_j + u, u < side_j = d - |j|, lo_j = max(0, -j):
+    folded, j >= 0 and s <= s' with fold weight w = 2 - [j == 0] times
+    2 - [s == s']; unfolded, every j and the whole square with w = 1.  A
+    block holds whole slabs, about _BLOCK_TERMS square entries per cell.
+    Kept plans are tuples; a plan over the budget is this generator.
+    """
     k = np.arange(d)
-    # b[..., n, s], zero for n > s and in the padding.
-    b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
-    b[..., :d, :d] = np.sqrt(pmf)
-    rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
-    win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
-                     strides=b.strides[:-2] + (rs + cs, rs, cs))
-    j = np.arange(0 if folded else -spec.two_s, d)
+    j = np.arange(0 if folded else 1 - d, d)
     side = d - abs(j)
-    lo = np.maximum(-j, 0)
-    hi = lo + j
+    rows = np.stack([np.maximum(-j, 0), np.maximum(j, 0)])
+    # Indices past the level table lie outside the domain.
+    edges = np.minimum(rows[..., None] + k, d)
     inside = np.greater.outer(side, k)
-    # L(s) - L(s + j) at s = lo_j + u; clipped indices lie outside the domain.
-    edge = (levels.take(np.add.outer(lo, k), mode="clip")
-            - levels.take(np.add.outer(hi, k), mode="clip"))
     # Fold weights, powers of two: 2 - [s == s'] for s <= s' (0 below), and
     # 2 for j > 0, which is row 0 of pair_w; all 1 unfolded.
-    pair_w = np.sign(k - k[:, None]) + 1 if folded else np.ones((d, d), int)
+    pair_w = np.sign(k - k[:, None]) + 1.0 if folded else np.ones((d, d))
     slab_w = pair_w[0, abs(j), None, None]
+    upper = pair_w > 0.0
+    read_only(rows, edges, pair_w, slab_w)
     sides = side.tolist()
     # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
     starts = list(accumulate((m * m for m in sides), initial=0))
@@ -194,17 +226,43 @@ def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, levels: np.ndarray, *,
         run = list(run)
         block = slice(run[0], run[-1] + 1)
         m = max(sides[block])
-        q = win[..., lo[block], :m, :m] * win[..., hi[block], :m, :m]
-        # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
-        gram = np.matmul(q.swapaxes(-1, -2) * slab_w[block], q)
         ok = inside[block, :m]
-        weight = pair_w[:m, :m] * ok[:, None, :]
+        keep = upper[:m, :m] & ok[:, None, :]
         if not folded:
-            weight *= ok[:, :, None]
-        terms = weight.ravel().nonzero()[0]
-        mag = (gram * weight).reshape(gram.shape[:-3] + (-1,)).take(terms, axis=-1)
-        e = edge[block, :m]
-        yield mag, (e[:, :, None] - e[:, None, :]).take(terms)
+            keep &= ok[:, :, None]
+        terms = keep.ravel().nonzero()[0]
+        terms.setflags(write=False)
+        yield _SlabBlock(rows[:, block], m, slab_w[block], pair_w[:m, :m], terms,
+                         edges[:, block, :m])
+
+
+def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, levels: np.ndarray, *,
+                folded: bool = True):
+    """Yield, per block of _slab_plan, the weighted Gram entries and their gaps.
+
+    With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
+    term magnitudes summed over n are G_j = Q_j^T Q_j.  Each item is
+    (w G_j[s, s'], gap): the entries with the cells of pmf leading and one
+    axis of terms, and per term the gap (L(s) - L(s+j)) - (L(s') - L(s'+j))
+    of the table levels = L(0..2s+1), exactly 0 where j == 0 or s == s'.
+    """
+    d = spec.dim
+    # b[..., n, s], zero for n > s and in the padding.
+    b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
+    b[..., :d, :d] = np.sqrt(pmf)
+    rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
+    win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
+                     strides=b.strides[:-2] + (rs + cs, rs, cs))
+    for block in _slab_plan(d, folded):
+        m = block.side
+        lo, hi = block.rows
+        q = win[..., lo, :m, :m] * win[..., hi, :m, :m]
+        # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
+        gram = np.matmul(q.swapaxes(-1, -2) * block.slab_w, q) * block.pair_w
+        edge_s, edge_sj = levels.take(block.edges)
+        e = edge_s - edge_sj
+        yield (gram.reshape(gram.shape[:-3] + (-1,)).take(block.terms, axis=-1),
+               (e[:, :, None] - e[:, None, :]).take(block.terms))
 
 
 def linear_entropy_closed(spec: StructureSpec, phi,

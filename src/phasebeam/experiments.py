@@ -76,7 +76,8 @@ class SweepTable:
         if values.shape != (expected,):
             raise ValueError(
                 f"values must have length {expected}, got {values.shape}")
-        if values.size and (np.min(values) < 0.0 or np.max(values) > 1.0):
+        # np.min and np.max propagate NaN, which fails both comparisons.
+        if not (np.min(values) >= 0.0 and np.max(values) <= 1.0):
             raise ValueError("entropy values must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

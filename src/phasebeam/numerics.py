@@ -1,11 +1,21 @@
-"""Small numerical helpers: exact quarter turns and log-factorial tables."""
+"""Small numerical helpers: exact quarter turns, log-factorial tables and
+the cache that keeps per-size tables for reuse."""
 
+from collections import OrderedDict
+from functools import wraps
 from math import lgamma
+from threading import Lock
 
 import numpy as np
 
 # Powers of the imaginary unit, exact to the bit.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+# A table that depends only on a size is kept for the next call while it
+# holds at most this many entries; each cache of such tables holds at most
+# this many entries in all.  2^17 keeps the closed form's slab plan up to
+# 2s = 80 (91 881 terms).
+RETAIN_ENTRIES = 1 << 17
 
 
 def ipow(k: "int | np.ndarray"):
@@ -17,6 +27,67 @@ def ipow(k: "int | np.ndarray"):
     return _QUARTER_TURNS[np.bitwise_and(k, 3)]
 
 
-def log_factorials(n_max: int) -> list[float]:
-    """Table of ln(k!) for k = 0..n_max."""
-    return [lgamma(k + 1) for k in range(n_max + 1)]
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def per_size(entries):
+    """Keep the tables of a builder whose result depends only on its arguments.
+
+    entries(*args) counts the entries of the table for args before it is
+    built.  A table of at most RETAIN_ENTRIES entries is built as
+    tuple(build(*args)) and kept; the least recently used are dropped while
+    the kept tables hold more than RETAIN_ENTRIES entries in all.  A larger
+    table is build(*args) itself on every call, so a builder that yields its
+    parts streams them.  The builder marks its arrays read-only.
+    """
+    def wrap(build):
+        kept = OrderedDict()
+        lock = Lock()  # threads share the kept tables
+
+        @wraps(build)
+        def table(*args):
+            with lock:
+                if args in kept:
+                    kept.move_to_end(args)
+                    return kept[args][1]
+            size = entries(*args)
+            if size > RETAIN_ENTRIES:
+                return build(*args)
+            value = tuple(build(*args))
+            with lock:
+                kept[args] = size, value
+                while sum(n for n, _ in kept.values()) > RETAIN_ENTRIES:
+                    kept.popitem(last=False)
+            return value
+
+        def cache_clear():
+            with lock:
+                kept.clear()
+
+        table.cache_clear = cache_clear
+        return table
+    return wrap
+
+
+_lgf = read_only(np.zeros(1))[0]
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """ln(k!) for k = 0..n_max, a read-only array.
+
+    Each entry is lgamma(k + 1) alone, so a table is a prefix of any longer
+    one: tables of up to RETAIN_ENTRIES entries are views of the longest
+    such table built so far.
+    """
+    global _lgf
+    kept = _lgf
+    if n_max < kept.size:
+        return kept[:n_max + 1]
+    table = read_only(np.array([lgamma(k + 1) for k in range(n_max + 1)]))[0]
+    if table.size <= RETAIN_ENTRIES:
+        _lgf = table
+    return table

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import StructureSpec
 from .errors import InvalidDensityError, NotNormalizedError
-from .numerics import ipow, log_factorials
+from .numerics import ipow, log_factorials, per_size, read_only
 from .phase_states import _root_powers, phase_state
 
 # reduced_density's bound on a norm's distance from 1, then validate_density's
@@ -112,14 +112,21 @@ class BipartiteVector:
         return float(nrm) if nrm.ndim == 0 else nrm
 
 
-def _triangle(two_s: int) -> np.ndarray:
-    """Mask of the pairs (p, k) with p + k <= two_s, shape (d, d).
+@per_size(tri_size)
+def _triangle_table(two_s: int):
+    """The per-size part of the triangle routes, read-only.
 
-    Its row-major order is tri_index order, so np.nonzero of it gives the
-    (p, k) index arrays of the packed layout and a[mask] = amp unpacks it.
+    The mask of the pairs (p, k) with p + k <= two_s, shape (d, d), whose
+    row-major order is tri_index order, so a[mask] = amp unpacks a packed
+    vector; p, k and the shell p + k of every pair in that order; half
+    ln(n!) for n <= two_s and at each shell; i^k.
     """
     n = np.arange(two_s + 1)
-    return n[:, None] + n <= two_s
+    mask = n[:, None] + n <= two_s
+    p, k = np.nonzero(mask)
+    half_lgf = 0.5 * log_factorials(two_s)
+    shell = p + k
+    return read_only(mask, p, k, shell, half_lgf, half_lgf[shell], ipow(k))
 
 
 def _log_powers(x, two_s: int) -> np.ndarray:
@@ -142,12 +149,10 @@ def _triangle_weights(two_s: int, params: SplitterParams):
     The binomial and both powers are one exponent, so nothing overflows: every
     weight has modulus at most 1, and a power of a zero t or r is exactly 0.
     """
-    p, k = np.nonzero(_triangle(two_s))
-    half_lgf = 0.5 * np.array(log_factorials(two_s))
-    shell = p + k
+    _, p, k, shell, half_lgf, shell_lgf, i_k = _triangle_table(two_s)
     log_t, log_r = _log_powers(np.array([params.t, params.r]), two_s) - half_lgf
-    expo = half_lgf[shell] + log_t[..., p] + log_r[..., k]
-    return shell, np.exp(expo) * ipow(k)
+    expo = shell_lgf + log_t[..., p] + log_r[..., k]
+    return shell, np.exp(expo) * i_k
 
 
 def split_number_state(n: int, params: SplitterParams) -> BipartiteVector:
@@ -186,7 +191,7 @@ def reduced_density(b: BipartiteVector) -> np.ndarray:
     matrices, shape (..., d, d); every vector must be normalised within
     NORM_TOL, which is checked on the trace of its rho, the squared norm.
     """
-    mask = _triangle(b.two_s)
+    mask = _triangle_table(b.two_s)[0]
     a = np.zeros(b.amp.shape[:-1] + mask.shape, dtype=complex)
     a[..., mask] = b.amp
     full = a @ a.conj().swapaxes(-1, -2)
@@ -199,6 +204,21 @@ def reduced_density(b: BipartiteVector) -> np.ndarray:
     rho = np.where(n[:, None] < n, full, full.conj().swapaxes(-1, -2))
     rho[..., n, n] = diag
     return rho
+
+
+@per_size(lambda two_s: (two_s + 1) ** 2)
+def _coefficient_table(two_s: int):
+    """The per-size part of reduced_density_closed, read-only.
+
+    n + l at each (n, l), 0 where it exceeds two_s; the mask of n + l <=
+    two_s; half ln(k!) for k <= two_s and at each n + l; i^l.
+    """
+    k = np.arange(two_s + 1)
+    total = np.add.outer(k, k)
+    inside = total <= two_s
+    total = np.where(inside, total, 0)
+    half_lgf = 0.5 * log_factorials(two_s)
+    return read_only(total, inside, half_lgf, half_lgf[total], ipow(k))
 
 
 def reduced_density_closed(spec: StructureSpec, m, phi,
@@ -215,15 +235,11 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     factor is formed once per (m, phi) and the weight once per r2.
     """
     d = spec.dim
-    k = np.arange(d)
-    total = np.add.outer(k, k)
-    inside = total < d
-    total = np.where(inside, total, 0)
+    total, inside, half_lgf, total_lgf, i_k = _coefficient_table(spec.two_s)
     # ln of sqrt(binom(n+l, n)) t^n r^l as one exponent, so nothing overflows
-    half_lgf = 0.5 * np.array(log_factorials(spec.two_s))
     log_t, log_r = _log_powers(np.array([params.t, params.r]), spec.two_s) - half_lgf
-    expo = half_lgf[total] + log_t[..., :, None] + log_r[..., None, :]
-    weight = np.exp(np.where(inside, expo, -np.inf)) * ipow(k) / sqrt(d)
+    expo = total_lgf + log_t[..., :, None] + log_r[..., None, :]
+    weight = np.exp(np.where(inside, expo, -np.inf)) * i_k / sqrt(d)
     # q^{mk} e^{-i F(k) phi} for k = n + l
     amp = _root_powers(m, d) * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d]))
     c = weight * amp[..., total]

@@ -5,7 +5,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from math import pi
+from math import exp, pi
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,7 @@ def _assert_prints_as_g17(values):
     value is a valid entropy, through render_csv."""
     values = np.asarray(values, dtype=float)
     assert _kernel_bytes(values) == b"".join(b"%.17g\n" % v for v in values.tolist())
-    entropies = values[~(values < 0.0) & ~(values > 1.0)]
+    entropies = values[(values >= 0.0) & (values <= 1.0)]  # SweepTable refuses NaN
     if entropies.size:
         table = SweepTable(axes=(Axis("i", tuple(map(float, range(entropies.size)))),),
                            values=entropies)
@@ -432,12 +432,13 @@ class TestMainCompute:
         assert "Traceback" not in captured.err
 
     def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
-        # an overflow raised inside the oracle route, here where the splitter
-        # builds its log-factorial table, ends the run as a numerical error
-        def overflow(n_max):
-            raise OverflowError("math range error")
+        # an overflow raised inside the oracle route ends the run as a
+        # numerical error; _log_powers runs on every call, whatever the
+        # per-size tables already hold, and here it meets exp(1000)
+        def overflow(x, two_s):
+            return exp(1000.0)
 
-        monkeypatch.setattr("phasebeam.splitter.log_factorials", overflow)
+        monkeypatch.setattr("phasebeam.splitter._log_powers", overflow)
         code = main(["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5"])
         assert code == 2
         captured = capsys.readouterr()

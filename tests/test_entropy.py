@@ -61,7 +61,7 @@ def _closed_loop_reference(two_s, *, folded):
     as a list of rows over phi.
     """
     d = two_s + 1
-    lgf = log_factorials(two_s)
+    lgf = log_factorials(two_s).tolist()
     terms = []
     for n in range(d):
         for n2 in range(n if folded else 0, d):

@@ -198,6 +198,12 @@ class TestSweepCrossCheck:
         with pytest.raises(ValueError):
             SweepTable(axes=(Axis("a", (1.0,)),), values=np.array([-0.1]))
 
+    def test_nan_refused(self):
+        # NaN fails every comparison, so a range check written as two
+        # "outside" tests let it through to CSV "nan" and JSON "NaN".
+        with pytest.raises(ValueError, match="must lie in"):
+            SweepTable(axes=(Axis("phi", (0.0, 1.0)),), values=np.array([np.nan, 0.5]))
+
 
 class TestDeterminismAndParallel:
     def test_serial_repeatable_bitwise(self):
