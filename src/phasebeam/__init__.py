@@ -23,7 +23,6 @@ from .entropy import (
     MIndependenceReport,
     linear_entropy,
     linear_entropy_closed,
-    linear_entropy_spectral,
     m_independence_report,
     phase_term,
 )
@@ -35,7 +34,6 @@ from .errors import (
     InvalidStructureError,
     MissingKappaError,
     NonPositiveLevelError,
-    NonQuadraticLevelsError,
     NotNormalizedError,
     NumericalConsistencyError,
     PhasebeamError,
@@ -106,7 +104,6 @@ __all__ = [
     "MIndependenceReport",
     "linear_entropy",
     "linear_entropy_closed",
-    "linear_entropy_spectral",
     "phase_term",
     "m_independence_report",
     "Axis",
@@ -119,7 +116,6 @@ __all__ = [
     "InvalidDimensionError",
     "InvalidStructureError",
     "NonPositiveLevelError",
-    "NonQuadraticLevelsError",
     "TraceNotZeroError",
     "MissingKappaError",
     "DimensionMismatchError",

@@ -25,7 +25,6 @@ from .entropy import (
     M_SPREAD_TOL,
     linear_entropy,
     linear_entropy_closed,
-    linear_entropy_spectral,
 )
 from .numerics import ipow
 from .phase_states import (
@@ -237,14 +236,13 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
+            # The folded table bins k >= 0, the unfolded one the signed k.
             closed, unfolded = (linear_entropy_closed(spec, phis[:, None], grid, folded=f).value
                                 for f in (True, False))
             worst_fold = max(worst_fold, np.max(np.abs(closed - unfolded)))
             labels = np.arange(spec.dim)[:, None, None]
             rho = reduced_density(split_phase_state(spec, labels, phis[:, None], grid))
-            spectral = linear_entropy_spectral(spec, phis[:, None], grid).value
-            worst_routes = max(worst_routes, np.max(np.abs(
-                linear_entropy(rho).value - closed)), np.max(np.abs(spectral - closed)))
+            worst_routes = max(worst_routes, np.max(np.abs(linear_entropy(rho).value - closed)))
     out.append(_result("entropy", "closed_vs_oracle", worst_routes, 1e-10))
     out.append(_result("entropy", "folded_vs_unfolded", worst_fold, 1e-12))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Family, build_structure
 from .checks import run_suites
-from .entropy import linear_entropy, linear_entropy_closed, linear_entropy_spectral
+from .entropy import linear_entropy, linear_entropy_closed
 from .errors import PhasebeamError, RangeError, UsageError
 from .experiments import SweepTable, _sweep
 from .splitter import SplitterParams, reduced_density, split_phase_state
@@ -30,14 +30,14 @@ from .splitter import SplitterParams, reduced_density, split_phase_state
 BOTH_ROUTES_TOL = 1e-8
 # The work budget, checked before a run starts; a run estimated above it is
 # a usage error.  A rho costs about d^3, a sweep cell CELL_FLOOR more (its CSV
-# row, its share of per-call costs), and the closed form or the spectral
-# route about d^4/4 multiply-adds.  A sweep is charged d^3 + CELL_FLOOR per
-# cell on either of its routes: it takes spectral tables only on 2s slices
-# where they took less time than one rho per cell (experiments._tables_pay).
+# row, its share of per-call costs), and the closed form's Gram table about
+# d^4/4 multiply-adds.  A sweep is charged d^3 + CELL_FLOOR per cell on
+# either of its routes: it takes Gram tables only on 2s slices where they
+# took less time than one rho per cell (experiments._tables_pay).
 # 2^34 admits the partial-trace compute up to 2s = 2579, the closed form up
-# to 2s = 511 (3-4.5 s there on a 2-core x86 host, where 2s = 2200 by the
-# partial trace takes 5 s), the default 128 x 101 sweep at 2s = 80 (6.9e9),
-# 2^24 points on an axis.
+# to 2s = 511 (1.9 s there on a 2-core x86 host, where 2s = 2200 by the
+# partial trace takes 3.5-5 s), the default 128 x 101 sweep at 2s = 80
+# (6.9e9), 2^24 points on an axis.
 CUBE_BUDGET = 1 << 34
 CELL_FLOOR = 1 << 10
 
@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
     p_compute.add_argument("--two-s", required=True, help="2s (integer >= 1)")
     p_compute.add_argument("--phi", required=True, help="phase parameter")
     p_compute.add_argument("--r2", required=True, help="reflection probability")
-    p_compute.add_argument("--method", choices=("oracle", "closed", "spectral", "both"),
+    p_compute.add_argument("--method", choices=("oracle", "closed", "both"),
                            default="oracle")
 
     p_sweep = sub.add_parser("sweep", help="entropy over a parameter grid")
@@ -203,6 +203,8 @@ def parse_args(argv=None) -> RunConfig:
         return RunConfig(command="check", suite=ns.suite, seed=ns.seed)
 
     family = _family(ns.family)
+    if family is Family.PEGG_BARNETT and ns.kappa is not None:
+        raise UsageError("--kappa does not apply to pegg-barnett")
     runs = _two_s_runs(ns.two_s)
     # Every budget is checked on the grid and 2s counts, before either is built.
     cells = _grid_spec(ns.phi)[2] * _grid_spec(ns.r2)[2]
@@ -213,8 +215,8 @@ def parse_args(argv=None) -> RunConfig:
             _check_budget("the partial-trace route", (runs[0].start + 1)**3,
                           CUBE_BUDGET, "d^3")
         if ns.method != "oracle":
-            route = "the spectral route" if ns.method == "spectral" else "the closed form"
-            _check_budget(route, (runs[0].start + 1)**4 // 4, CUBE_BUDGET, "multiply-adds")
+            _check_budget("the closed form", (runs[0].start + 1)**4 // 4, CUBE_BUDGET,
+                          "multiply-adds")
         extra = {"method": ns.method}
     else:
         # sum of x^3 for x = lo+1..hi+1 is T(hi+1)^2 - T(lo)^2, T(n) = n(n+1)/2
@@ -278,10 +280,10 @@ def _check_phase_product(specs, phis) -> None:
     """Refuse phases whose product with the levels can overflow a double.
 
     The oracle forms phi F(n); the closed form's angles are phi times a
-    difference of two level differences, and the spectral rates 2 kappa k
-    reach 2 max F for kappa-neg.  With levels >= 0, as in every CLI family,
-    no angle exceeds 2 max|phi| max|F|; past a double it would be a NaN
-    phase (and numpy warnings) on any route.
+    difference of two level differences (2 kappa k on a quadratic table),
+    which reaches 2 max F for kappa-neg.  With levels >= 0, as in every CLI
+    family, no angle exceeds 2 max|phi| max|F|; past a double it would be a
+    NaN phase (and numpy warnings) on any route.
     """
     phi = max(abs(v) for v in phis)
     level = max(float(np.abs(spec.levels).max()) for spec in specs)
@@ -303,8 +305,6 @@ def _run_compute(cfg: RunConfig) -> int:
         print(_fmt_float(oracle()))
     elif cfg.method == "closed":
         print(_fmt_float(linear_entropy_closed(spec, phi, params).value))
-    elif cfg.method == "spectral":
-        print(_fmt_float(linear_entropy_spectral(spec, phi, params).value))
     else:
         s_oracle = oracle()
         s_closed = linear_entropy_closed(spec, phi, params).value

@@ -1,42 +1,36 @@
 """Linear entropy S = 1 - Tr(rho^2) of the beam splitter output.
 
-Three routes are provided.  The oracle route squares an explicit reduced
+Two routes are provided.  The oracle route squares an explicit reduced
 density matrix.  The closed-form route evaluates the quadruple sum over
 (n, n', l, l') whose terms carry the angle
     [F(n+l) + F(n'+l') - F(n'+l) - F(n+l')] * phi.
 With j = n' - n, s = n + l and s' = n + l' the angle depends on (j, s, s')
 alone, and the magnitudes summed over n form one Gram matrix per j, from
 real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
-folded onto j >= 0, s <= s' with one cosine per (j, s, s'), in blocks of
-whole j slabs; numpy sums each block and math.fsum combines the block sums.
-Which terms each block holds, with their weights and the level indices of
-their gaps, depends on d alone: that slab plan is built once per size and
-kept (numerics.per_size) while it holds at most RETAIN_ENTRIES terms, which
+folded onto j >= 0, s <= s', in blocks of whole j slabs.  Which terms each
+block holds, with their weights and the level indices of their gaps,
+depends on d alone: that slab plan is built once per size and kept
+(numerics.per_size) while it holds at most RETAIN_ENTRIES terms, which
 keeps 2s <= 80 folded; larger plans stream block by block from the same
-builder on every call.  A call then forms sqrt(pmf), gathers Q_j, runs the
-matrix products and takes the plan's terms, with the same operations in
-the same order as when the plan was built per call, so every value is
-unchanged to the bit.
-The spectral route serves the quadratic tables F(n) = n(1 + kappa(n-1)) of
-every built-in family, where that angle is 2 kappa k phi with the integer
-k = j (s' - s): it bins the same Gram entries by k into a table W_k(r2),
-once per r2, and S = 1 - sum_k W_k cos(2 kappa k phi) / d^2 per phase.
+builder on every call.  A call forms sqrt(pmf), gathers Q_j, runs the
+matrix products and takes the plan's terms.
+The Gram entries then go into one table keyed by the gap, once per r2, and
+S = 1 - sum_g W_g cos(g phi) / d^2 per phase.  On the quadratic tables
+F(n) = n(1 + kappa(n-1)) of every built-in family the gap is 2 kappa k with
+the integer k = j (s' - s), and the entries are binned by k; on any other
+table each term is an entry of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from math import fsum, inf
+from math import inf
 
 import numpy as np
 
 from .algebra import StructureSpec
-from .errors import (
-    IndexOutOfRangeError,
-    NonQuadraticLevelsError,
-    NumericalConsistencyError,
-)
+from .errors import IndexOutOfRangeError, NumericalConsistencyError
 from .numerics import log_factorials, per_size, read_only
 from .splitter import (
     SplitterParams,
@@ -47,21 +41,20 @@ from .splitter import (
 
 ORACLE = "oracle"
 CLOSED_FORM = "closed"
-SPECTRAL = "spectral"
 
 # Excursions beyond [0, 1] by at most this much are roundoff and get
 # clamped; anything larger is a genuine inconsistency and is refused.
 CLAMP_TOL = 1e-10
 
-# Terms per block of the closed-form sum, counted as (s, s') square entries.
+# Terms per block of the Gram sum, counted as (s, s') square entries.
 # At 2s = 40 on a 2-core x86 host, 2^11 ran as fast as 2^12 and 2^13 and
 # kept the peak traced memory of one call at 0.3 MB (0.9 MB at 2^13).
 _BLOCK_TERMS = 1 << 11
 
-# The spectral route takes F(0..2s) as n(1 + kappa(n-1)) when they agree
-# this closely, relative to max |F|.
+# A Gram table bins by k where F(0..2s) agree with n(1 + kappa(n-1)) this
+# closely, relative to max |F|.
 QUADRATIC_TOL = 1e-14
-# Every column of a spectral table's binomial pmf must sum to 1 this closely;
+# Every column of a Gram table's binomial pmf must sum to 1 this closely;
 # the largest deviations measured were 5.6e-14 at 2s = 80 (101 r2 values)
 # and 7.4e-13 at 511 (2001 r2 values).
 PMF_TOL = 1e-12
@@ -184,7 +177,8 @@ class _SlabBlock:
     (slabs, 1, 1).  pair_w holds the pair weights of (s, s'), shape (m, m),
     and terms the flat indices of the block's terms in its (slabs, m, m)
     Gram stack.  edges[0] and edges[1] hold the level indices s and s + j at
-    s = lo_j + u, u < m, clipped to the table, shape (2, slabs, m).  Every
+    s = lo_j + u, u < m, clipped to the table, shape (2, slabs, m).  bins
+    holds, per term, the position of its k = j (s' - s) in _k_values.  Every
     array is read-only.
     """
 
@@ -194,6 +188,21 @@ class _SlabBlock:
     pair_w: np.ndarray
     terms: np.ndarray
     edges: np.ndarray
+    bins: np.ndarray
+
+
+@per_size(lambda d, folded: d * d)
+def _k_values(d: int, folded: bool):
+    """The distinct k = j (s' - s) of the slab plan's terms, ascending, read-only.
+
+    The terms have |j| + |s' - s| <= d - 1, folded with j, s' - s >= 0, and
+    every such product occurs.
+    """
+    j = np.arange(d)
+    seen = np.zeros(d * d, dtype=bool)
+    seen[np.multiply.outer(j, j)[np.add.outer(j, j) < d]] = True
+    k = seen.nonzero()[0]
+    return read_only(k if folded else np.concatenate([-k[:0:-1], k]))
 
 
 @per_size(_plan_terms)
@@ -206,6 +215,7 @@ def _slab_plan(d: int, folded: bool):
     block holds whole slabs, about _BLOCK_TERMS square entries per cell.
     Kept plans are tuples; a plan over the budget is this generator.
     """
+    (ks,) = _k_values(d, folded)
     k = np.arange(d)
     j = np.arange(0 if folded else 1 - d, d)
     side = d - abs(j)
@@ -231,20 +241,21 @@ def _slab_plan(d: int, folded: bool):
         if not folded:
             keep &= ok[:, :, None]
         terms = keep.ravel().nonzero()[0]
-        terms.setflags(write=False)
+        # Entry (u, u') of slab j has k = j (u' - u).
+        k_terms = (j[block, None, None] * (k[:m] - k[:m, None])).reshape(-1).take(terms)
+        bins = np.searchsorted(ks, k_terms).astype(np.int32)
+        read_only(terms, bins)
         yield _SlabBlock(rows[:, block], m, slab_w[block], pair_w[:m, :m], terms,
-                         edges[:, block, :m])
+                         edges[:, block, :m], bins)
 
 
-def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, levels: np.ndarray, *,
-                folded: bool = True):
-    """Yield, per block of _slab_plan, the weighted Gram entries and their gaps.
+def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, *, folded: bool = True):
+    """Yield, per block of _slab_plan, the block and its weighted Gram entries.
 
     With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
     term magnitudes summed over n are G_j = Q_j^T Q_j.  Each item is
-    (w G_j[s, s'], gap): the entries with the cells of pmf leading and one
-    axis of terms, and per term the gap (L(s) - L(s+j)) - (L(s') - L(s'+j))
-    of the table levels = L(0..2s+1), exactly 0 where j == 0 or s == s'.
+    (block, w G_j[s, s']): the entries with the cells of pmf leading and one
+    axis of the block's terms.
     """
     d = spec.dim
     # b[..., n, s], zero for n > s and in the padding.
@@ -259,68 +270,58 @@ def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, levels: np.ndarray, *,
         q = win[..., lo, :m, :m] * win[..., hi, :m, :m]
         # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
         gram = np.matmul(q.swapaxes(-1, -2) * block.slab_w, q) * block.pair_w
-        edge_s, edge_sj = levels.take(block.edges)
-        e = edge_s - edge_sj
-        yield (gram.reshape(gram.shape[:-3] + (-1,)).take(block.terms, axis=-1),
-               (e[:, :, None] - e[:, None, :]).take(block.terms))
+        yield block, gram.reshape(gram.shape[:-3] + (-1,)).take(block.terms, axis=-1)
 
 
 def linear_entropy_closed(spec: StructureSpec, phi,
                           params: SplitterParams, *,
                           folded: bool = True) -> EntropyValue:
-    """Closed-form linear entropy of the split phase state.
+    """Closed-form linear entropy of the split phase state, from its Gram table.
 
     The result carries no dependence on the label m.  phi and r2 broadcast
     together, and it has one entropy per cell, shape
-    np.broadcast_shapes(phi, r2).  With folded=True (the default) the sum
-    runs over the half-domain with cosine terms; folded=False keeps the full
-    complex sum, whose imaginary part must come out <= 1e-12 in every cell,
-    as a cross-check path.
-
-    Each block of _gram_slabs gives its terms w G_j[s, s'] the angle
-    phi [(F(s) - F(s+j)) - (F(s') - F(s'+j))]; numpy sums each block per
-    cell and math.fsum combines the block sums.
+    np.broadcast_shapes(phi, r2), each cell equal to its scalar call to the
+    bit.  With folded=True (the default) the sum runs over the half-domain
+    with cosine terms; folded=False keeps the full complex sum, whose
+    imaginary part must come out <= 1e-12 in every cell, as a cross-check
+    path.
     """
-    d = spec.dim
-    re, im = [], []
-    pmf = _binomial_pmf(spec, params)
-    for mag, gap in _gram_slabs(spec, pmf, spec.levels, folded=folded):
-        angle = np.multiply.outer(phi, gap)
-        re.append((mag * np.cos(angle)).sum(axis=-1))
-        if not folded:
-            im.append(-(mag * np.sin(angle)).sum(axis=-1))
-    total = _fsum_blocks(re) / (d * d)
-    residual = 0.0 if folded else np.abs(_fsum_blocks(im)).max() / (d * d)
-    if residual > 1e-12:
-        raise NumericalConsistencyError(
-            f"imaginary residual {residual} in the unfolded sum")
-    return EntropyValue(1.0 - total, CLOSED_FORM, d)
+    return _gram_table(spec, params, folded=folded).entropy(phi)
 
 
 @dataclass(frozen=True, eq=False)
-class _SpectralTable:
-    """S = 1 - sum_k weights[..., k] cos(rates[k] phi) / dim^2 for the cells of r2.
+class _GramTable:
+    """S = 1 - sum_g weights[..., g] cos(rates[g] phi) / dim^2 for the cells of r2.
 
-    rates holds 2 kappa k for each distinct k, weights one row per r2 cell.
+    rates holds the angle per unit phi of each entry, weights one row per r2
+    cell.  Unfolded, the gaps come in both signs, and the sine-weighted sum,
+    the imaginary part of the complex sum, must vanish.
     """
 
     rates: np.ndarray
     weights: np.ndarray
     dim: int
+    folded: bool = True
 
     def entropy(self, phi) -> EntropyValue:
         """One entropy per cell of np.broadcast_shapes(phi, r2).
 
-        The contraction is an elementwise product summed over k, so every
-        cell of an array call equals its scalar call to the bit.
+        The contraction is an elementwise product summed over the entries, so
+        every cell of an array call equals its scalar call to the bit.
         """
-        cos = np.cos(np.multiply.outer(phi, self.rates))
-        purity = (self.weights * cos).sum(axis=-1) / (self.dim * self.dim)
-        return EntropyValue(1.0 - purity, SPECTRAL, self.dim)
+        angle = np.multiply.outer(phi, self.rates)
+        scale = self.dim * self.dim
+        purity = (self.weights * np.cos(angle)).sum(axis=-1) / scale
+        if not self.folded:
+            residual = np.abs((self.weights * np.sin(angle)).sum(axis=-1)).max() / scale
+            if residual > 1e-12:
+                raise NumericalConsistencyError(
+                    f"imaginary residual {residual} in the unfolded sum")
+        return EntropyValue(1.0 - purity, CLOSED_FORM, self.dim)
 
 
-def _quadratic_kappa(spec: StructureSpec) -> float:
-    """spec.kappa (0 where it has none), once F(0..2s) fit n(1 + kappa(n-1)).
+def _quadratic(spec: StructureSpec) -> bool:
+    """Whether F(0..2s) fit n(1 + kappa(n-1)) at spec.kappa (0 where it has none).
 
     F(2s+1) = 0 is the truncation and takes no part in the fit.
     """
@@ -328,61 +329,42 @@ def _quadratic_kappa(spec: StructureSpec) -> float:
     levels = spec.levels[:spec.dim]
     n = np.arange(spec.dim, dtype=float)
     dev = np.abs(levels - n * (1.0 + kappa * (n - 1.0))).max()
-    if not dev <= QUADRATIC_TOL * np.abs(levels).max():
-        raise NonQuadraticLevelsError(
-            f"{spec.family.value} levels are off n(1 + kappa(n-1)) at kappa = "
-            f"{kappa} by {dev}; the spectral route needs that form")
-    return kappa
+    return bool(dev <= QUADRATIC_TOL * np.abs(levels).max())
 
 
-def _spectral_table(spec: StructureSpec, params: SplitterParams) -> _SpectralTable:
-    """The closed form's Gram entries binned by k = j (s' - s), one row per r2 cell.
+def _gram_table(spec: StructureSpec, params: SplitterParams, *,
+                folded: bool = True) -> _GramTable:
+    """The Gram entries w G_j[s, s'] keyed by their gap, one row per r2 cell.
 
-    With F(n) = n(1 + kappa(n-1)) the angle of the term (j, s, s') is
-    2 kappa k phi, so S = 1 - sum_k W_k cos(2 kappa k phi) / d^2, where W_k
-    sums w G_j[s, s'] over the terms with that k, 0 <= k <= (2s)^2 / 4.
-    np.bincount sums each block's entries per (r2 cell, k) in term order, and
-    the block sums are added into W in block order.
+    The gap of the term (j, s, s') is (F(s) - F(s+j)) - (F(s') - F(s'+j)),
+    exactly 0 where j == 0 or s == s'.  On a quadratic table
+    F(n) = n(1 + kappa(n-1)) it is 2 kappa k with the integer k = j (s' - s),
+    so the entries are binned by k: np.bincount sums each block's entries per
+    (r2 cell, k) in term order, and the block sums are added in block order.
+    On any other table each term is an entry of its own.
     """
-    kappa = _quadratic_kappa(spec)
     pmf = _binomial_pmf(spec, params)
     dev = np.abs(pmf.sum(axis=-2) - 1.0).max()
     if not dev <= PMF_TOL:
         raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
+    if not _quadratic(spec):
+        mags, gaps = [], []
+        for block, mag in _gram_slabs(spec, pmf, folded=folded):
+            edge_s, edge_sj = spec.levels.take(block.edges)
+            e = edge_s - edge_sj
+            gaps.append((e[:, :, None] - e[:, None, :]).take(block.terms))
+            mags.append(mag)
+        return _GramTable(np.concatenate(gaps), np.concatenate(mags, axis=-1),
+                          spec.dim, folded)
+    (ks,) = _k_values(spec.dim, folded)
     cells = pmf.shape[:-2]
-    width = spec.two_s**2 // 4 + 1
-    # Bin k of the c-th r2 cell (row-major) is c * width + k.
-    first = np.arange(0, pmf[..., 0, 0].size * width, width)[:, None]
-    table = np.zeros(first.size * width)
-    seen = np.zeros(width, dtype=bool)
-    # The gap of L(n) = n(n-1)/2, exact in integers, is k itself.
-    n = np.arange(spec.dim + 1)
-    for mag, key in _gram_slabs(spec, pmf, n * (n - 1) // 2):
-        table += np.bincount((first + key).ravel(), mag.ravel(), table.size)
-        seen[key] = True
-    keys = seen.nonzero()[0]
-    weights = table.reshape(cells + (width,)).take(keys, axis=-1)
-    return _SpectralTable(2.0 * kappa * keys, weights, spec.dim)
-
-
-def linear_entropy_spectral(spec: StructureSpec, phi,
-                            params: SplitterParams) -> EntropyValue:
-    """Linear entropy from the spectral table, for quadratic level tables.
-
-    Same axis contract as linear_entropy_closed: one entropy per cell of
-    np.broadcast_shapes(phi, r2), each cell equal to its scalar call to the
-    bit.  The built-in families all qualify (Pegg-Barnett has kappa = 0);
-    a table that does not fit n(1 + kappa(n-1)) within QUADRATIC_TOL raises
-    NonQuadraticLevelsError, and linear_entropy_closed takes it instead.
-    """
-    return _spectral_table(spec, params).entropy(phi)
-
-
-def _fsum_blocks(sums) -> np.ndarray:
-    """math.fsum over the blocks of each cell; sums holds the cells of each block."""
-    blocks = np.array(sums)
-    cells = blocks.reshape(len(blocks), -1).T.tolist()
-    return np.array([fsum(c) for c in cells]).reshape(blocks.shape[1:])
+    # Bin b of the c-th r2 cell (row-major) is c * ks.size + b.
+    first = np.arange(0, pmf[..., 0, 0].size * ks.size, ks.size)[:, None]
+    table = np.zeros(first.size * ks.size)
+    for block, mag in _gram_slabs(spec, pmf, folded=folded):
+        table += np.bincount((first + block.bins).ravel(), mag.ravel(), table.size)
+    return _GramTable(2.0 * (spec.kappa or 0.0) * ks, table.reshape(cells + (ks.size,)),
+                      spec.dim, folded)
 
 
 def m_independence_report(spec: StructureSpec, phi: float,

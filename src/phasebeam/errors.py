@@ -22,11 +22,6 @@ class TraceNotZeroError(InvalidStructureError):
     """Level spacings do not sum to zero, so the cyclic truncation fails."""
 
 
-class NonQuadraticLevelsError(InvalidStructureError):
-    """The level table is not F(n) = n(1 + kappa(n-1)) for the spec's kappa,
-    which the spectral route of the linear entropy needs."""
-
-
 class MissingKappaError(PhasebeamError, ValueError):
     """A deformation parameter was required but not supplied."""
 

@@ -7,10 +7,10 @@ which differs between them only in the axes it names.  It makes one call
 of the grid evaluator, which takes each 2s slice of the (phi, r2) plane by
 one of two routes, chosen from the slice's size:
 
-- spectral tables, where a slice has many phases per r2 value.  Every
-  family a sweep takes has quadratic levels, so one table per tile of r2
-  values gives S = 1 - sum_k W_k(r2) cos(2 kappa k phi) / d^2, contracted
-  with tiles of phases.  A table costs about d^4/4 multiply-adds per r2
+- Gram tables, where a slice has many phases per r2 value.  Every family
+  a sweep takes has quadratic levels, so one table per tile of r2 values
+  gives S = 1 - sum_k W_k(r2) cos(2 kappa k phi) / d^2, contracted with
+  tiles of phases.  A table costs about d^4/4 multiply-adds per r2
   value, each phase then about d^2/4 cosines.
 - one rho per cell otherwise: tiles of cells, each assembled from the
   transmission coefficients, validated, and S = 1 - Tr(rho^2), about d^3
@@ -28,7 +28,7 @@ from math import isqrt
 import numpy as np
 
 from .algebra import Family, build_structure
-from .entropy import _spectral_table, linear_entropy
+from .entropy import _gram_table, linear_entropy
 from .splitter import (
     SplitterParams,
     reduced_density,
@@ -37,7 +37,7 @@ from .splitter import (
 )
 
 # Tile bound in entries: a rho tile holds at most _BLOCK_ENTRIES // d^2
-# complex matrices of d^2 entries (1 MiB); an r2 tile of the spectral route
+# complex matrices of d^2 entries (1 MiB); an r2 tile of the Gram tables
 # holds at most _BLOCK_ENTRIES // d^2 values, so its table's pmf and weights
 # stay within a few times this, and a phase tile's product with the table
 # holds at most this many floats.  A larger (phi, r2) plane goes in tiles,
@@ -101,7 +101,7 @@ def entropy_point(two_s: int, m: int, phi: float, r2: float,
 
 
 def _tables_pay(dim: int, phases: int, r2s: int) -> bool:
-    """Whether spectral tables beat one rho per cell on a phases x r2s slice.
+    """Whether Gram tables beat one rho per cell on a phases x r2s slice.
 
     A table for one r2 value took at most as long as 12-14 rho cells up to
     d = 81, 22 at d = 161 and 32 at d = 321, and a table call about 0.1 ms
@@ -115,17 +115,17 @@ def _tables_pay(dim: int, phases: int, r2s: int) -> bool:
 
 
 def _table_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
-    """Fill out (phi, r2) with S from spectral tables; S does not depend on m.
+    """Fill out (phi, r2) with S from Gram tables; S does not depend on m.
 
     The r2 axis goes in tiles of at most _BLOCK_ENTRIES // d^2 values (at
-    least one), one _spectral_table each.  A table with K distinct k is
+    least one), one _gram_table each.  A table with K distinct k is
     contracted with a column of phases in tiles of at most
     _BLOCK_ENTRIES // (K * tile width) (at least one); EntropyValue bounds
     every S.
     """
     cols = max(1, _BLOCK_ENTRIES // spec.dim**2)
     for c in range(0, len(r2_axis), cols):
-        table = _spectral_table(spec, SplitterParams(r2_axis[c:c + cols]))
+        table = _gram_table(spec, SplitterParams(r2_axis[c:c + cols]))
         rows = max(1, _BLOCK_ENTRIES // table.weights.size)
         for r in range(0, len(phi_axis), rows):
             out[r:r + rows, c:c + cols] = table.entropy(phi_axis[r:r + rows, None]).value

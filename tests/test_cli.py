@@ -21,6 +21,7 @@ from phasebeam import (
     UsageError,
     build_structure,
     linear_entropy,
+    linear_entropy_closed,
     reduced_density,
     SplitterParams,
     split_phase_state,
@@ -317,17 +318,33 @@ class TestMainCompute:
         got = float(capsys.readouterr().out.strip())
         assert got == pytest.approx(0.17928373411758292, abs=1e-12)
 
-    def test_spectral_method(self, capsys):
-        from phasebeam import linear_entropy_spectral
-
+    def test_closed_method_every_family(self, capsys):
         for family, kappa in (("pegg-barnett", []), ("kappa-neg", []),
                               ("kappa-pos", ["--kappa", "0.5"])):
             code = main(["compute", "--family", family, *kappa, "--two-s", "7",
-                         "--phi", "1.0", "--r2", "0.3", "--method", "spectral"])
+                         "--phi", "1.0", "--r2", "0.3", "--method", "closed"])
             assert code == 0
             spec = build_structure(Family(family), 7, 0.5 if kappa else None)
-            want = linear_entropy_spectral(spec, 1.0, SplitterParams(0.3)).value
+            want = linear_entropy_closed(spec, 1.0, SplitterParams(0.3)).value
             assert capsys.readouterr().out == f"{want:.17g}\n"
+
+    def test_method_spectral_is_usage_error(self, capsys):
+        assert main(["compute", "--two-s", "7", "--phi", "1.0", "--r2", "0.3",
+                     "--method", "spectral"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: argument --method: invalid choice")
+
+    @pytest.mark.parametrize("command", [
+        ["compute", "--r2", "0.5"],
+        ["sweep", "--r2", "0:1:2", "--format", "json"],
+    ])
+    def test_kappa_with_pegg_barnett_is_usage_error(self, capsys, command):
+        assert main([*command, "--family", "pegg-barnett", "--kappa", "0.3",
+                     "--two-s", "1", "--phi", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --kappa does not apply to pegg-barnett\n"
 
     def test_both_methods_agree(self, capsys):
         code = main(["compute", "--two-s", "3", "--phi", "2.0", "--r2", "0.6",
@@ -377,8 +394,9 @@ class TestMainCompute:
 
     @pytest.mark.parametrize("argv", [
         *(["compute", "--family", "kappa-pos", "--kappa", "1e300", "--two-s", "3",
-           "--phi", "1e10", "--r2", "0.5", "--method", method]
-          for method in ("oracle", "closed", "spectral", "both")),
+           f"--phi={phi}", "--r2", "0.5", "--method", method]
+          for method, phi in (("oracle", "1e10"), ("closed", "1e10"), ("closed", "-1e10"),
+                              ("both", "1e10"))),
         ["sweep", "--family", "kappa-pos", "--kappa", "1e300", "--two-s", "1:3",
          "--phi=-1e10:0:4", "--r2", "0:1:3"],
     ])
@@ -390,16 +408,16 @@ class TestMainCompute:
         assert captured.err == ("usage error: 2 max|phi| max|F| = 2 * 1e+10 * 6e+300 "
                                 "overflows a double\n")
 
-    @pytest.mark.parametrize("method", ["closed", "spectral"])
+    @pytest.mark.parametrize("method", ["closed"])
     def test_doubled_phase_product_overflow_is_usage_error(self, capsys, method):
         # max F = 1.5 at 2s = 4: phi max F is finite, but an angle of the
-        # closed form, 2 phi, and a spectral rate times phi, 2 phi, are not
+        # closed form, 2 phi, is not
         assert main(["compute", "--two-s", "4", "--phi", "1.1e308", "--r2", "0.5",
                      "--method", method]) == 1
         assert capsys.readouterr().err == ("usage error: 2 max|phi| max|F| = "
                                            "2 * 1.1e+308 * 1.5 overflows a double\n")
 
-    @pytest.mark.parametrize("method", ["oracle", "closed", "spectral"])
+    @pytest.mark.parametrize("method", ["oracle", "closed"])
     @pytest.mark.parametrize("argv", [
         # 2 phi max F = 1.2e308 and 1.5e308, under the largest double
         ["--family", "kappa-pos", "--kappa", "1e300", "--two-s", "3", "--phi", "1e7"],
@@ -474,7 +492,7 @@ class TestWorkBudget:
         (["sweep", "--two-s", "1:10000000000"], "_entropy_grid"),
         (["sweep", "--two-s", "1:" + "9" * 400], "_entropy_grid"),
         (["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
-          "--method", "spectral"], "linear_entropy_spectral"),
+          "--method", "closed"], "linear_entropy_closed"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):
@@ -539,16 +557,16 @@ class TestWorkBudget:
         assert "2.51e+11 multiply-adds" in str(err.value)
         with pytest.raises(UsageError, match=r"1\.72e\+10"):
             parse_args(["compute", "--two-s", "3000", "--phi", "0", "--r2", "0.5"])
-        with pytest.raises(UsageError, match="the spectral route needs about 1.73e"):
+        with pytest.raises(UsageError, match="the closed form needs about 1.73e"):
             parse_args(["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
-                        "--method", "spectral"])
+                        "--method", "closed"])
 
     def test_large_standard_runs_admitted(self):
         big = ["--two-s", "2200", "--phi", "0", "--r2", "0.5"]
         for argv in (["compute", *big], ["sweep", *big], ["sweep", "--two-s", "80"],
                      ["sweep", "--two-s", "1:40", "--phi", "0:6.283185307179586:5",
                       "--r2", "0.5"],
-                     ["compute", "--two-s", "511", *big[2:], "--method", "spectral"]):
+                     ["compute", "--two-s", "511", *big[2:], "--method", "closed"]):
             assert parse_args(argv).command == argv[0]
 
 

@@ -13,7 +13,6 @@ from phasebeam import (
     Family,
     IndexOutOfRangeError,
     InvalidDensityError,
-    NonQuadraticLevelsError,
     NotNormalizedError,
     NumericalConsistencyError,
     SplitterParams,
@@ -21,7 +20,6 @@ from phasebeam import (
     entropy,
     linear_entropy,
     linear_entropy_closed,
-    linear_entropy_spectral,
     m_independence_report,
     phase_term,
     reduced_density,
@@ -330,17 +328,20 @@ class TestLinearEntropyClosed:
                 assert s <= 1.0 - 1.0 / spec.dim + 1e-12
 
 
-def _mpmath_entropy(family, two_s, kappa, phi, r2):
+def _mpmath_entropy(family, two_s, kappa, phi, r2, levels=None):
     """S at 40 digits from rho[n, n'] = sum_l c(n, l) conj(c(n', l)) / d.
 
     c(n, l) = sqrt(binom(n+l, n) t2^n r2^l) e^{-i F(n+l) phi}, zero where
     n + l > 2s, with each family's levels in exact arithmetic
-    (n(2s+1-n)/(2s) for kappa-neg) and phi and r2 taken as exact doubles.
+    (n(2s+1-n)/(2s) for kappa-neg), or F(0..2s) given as levels (taken as
+    exact doubles, family ignored), and phi and r2 taken as exact doubles.
     The phases q^{m(n+l)} and i^l cancel from |rho|^2 and are left out.
     """
     with mpmath.workdps(40):
         d = two_s + 1
-        if family is Family.PEGG_BARNETT:
+        if levels is not None:
+            levels = [mpmath.mpf(float(v)) for v in levels]
+        elif family is Family.PEGG_BARNETT:
             levels = [mpmath.mpf(n) for n in range(d)]
         elif family is Family.KAPPA_NEG:
             levels = [mpmath.mpf(n * (two_s + 1 - n)) / two_s for n in range(d)]
@@ -357,38 +358,35 @@ def _mpmath_entropy(family, two_s, kappa, phi, r2):
 
 
 class TestLinearEntropySpectral:
-    def test_pinned_to_closed_form(self):
-        rng = np.random.default_rng(13)
-        for two_s in (1, 2, 3, 5, 10, 20, 40, 80):
-            phis = np.append(rng.uniform(0.0, 4 * pi, 3), 100.0)
-            r2s = np.append(rng.uniform(0.0, 1.0, 3), (0.0, 1.0))
-            params = SplitterParams(r2s)
-            for family, kappa in FAMILIES:
-                spec = build_structure(family, two_s, kappa)
-                got = linear_entropy_spectral(spec, phis[:, None], params)
-                assert got.method == "spectral"
-                want = linear_entropy_closed(spec, phis[:, None], params).value
-                assert got.value.shape == (4, 5)
-                assert np.max(np.abs(got.value - want)) <= 1e-13
+    """linear_entropy_closed on quadratic level tables, whose Gram table it bins
+    by the integer k = j (s' - s): the spectral table; and on other tables."""
 
     def test_pinned_to_eigh_oracle_at_two_s_80(self):
-        # one cell per family against the tests-only eigh oracle's rho
+        # one cell per family against the tests-only eigh oracle's rho, through
+        # the signed-k table (its plan streams at this size)
         for (family, kappa), phi, r2 in zip(FAMILIES, (0.7, pi, 100.0), (0.3, 0.5, 0.8)):
             rho = _eigh_oracle_rho(family, 80, kappa, 0, phi, r2)
             want = 1.0 - float(np.sum(np.abs(rho) ** 2))
             spec = build_structure(family, 80, kappa)
-            assert abs(linear_entropy_spectral(spec, phi, SplitterParams(r2)).value - want) <= 1e-12
+            got = linear_entropy_closed(spec, phi, SplitterParams(r2), folded=False).value
+            assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("two_s", [2, 10])
     def test_pinned_to_mpmath_reference(self, two_s):
         # the largest errors measured were 2.3e-16 (2s = 2) and 6.7e-16 (2s = 10),
-        # against 8.0e-16 and 1.0e-15 by one rho per cell
+        # against 8.0e-16 and 1.0e-15 by one rho per cell; a random CUSTOM
+        # table, one Gram entry per term, measured 2.2e-16 and 2.5e-16
         rng = np.random.default_rng(two_s)
-        for family, kappa in FAMILIES:
-            spec = build_structure(family, two_s, kappa)
+
+        def specs():  # the custom table is drawn after the families' cells
+            yield from (build_structure(family, two_s, kappa) for family, kappa in FAMILIES)
+            yield structure_from_spacings(np.diff(np.r_[0.0, rng.uniform(0.5, 3.0, two_s), 0.0]))
+
+        for spec in specs():
+            levels = spec.levels[:spec.dim] if spec.family is Family.CUSTOM else None
             for phi, r2 in rng.uniform((0.0, 0.0), (2 * pi, 1.0), (8, 2)).tolist():
-                want = _mpmath_entropy(family, two_s, kappa, phi, r2)
-                got = linear_entropy_spectral(spec, phi, SplitterParams(r2)).value
+                want = _mpmath_entropy(spec.family, two_s, spec.kappa, phi, r2, levels)
+                got = linear_entropy_closed(spec, phi, SplitterParams(r2)).value
                 assert abs(mpmath.mpf(got) - want) <= 1e-15
 
     @settings(max_examples=60, deadline=None)
@@ -398,37 +396,41 @@ class TestLinearEntropySpectral:
     def test_depends_on_kappa_phi_and_even_in_kappa(self, two_s, phi, r2, kappa, scale):
         params = SplitterParams(r2)
 
-        def spectral(family, phi, kappa=None):
+        def closed(family, phi, kappa=None):
             spec = build_structure(family, two_s, kappa)
-            return linear_entropy_spectral(spec, phi, params).value
+            return linear_entropy_closed(spec, phi, params).value
 
         # S depends on phi only through kappa phi: exactly so for a power of two
-        s = spectral(Family.KAPPA_POS, phi, kappa)
-        other = spectral(Family.KAPPA_POS, phi / scale, kappa * scale)
+        s = closed(Family.KAPPA_POS, phi, kappa)
+        other = closed(Family.KAPPA_POS, phi / scale, kappa * scale)
         if scale in (0.5, 2.0):
             assert other == s
         assert abs(other - s) <= 1e-12
         # even in kappa: kappa-neg is kappa-pos at kappa = 1/(2s)
-        assert spectral(Family.KAPPA_NEG, phi) == spectral(Family.KAPPA_POS, phi, 1.0 / two_s)
+        assert closed(Family.KAPPA_NEG, phi) == closed(Family.KAPPA_POS, phi, 1.0 / two_s)
         # Pegg-Barnett has kappa = 0
-        assert spectral(Family.PEGG_BARNETT, phi) == spectral(Family.PEGG_BARNETT, 0.0)
+        assert closed(Family.PEGG_BARNETT, phi) == closed(Family.PEGG_BARNETT, 0.0)
 
     def test_quadratic_tables_only(self):
+        def keyed_by_k(spec):
+            table = entropy._gram_table(spec, BALANCED)
+            return table.rates.size < entropy._plan_terms(spec.dim, True)
+
         rng = np.random.default_rng(17)
         g = rng.uniform(0.5, 1.5, 4)
-        with pytest.raises(NonQuadraticLevelsError):
-            linear_entropy_spectral(structure_from_spacings(np.append(g, -g.sum())),
-                                    0.7, BALANCED)
-        # kappa-neg levels as a custom table: the spec has no kappa, so 0
+        assert not keyed_by_k(structure_from_spacings(np.append(g, -g.sum())))
+        # kappa-neg levels as a custom table: the spec has no kappa, so 0, and
+        # each term keeps its own entry
         custom = structure_from_spacings(build_structure(Family.KAPPA_NEG, 4).spacings)
-        with pytest.raises(NonQuadraticLevelsError):
-            linear_entropy_spectral(custom, 0.7, BALANCED)
+        assert not keyed_by_k(custom)
+        assert keyed_by_k(build_structure(Family.KAPPA_NEG, 4))
+        assert abs(linear_entropy_closed(custom, 0.7, BALANCED).value - linear_entropy_closed(
+            build_structure(Family.KAPPA_NEG, 4), 0.7, BALANCED).value) <= 1e-15
         # F(n) = n as a custom table fits kappa = 0
         linear = structure_from_spacings(np.append(np.ones(4), -4.0))
-        assert linear_entropy_spectral(linear, 0.7, BALANCED).value == linear_entropy_spectral(
+        assert keyed_by_k(linear)
+        assert linear_entropy_closed(linear, 0.7, BALANCED).value == linear_entropy_closed(
             build_structure(Family.PEGG_BARNETT, 4), 0.7, BALANCED).value
-        # and the closed form keeps every table
-        linear_entropy_closed(custom, 0.7, BALANCED)
 
 
 class TestMIndependence:
@@ -598,16 +600,17 @@ class TestPhaseStacks:
         "spec", [spec for spec in _stack_specs() if spec.family is not Family.CUSTOM],
         ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
     def test_spectral_cells_equal_scalar_calls(self, spec):
-        # every cell of an array call is its scalar call, to the bit
+        # every cell of one k-binned table, as the sweeps contract it, is the
+        # scalar call, to the bit
         for phis, r2 in self.CELL_CASES:
-            got = linear_entropy_spectral(spec, phis, SplitterParams(r2)).value
+            got = entropy._gram_table(spec, SplitterParams(r2)).entropy(phis).value
             shape, cells = self._cells(phis, r2)
             assert np.shape(got) == shape
             for i, (phi, r2_one) in cells:
-                assert np.asarray(got)[i] == linear_entropy_spectral(
+                assert np.asarray(got)[i] == linear_entropy_closed(
                     spec, phi, SplitterParams(r2_one)).value
         with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
-            linear_entropy_spectral(spec, self.PHI4, SplitterParams(self.R2_5))
+            entropy._gram_table(spec, SplitterParams(self.R2_5)).entropy(self.PHI4)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), two_s=st.sampled_from((1, 2, 5)),
@@ -647,7 +650,6 @@ class TestPhaseStacks:
         assert type(b.norm()) is float
         assert type(linear_entropy(reduced_density(b)).value) is float
         assert type(linear_entropy_closed(spec, 0.7, self.PARAMS).value) is float
-        assert type(linear_entropy_spectral(spec, 0.7, self.PARAMS).value) is float
 
     def test_norm_is_per_vector(self):
         spec = build_structure(Family.KAPPA_NEG, 3)

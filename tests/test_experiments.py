@@ -90,21 +90,21 @@ class TestSweepR2Phi:
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.5,))
         monkeypatch.undo()
 
-        # the same slice by spectral tables
+        # the same slice by Gram tables
         monkeypatch.setattr(experiments, "_tables_pay", lambda *args: True)
-        table_call = experiments._spectral_table
+        table_call = experiments._gram_table
         # the weights of one r2 value of three scaled: S = -0.05 there, beyond
         # the clamp band, then S = 0.9125 > 1 - 1/d
         for scale in (1.2, 0.1):
             def scaled(spec, params, scale=scale):
                 table = table_call(spec, params)
                 rows = np.where(params.r2 == 0.5, scale, 1.0)[:, None]
-                return entropy._SpectralTable(table.rates, table.weights * rows, table.dim)
+                return entropy._GramTable(table.rates, table.weights * rows, table.dim)
 
-            monkeypatch.setattr(experiments, "_spectral_table", scaled)
+            monkeypatch.setattr(experiments, "_gram_table", scaled)
             with pytest.raises(NumericalConsistencyError):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
-        monkeypatch.setattr(experiments, "_spectral_table", table_call)
+        monkeypatch.setattr(experiments, "_gram_table", table_call)
         # one binomial column of one r2 value sums to 1 + 1e-11
         pmf_call = entropy._binomial_pmf
 
@@ -218,7 +218,7 @@ class TestDeterminismAndParallel:
         """Record (2s, r2 tile width) per table and (2s, phases, width) per contraction."""
         from phasebeam import experiments
 
-        table_call = experiments._spectral_table
+        table_call = experiments._gram_table
 
         class Spy:
             def __init__(self, spec, params):
@@ -231,7 +231,7 @@ class TestDeterminismAndParallel:
                 contractions.append((self.key[0], len(phi), self.key[1]))
                 return self.table.entropy(phi)
 
-        monkeypatch.setattr(experiments, "_spectral_table", Spy)
+        monkeypatch.setattr(experiments, "_gram_table", Spy)
 
     def test_phi_blocks_match_one_block(self, monkeypatch):
         from phasebeam import experiments
@@ -269,7 +269,7 @@ class TestDeterminismAndParallel:
         and (2s, phases, width) per contraction."""
         from phasebeam import experiments
 
-        table_call = experiments._spectral_table
+        table_call = experiments._gram_table
 
         class Spy:
             def __init__(self, spec, params):
@@ -283,7 +283,7 @@ class TestDeterminismAndParallel:
                 return self.table.entropy(phi)
 
         monkeypatch.setattr(experiments, "_tables_pay", lambda *args: True)
-        monkeypatch.setattr(experiments, "_spectral_table", Spy)
+        monkeypatch.setattr(experiments, "_gram_table", Spy)
 
     def test_table_phi_blocks_match_one_block(self, monkeypatch):
         from phasebeam import experiments
@@ -343,7 +343,7 @@ class TestDeterminismAndParallel:
 
 
 class TestRouteChoice:
-    """Spectral tables only where a slice has many phases per r2 value."""
+    """Gram tables only where a slice has many phases per r2 value."""
 
     @pytest.mark.parametrize("dim, phases, r2s, tables", [
         (3, 128, 101, True),     # the default qutrit surface
@@ -422,7 +422,7 @@ class TestReadmeSweepsPinnedToRhoRoute:
     """The five README sweeps, every cell, against one rho per cell.
 
     The reference is one stack of reduced_density_closed per 2s,
-    S = 1 - Tr(rho^2); the sweeps take spectral tables at 2s = 1, 2, 3 and
+    S = 1 - Tr(rho^2); the sweeps take Gram tables at 2s = 1, 2, 3 and
     at 2s = 6..10 of the 1:10 sweep, and that same rho route elsewhere.
     """
 

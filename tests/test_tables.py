@@ -13,10 +13,10 @@ from phasebeam import numerics
 from phasebeam.algebra import Family, build_structure, structure_from_spacings
 from phasebeam.entropy import (
     _binomial_table,
+    _k_values,
     _plan_terms,
     _slab_plan,
     linear_entropy_closed,
-    linear_entropy_spectral,
 )
 from phasebeam.numerics import RETAIN_ENTRIES, log_factorials, per_size
 from phasebeam.splitter import (
@@ -28,7 +28,7 @@ from phasebeam.splitter import (
     split_phase_state,
 )
 
-CACHES = (_slab_plan, _binomial_table, _triangle_table, _coefficient_table)
+CACHES = (_slab_plan, _k_values, _binomial_table, _triangle_table, _coefficient_table)
 
 
 @pytest.fixture
@@ -55,8 +55,6 @@ def _every_route(spec, phis, params):
     """Every S and rho of spec on a (phi, r2) grid, as one list of arrays."""
     out = [linear_entropy_closed(spec, phis[:, None], params, folded=f).value
            for f in (True, False)]
-    if spec.family is not Family.CUSTOM:
-        out.append(linear_entropy_spectral(spec, phis[:, None], params).value)
     out.append(reduced_density(split_phase_state(spec, 1, phis[:, None], params)))
     out.append(reduced_density_closed(spec, 2, phis[:, None], params))
     return out
@@ -93,6 +91,7 @@ def _arrays(table):
 @pytest.mark.parametrize("table", [
     lambda: _slab_plan(9, True),
     lambda: _slab_plan(9, False),
+    lambda: _k_values(9, False),
     lambda: _binomial_table(9),
     lambda: _triangle_table(8),
     lambda: _coefficient_table(8),
@@ -110,6 +109,23 @@ def test_kept_arrays_are_read_only(table):
 @pytest.mark.parametrize("folded", [True, False])
 def test_plan_terms_counts_the_plan(d, folded):
     assert sum(block.terms.size for block in _slab_plan(d, folded)) == _plan_terms(d, folded)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 41, 82])
+@pytest.mark.parametrize("folded", [True, False])
+def test_plan_bins_are_the_integer_gaps(d, folded):
+    # k of each term is the gap of L(n) = n(n-1)/2, from the level indices
+    # of the block's edges; every distinct k is met
+    (ks,) = _k_values(d, folded)
+    n = np.arange(d + 1)
+    met = np.zeros(ks.size, dtype=bool)
+    for block in _slab_plan(d, folded):
+        edge_s, edge_sj = (n * (n - 1) // 2).take(block.edges)
+        e = edge_s - edge_sj
+        assert np.array_equal(ks[block.bins], (e[:, :, None] - e[:, None, :]).take(block.terms))
+        met[block.bins] = True
+    assert met.all()
+    assert np.array_equal(ks, np.unique(ks))
 
 
 def test_plan_over_the_budget_streams_without_being_built():
