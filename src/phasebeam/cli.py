@@ -4,9 +4,10 @@ Three subcommands: `compute` evaluates the entropy at a single parameter
 point, `sweep` produces a CSV/JSON grid with the same table builder as the
 library's sweep_* functions, `check` runs the invariant suites.  Sweeps run
 in one process; `sweep --serial` is accepted for compatibility and ignored.
-Exit codes: 0 success, 1 usage error (a run estimated over its work budget
-included), 2 numerical-consistency failure (any ArithmeticError, such as an
-overflow), 3 I/O failure.  Data goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 usage error (a run that experiments._plan prices
+over CUBE_BUDGET included), 2 numerical-consistency failure (any
+ArithmeticError, such as an overflow), 3 I/O failure.  Data goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from math import inf, isfinite, pi
 
 import numpy as np
@@ -23,23 +25,18 @@ from .algebra import Family, build_structure
 from .checks import run_suites
 from .entropy import linear_entropy, linear_entropy_closed
 from .errors import PhasebeamError, RangeError, UsageError
-from .experiments import SweepTable, _sweep
+from .experiments import CELL_FLOOR, SweepTable, _plan, _route_work, _sweep
 from .splitter import SplitterParams, reduced_density, split_phase_state
 
 # `compute --method both` refuses to report routes that disagree by more.
 BOTH_ROUTES_TOL = 1e-8
-# The work budget, checked before a run starts; a run estimated above it is
-# a usage error.  A rho costs about d^3, a sweep cell CELL_FLOOR more (its CSV
-# row, its share of per-call costs), and the closed form's Gram table about
-# d^4/4 multiply-adds.  A sweep is charged d^3 + CELL_FLOOR per cell on
-# either of its routes: it takes Gram tables only on 2s slices where they
-# took less time than one rho per cell (experiments._tables_pay).
-# 2^34 admits the partial-trace compute up to 2s = 2579, the closed form up
-# to 2s = 511 (1.9 s there on a 2-core x86 host, where 2s = 2200 by the
-# partial trace takes 3.5-5 s), the default 128 x 101 sweep at 2s = 80
-# (6.9e9), 2^24 points on an axis.
+# The work budget in multiply-adds, checked against the price of a run's
+# route (experiments._plan) before it starts; a run priced above it is a
+# usage error.  2^34 admits the partial-trace compute up to 2s = 2579, the
+# closed form up to 2s = 511 (1.9 s there on a 2-core x86 host, where
+# 2s = 2200 by the partial trace takes 3.5-5 s), the default 128 x 101
+# sweep up to 2s = 160, 2^24 points on an axis.
 CUBE_BUDGET = 1 << 34
-CELL_FLOOR = 1 << 10
 
 _CLI_FAMILIES = {
     "pegg-barnett": Family.PEGG_BARNETT,
@@ -103,12 +100,7 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
 
 def parse_two_s(text: str) -> tuple[int, ...]:
     """Parse an int, a comma list, or an inclusive `lo:hi` integer range."""
-    return _two_s_values(_two_s_runs(text))
-
-
-def _two_s_values(runs: tuple[range, ...]) -> tuple[int, ...]:
-    """The values of _two_s_runs, in order."""
-    return tuple(v for run in runs for v in run)
+    return tuple(chain(*_two_s_runs(text)))
 
 
 def _two_s_runs(text: str) -> tuple[range, ...]:
@@ -207,25 +199,25 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("--kappa does not apply to pegg-barnett")
     runs = _two_s_runs(ns.two_s)
     # Every budget is checked on the grid and 2s counts, before either is built.
-    cells = _grid_spec(ns.phi)[2] * _grid_spec(ns.r2)[2]
+    phases, r2s = _grid_spec(ns.phi)[2], _grid_spec(ns.r2)[2]
     if ns.command == "compute":
-        if sum(r.stop - r.start for r in runs) != 1 or cells != 1:
+        if sum(r.stop - r.start for r in runs) != 1 or phases * r2s != 1:
             raise UsageError("compute takes scalar --two-s, --phi and --r2")
+        dim = runs[0].start + 1
         if ns.method in ("oracle", "both"):
-            _check_budget("the partial-trace route", (runs[0].start + 1)**3,
-                          CUBE_BUDGET, "d^3")
+            _check_budget("the partial-trace route", _route_work(dim, False), CUBE_BUDGET, "d^3")
         if ns.method != "oracle":
-            _check_budget("the closed form", (runs[0].start + 1)**4 // 4, CUBE_BUDGET,
-                          "multiply-adds")
+            _check_budget("the closed form", _route_work(dim, True), CUBE_BUDGET, "multiply-adds")
         extra = {"method": ns.method}
     else:
-        # sum of x^3 for x = lo+1..hi+1 is T(hi+1)^2 - T(lo)^2, T(n) = n(n+1)/2
-        cubes = cells * sum((r.stop * (r.stop + 1) // 2)**2 - (r.start * (r.start + 1) // 2)**2
-                            + CELL_FLOOR * (r.stop - r.start) for r in runs)
-        _check_budget("the sweep", cubes, CUBE_BUDGET, "d^3 + 2^10 summed over its cells")
+        # summed slice by slice, so a long range stops at the first past the budget
+        work = 0
+        for two_s, _, slice_work in _plan(chain(*runs), phases, r2s):
+            work += slice_work
+            _check_budget("the sweep", work, CUBE_BUDGET, f"multiply-adds by 2s = {two_s}")
         extra = {"fmt": ns.fmt}
     return RunConfig(command=ns.command, family=family, kappa=ns.kappa, m=ns.m,
-                     two_s=_two_s_values(runs), phi=parse_grid(ns.phi),
+                     two_s=tuple(chain(*runs)), phi=parse_grid(ns.phi),
                      r2=_check_r2_range(parse_grid(ns.r2)), **extra)
 
 

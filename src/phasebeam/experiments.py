@@ -5,18 +5,10 @@ kappa-neg family) and m = 0 (the entropy does not depend on m).  The three
 sweep_* functions and the CLI's sweep build their tables with one builder,
 which differs between them only in the axes it names.  It makes one call
 of the grid evaluator, which takes each 2s slice of the (phi, r2) plane by
-one of two routes, chosen from the slice's size:
-
-- Gram tables, where a slice has many phases per r2 value.  Every family
-  a sweep takes has quadratic levels, so one table per tile of r2 values
-  gives S = 1 - sum_k W_k(r2) cos(2 kappa k phi) / d^2, contracted with
-  tiles of phases.  A table costs about d^4/4 multiply-adds per r2
-  value, each phase then about d^2/4 cosines.
-- one rho per cell otherwise: tiles of cells, each assembled from the
-  transmission coefficients, validated, and S = 1 - Tr(rho^2), about d^3
-  multiply-adds per cell.
-
-Every S is bounded as on the single-point routes, all in one process.  The
+the route that _plan names for it, Gram tables (_table_tiles) or one rho
+per cell (_rho_tiles).  _plan also prices each slice by that route, and
+the CLI sums the price against its work budget before a run starts.  Every
+S is bounded as on the single-point routes, all in one process.  The
 serial keyword is accepted for compatibility and changes nothing.
 """
 
@@ -44,10 +36,12 @@ from .splitter import (
 # so that peak memory does not grow with the grid at large d.
 _BLOCK_ENTRIES = 1 << 16
 
-# The thresholds of _tables_pay.
+# The thresholds of _plan's route; and the multiply-adds it adds per sweep
+# cell on either route, for the cell's share of per-call work and its CSV row.
 _TABLE_PHASES = 16
 _TABLE_DIM_PER_PHASE = 6
 _TABLE_MIN_WORK = 1 << 15
+CELL_FLOOR = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -100,18 +94,30 @@ def entropy_point(two_s: int, m: int, phi: float, r2: float,
     return linear_entropy(rho).value
 
 
-def _tables_pay(dim: int, phases: int, r2s: int) -> bool:
-    """Whether Gram tables beat one rho per cell on a phases x r2s slice.
+def _route_work(dim: int, tables: bool) -> int:
+    """Multiply-adds of one r2 value's Gram table, or of one rho and its purity."""
+    return dim**4 // 4 if tables else dim**3
+
+
+def _plan(dims, phases: int, r2s: int):
+    """Yield (2s, tables, work) per 2s of dims, lazily, on a phases x r2s plane.
 
     A table for one r2 value took at most as long as 12-14 rho cells up to
     d = 81, 22 at d = 161 and 32 at d = 321, and a table call about 0.1 ms
-    more than a rho tile (2-core x86 host, numpy 2.4).  So the tables need
-    max(16, d // 6) phases per r2 value, which keeps a margin at every d
-    measured, and a slice on which the rho route would spend at least
-    _TABLE_MIN_WORK multiply-adds (cells * d^3).
+    more than a rho tile (2-core x86 host, numpy 2.4).  So a slice goes by
+    tables where it has max(16, d // 6) phases per r2 value (a margin at
+    every d measured) and one rho per cell would cost _TABLE_MIN_WORK or
+    more.  work prices the route taken, plus CELL_FLOOR per cell: a table
+    per r2 value and about d^2/4 per cell to contract it, or a rho per cell.
     """
-    return (phases >= max(_TABLE_PHASES, dim // _TABLE_DIM_PER_PHASE)
-            and phases * r2s * dim**3 >= _TABLE_MIN_WORK)
+    cells = phases * r2s
+    for two_s in dims:
+        dim = two_s + 1
+        rho = cells * _route_work(dim, False)
+        tables = (phases >= max(_TABLE_PHASES, dim // _TABLE_DIM_PER_PHASE)
+                  and rho >= _TABLE_MIN_WORK)
+        work = r2s * _route_work(dim, True) + cells * (dim**2 // 4) if tables else rho
+        yield two_s, tables, work + cells * CELL_FLOOR
 
 
 def _table_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
@@ -154,14 +160,13 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
                   m: int) -> np.ndarray:
     """S on the product grid dims x phis x r2s, shape (2s, phi, r2).
 
-    Each 2s slice goes by _table_tiles where _tables_pay, else by _rho_tiles.
+    Each 2s slice goes by the route that _plan names for it.
     """
     phi_axis = np.asarray(phis, dtype=float)
     r2_axis = np.asarray(r2s, dtype=float)
     out = np.empty((len(dims), len(phi_axis), len(r2_axis)))
-    for i, two_s in enumerate(dims):
+    for i, (two_s, tables, _) in enumerate(_plan(dims, len(phi_axis), len(r2_axis))):
         spec = build_structure(family, two_s, kappa)
-        tables = _tables_pay(spec.dim, len(phi_axis), len(r2_axis))
         (_table_tiles if tables else _rho_tiles)(spec, m, phi_axis, r2_axis, out[i])
     return out
 

@@ -493,6 +493,8 @@ class TestWorkBudget:
         (["sweep", "--two-s", "1:" + "9" * 400], "_entropy_grid"),
         (["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
           "--method", "closed"], "linear_entropy_closed"),
+        # the default grid's 101 Gram tables at 2s = 161
+        (["sweep", "--two-s", "161"], "_entropy_grid"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):
@@ -526,7 +528,9 @@ class TestWorkBudget:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            with pytest.raises(UsageError, match="the sweep needs about 3.23e"):
+            # the plan is summed up to the first 2s past the budget
+            with pytest.raises(UsageError, match=r"the sweep needs about 1\.76e\+10 "
+                               r"multiply-adds by 2s = 78,"):
                 parse_args(["sweep", "--two-s", "1:10000000000"])
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
@@ -540,13 +544,13 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("spec", ["1:40", "7:23", "40:40", "2,5,9", "3"])
     def test_two_s_estimate_is_exact(self, monkeypatch, spec):
-        # (v + 1)^3 + 2^10 summed over the 2s values, per cell; a lo:hi
-        # range is summed in closed form
-        cubes = 2 * sum((v + 1) ** 3 + cli.CELL_FLOOR for v in parse_two_s(spec))
-        argv = ["sweep", "--two-s", spec, "--phi", "0:1:2", "--r2", "0.5"]
-        monkeypatch.setattr(cli, "CUBE_BUDGET", cubes)
+        # the plan's work summed over the 2s values: on 32 phases x 2 r2
+        # values, Gram tables from 2s = 7 on and one rho per cell below
+        argv = ["sweep", "--two-s", spec, "--phi", "0:1:32", "--r2", "0:1:2"]
+        work = sum(w for _, _, w in experiments._plan(parse_two_s(spec), 32, 2))
+        monkeypatch.setattr(cli, "CUBE_BUDGET", work)
         assert parse_args(argv).two_s == parse_two_s(spec)
-        monkeypatch.setattr(cli, "CUBE_BUDGET", cubes - 1)
+        monkeypatch.setattr(cli, "CUBE_BUDGET", work - 1)
         with pytest.raises(UsageError, match="the sweep needs"):
             parse_args(argv)
 
@@ -564,6 +568,7 @@ class TestWorkBudget:
     def test_large_standard_runs_admitted(self):
         big = ["--two-s", "2200", "--phi", "0", "--r2", "0.5"]
         for argv in (["compute", *big], ["sweep", *big], ["sweep", "--two-s", "80"],
+                     ["sweep", "--two-s", "160"],
                      ["sweep", "--two-s", "1:40", "--phi", "0:6.283185307179586:5",
                       "--r2", "0.5"],
                      ["compute", "--two-s", "511", *big[2:], "--method", "closed"]):

@@ -15,6 +15,14 @@ from phasebeam import (
 from phasebeam.cli import main
 
 
+def _force_route(monkeypatch, tables):
+    """Have the plan take every sweep slice by tables, or every one by rho."""
+    from phasebeam import experiments
+
+    monkeypatch.setattr(experiments, "_plan",
+                        lambda dims, *args: ((two_s, tables, 0) for two_s in dims))
+
+
 class TestSweepTable:
     def test_shape_and_grid(self):
         table = SweepTable(
@@ -91,7 +99,7 @@ class TestSweepR2Phi:
         monkeypatch.undo()
 
         # the same slice by Gram tables
-        monkeypatch.setattr(experiments, "_tables_pay", lambda *args: True)
+        _force_route(monkeypatch, True)
         table_call = experiments._gram_table
         # the weights of one r2 value of three scaled: S = -0.05 there, beyond
         # the clamp band, then S = 0.9125 > 1 - 1/d
@@ -213,26 +221,6 @@ class TestDeterminismAndParallel:
         b = sweep_r2_phi(args["two_s"], args["phi_grid"], args["r2_grid"], serial=True)
         assert np.array_equal(a.values, b.values)
 
-    @staticmethod
-    def _spy_tables(monkeypatch, tables, contractions):
-        """Record (2s, r2 tile width) per table and (2s, phases, width) per contraction."""
-        from phasebeam import experiments
-
-        table_call = experiments._gram_table
-
-        class Spy:
-            def __init__(self, spec, params):
-                self.table = table_call(spec, params)
-                self.weights = self.table.weights
-                self.key = (spec.two_s, len(params.r2))
-                tables.append(self.key)
-
-            def entropy(self, phi):
-                contractions.append((self.key[0], len(phi), self.key[1]))
-                return self.table.entropy(phi)
-
-        monkeypatch.setattr(experiments, "_gram_table", Spy)
-
     def test_phi_blocks_match_one_block(self, monkeypatch):
         from phasebeam import experiments
 
@@ -282,7 +270,7 @@ class TestDeterminismAndParallel:
                 contractions.append((self.key[0], len(phi), self.key[1]))
                 return self.table.entropy(phi)
 
-        monkeypatch.setattr(experiments, "_tables_pay", lambda *args: True)
+        _force_route(monkeypatch, True)
         monkeypatch.setattr(experiments, "_gram_table", Spy)
 
     def test_table_phi_blocks_match_one_block(self, monkeypatch):
@@ -336,14 +324,14 @@ class TestDeterminismAndParallel:
                               (Family.KAPPA_POS, 0.5)):
             sweeps = []
             for tables in (False, True):
-                monkeypatch.setattr(experiments, "_tables_pay", lambda *args: tables)
+                _force_route(monkeypatch, tables)
                 sweeps.append(experiments._sweep(("two_s", "phi", "r2"), (1, 4, 9), phis,
                                                  r2s, family, kappa, 0).values)
             assert np.max(np.abs(sweeps[0] - sweeps[1])) <= 1e-13
 
 
 class TestRouteChoice:
-    """Gram tables only where a slice has many phases per r2 value."""
+    """The plan's route and work for each 2s slice, as the sweep runs them."""
 
     @pytest.mark.parametrize("dim, phases, r2s, tables", [
         (3, 128, 101, True),     # the default qutrit surface
@@ -358,24 +346,54 @@ class TestRouteChoice:
     def test_threshold(self, dim, phases, r2s, tables):
         from phasebeam import experiments
 
-        assert experiments._tables_pay(dim, phases, r2s) is tables
+        [(two_s, route, _)] = experiments._plan((dim - 1,), phases, r2s)
+        assert (two_s, route) == (dim - 1, tables)
+
+    def test_work_is_the_route_taken(self):
+        from itertools import count
+
+        from phasebeam import experiments
+
+        floor = experiments.CELL_FLOOR
+        # the default grid at 2s = 160 by tables: 101 tables of 161^4 // 4,
+        # 161^2 // 4 per cell to contract; 2s = 2200 one rho
+        plan = experiments._plan((160, 2200), 128, 101)
+        assert next(plan) == (160, True, 101 * 167974560 + 128 * 101 * (6480 + floor))
+        assert next(plan) == (2200, False, 128 * 101 * (2201**3 + floor))
+        assert list(experiments._plan((1, 40), 5, 1)) == [
+            (1, False, 5 * (8 + floor)), (40, False, 5 * (41**3 + floor))]
+        # dims is read lazily, so a range need not be built
+        assert next(experiments._plan(count(1), 2, 3)) == (1, False, 6 * (8 + floor))
 
     def test_each_slice_picks_its_route(self, monkeypatch):
         from phasebeam import experiments
 
-        routes = []
+        named, ran = [], []
+        plan_call = experiments._plan
+
+        def plan(*args):
+            for two_s, tables, work in plan_call(*args):
+                tables ^= flip  # flipped, a route the rule did not pick must run
+                named.append((two_s, "_table_tiles" if tables else "_rho_tiles"))
+                yield two_s, tables, work
+
         for name in ("_table_tiles", "_rho_tiles"):
             call = getattr(experiments, name)
 
             def spy(spec, *args, name=name, call=call):
-                routes.append((spec.two_s, name))
+                ran.append((spec.two_s, name))
                 return call(spec, *args)
 
             monkeypatch.setattr(experiments, name, spy)
-        phis = np.linspace(0, 2 * pi, 32)
-        sweep_phi_balanced((1, 30, 200), phis)
+        monkeypatch.setattr(experiments, "_plan", plan)
+        for flip in (True, False):
+            for phases in (1, 5, 128, 32):
+                named.clear()
+                ran.clear()
+                sweep_phi_balanced((1, 30, 200), np.linspace(0, 2 * pi, phases))
+                assert ran == named and len(named) == 3
         # 32 * d^3 is under 2^15 at d = 2; d // 6 = 33 > 32 at d = 201
-        assert routes == [(1, "_rho_tiles"), (30, "_table_tiles"), (200, "_rho_tiles")]
+        assert ran == [(1, "_rho_tiles"), (30, "_table_tiles"), (200, "_rho_tiles")]
 
 
 class TestSweepsPinnedToEntropyPoint:
