@@ -581,9 +581,7 @@ class TestPhaseStacks:
         "spec", list(_stack_specs()),
         ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
     def test_closed_form_cells_equal_scalar_calls(self, spec):
-        # every cell of an array call is its scalar call, to the bit; an array
-        # call is one Gram table contracted as the sweeps contract it,
-        # _gram_table(spec, params).entropy(phis)
+        # every cell of an array call is its scalar call, to the bit
         for folded in (True, False):
             for phis, r2 in self.CELL_CASES:
                 got = linear_entropy_closed(spec, phis, SplitterParams(r2),
@@ -597,6 +595,22 @@ class TestPhaseStacks:
             with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
                 linear_entropy_closed(spec, self.PHI4, SplitterParams(self.R2_5),
                                       folded=folded)
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec in _stack_specs() if spec.family is not Family.CUSTOM],
+        ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
+    def test_spectral_cells_equal_scalar_calls(self, spec):
+        # every cell of one k-binned table, as the sweeps contract it, is the
+        # scalar call, to the bit
+        for phis, r2 in self.CELL_CASES:
+            got = entropy._gram_table(spec, SplitterParams(r2)).entropy(phis).value
+            shape, cells = self._cells(phis, r2)
+            assert np.shape(got) == shape
+            for i, (phi, r2_one) in cells:
+                assert np.asarray(got)[i] == linear_entropy_closed(
+                    spec, phi, SplitterParams(r2_one)).value
+        with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
+            entropy._gram_table(spec, SplitterParams(self.R2_5)).entropy(self.PHI4)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), two_s=st.sampled_from((1, 2, 5)),
