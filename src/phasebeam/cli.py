@@ -22,7 +22,6 @@ from math import inf, isfinite, pi
 import numpy as np
 
 from .algebra import Family, build_structure
-from .checks import run_suites
 from .entropy import linear_entropy, linear_entropy_closed
 from .errors import PhasebeamError, RangeError, UsageError
 from .experiments import CELL_FLOOR, SweepTable, _plan, _route_work, _sweep
@@ -320,6 +319,8 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 
 def _run_check(cfg: RunConfig) -> int:
+    from .checks import run_suites  # loaded for check alone, as csvfmt for a CSV
+
     results = run_suites([cfg.suite], seed=cfg.seed)
     failed = 0
     for res in results:

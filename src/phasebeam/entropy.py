@@ -14,8 +14,9 @@ depends on d alone: that slab plan is built once per size and kept
 keeps 2s <= 80 folded; larger plans stream block by block from the same
 builder on every call.  A call forms sqrt(pmf), gathers Q_j, runs the
 matrix products and takes the plan's terms.
-The Gram entries then go into one table keyed by the gap, once per r2, and
-S = 1 - sum_g W_g cos(g phi) / d^2 per phase.  On the quadratic tables
+The Gram entries then go into one table keyed by the gap, one row per r2
+cell (built in tiles of cells), and S = 1 - sum_g W_g cos(g phi) / d^2 per
+phase (contracted in blocks of entries).  On the quadratic tables
 F(n) = n(1 + kappa(n-1)) of every built-in family the gap is 2 kappa k with
 the integer k = j (s' - s), and the entries are binned by k; on any other
 table each term is an entry of its own.
@@ -23,7 +24,7 @@ table each term is an entry of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
 from math import inf
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .algebra import StructureSpec
 from .errors import IndexOutOfRangeError, NumericalConsistencyError
-from .numerics import log_factorials, per_size, read_only
+from .numerics import _BLOCK_ENTRIES, log_factorials, per_size, read_only
 from .splitter import (
     SplitterParams,
     reduced_density,
@@ -306,18 +307,24 @@ class _GramTable:
     def entropy(self, phi) -> EntropyValue:
         """One entropy per cell of np.broadcast_shapes(phi, r2).
 
-        The contraction is an elementwise product summed over the entries, so
-        every cell of an array call equals its scalar call to the bit.
+        The entries are contracted in blocks of at most _BLOCK_ENTRIES, whose
+        sums add in order, so every cell of an array call equals its scalar
+        call to the bit.
         """
-        angle = np.multiply.outer(phi, self.rates)
         scale = self.dim * self.dim
-        purity = (self.weights * np.cos(angle)).sum(axis=-1) / scale
+        purity = imag = 0.0
+        for g in range(0, self.rates.size, _BLOCK_ENTRIES):
+            angle = np.multiply.outer(phi, self.rates[g:g + _BLOCK_ENTRIES])
+            weights = self.weights[..., g:g + _BLOCK_ENTRIES]
+            purity = purity + (weights * np.cos(angle)).sum(axis=-1)
+            if not self.folded:
+                imag = imag + (weights * np.sin(angle)).sum(axis=-1)
         if not self.folded:
-            residual = np.abs((self.weights * np.sin(angle)).sum(axis=-1)).max() / scale
+            residual = np.abs(imag).max() / scale
             if residual > 1e-12:
                 raise NumericalConsistencyError(
                     f"imaginary residual {residual} in the unfolded sum")
-        return EntropyValue(1.0 - purity, CLOSED_FORM, self.dim)
+        return EntropyValue(1.0 - purity / scale, CLOSED_FORM, self.dim)
 
 
 def _quadratic(spec: StructureSpec) -> bool:
@@ -341,8 +348,17 @@ def _gram_table(spec: StructureSpec, params: SplitterParams, *,
     F(n) = n(1 + kappa(n-1)) it is 2 kappa k with the integer k = j (s' - s),
     so the entries are binned by k: np.bincount sums each block's entries per
     (r2 cell, k) in term order, and the block sums are added in block order.
-    On any other table each term is an entry of its own.
+    On any other table each term is an entry of its own.  The r2 cells go
+    in tiles of at most _BLOCK_ENTRIES // d^2; no row depends on another.
     """
+    step = max(1, _BLOCK_ENTRIES // spec.dim**2)
+    if np.size(params.r2) > step:
+        r2 = params.r2.ravel()
+        tiles = (_gram_table(spec, SplitterParams(r2[c:c + step]), folded=folded)
+                 for c in range(0, r2.size, step))
+        first = next(tiles)
+        weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
+        return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
     pmf = _binomial_pmf(spec, params)
     dev = np.abs(pmf.sum(axis=-2) - 1.0).max()
     if not dev <= PMF_TOL:

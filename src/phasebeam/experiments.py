@@ -5,8 +5,8 @@ kappa-neg family) and m = 0 (the entropy does not depend on m).  The three
 sweep_* functions and the CLI's sweep build their tables with one builder,
 which differs between them only in the axes it names.  It makes one call
 of the grid evaluator, which takes each 2s slice of the (phi, r2) plane by
-the route that _plan names for it, Gram tables (_table_tiles) or one rho
-per cell (_rho_tiles).  _plan also prices each slice by that route, and
+the route that _plan names for it, one Gram table (_table_tiles) or one
+rho per cell (_rho_tiles).  _plan also prices each slice by that route, and
 the CLI sums the price against its work budget before a run starts.  Every
 S is bounded as on the single-point routes, all in one process.  The
 serial keyword is accepted for compatibility and changes nothing.
@@ -21,20 +21,13 @@ import numpy as np
 
 from .algebra import Family, build_structure
 from .entropy import _gram_table, linear_entropy
+from .numerics import _BLOCK_ENTRIES
 from .splitter import (
     SplitterParams,
     reduced_density,
     reduced_density_closed,
     split_phase_state,
 )
-
-# Tile bound in entries: a rho tile holds at most _BLOCK_ENTRIES // d^2
-# complex matrices of d^2 entries (1 MiB); an r2 tile of the Gram tables
-# holds at most _BLOCK_ENTRIES // d^2 values, so its table's pmf and weights
-# stay within a few times this, and a phase tile's product with the table
-# holds at most this many floats.  A larger (phi, r2) plane goes in tiles,
-# so that peak memory does not grow with the grid at large d.
-_BLOCK_ENTRIES = 1 << 16
 
 # The thresholds of _plan's route; and the multiply-adds it adds per sweep
 # cell on either route, for the cell's share of per-call work and its CSV row.
@@ -107,8 +100,9 @@ def _plan(dims, phases: int, r2s: int):
     more than a rho tile (2-core x86 host, numpy 2.4).  So a slice goes by
     tables where it has max(16, d // 6) phases per r2 value (a margin at
     every d measured) and one rho per cell would cost _TABLE_MIN_WORK or
-    more.  work prices the route taken, plus CELL_FLOOR per cell: a table
-    per r2 value and about d^2/4 per cell to contract it, or a rho per cell.
+    more.  work prices the route taken, plus CELL_FLOOR per cell: one rho per
+    cell, or a table per r2 value and about d^2/4 per cell to contract it, at
+    most the rho price, since tables go only where they ran faster.
     """
     cells = phases * r2s
     for two_s in dims:
@@ -116,25 +110,21 @@ def _plan(dims, phases: int, r2s: int):
         rho = cells * _route_work(dim, False)
         tables = (phases >= max(_TABLE_PHASES, dim // _TABLE_DIM_PER_PHASE)
                   and rho >= _TABLE_MIN_WORK)
-        work = r2s * _route_work(dim, True) + cells * (dim**2 // 4) if tables else rho
+        work = min(r2s * _route_work(dim, True) + cells * (dim**2 // 4), rho) if tables else rho
         yield two_s, tables, work + cells * CELL_FLOOR
 
 
-def _table_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
-    """Fill out (phi, r2) with S from Gram tables; S does not depend on m.
+def _table_tiles(spec, phi_axis, r2_axis, out) -> None:
+    """Fill out (phi, r2) with S from one Gram table; S does not depend on m.
 
-    The r2 axis goes in tiles of at most _BLOCK_ENTRIES // d^2 values (at
-    least one), one _gram_table each.  A table with K distinct k is
-    contracted with a column of phases in tiles of at most
-    _BLOCK_ENTRIES // (K * tile width) (at least one); EntropyValue bounds
-    every S.
+    _gram_table bounds its own build.  The table, K entries per r2 value, is
+    contracted with phase tiles of _BLOCK_ENTRIES // (K * len(r2)) (at least
+    one), each tile's cosines formed once for all r2; EntropyValue bounds S.
     """
-    cols = max(1, _BLOCK_ENTRIES // spec.dim**2)
-    for c in range(0, len(r2_axis), cols):
-        table = _gram_table(spec, SplitterParams(r2_axis[c:c + cols]))
-        rows = max(1, _BLOCK_ENTRIES // table.weights.size)
-        for r in range(0, len(phi_axis), rows):
-            out[r:r + rows, c:c + cols] = table.entropy(phi_axis[r:r + rows, None]).value
+    table = _gram_table(spec, SplitterParams(r2_axis))
+    rows = max(1, _BLOCK_ENTRIES // table.weights.size)
+    for r in range(0, len(phi_axis), rows):
+        out[r:r + rows] = table.entropy(phi_axis[r:r + rows, None]).value
 
 
 def _rho_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
@@ -167,7 +157,10 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
     out = np.empty((len(dims), len(phi_axis), len(r2_axis)))
     for i, (two_s, tables, _) in enumerate(_plan(dims, len(phi_axis), len(r2_axis))):
         spec = build_structure(family, two_s, kappa)
-        (_table_tiles if tables else _rho_tiles)(spec, m, phi_axis, r2_axis, out[i])
+        if tables:
+            _table_tiles(spec, phi_axis, r2_axis, out[i])
+        else:
+            _rho_tiles(spec, m, phi_axis, r2_axis, out[i])
     return out
 
 

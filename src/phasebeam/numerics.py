@@ -1,5 +1,5 @@
-"""Small numerical helpers: exact quarter turns, log-factorial tables and
-the cache that keeps per-size tables for reuse."""
+"""Small numerical helpers: exact quarter turns, log-factorial tables, the
+cache that keeps per-size tables for reuse and the routes' tile bound."""
 
 from collections import OrderedDict
 from functools import wraps
@@ -16,6 +16,12 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 # this many entries in all.  2^17 keeps the closed form's slab plan up to
 # 2s = 80 (91 881 terms).
 RETAIN_ENTRIES = 1 << 17
+
+# Tile bound in entries, so that peak memory does not grow with the cells:
+# a Gram table builds _BLOCK_ENTRIES // d^2 r2 cells and contracts this many
+# entries at a time, and a sweep's rho tile holds _BLOCK_ENTRIES // d^2
+# matrices of d^2 entries (1 MiB).
+_BLOCK_ENTRIES = 1 << 16
 
 
 def ipow(k: "int | np.ndarray"):

@@ -3,13 +3,14 @@
 A number state |n, 0> scatters into sum_p sqrt(binom(n, p)) t^p (ir)^{n-p}
 |p, n-p> with t = cos(theta/2), r = sin(theta/2).  Total photon number is
 conserved, so two-mode outputs live on the triangle p + k <= 2s and are
-stored in a packed triangular layout.  Every amplitude of that triangle is
-formed in one array expression: the square-root binomial and the powers of
-t and r are summed as one exponent from the log-factorial table, which
-keeps each weight at most 1 for any 2s, and the powers of i are exact
-quarter turns.  The reduced state of the transmitted mode is available
-through two independent routes: an explicit partial trace of the two-mode
-vector, and direct assembly from the transmission coefficients c(n, l).
+stored in a packed triangular layout.  The coefficients of the square
+n, l <= 2s are formed in one array expression, which the packed routes
+take on the triangle: the square-root binomial and the powers of t and r
+are one exponent from the log-factorial table, which keeps each at most 1
+for any 2s, and the powers of i are exact quarter turns.  The reduced state
+of the transmitted mode is available through two independent routes: an
+explicit partial trace of the two-mode vector, and direct assembly from
+the transmission coefficients c(n, l).
 """
 
 from __future__ import annotations
@@ -112,21 +113,23 @@ class BipartiteVector:
         return float(nrm) if nrm.ndim == 0 else nrm
 
 
-@per_size(tri_size)
-def _triangle_table(two_s: int):
-    """The per-size part of the triangle routes, read-only.
+@per_size(lambda two_s: (two_s + 1) ** 2)
+def _coefficient_table(two_s: int):
+    """The per-size part of every splitter route, read-only.
 
-    The mask of the pairs (p, k) with p + k <= two_s, shape (d, d), whose
-    row-major order is tri_index order, so a[mask] = amp unpacks a packed
-    vector; p, k and the shell p + k of every pair in that order; half
-    ln(n!) for n <= two_s and at each shell; i^k.
+    The mask of n + l <= two_s, shape (d, d), whose row-major order is
+    tri_index order, so a[mask] = amp unpacks, and its pairs (n, l), so
+    a[..., n, l] packs; n + l, 0 outside the mask, and at each pair (its
+    shell); half ln(k!) for k <= two_s, and half ln((n + l)!), -inf outside
+    the mask; i^l.
     """
-    n = np.arange(two_s + 1)
-    mask = n[:, None] + n <= two_s
-    p, k = np.nonzero(mask)
+    k = np.arange(two_s + 1)
+    total = np.add.outer(k, k)
+    mask = total <= two_s
+    total = np.where(mask, total, 0)
     half_lgf = 0.5 * log_factorials(two_s)
-    shell = p + k
-    return read_only(mask, p, k, shell, half_lgf, half_lgf[shell], ipow(k))
+    total_lgf = np.where(mask, half_lgf[total], -inf)
+    return read_only(mask, total, *mask.nonzero(), total[mask], half_lgf, total_lgf, ipow(k))
 
 
 def _log_powers(x, two_s: int) -> np.ndarray:
@@ -142,17 +145,15 @@ def _log_powers(x, two_s: int) -> np.ndarray:
     return out
 
 
-def _triangle_weights(two_s: int, params: SplitterParams):
-    """Shell p + k and weight sqrt(binom(p+k, p)) t^p (ir)^k of every pair.
+def _coefficients(two_s: int, params: SplitterParams) -> np.ndarray:
+    """sqrt(binom(n+l, n)) t^n (ir)^l at each (n, l), 0 where n + l > two_s.
 
-    Both run over the triangle in tri_index order, weights after any r2 axis.
-    The binomial and both powers are one exponent, so nothing overflows: every
-    weight has modulus at most 1, and a power of a zero t or r is exactly 0.
+    Shape (d, d) after any r2 axes, from one exponent, so nothing overflows:
+    every modulus is at most 1, and a power of a zero t or r is exactly 0.
     """
-    _, p, k, shell, half_lgf, shell_lgf, i_k = _triangle_table(two_s)
+    *_, half_lgf, total_lgf, i_l = _coefficient_table(two_s)
     log_t, log_r = _log_powers(np.array([params.t, params.r]), two_s) - half_lgf
-    expo = shell_lgf + log_t[..., p] + log_r[..., k]
-    return shell, np.exp(expo) * i_k
+    return np.exp(total_lgf + log_t[..., :, None] + log_r[..., None, :]) * i_l
 
 
 def split_number_state(n: int, params: SplitterParams) -> BipartiteVector:
@@ -163,8 +164,8 @@ def split_number_state(n: int, params: SplitterParams) -> BipartiteVector:
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    shell, weights = _triangle_weights(n, params)
-    return BipartiteVector(n, np.where(shell == n, weights, 0.0))
+    _, _, p, k, shell = _coefficient_table(n)[:5]
+    return BipartiteVector(n, np.where(shell == n, _coefficients(n, params)[..., p, k], 0.0))
 
 
 def split_phase_state(spec: StructureSpec, m, phi,
@@ -176,9 +177,9 @@ def split_phase_state(spec: StructureSpec, m, phi,
     a stack of vectors: m, phi and r2 broadcast together, and amp has shape
     np.broadcast_shapes(m, phi, r2) + (tri_size,).
     """
-    shell, weights = _triangle_weights(spec.two_s, params)
-    state = phase_state(spec, m, phi)
-    return BipartiteVector(spec.two_s, state[..., shell] * weights)
+    _, _, p, k, shell = _coefficient_table(spec.two_s)[:5]
+    state = phase_state(spec, m, phi)[..., shell]
+    return BipartiteVector(spec.two_s, state * _coefficients(spec.two_s, params)[..., p, k])
 
 
 def reduced_density(b: BipartiteVector) -> np.ndarray:
@@ -191,7 +192,7 @@ def reduced_density(b: BipartiteVector) -> np.ndarray:
     matrices, shape (..., d, d); every vector must be normalised within
     NORM_TOL, which is checked on the trace of its rho, the squared norm.
     """
-    mask = _triangle_table(b.two_s)[0]
+    mask = _coefficient_table(b.two_s)[0]
     a = np.zeros(b.amp.shape[:-1] + mask.shape, dtype=complex)
     a[..., mask] = b.amp
     full = a @ a.conj().swapaxes(-1, -2)
@@ -204,21 +205,6 @@ def reduced_density(b: BipartiteVector) -> np.ndarray:
     rho = np.where(n[:, None] < n, full, full.conj().swapaxes(-1, -2))
     rho[..., n, n] = diag
     return rho
-
-
-@per_size(lambda two_s: (two_s + 1) ** 2)
-def _coefficient_table(two_s: int):
-    """The per-size part of reduced_density_closed, read-only.
-
-    n + l at each (n, l), 0 where it exceeds two_s; the mask of n + l <=
-    two_s; half ln(k!) for k <= two_s and at each n + l; i^l.
-    """
-    k = np.arange(two_s + 1)
-    total = np.add.outer(k, k)
-    inside = total <= two_s
-    total = np.where(inside, total, 0)
-    half_lgf = 0.5 * log_factorials(two_s)
-    return read_only(total, inside, half_lgf, half_lgf[total], ipow(k))
 
 
 def reduced_density_closed(spec: StructureSpec, m, phi,
@@ -235,11 +221,8 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     factor is formed once per (m, phi) and the weight once per r2.
     """
     d = spec.dim
-    total, inside, half_lgf, total_lgf, i_k = _coefficient_table(spec.two_s)
-    # ln of sqrt(binom(n+l, n)) t^n r^l as one exponent, so nothing overflows
-    log_t, log_r = _log_powers(np.array([params.t, params.r]), spec.two_s) - half_lgf
-    expo = total_lgf + log_t[..., :, None] + log_r[..., None, :]
-    weight = np.exp(np.where(inside, expo, -np.inf)) * i_k / sqrt(d)
+    total = _coefficient_table(spec.two_s)[1]
+    weight = _coefficients(spec.two_s, params) / sqrt(d)
     # q^{mk} e^{-i F(k) phi} for k = n + l
     amp = _root_powers(m, d) * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d]))
     c = weight * amp[..., total]

@@ -286,11 +286,13 @@ class TestCsvDecimalKernel:
         assert capsysbinary.readouterr().out == _render_csv_reference(table).encode()
 
     def test_cli_import_leaves_the_writer_unloaded(self):
-        # compute and check pay nothing for the CSV writer, not even its compile
-        code = "import sys, phasebeam.cli; print('phasebeam.csvfmt' in sys.modules)"
+        # compute and check pay nothing for the CSV writer, not even its
+        # compile, and compute and sweep nothing for the check suites
+        code = ("import sys, phasebeam.cli; "
+                "print(*(f'phasebeam.{m}' in sys.modules for m in ('csvfmt', 'checks')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
-        assert out == "False\n"
+        assert out == "False False\n"
 
     def test_json_pinned_to_reference(self, capsys, monkeypatch):
         tables = []
@@ -569,6 +571,9 @@ class TestWorkBudget:
         big = ["--two-s", "2200", "--phi", "0", "--r2", "0.5"]
         for argv in (["compute", *big], ["sweep", *big], ["sweep", "--two-s", "80"],
                      ["sweep", "--two-s", "160"],
+                     # tables priced at the rho route they passed over
+                     ["sweep", "--two-s", "161", "--phi", "0:1:32"],
+                     ["sweep", "--two-s", "400", "--phi", "0:1:66", "--r2", "0:1:3"],
                      ["sweep", "--two-s", "1:40", "--phi", "0:6.283185307179586:5",
                       "--r2", "0.5"],
                      ["compute", "--two-s", "511", *big[2:], "--method", "closed"]):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import exp, fsum, pi
 
 import mpmath
@@ -326,6 +327,51 @@ class TestLinearEntropyClosed:
                 spec = build_structure(family, two_s, kappa)
                 s = linear_entropy_closed(spec, pi, BALANCED).value
                 assert s <= 1.0 - 1.0 / spec.dim + 1e-12
+
+    @staticmethod
+    def _traced_peak(spec, phi, params):
+        """Peak traced bytes and value of one call, after a point call kept the tables."""
+        linear_entropy_closed(spec, 1.0, BALANCED)
+        tracemalloc.start()
+        try:
+            value = linear_entropy_closed(spec, phi, params).value
+            return tracemalloc.get_traced_memory()[1], value
+        finally:
+            tracemalloc.stop()
+
+    def test_many_r2_values_stay_bounded(self):
+        # one table of 2 001 r2 values at 2s = 40 peaked at 384 MB; the
+        # table builds its r2 cells in tiles
+        spec = build_structure(Family.KAPPA_NEG, 40)
+        r2 = np.linspace(0.0, 1.0, 2001)
+        peak, value = self._traced_peak(spec, 1.0, SplitterParams(r2))
+        assert peak <= 16 * 2**20
+        assert value[700] == linear_entropy_closed(spec, 1.0, SplitterParams(r2[700])).value
+
+    def test_custom_phases_stay_bounded(self):
+        # C(123, 3) = 302 621 terms at 2s = 120: contracted at once, 8 phases
+        # peaked at 6.2 times one phase; in blocks of entries, at most twice
+        g = 0.5 + np.abs(np.sin(np.arange(1.0, 122.0)))
+        g[-1] = -g[:-1].sum()
+        spec = structure_from_spacings(g)
+        phis = np.linspace(0.0, 2.0, 8)
+        one, value = self._traced_peak(spec, phis[3], BALANCED)
+        eight, values = self._traced_peak(spec, phis, BALANCED)
+        assert eight <= 2 * one
+        assert values[3] == value
+
+    @pytest.mark.parametrize("folded", [True, False])
+    def test_contraction_blocks_add_in_order(self, monkeypatch, folded):
+        # 20 terms of a CUSTOM table at 2s = 3 in blocks of 6: the block sums
+        # agree with one block to roundoff, and each cell is its scalar call
+        spec = structure_from_spacings(np.array([1.0, 1.7, 0.6, -3.3]))
+        phis, params = np.array([[0.0], [0.7], [2.5]]), SplitterParams(np.array([0.2, 0.5]))
+        whole = linear_entropy_closed(spec, phis, params, folded=folded).value
+        monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 6)
+        blocks = linear_entropy_closed(spec, phis, params, folded=folded).value
+        assert np.max(np.abs(blocks - whole)) <= 1e-15
+        assert blocks[2, 1] == linear_entropy_closed(spec, 2.5, SplitterParams(0.5),
+                                                     folded=folded).value
 
 
 def _mpmath_entropy(family, two_s, kappa, phi, r2, levels=None):

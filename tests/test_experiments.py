@@ -291,7 +291,8 @@ class TestDeterminismAndParallel:
         assert contractions == [(3, 5, 2), (3, 2, 2)]
 
     def test_table_tiles_match_one_block(self, monkeypatch):
-        from phasebeam import experiments
+        from phasebeam import SplitterParams, build_structure, entropy, experiments
+        from phasebeam.algebra import structure_from_spacings
 
         phis = np.linspace(0, 2 * pi, 7)
         r2s = (0.0, 0.2, 0.5, 0.9, 1.0)
@@ -300,20 +301,44 @@ class TestDeterminismAndParallel:
             return experiments._sweep(("two_s", "phi", "r2"), (2, 3), phis, r2s,
                                       Family.KAPPA_NEG, None, 0)
 
+        # kappa-neg at 2s = 2 and 3, and a CUSTOM table of d = 4, against r2
+        # of shape (6,) and (2, 3), folded and not
+        specs = [build_structure(Family.KAPPA_NEG, 2), build_structure(Family.KAPPA_NEG, 3),
+                 structure_from_spacings(np.array([1.0, 1.7, 0.6, -3.3]))]
+        grids = [np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6).reshape(2, 3)]
+
+        def builds():
+            return [entropy._gram_table(spec, SplitterParams(r2), folded=folded)
+                    for spec in specs for r2 in grids for folded in (True, False)]
+
         tables, contractions = [], []
         self._spy_tables(monkeypatch, tables, contractions)
-        whole = sweep()
+        whole, whole_builds = sweep(), builds()
+        # one table per 2s slice, contracted with all 7 phases at once
         assert tables == [(2, 5), (3, 5)]
         assert contractions == [(2, 7, 5), (3, 7, 5)]
         tables.clear()
         contractions.clear()
-        # r2 tiles of 32 // d^2 values: 3 at 2s = 2 and 2 at 2s = 3, the
-        # last one short; phase tiles of 32 // (K * width), K = 2 and 3
-        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 32)
+        pmfs = []
+        pmf_call = entropy._binomial_pmf
+
+        def spy_pmf(spec, params):
+            pmfs.append((spec.two_s, np.size(params.r2)))
+            return pmf_call(spec, params)
+
+        # the table builds its r2 cells in tiles of 32 // d^2: 3 at 2s = 2
+        # and 2 at 2s = 3, the last one short; still one table per slice
+        monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 32)
+        monkeypatch.setattr(entropy, "_binomial_pmf", spy_pmf)
         assert np.array_equal(sweep().values, whole.values)
-        assert tables == [(2, 3), (2, 2), (3, 2), (3, 2), (3, 1)]
-        assert contractions == [(2, 5, 3), (2, 2, 3), (2, 7, 2),
-                                (3, 5, 2), (3, 2, 2), (3, 5, 2), (3, 2, 2), (3, 7, 1)]
+        assert tables == [(2, 5), (3, 5)]
+        assert contractions == [(2, 7, 5), (3, 7, 5)]
+        assert pmfs == [(2, 3), (2, 2), (3, 2), (3, 2), (3, 1)]
+        # each tiled table is the whole build to the bit, in the shape of r2
+        for tiled, one in zip(builds(), whole_builds, strict=True):
+            assert tiled.weights.shape == one.weights.shape
+            assert tiled.rates.tobytes() == one.rates.tobytes()
+            assert tiled.weights.tobytes() == one.weights.tobytes()
 
     def test_routes_agree(self, monkeypatch):
         from phasebeam import experiments
@@ -360,6 +385,9 @@ class TestRouteChoice:
         plan = experiments._plan((160, 2200), 128, 101)
         assert next(plan) == (160, True, 101 * 167974560 + 128 * 101 * (6480 + floor))
         assert next(plan) == (2200, False, 128 * 101 * (2201**3 + floor))
+        # tables at 2s = 161 on 32 phases, priced at the rho route they passed over
+        assert list(experiments._plan((161,), 32, 101)) == [
+            (161, True, 32 * 101 * (162**3 + floor))]
         assert list(experiments._plan((1, 40), 5, 1)) == [
             (1, False, 5 * (8 + floor)), (40, False, 5 * (41**3 + floor))]
         # dims is read lazily, so a range need not be built

@@ -22,13 +22,12 @@ from phasebeam.numerics import RETAIN_ENTRIES, log_factorials, per_size
 from phasebeam.splitter import (
     SplitterParams,
     _coefficient_table,
-    _triangle_table,
     reduced_density,
     reduced_density_closed,
     split_phase_state,
 )
 
-CACHES = (_slab_plan, _k_values, _binomial_table, _triangle_table, _coefficient_table)
+CACHES = (_slab_plan, _k_values, _binomial_table, _coefficient_table)
 
 
 @pytest.fixture
@@ -93,7 +92,7 @@ def _arrays(table):
     lambda: _slab_plan(9, False),
     lambda: _k_values(9, False),
     lambda: _binomial_table(9),
-    lambda: _triangle_table(8),
+    lambda: _k_values(9, True),
     lambda: _coefficient_table(8),
     lambda: (log_factorials(8),),
 ])
