@@ -11,22 +11,23 @@ folded onto j >= 0, s <= s', in blocks of whole j slabs.  Which terms each
 block holds, with their weights and the level indices of their gaps,
 depends on d alone: that slab plan is built once per size and kept
 (numerics.per_size) while it holds at most RETAIN_ENTRIES terms, which
-keeps 2s <= 80 folded; larger plans stream block by block from the same
+keeps 2s <= 90 folded; larger plans stream block by block from the same
 builder on every call.  A call forms sqrt(pmf), gathers Q_j, runs the
 matrix products and takes the plan's terms.
 The Gram entries then go into one table keyed by the gap, one row per r2
 cell (built in tiles of cells), and S = 1 - sum_g W_g cos(g phi) / d^2 per
-phase (contracted in blocks of entries).  On the quadratic tables
-F(n) = n(1 + kappa(n-1)) of every built-in family the gap is 2 kappa k with
-the integer k = j (s' - s), and the entries are binned by k; on any other
-table each term is an entry of its own.
+(phi, r2) cell, contracted in tiles of cells along a phase axis and in
+blocks of entries.  On the quadratic tables F(n) = n(1 + kappa(n-1)) of
+every built-in family the gap is 2 kappa k with the integer k = j (s' - s),
+and the entries are binned by k; on any other table each term is an entry
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
-from math import inf
+from math import inf, prod
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class EntropyValue:
 
     def __post_init__(self) -> None:
         value = _clamp_unit_interval(self.value)
-        hi = value.item(value.argmax())  # NaN if value holds a NaN
+        hi = value.max(initial=0.0)  # NaN if value holds a NaN
         if not hi <= 1.0 - 1.0 / self.dim + 1e-12:
             raise NumericalConsistencyError(
                 f"S = {hi} outside [0, 1 - 1/d] for d = {self.dim}")
@@ -100,7 +101,7 @@ def _clamp_unit_interval(s):
     The range checks are monotone, so the extremes stand for every entry.
     """
     s = np.asarray(s, dtype=float)
-    lo, hi = s.item(s.argmin()), s.item(s.argmax())
+    lo, hi = s.min(initial=0.0), s.max(initial=0.0)
     if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
         raise NumericalConsistencyError(
             f"entropy {lo if lo < -CLAMP_TOL else hi} outside [0, 1]")
@@ -271,7 +272,7 @@ def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, *, folded: bool = True):
         q = win[..., lo, :m, :m] * win[..., hi, :m, :m]
         # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
         gram = np.matmul(q.swapaxes(-1, -2) * block.slab_w, q) * block.pair_w
-        yield block, gram.reshape(gram.shape[:-3] + (-1,)).take(block.terms, axis=-1)
+        yield block, gram.reshape(*gram.shape[:-3], lo.size * m * m).take(block.terms, axis=-1)
 
 
 def linear_entropy_closed(spec: StructureSpec, phi,
@@ -305,26 +306,47 @@ class _GramTable:
     folded: bool = True
 
     def entropy(self, phi) -> EntropyValue:
-        """One entropy per cell of np.broadcast_shapes(phi, r2).
+        """One entropy per cell of np.broadcast_shapes(phi, r2), each its scalar call's bits.
 
-        The entries are contracted in blocks of at most _BLOCK_ENTRIES, whose
-        sums add in order, so every cell of an array call equals its scalar
-        call to the bit.
+        The cells go in tiles along the first axis that phi varies on (axis 0
+        if none), so a tile forms its cosines once for every r2 in it.  A tile
+        holds at most _BLOCK_ENTRIES (cell, entry) products, and at least one row.
         """
         scale = self.dim * self.dim
+        shape = np.broadcast(phi, self.weights[..., 0]).shape  # the cells
+        if not shape:
+            return EntropyValue(1.0 - self._purity(phi, self.weights) / scale,
+                                CLOSED_FORM, self.dim)
+        phi = np.reshape(phi, (1,) * (len(shape) - np.ndim(phi)) + np.shape(phi))
+        weights = np.broadcast_to(self.weights, shape + self.weights.shape[-1:])  # a view
+        axis = next((a for a, n in enumerate(phi.shape) if n > 1), 0)
+        per_row = prod(shape[:axis] + shape[axis + 1:]) * self.rates.size
+        rows = max(1, _BLOCK_ENTRIES // max(1, per_row))
+        purity = np.empty(shape)
+        for r in range(0, shape[axis], rows):
+            tile = (slice(None),) * axis + (slice(r, r + rows),)
+            purity[tile] = self._purity(phi[tile] if phi.size > 1 else phi, weights[tile])
+        return EntropyValue(1.0 - purity / scale, CLOSED_FORM, self.dim)
+
+    def _purity(self, phi, weights):
+        """sum_g weights[..., g] cos(rates[g] phi) for the cells of phi and weights.
+
+        The entries go in blocks of at most _BLOCK_ENTRIES, whose sums add in
+        order.  Unfolded, the imaginary part must vanish.
+        """
         purity = imag = 0.0
         for g in range(0, self.rates.size, _BLOCK_ENTRIES):
             angle = np.multiply.outer(phi, self.rates[g:g + _BLOCK_ENTRIES])
-            weights = self.weights[..., g:g + _BLOCK_ENTRIES]
-            purity = purity + (weights * np.cos(angle)).sum(axis=-1)
+            block = weights[..., g:g + _BLOCK_ENTRIES]
+            purity = purity + (block * np.cos(angle)).sum(axis=-1)
             if not self.folded:
-                imag = imag + (weights * np.sin(angle)).sum(axis=-1)
+                imag = imag + (block * np.sin(angle)).sum(axis=-1)
         if not self.folded:
-            residual = np.abs(imag).max() / scale
+            residual = np.abs(imag).max(initial=0.0) / (self.dim * self.dim)
             if residual > 1e-12:
                 raise NumericalConsistencyError(
                     f"imaginary residual {residual} in the unfolded sum")
-        return EntropyValue(1.0 - purity / scale, CLOSED_FORM, self.dim)
+        return purity
 
 
 def _quadratic(spec: StructureSpec) -> bool:
@@ -360,7 +382,7 @@ def _gram_table(spec: StructureSpec, params: SplitterParams, *,
         weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
         return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
     pmf = _binomial_pmf(spec, params)
-    dev = np.abs(pmf.sum(axis=-2) - 1.0).max()
+    dev = np.abs(pmf.sum(axis=-2) - 1.0).max(initial=0.0)
     if not dev <= PMF_TOL:
         raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
     if not _quadratic(spec):

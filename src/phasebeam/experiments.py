@@ -5,11 +5,12 @@ kappa-neg family) and m = 0 (the entropy does not depend on m).  The three
 sweep_* functions and the CLI's sweep build their tables with one builder,
 which differs between them only in the axes it names.  It makes one call
 of the grid evaluator, which takes each 2s slice of the (phi, r2) plane by
-the route that _plan names for it, one Gram table (_table_tiles) or one
-rho per cell (_rho_tiles).  _plan also prices each slice by that route, and
-the CLI sums the price against its work budget before a run starts.  Every
-S is bounded as on the single-point routes, all in one process.  The
-serial keyword is accepted for compatibility and changes nothing.
+the route that _plan names for it, one linear_entropy_closed call (one Gram
+table) or one rho per cell (_rho_tiles).  _plan also prices each slice by
+that route, and the CLI sums the price against its work budget before a
+run starts.  Every S is bounded as on the single-point routes, all in one
+process.  The serial keyword is accepted for compatibility and changes
+nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import isqrt
 import numpy as np
 
 from .algebra import Family, build_structure
-from .entropy import _gram_table, linear_entropy
+from .entropy import linear_entropy, linear_entropy_closed
 from .numerics import _BLOCK_ENTRIES
 from .splitter import (
     SplitterParams,
@@ -114,19 +115,6 @@ def _plan(dims, phases: int, r2s: int):
         yield two_s, tables, work + cells * CELL_FLOOR
 
 
-def _table_tiles(spec, phi_axis, r2_axis, out) -> None:
-    """Fill out (phi, r2) with S from one Gram table; S does not depend on m.
-
-    _gram_table bounds its own build.  The table, K entries per r2 value, is
-    contracted with phase tiles of _BLOCK_ENTRIES // (K * len(r2)) (at least
-    one), each tile's cosines formed once for all r2; EntropyValue bounds S.
-    """
-    table = _gram_table(spec, SplitterParams(r2_axis))
-    rows = max(1, _BLOCK_ENTRIES // table.weights.size)
-    for r in range(0, len(phi_axis), rows):
-        out[r:r + rows] = table.entropy(phi_axis[r:r + rows, None]).value
-
-
 def _rho_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
     """Fill out (phi, r2) with S = 1 - Tr(rho^2), one rho per cell.
 
@@ -157,8 +145,8 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
     out = np.empty((len(dims), len(phi_axis), len(r2_axis)))
     for i, (two_s, tables, _) in enumerate(_plan(dims, len(phi_axis), len(r2_axis))):
         spec = build_structure(family, two_s, kappa)
-        if tables:
-            _table_tiles(spec, phi_axis, r2_axis, out[i])
+        if tables:  # S does not depend on m
+            out[i] = linear_entropy_closed(spec, phi_axis[:, None], SplitterParams(r2_axis)).value
         else:
             _rho_tiles(spec, m, phi_axis, r2_axis, out[i])
     return out

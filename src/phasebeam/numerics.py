@@ -14,13 +14,13 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 # A table that depends only on a size is kept for the next call while it
 # holds at most this many entries; each cache of such tables holds at most
 # this many entries in all.  2^17 keeps the closed form's slab plan up to
-# 2s = 80 (91 881 terms).
+# 2s = 90 (129 766 terms).
 RETAIN_ENTRIES = 1 << 17
 
 # Tile bound in entries, so that peak memory does not grow with the cells:
-# a Gram table builds _BLOCK_ENTRIES // d^2 r2 cells and contracts this many
-# entries at a time, and a sweep's rho tile holds _BLOCK_ENTRIES // d^2
-# matrices of d^2 entries (1 MiB).
+# a Gram table builds _BLOCK_ENTRIES // d^2 r2 cells at a time and is
+# contracted in tiles of this many (cell, entry) products (at least one row)
+# and blocks of this many entries; a sweep's rho tile holds 1 MiB.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -79,21 +79,9 @@ def per_size(entries):
     return wrap
 
 
-_lgf = read_only(np.zeros(1))[0]
-
-
 def log_factorials(n_max: int) -> np.ndarray:
-    """ln(k!) for k = 0..n_max, a read-only array.
+    """ln(k!) for k = 0..n_max, a read-only array; each entry is lgamma(k + 1).
 
-    Each entry is lgamma(k + 1) alone, so a table is a prefix of any longer
-    one: tables of up to RETAIN_ENTRIES entries are views of the longest
-    such table built so far.
+    Its callers are per-size tables, so it runs once per size they keep.
     """
-    global _lgf
-    kept = _lgf
-    if n_max < kept.size:
-        return kept[:n_max + 1]
-    table = read_only(np.array([lgamma(k + 1) for k in range(n_max + 1)]))[0]
-    if table.size <= RETAIN_ENTRIES:
-        _lgf = table
-    return table
+    return read_only(np.array([lgamma(k + 1) for k in range(n_max + 1)]))[0]

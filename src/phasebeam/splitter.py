@@ -199,9 +199,9 @@ def reduced_density(b: BipartiteVector) -> np.ndarray:
     n = np.arange(b.two_s + 1)
     diag = full[..., n, n].real
     nrm = np.sqrt(diag.sum(axis=-1))
-    worst = nrm.flat[np.abs(nrm - 1.0).argmax()]
-    if abs(worst - 1.0) > NORM_TOL:
-        raise NotNormalizedError(f"two-mode vector has norm {worst}")
+    dev = np.abs(nrm - 1.0).max(initial=0.0)
+    if not dev <= NORM_TOL:
+        raise NotNormalizedError(f"a two-mode vector's norm is off 1 by {dev}")
     rho = np.where(n[:, None] < n, full, full.conj().swapaxes(-1, -2))
     rho[..., n, n] = diag
     return rho
@@ -243,10 +243,10 @@ def validate_density(rho: np.ndarray) -> None:
     # NaN passes the comparisons below and makes the factorisations raise.
     if not np.isfinite(rho).all():
         raise InvalidDensityError("matrix has non-finite entries")
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0)
     if herm > HERM_TOL:
         raise InvalidDensityError(f"not Hermitian: max deviation {herm}")
-    tr_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max()
+    tr_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
     if tr_dev > TRACE_TOL:
         raise InvalidDensityError(f"trace is off 1 by {tr_dev}")
     # rho + PSD_TOL I has a Cholesky factor exactly when lambda_min > -PSD_TOL,

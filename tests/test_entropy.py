@@ -95,6 +95,13 @@ def _closed_loop_reference(two_s, *, folded):
     return evaluate
 
 
+def _custom_spec(two_s):
+    """A CUSTOM level table of dimension 2s + 1 that is not quadratic."""
+    g = 0.5 + np.abs(np.sin(np.arange(1.0, two_s + 2.0)))
+    g[-1] = -g[:-1].sum()
+    return structure_from_spacings(g)
+
+
 class TestLinearEntropyFromRho:
     def test_pure_state_zero(self):
         v = np.array([0.6, 0.8j], dtype=complex)
@@ -351,14 +358,30 @@ class TestLinearEntropyClosed:
     def test_custom_phases_stay_bounded(self):
         # C(123, 3) = 302 621 terms at 2s = 120: contracted at once, 8 phases
         # peaked at 6.2 times one phase; in blocks of entries, at most twice
-        g = 0.5 + np.abs(np.sin(np.arange(1.0, 122.0)))
-        g[-1] = -g[:-1].sum()
-        spec = structure_from_spacings(g)
+        spec = _custom_spec(120)
         phis = np.linspace(0.0, 2.0, 8)
         one, value = self._traced_peak(spec, phis[3], BALANCED)
         eight, values = self._traced_peak(spec, phis, BALANCED)
         assert eight <= 2 * one
         assert values[3] == value
+
+    @pytest.mark.parametrize("spec, phi, r2, bound", [
+        (build_structure(Family.KAPPA_NEG, 40), np.linspace(0.0, 6.3, 400)[:, None],
+         np.linspace(0.0, 1.0, 400), 16),
+        (build_structure(Family.KAPPA_NEG, 80), np.linspace(0.0, 2 * pi, 128)[:, None],
+         np.linspace(0.0, 1.0, 101), 12),
+        (build_structure(Family.KAPPA_NEG, 40), np.linspace(0.0, 6.3, 300),
+         np.linspace(0.0, 1.0, 300)[:, None], 16),
+        (_custom_spec(40), np.linspace(0.0, 6.3, 64)[:, None], np.linspace(0.0, 1.0, 16), 12),
+    ], ids=["400x400-at-40", "128x101-at-80", "r2-column-at-40", "custom-64x16-at-40"])
+    def test_array_calls_stay_bounded(self, spec, phi, r2, bound):
+        # contracted in one piece, these peaked at 277.3, 82.5, 156.2 and
+        # 110.1 MB; the contraction tiles its cells
+        peak, value = self._traced_peak(spec, phi, SplitterParams(r2))
+        assert peak <= bound * 2**20
+        cell = np.unravel_index(7 * value.size // 9, value.shape)
+        phi_one, r2_one = (np.broadcast_to(a, value.shape)[cell] for a in (phi, r2))
+        assert value[cell] == linear_entropy_closed(spec, phi_one, SplitterParams(r2_one)).value
 
     @pytest.mark.parametrize("folded", [True, False])
     def test_contraction_blocks_add_in_order(self, monkeypatch, folded):
@@ -719,3 +742,77 @@ class TestPhaseStacks:
             linear_entropy(stack)
         with pytest.raises(NumericalConsistencyError):
             linear_entropy(stack, validate=False)
+
+
+class TestContractionTiles:
+    """_GramTable.entropy tiles its cells; every tiling gives the bits of one tile."""
+
+    PHI5 = np.array([0.0, 0.7, pi, 4.0, 11.0])
+    R2_4 = np.array([0.0, 0.3, 0.8, 1.0])
+    # (phi, r2): scalars, a phase vector, an r2 vector, phi[:, None] x r2,
+    # r2[:, None] x phi, an equal-shape pair and a 3-d broadcast
+    CASES = ((1.9, 0.3), (PHI5, 0.3), (1.9, R2_4), (PHI5[:, None], R2_4),
+             (PHI5, R2_4[:, None]), (PHI5, PHI5 / 11.0),
+             (PHI5[:, None, None], np.linspace(0.0, 1.0, 6).reshape(2, 3)))
+
+    @pytest.mark.parametrize("folded", [True, False])
+    @pytest.mark.parametrize("spec", [*(build_structure(family, 5, kappa)
+                                        for family, kappa in FAMILIES), _custom_spec(5)],
+                             ids=lambda spec: spec.family.value)
+    def test_tiles_equal_one_tile(self, monkeypatch, spec, folded):
+        k = entropy._gram_table(spec, BALANCED, folded=folded).rates.size
+        tiles = []
+        purity_call = entropy._GramTable._purity
+
+        def spy(table, phi, weights):
+            tiles.append(np.broadcast_shapes(np.shape(phi), weights.shape[:-1]))
+            return purity_call(table, phi, weights)
+
+        def contract(bound):
+            monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", bound)
+            out = []
+            for phi, r2 in self.CASES:
+                tiles.clear()
+                value = np.asarray(linear_entropy_closed(spec, phi, SplitterParams(r2),
+                                                         folded=folded).value)
+                # the tiles cover the cells once, in as many tiles as the bound needs
+                assert sum(np.prod(tile, dtype=int) for tile in tiles) == value.size
+                out.append((value, len(tiles)))
+            return out
+
+        monkeypatch.setattr(entropy._GramTable, "_purity", spy)
+        whole = contract(1 << 40)
+        assert [n for _, n in whole] == [1] * len(self.CASES)
+        # bounds of at least K keep every block of entries whole; a tile takes
+        # the rows of the first axis that phi varies on (axis 0 if none) that
+        # fit in the bound, at least one
+        for bound, counts in ((k, [1, 5, 4, 5, 5, 5, 5]), (3 * k, [1, 2, 2, 5, 5, 2, 5])):
+            tiled = contract(bound)
+            assert [n for _, n in tiled] == counts
+            for (got, _), (want, _) in zip(tiled, whole):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+EMPTY = np.zeros(0)
+
+
+@pytest.mark.parametrize("route, shape", [
+    (lambda spec: linear_entropy_closed(spec, EMPTY, BALANCED).value, (0,)),
+    (lambda spec: linear_entropy_closed(spec, EMPTY, BALANCED, folded=False).value, (0,)),
+    (lambda spec: linear_entropy_closed(spec, 0.7, SplitterParams(EMPTY)).value, (0,)),
+    (lambda spec: linear_entropy_closed(spec, EMPTY[:, None],
+                                        SplitterParams(np.array([0.2, 0.5]))).value, (0, 2)),
+    (lambda spec: linear_entropy_closed(spec, np.ones(3), SplitterParams(EMPTY[:, None]),
+                                        folded=False).value, (0, 3)),
+    (lambda spec: linear_entropy(np.zeros((0, spec.dim, spec.dim))).value, (0,)),
+    (lambda spec: reduced_density(split_phase_state(spec, 0, EMPTY, BALANCED)), (0, 4, 4)),
+    (lambda spec: reduced_density(split_number_state(3, SplitterParams(EMPTY))), (0, 4, 4)),
+    (lambda spec: reduced_density_closed(spec, 0, EMPTY, BALANCED), (0, 4, 4)),
+], ids=["closed-phi", "unfolded-phi", "closed-r2", "closed-phi-grid", "unfolded-r2-grid",
+        "oracle-stack", "partial-trace", "number-state", "rho-closed"])
+@pytest.mark.parametrize("spec", [build_structure(Family.KAPPA_NEG, 3), _custom_spec(3)],
+                         ids=["kappa-neg", "custom"])
+def test_zero_cells_give_empty_results(route, shape, spec):
+    # every route gives an empty result for zero cells, with the cells' shape
+    assert np.shape(route(spec)) == shape

@@ -100,19 +100,19 @@ class TestSweepR2Phi:
 
         # the same slice by Gram tables
         _force_route(monkeypatch, True)
-        table_call = experiments._gram_table
-        # the weights of one r2 value of three scaled: S = -0.05 there, beyond
-        # the clamp band, then S = 0.9125 > 1 - 1/d
+        purity_call = entropy._GramTable._purity
+        # each contraction tile with the weights of one r2 value of three
+        # scaled: S = -0.05 there, beyond the clamp band, then S = 0.9125 > 1 - 1/d
         for scale in (1.2, 0.1):
-            def scaled(spec, params, scale=scale):
-                table = table_call(spec, params)
-                rows = np.where(params.r2 == 0.5, scale, 1.0)[:, None]
-                return entropy._GramTable(table.rates, table.weights * rows, table.dim)
+            rows = np.array([1.0, scale, 1.0])[:, None]
 
-            monkeypatch.setattr(experiments, "_gram_table", scaled)
+            def scaled(table, phi, weights, rows=rows):
+                return purity_call(table, phi, weights * rows)
+
+            monkeypatch.setattr(entropy._GramTable, "_purity", scaled)
             with pytest.raises(NumericalConsistencyError):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
-        monkeypatch.setattr(experiments, "_gram_table", table_call)
+        monkeypatch.setattr(entropy._GramTable, "_purity", purity_call)
         # one binomial column of one r2 value sums to 1 + 1e-11
         pmf_call = entropy._binomial_pmf
 
@@ -252,43 +252,44 @@ class TestDeterminismAndParallel:
         assert len(tiles) == 4 * 3
 
     @staticmethod
-    def _spy_tables(monkeypatch, tables, contractions):
-        """Take every slice by tables; record (2s, r2 tile width) per table
-        and (2s, phases, width) per contraction."""
-        from phasebeam import experiments
+    def _spy_tables(monkeypatch, calls, tiles):
+        """Take every slice by tables; record (2s, phi shape, r2 shape) per
+        linear_entropy_closed call and (2s, phi shape, weights cells) per
+        contraction tile."""
+        from phasebeam import entropy, experiments
 
-        table_call = experiments._gram_table
+        closed_call = experiments.linear_entropy_closed
+        purity_call = entropy._GramTable._purity
 
-        class Spy:
-            def __init__(self, spec, params):
-                self.table = table_call(spec, params)
-                self.weights = self.table.weights
-                self.key = (spec.two_s, len(params.r2))
-                tables.append(self.key)
+        def closed(spec, phi, params):
+            calls.append((spec.two_s, np.shape(phi), np.shape(params.r2)))
+            return closed_call(spec, phi, params)
 
-            def entropy(self, phi):
-                contractions.append((self.key[0], len(phi), self.key[1]))
-                return self.table.entropy(phi)
+        def purity(table, phi, weights):
+            tiles.append((table.dim - 1, np.shape(phi), weights.shape[:-1]))
+            return purity_call(table, phi, weights)
 
         _force_route(monkeypatch, True)
-        monkeypatch.setattr(experiments, "_gram_table", Spy)
+        monkeypatch.setattr(experiments, "linear_entropy_closed", closed)
+        monkeypatch.setattr(entropy._GramTable, "_purity", purity)
 
     def test_table_phi_blocks_match_one_block(self, monkeypatch):
-        from phasebeam import experiments
+        from phasebeam import entropy
 
         phis = np.linspace(0, 2 * pi, 7)
-        tables, contractions = [], []
-        self._spy_tables(monkeypatch, tables, contractions)
+        calls, tiles = [], []
+        self._spy_tables(monkeypatch, calls, tiles)
         whole = sweep_r2_phi(3, phis, (0.2, 0.5))
-        assert tables == [(3, 2)]
-        tables.clear()
-        contractions.clear()
+        assert calls == [(3, (7, 1), (2,))]
+        assert tiles == [(3, (7, 1), (7, 2))]
+        calls.clear()
+        tiles.clear()
         # d^2 = 16 and 3 distinct k at 2s = 3: one table of both r2 values,
-        # contracted with blocks of 32 // (3 * 2) = 5 phases, the last one short
-        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * 16)
+        # contracted in tiles of 32 // (3 * 2) = 5 phases, the last one short
+        monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 2 * 16)
         assert np.array_equal(sweep_r2_phi(3, phis, (0.2, 0.5)).values, whole.values)
-        assert tables == [(3, 2)]
-        assert contractions == [(3, 5, 2), (3, 2, 2)]
+        assert calls == [(3, (7, 1), (2,))]
+        assert tiles == [(3, (5, 1), (5, 2)), (3, (2, 1), (2, 2))]
 
     def test_table_tiles_match_one_block(self, monkeypatch):
         from phasebeam import SplitterParams, build_structure, entropy, experiments
@@ -311,14 +312,14 @@ class TestDeterminismAndParallel:
             return [entropy._gram_table(spec, SplitterParams(r2), folded=folded)
                     for spec in specs for r2 in grids for folded in (True, False)]
 
-        tables, contractions = [], []
-        self._spy_tables(monkeypatch, tables, contractions)
+        calls, tiles = [], []
+        self._spy_tables(monkeypatch, calls, tiles)
         whole, whole_builds = sweep(), builds()
-        # one table per 2s slice, contracted with all 7 phases at once
-        assert tables == [(2, 5), (3, 5)]
-        assert contractions == [(2, 7, 5), (3, 7, 5)]
-        tables.clear()
-        contractions.clear()
+        # one call per 2s slice, contracted with all 7 phases at once
+        assert calls == [(2, (7, 1), (5,)), (3, (7, 1), (5,))]
+        assert tiles == [(2, (7, 1), (7, 5)), (3, (7, 1), (7, 5))]
+        calls.clear()
+        tiles.clear()
         pmfs = []
         pmf_call = entropy._binomial_pmf
 
@@ -327,12 +328,14 @@ class TestDeterminismAndParallel:
             return pmf_call(spec, params)
 
         # the table builds its r2 cells in tiles of 32 // d^2: 3 at 2s = 2
-        # and 2 at 2s = 3, the last one short; still one table per slice
+        # and 2 at 2s = 3, the last one short; its 2 and 3 distinct k go in
+        # phase tiles of 32 // (2 * 5) = 3 and 32 // (3 * 5) = 2
         monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 32)
         monkeypatch.setattr(entropy, "_binomial_pmf", spy_pmf)
         assert np.array_equal(sweep().values, whole.values)
-        assert tables == [(2, 5), (3, 5)]
-        assert contractions == [(2, 7, 5), (3, 7, 5)]
+        assert calls == [(2, (7, 1), (5,)), (3, (7, 1), (5,))]
+        assert tiles == ([(2, (3, 1), (3, 5))] * 2 + [(2, (1, 1), (1, 5))]
+                         + [(3, (2, 1), (2, 5))] * 3 + [(3, (1, 1), (1, 5))])
         assert pmfs == [(2, 3), (2, 2), (3, 2), (3, 2), (3, 1)]
         # each tiled table is the whole build to the bit, in the shape of r2
         for tiled, one in zip(builds(), whole_builds, strict=True):
@@ -353,6 +356,23 @@ class TestDeterminismAndParallel:
                 sweeps.append(experiments._sweep(("two_s", "phi", "r2"), (1, 4, 9), phis,
                                                  r2s, family, kappa, 0).values)
             assert np.max(np.abs(sweeps[0] - sweeps[1])) <= 1e-13
+
+
+def test_sweeps_use_only_public_entropy_names():
+    # the sweep's tables slice is one linear_entropy_closed call, so the
+    # contraction and its tile bound live in entropy alone
+    import ast
+    import inspect
+
+    from phasebeam import experiments
+
+    from_entropy = [alias.name
+                    for node in ast.walk(ast.parse(inspect.getsource(experiments)))
+                    if isinstance(node, ast.ImportFrom) and node.module in ("entropy",
+                                                                            "phasebeam.entropy")
+                    for alias in node.names]
+    assert "linear_entropy_closed" in from_entropy
+    assert [name for name in from_entropy if name.startswith("_")] == []
 
 
 class TestRouteChoice:
@@ -402,10 +422,10 @@ class TestRouteChoice:
         def plan(*args):
             for two_s, tables, work in plan_call(*args):
                 tables ^= flip  # flipped, a route the rule did not pick must run
-                named.append((two_s, "_table_tiles" if tables else "_rho_tiles"))
+                named.append((two_s, "linear_entropy_closed" if tables else "_rho_tiles"))
                 yield two_s, tables, work
 
-        for name in ("_table_tiles", "_rho_tiles"):
+        for name in ("linear_entropy_closed", "_rho_tiles"):
             call = getattr(experiments, name)
 
             def spy(spec, *args, name=name, call=call):
@@ -421,7 +441,7 @@ class TestRouteChoice:
                 sweep_phi_balanced((1, 30, 200), np.linspace(0, 2 * pi, phases))
                 assert ran == named and len(named) == 3
         # 32 * d^3 is under 2^15 at d = 2; d // 6 = 33 > 32 at d = 201
-        assert ran == [(1, "_rho_tiles"), (30, "_table_tiles"), (200, "_rho_tiles")]
+        assert ran == [(1, "_rho_tiles"), (30, "linear_entropy_closed"), (200, "_rho_tiles")]
 
 
 class TestSweepsPinnedToEntropyPoint:

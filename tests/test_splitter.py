@@ -368,6 +368,9 @@ class TestReducedDensity:
         b = split_number_state(2, SplitterParams(0.5))
         with pytest.raises(NotNormalizedError):
             reduced_density(BipartiteVector(2, b.amp * 2.0))
+        # a NaN norm fails the bound too
+        with pytest.raises(NotNormalizedError):
+            reduced_density(BipartiteVector(2, np.where(b.amp == 0.0, b.amp, np.nan)))
 
 
 class TestReducedDensityClosed:

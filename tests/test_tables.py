@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from phasebeam import numerics
 from phasebeam.algebra import Family, build_structure, structure_from_spacings
 from phasebeam.entropy import (
     _binomial_table,
@@ -31,12 +30,11 @@ CACHES = (_slab_plan, _k_values, _binomial_table, _coefficient_table)
 
 
 @pytest.fixture
-def clear_tables(monkeypatch):
-    """A function that drops every kept table, the log-factorials included."""
+def clear_tables():
+    """A function that drops every kept table."""
     def clear():
         for cache in CACHES:
             cache.cache_clear()
-        monkeypatch.setattr(numerics, "_lgf", numerics._lgf[:1])
     return clear
 
 
@@ -189,10 +187,3 @@ def test_per_size_is_shared_safely_by_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-
-
-def test_log_factorials_are_prefixes_of_one_table():
-    long = log_factorials(60)
-    short = log_factorials(12)
-    assert short.tobytes() == long[:13].tobytes()
-    assert not short.flags.writeable
