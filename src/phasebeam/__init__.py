@@ -66,7 +66,6 @@ from .splitter import (
     reduced_density_closed,
     split_number_state,
     split_phase_state,
-    tri_index,
     tri_size,
     validate_density,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "SplitterParams",
     "BipartiteVector",
     "tri_size",
-    "tri_index",
     "split_number_state",
     "split_phase_state",
     "reduced_density",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -97,11 +97,15 @@ class StructureSpec:
 
 def _levels_from_closed_form(two_s: int, kappa: float) -> np.ndarray:
     """F(n) = n(1 + kappa(n-1)); kappa = 0 gives Pegg-Barnett's F(n) = n exactly."""
-    n = np.arange(two_s + 2, dtype=float)
-    levels = n * (1.0 + kappa * (n - 1.0))
+    # F(2s) is the largest level for kappa >= 0 (kappa-neg's are below 2s);
+    # it is formed first in Python floats, which overflow to inf unwarned.
+    if not isfinite(two_s * (1.0 + float(kappa) * (two_s - 1.0))):
+        raise InvalidStructureError("level table must be finite")
+    n = np.arange(two_s + 1, dtype=float)
     # F(2s+1) = 0 exactly; the last spacing absorbs the truncation.  F(0) is
     # set too, as the formula gives -0.0 there for kappa > 1.
-    levels[[0, two_s + 1]] = 0.0
+    levels = np.append(n * (1.0 + kappa * (n - 1.0)), 0.0)
+    levels[0] = 0.0
     return levels
 
 
@@ -173,10 +177,13 @@ def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSp
             f"need at least two spacings, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise InvalidStructureError("spacing table must be finite")
-    total = float(np.sum(g))
+    # Sums past the float range give inf (or NaN), unwarned: an inf total
+    # fails the check below, an inf level StructureSpec's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(g))
+        levels = np.concatenate(([0.0], np.cumsum(g)))
     if abs(total) > SPACING_SUM_TOL:
         raise TraceNotZeroError(f"spacings must sum to 0, got {total}")
-    levels = np.concatenate(([0.0], np.cumsum(g)))
     return StructureSpec(family=Family.CUSTOM, two_s=g.size - 1, kappa=None,
                          levels=levels)
 

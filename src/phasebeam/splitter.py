@@ -2,15 +2,14 @@
 
 A number state |n, 0> scatters into sum_p sqrt(binom(n, p)) t^p (ir)^{n-p}
 |p, n-p> with t = cos(theta/2), r = sin(theta/2).  Total photon number is
-conserved, so two-mode outputs live on the triangle p + k <= 2s and are
-stored in a packed triangular layout.  The coefficients of the square
-n, l <= 2s are formed in one array expression, which the packed routes
-take on the triangle: the square-root binomial and the powers of t and r
-are one exponent from the log-factorial table, which keeps each at most 1
-for any 2s, and the powers of i are exact quarter turns.  The reduced state
-of the transmitted mode is available through two independent routes: an
-explicit partial trace of the two-mode vector, and direct assembly from
-the transmission coefficients c(n, l).
+conserved, so two-mode outputs live on the triangle p + k <= 2s; they are
+stored on the square p, k <= 2s, zero off the triangle.  The coefficients
+of that square are formed in one array expression: the square-root
+binomial and the powers of t and r are one exponent from the log-factorial
+table, which keeps each at most 1 for any 2s, and the powers of i are exact
+quarter turns.  The reduced state of the transmitted mode is available
+through two independent routes: an explicit partial trace of the two-mode
+vector, and direct assembly from the transmission coefficients c(n, l).
 """
 
 from __future__ import annotations
@@ -77,19 +76,31 @@ def tri_size(two_s: int) -> int:
     return (two_s + 1) * (two_s + 2) // 2
 
 
-def tri_index(two_s: int, p: int, k: int) -> int:
-    """Flat index of the pair (p, k); rows of fixed p are contiguous in k."""
-    if p < 0 or k < 0 or p + k > two_s:
-        raise IndexError(f"(p={p}, k={k}) outside the triangle p+k <= {two_s}")
-    return p * (two_s + 1) - p * (p - 1) // 2 + k
+@per_size(lambda two_s: (two_s + 1) ** 2)
+def _coefficient_table(two_s: int):
+    """The per-size part of every splitter route, read-only.
+
+    On the square n, l <= two_s: n + l on the triangle n + l <= two_s and 0
+    off it (its shell); the flat indices of the square off the triangle;
+    half ln(k!) for k <= two_s, and half ln((n + l)!), -inf off the
+    triangle; i^l.
+    """
+    k = np.arange(two_s + 1)
+    total = np.add.outer(k, k)
+    off = total > two_s
+    shell = np.where(off, 0, total)
+    half_lgf = 0.5 * log_factorials(two_s)
+    total_lgf = np.where(off, -inf, half_lgf[shell])
+    return read_only(shell, np.flatnonzero(off), half_lgf, total_lgf, ipow(k))
 
 
 @dataclass(frozen=True, eq=False)
 class BipartiteVector:
-    """Two-mode amplitudes on the triangle p + k <= two_s, packed flat.
+    """Two-mode amplitudes amp[p, k] on the square p, k <= two_s.
 
-    amp has shape (tri_size,) for one vector, or (..., tri_size) for a
-    stack of vectors; get reads one vector.
+    amp has shape (d, d), d = two_s + 1, for one vector, or (..., d, d) for
+    a stack of vectors; amplitudes off the triangle p + k <= two_s must be
+    zero.  get reads one vector.
     """
 
     two_s: int
@@ -97,39 +108,26 @@ class BipartiteVector:
 
     def __post_init__(self) -> None:
         amp = np.ascontiguousarray(np.asarray(self.amp, dtype=complex))
-        if amp.shape[-1:] != (tri_size(self.two_s),):
-            raise ValueError(
-                f"amplitude vector must have length {tri_size(self.two_s)}, "
-                f"got {amp.shape}")
+        d = self.two_s + 1
+        if amp.shape[-2:] != (d, d):
+            raise ValueError(f"amplitudes must have shape (..., {d}, {d}), got {amp.shape}")
+        off = _coefficient_table(self.two_s)[1]
+        if amp.reshape(amp.shape[:-2] + (d * d,)).take(off, axis=-1).any():
+            raise ValueError(f"amplitudes off the triangle p+k <= {self.two_s} must be 0")
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
 
     def get(self, p: int, k: int) -> complex:
-        return complex(self.amp[tri_index(self.two_s, p, k)])
+        if self.amp.ndim != 2:
+            raise ValueError(f"get reads one vector, not a stack of shape {self.amp.shape}")
+        if p < 0 or k < 0 or p + k > self.two_s:
+            raise IndexError(f"(p={p}, k={k}) outside the triangle p+k <= {self.two_s}")
+        return complex(self.amp[p, k])
 
     def norm(self) -> float | np.ndarray:
         """Euclidean norm, one per vector of a stack."""
-        nrm = np.linalg.norm(self.amp, axis=-1)
+        nrm = np.linalg.norm(self.amp, axis=(-2, -1))
         return float(nrm) if nrm.ndim == 0 else nrm
-
-
-@per_size(lambda two_s: (two_s + 1) ** 2)
-def _coefficient_table(two_s: int):
-    """The per-size part of every splitter route, read-only.
-
-    The mask of n + l <= two_s, shape (d, d), whose row-major order is
-    tri_index order, so a[mask] = amp unpacks, and its pairs (n, l), so
-    a[..., n, l] packs; n + l, 0 outside the mask, and at each pair (its
-    shell); half ln(k!) for k <= two_s, and half ln((n + l)!), -inf outside
-    the mask; i^l.
-    """
-    k = np.arange(two_s + 1)
-    total = np.add.outer(k, k)
-    mask = total <= two_s
-    total = np.where(mask, total, 0)
-    half_lgf = 0.5 * log_factorials(two_s)
-    total_lgf = np.where(mask, half_lgf[total], -inf)
-    return read_only(mask, total, *mask.nonzero(), total[mask], half_lgf, total_lgf, ipow(k))
 
 
 def _log_powers(x, two_s: int) -> np.ndarray:
@@ -159,13 +157,13 @@ def _coefficients(two_s: int, params: SplitterParams) -> np.ndarray:
 def split_number_state(n: int, params: SplitterParams) -> BipartiteVector:
     """Beam splitter output for the input |n> (x) |0>, one per r2 cell.
 
-    The output lives on the triangle p + k <= n, which is its layout: every
-    amplitude off the shell p + k = n is zero.
+    The output's square is p, k <= n: every amplitude off the shell
+    p + k = n is zero.
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    _, _, p, k, shell = _coefficient_table(n)[:5]
-    return BipartiteVector(n, np.where(shell == n, _coefficients(n, params)[..., p, k], 0.0))
+    shell = _coefficient_table(n)[0]
+    return BipartiteVector(n, np.where(shell == n, _coefficients(n, params), 0.0))
 
 
 def split_phase_state(spec: StructureSpec, m, phi,
@@ -173,29 +171,25 @@ def split_phase_state(spec: StructureSpec, m, phi,
     """Beam splitter output for the input |m, phi> (x) |0>.
 
     Each |n> (x) |0> of the phase state scatters on its own shell p + k = n,
-    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k.  Arrays give
-    a stack of vectors: m, phi and r2 broadcast together, and amp has shape
-    np.broadcast_shapes(m, phi, r2) + (tri_size,).
+    so amp(p, k) = state[p + k] sqrt(binom(p+k, p)) t^p (ir)^k, and 0 where
+    p + k > 2s.  Arrays give a stack of vectors: m, phi and r2 broadcast
+    together, and amp has shape np.broadcast_shapes(m, phi, r2) + (d, d).
     """
-    _, _, p, k, shell = _coefficient_table(spec.two_s)[:5]
+    shell = _coefficient_table(spec.two_s)[0]
     state = phase_state(spec, m, phi)[..., shell]
-    return BipartiteVector(spec.two_s, state * _coefficients(spec.two_s, params)[..., p, k])
+    return BipartiteVector(spec.two_s, state * _coefficients(spec.two_s, params))
 
 
 def reduced_density(b: BipartiteVector) -> np.ndarray:
     """Reduced state of the first mode by tracing out the second.
 
-    With the packed vector unpacked into A[p, k], zero outside the triangle,
-    rho = A A^H, i.e. rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)).  The
-    strict upper triangle is mirrored and the diagonal made real, so the
-    result is Hermitian to the bit.  A stack of vectors gives a stack of
+    With A = amp, one vector's square, rho = A A^H, i.e. rho[p, p'] =
+    sum_k amp(p, k) conj(amp(p', k)).  The strict upper triangle is mirrored
+    and the diagonal made real, so the result is Hermitian to the bit.  A stack of vectors gives a stack of
     matrices, shape (..., d, d); every vector must be normalised within
     NORM_TOL, which is checked on the trace of its rho, the squared norm.
     """
-    mask = _coefficient_table(b.two_s)[0]
-    a = np.zeros(b.amp.shape[:-1] + mask.shape, dtype=complex)
-    a[..., mask] = b.amp
-    full = a @ a.conj().swapaxes(-1, -2)
+    full = b.amp @ b.amp.conj().swapaxes(-1, -2)
     n = np.arange(b.two_s + 1)
     diag = full[..., n, n].real
     nrm = np.sqrt(diag.sum(axis=-1))
@@ -221,11 +215,11 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     factor is formed once per (m, phi) and the weight once per r2.
     """
     d = spec.dim
-    total = _coefficient_table(spec.two_s)[1]
+    shell = _coefficient_table(spec.two_s)[0]
     weight = _coefficients(spec.two_s, params) / sqrt(d)
     # q^{mk} e^{-i F(k) phi} for k = n + l
     amp = _root_powers(m, d) * np.exp(-1j * np.multiply.outer(phi, spec.levels[:d]))
-    c = weight * amp[..., total]
+    c = weight * amp[..., shell]
     return c @ c.conj().swapaxes(-1, -2)
 
 

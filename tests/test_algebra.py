@@ -87,6 +87,23 @@ class TestBuildStructure:
         with pytest.raises(InvalidStructureError):
             build_structure(Family.KAPPA_NEG, 2, kappa=bad)
 
+    @pytest.mark.parametrize("two_s, kappa", [
+        (3, 1.7976931348623157e308), (3, 1e308), (3, np.float64(1e308)), (40, 1e306)],
+        ids=["largest-double", "1e308", "numpy-scalar", "2s40"])
+    def test_levels_past_the_float_range_refused(self, two_s, kappa):
+        # F(2s) = 2s (1 + kappa (2s - 1)) overflows a double; it is refused
+        # before numpy forms it, so nothing warns under filterwarnings = error
+        with pytest.raises(InvalidStructureError, match="^level table must be finite$"):
+            build_structure(Family.KAPPA_POS, two_s, kappa)
+
+    def test_largest_level_under_the_float_range_kept(self):
+        # F(3) = 1.2e308 is finite; the formula at n = 2s + 1 would overflow,
+        # but F(2s + 1) is 0 and never formed
+        kappa = 2e307
+        spec = build_structure(Family.KAPPA_POS, 3, kappa)
+        assert spec.levels.tolist() == [0.0, 1.0, 2.0 * (1.0 + kappa),
+                                        3.0 * (1.0 + kappa * 2.0), 0.0]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tables_rejected(self, bad):
         with pytest.raises(InvalidStructureError):
@@ -146,6 +163,19 @@ class TestStructureFromSpacings:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidStructureError):
             structure_from_spacings(bad)
+
+    @pytest.mark.parametrize("g, error, message", [
+        ([1e308, 1e308, -1e308], TraceNotZeroError, "^spacings must sum to 0, got inf$"),
+        # numpy's pairwise sum overflows both ways, to NaN; the levels decide
+        ([1e308, -1e308] * 8, NonPositiveLevelError, r"^F\(2\) = 0.0 "),
+        # the prefix sums overflow, whatever numpy's sum does
+        ([1e308, 1e308, *[0.0] * 6, -1e308, -1e308, *[0.0] * 6], InvalidStructureError, None),
+    ], ids=["sum", "pairwise-sum", "prefix-sums"])
+    def test_sums_past_the_float_range_refused(self, g, error, message):
+        # refused with the table's own error; nothing warns under
+        # filterwarnings = error
+        with pytest.raises(error, match=message):
+            structure_from_spacings(g)
 
     def test_too_short(self):
         with pytest.raises(InvalidDimensionError):

@@ -451,6 +451,24 @@ class TestMainCompute:
         assert "finite" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("kappa", ["1.7976931348623157e+308", "1e308"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--phi", "1.5", "--r2", "0.5"],
+        ["compute", "--phi", "1.5", "--r2", "0.5", "--method", "closed"],
+        ["sweep"],
+        ["sweep", "--two-s", "1:3", "--phi", "1.5", "--r2", "0.5"],
+    ], ids=["compute", "compute-closed", "sweep", "sweep-range"])
+    def test_levels_past_the_float_range_exit_1(self, capsys, command, kappa):
+        # F(3) = 3 (1 + 2 kappa) overflows a double: the table is refused
+        # before it is formed, so no numpy warning escapes main
+        argv = ["--family", "kappa-pos", "--kappa", kappa]
+        if "--two-s" not in command:
+            argv += ["--two-s", "3"]
+        assert main(command + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level table must be finite\n"
+
     def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
         # an overflow raised inside the oracle route ends the run as a
         # numerical error; _log_powers runs on every call, whatever the

@@ -28,7 +28,6 @@ from phasebeam import (
     split_number_state,
     split_phase_state,
     structure_from_spacings,
-    tri_size,
 )
 from phasebeam.numerics import log_factorials
 from test_acceptance import _eigh_oracle_rho
@@ -598,7 +597,7 @@ class TestPhaseStacks:
             params = SplitterParams(r2)
             for n in labels:
                 b = split_number_state(n, params)
-                assert b.amp.shape == np.shape(r2) + (tri_size(n),)
+                assert b.amp.shape == np.shape(r2) + (n + 1, n + 1)
                 for j in np.ndindex(np.shape(r2)):
                     one = split_number_state(n, SplitterParams(float(np.asarray(r2)[j])))
                     assert np.max(np.abs(b.amp[j] - one.amp)) <= 1e-15
@@ -608,7 +607,7 @@ class TestPhaseStacks:
                 b = split_phase_state(spec, m, phis, SplitterParams(r2))
                 rho = reduced_density(b)
                 s = np.asarray(linear_entropy(rho).value)
-                assert b.amp.shape == shape + (tri_size(spec.two_s),)
+                assert b.amp.shape == shape + (spec.dim, spec.dim)
                 assert rho.shape == shape + (spec.dim, spec.dim)
                 assert s.shape == shape
                 assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
@@ -665,22 +664,6 @@ class TestPhaseStacks:
                 linear_entropy_closed(spec, self.PHI4, SplitterParams(self.R2_5),
                                       folded=folded)
 
-    @pytest.mark.parametrize(
-        "spec", [spec for spec in _stack_specs() if spec.family is not Family.CUSTOM],
-        ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
-    def test_spectral_cells_equal_scalar_calls(self, spec):
-        # every cell of one k-binned table, as the sweeps contract it, is the
-        # scalar call, to the bit
-        for phis, r2 in self.CELL_CASES:
-            got = entropy._gram_table(spec, SplitterParams(r2)).entropy(phis).value
-            shape, cells = self._cells(phis, r2)
-            assert np.shape(got) == shape
-            for i, (phi, r2_one) in cells:
-                assert np.asarray(got)[i] == linear_entropy_closed(
-                    spec, phi, SplitterParams(r2_one)).value
-        with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
-            entropy._gram_table(spec, SplitterParams(self.R2_5)).entropy(self.PHI4)
-
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), two_s=st.sampled_from((1, 2, 5)),
            shapes=mutually_broadcastable_shapes(num_shapes=3, max_dims=2, max_side=3))
@@ -714,7 +697,7 @@ class TestPhaseStacks:
     def test_scalar_return_types(self):
         spec = build_structure(Family.KAPPA_NEG, 3)
         b = split_phase_state(spec, 1, 0.7, self.PARAMS)
-        assert b.amp.shape == (tri_size(3),)
+        assert b.amp.shape == (4, 4)
         assert type(b.get(1, 2)) is complex
         assert type(b.norm()) is float
         assert type(linear_entropy(reduced_density(b)).value) is float
@@ -729,7 +712,7 @@ class TestPhaseStacks:
     def test_one_unnormalised_vector_refused(self):
         spec = build_structure(Family.KAPPA_NEG, 3)
         amp = split_phase_state(spec, 0, self.PHIS, self.PARAMS).amp.copy()
-        amp[1, 2] *= 1.1
+        amp[1, 0, 2, 1] *= 1.1  # one amplitude of one vector
         with pytest.raises(NotNormalizedError):
             reduced_density(BipartiteVector(3, amp))
 

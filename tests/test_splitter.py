@@ -18,7 +18,6 @@ from phasebeam import (
     split_number_state,
     split_phase_state,
     structure_from_spacings,
-    tri_index,
     tri_size,
     validate_density,
 )
@@ -40,29 +39,42 @@ def _split_loop_reference(state, params):
     """
     two_s = len(state) - 1
     t, r = params.t, params.r
-    amp = np.zeros(tri_size(two_s), dtype=complex)
+    amp = np.zeros((two_s + 1, two_s + 1), dtype=complex)
     for n in range(two_s + 1):
         for p in range(n + 1):
-            amp[tri_index(two_s, p, n - p)] += (
+            amp[p, n - p] += (
                 state[n] * sqrt(comb(n, p)) * t**p * r ** (n - p) * ipow(n - p))
     return amp
 
 
 def _partial_trace_loop_reference(b):
-    """rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)), one entry at a time."""
+    """rho[p, p'] = sum_k amp(p, k) conj(amp(p', k)), one entry at a time.
+
+    Row p of the square holds its pairs at k <= 2s - p.
+    """
     two_s = b.two_s
     d = two_s + 1
     rho = np.zeros((d, d), dtype=complex)
-    starts = [tri_index(two_s, p, 0) for p in range(d)]
     for p in range(d):
-        row_p = b.amp[starts[p]: starts[p] + (two_s - p) + 1]
+        row_p = b.amp[p, : (two_s - p) + 1]
         for p2 in range(p, d):
             common = two_s - p2 + 1
-            row_p2 = b.amp[starts[p2]: starts[p2] + common]
+            row_p2 = b.amp[p2, :common]
             val = complex(np.vdot(row_p2, row_p[:common]))
             rho[p, p2] = val
             rho[p2, p] = val.conjugate()
     return rho
+
+
+def _random_vector(rng, two_s):
+    """A random unit vector on the square, zeroed off the triangle by a loop."""
+    d = two_s + 1
+    amp = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for p in range(d):
+        for k in range(d):
+            if p + k > two_s:
+                amp[p, k] = 0.0
+    return amp / np.linalg.norm(amp)
 
 
 class TestSplitterParams:
@@ -117,13 +129,13 @@ class TestSplitterParams:
 
         spec = build_structure(Family.KAPPA_NEG, 2)
         params = SplitterParams([0.2, 0.5])
-        assert split_number_state(2, params).amp.shape == (2, tri_size(2))
-        assert split_phase_state(spec, 0, 0.3, params).amp.shape == (2, tri_size(2))
+        assert split_number_state(2, params).amp.shape == (2, 3, 3)
+        assert split_phase_state(spec, 0, 0.3, params).amp.shape == (2, 3, 3)
         assert linear_entropy_closed(spec, 0.3, params).value.shape == (2,)
         # a 2-D r2 broadcasts with m and phi like any other argument
         square = SplitterParams([[0.2, 0.5], [0.1, 0.9]])
-        assert split_number_state(2, square).amp.shape == (2, 2, tri_size(2))
-        assert split_phase_state(spec, [[0], [2]], 0.3, square).amp.shape == (2, 2, tri_size(2))
+        assert split_number_state(2, square).amp.shape == (2, 2, 3, 3)
+        assert split_phase_state(spec, [[0], [2]], 0.3, square).amp.shape == (2, 2, 3, 3)
         assert reduced_density_closed(spec, 0, [0.3, 0.4], square).shape == (2, 2, 3, 3)
         assert linear_entropy_closed(spec, [0.3, 0.4], square).value.shape == (2, 2)
         with pytest.raises(ValueError):  # (3,) and (2,) do not broadcast
@@ -136,25 +148,44 @@ class TestTriangularLayout:
         assert tri_size(2) == 6
         assert tri_size(40) == 41 * 42 // 2
 
-    def test_index_is_bijection(self):
-        two_s = 5
-        seen = set()
-        for p in range(two_s + 1):
-            for k in range(two_s + 1 - p):
-                idx = tri_index(two_s, p, k)
-                assert 0 <= idx < tri_size(two_s)
-                seen.add(idx)
-        assert len(seen) == tri_size(two_s)
-
     def test_out_of_triangle(self):
-        with pytest.raises(IndexError):
-            tri_index(2, 2, 1)
-        with pytest.raises(IndexError):
-            tri_index(2, -1, 0)
+        b = split_number_state(2, SplitterParams(0.5))
+        for p, k in ((2, 1), (-1, 0), (0, -1), (3, 0)):
+            with pytest.raises(IndexError):
+                b.get(p, k)
 
     def test_vector_length_check(self):
-        with pytest.raises(ValueError):
-            BipartiteVector(2, np.zeros(5, dtype=complex))
+        # the trailing shape must be the (3, 3) square: not the packed
+        # triangle's length, a non-square or the square of another size
+        for shape in ((5,), (tri_size(2),), (2, tri_size(2)), (3, 4), (4, 3), (2, 4, 4)):
+            with pytest.raises(ValueError, match="shape"):
+                BipartiteVector(2, np.zeros(shape, dtype=complex))
+        assert BipartiteVector(2, np.zeros((0, 3, 3))).amp.shape == (0, 3, 3)
+
+    def test_one_amplitude_off_the_triangle_refused(self):
+        two_s = 3
+        for p in range(two_s + 1):
+            for k in range(two_s + 1):
+                for value in (1e-300, np.nan):
+                    stack = np.zeros((2, 3, two_s + 1, two_s + 1), dtype=complex)
+                    stack[1, 2, p, k] = value
+                    for amp in (stack, stack[1, 2]):
+                        if p + k <= two_s:
+                            BipartiteVector(two_s, amp)
+                        else:
+                            with pytest.raises(ValueError, match="triangle"):
+                                BipartiteVector(two_s, amp)
+        # signed zeros are zeros
+        BipartiteVector(two_s, np.full((two_s + 1, two_s + 1), -0.0 - 0.0j))
+
+    def test_get_refuses_a_stack(self):
+        b = split_number_state(2, SplitterParams([0.2, 0.5, 0.7]))
+        for p, k in ((0, 0), (1, 1), (0, 2)):
+            with pytest.raises(ValueError, match="stack"):
+                b.get(p, k)
+        one = split_number_state(2, SplitterParams([0.5]))  # a stack of one
+        with pytest.raises(ValueError, match="stack"):
+            one.get(1, 1)
 
 
 class TestSplitNumberState:
@@ -273,8 +304,7 @@ class TestLoopReference:
     def test_partial_trace_pinned_on_random_vectors(self, two_s):
         rng = np.random.default_rng(100 + two_s)
         for _ in range(5):
-            amp = rng.normal(size=tri_size(two_s)) + 1j * rng.normal(size=tri_size(two_s))
-            b = BipartiteVector(two_s, amp / np.linalg.norm(amp))
+            b = BipartiteVector(two_s, _random_vector(rng, two_s))
             rho = reduced_density(b)
             assert np.array_equal(rho, rho.conj().T)
             assert np.max(np.abs(rho - _partial_trace_loop_reference(b))) <= 1e-14
@@ -346,9 +376,7 @@ class TestReducedDensity:
         rng = np.random.default_rng(43)
         for _ in range(100):
             two_s = int(rng.integers(1, 7))
-            amp = rng.normal(size=tri_size(two_s)) + 1j * rng.normal(size=tri_size(two_s))
-            amp /= np.linalg.norm(amp)
-            rho = reduced_density(BipartiteVector(two_s, amp))
+            rho = reduced_density(BipartiteVector(two_s, _random_vector(rng, two_s)))
             assert complex(np.trace(rho)).real == pytest.approx(1.0, abs=1e-12)
             assert abs(complex(np.trace(rho)).imag) <= 1e-15
 
