@@ -268,19 +268,19 @@ def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
 
 
 def _check_phase_product(specs, phis) -> None:
-    """Refuse phases whose product with the levels can overflow a double.
+    """Refuse phases whose product with the levels carries no phase.
 
     The oracle forms phi F(n); the closed form's angles are phi times a
     difference of two level differences (2 kappa k on a quadratic table),
     which reaches 2 max F for kappa-neg.  With levels >= 0, as in every CLI
-    family, no angle exceeds 2 max|phi| max|F|; past a double it would be a
-    NaN phase (and numpy warnings) on any route.
+    family, no angle exceeds 2 max|phi| max|F|; from 2^52 on, consecutive
+    doubles are a radian or more apart, so no angle holds a phase.
     """
     phi = max(abs(v) for v in phis)
     level = max(float(np.abs(spec.levels).max()) for spec in specs)
-    if not isfinite(2.0 * phi * level):
+    if not 2.0 * phi * level < 2.0**52:
         raise UsageError(f"2 max|phi| max|F| = 2 * {phi:.6g} * {level:.6g} "
-                         "overflows a double")
+                         "reaches 2^52, where a double angle carries no phase")
 
 
 def _run_compute(cfg: RunConfig) -> int:

@@ -7,20 +7,16 @@ density matrix.  The closed-form route evaluates the quadruple sum over
 With j = n' - n, s = n + l and s' = n + l' the angle depends on (j, s, s')
 alone, and the magnitudes summed over n form one Gram matrix per j, from
 real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
-folded onto j >= 0, s <= s', in blocks of whole j slabs.  Which terms each
-block holds, with their weights and the level indices of their gaps,
-depends on d alone: that slab plan is built once per size and kept
-(numerics.per_size) while it holds at most RETAIN_ENTRIES terms, which
-keeps 2s <= 90 folded; larger plans stream block by block from the same
-builder on every call.  A call forms sqrt(pmf), gathers Q_j, runs the
-matrix products and takes the plan's terms.
-The Gram entries then go into one table keyed by the gap, one row per r2
-cell (built in tiles of cells), and S = 1 - sum_g W_g cos(g phi) / d^2 per
-(phi, r2) cell, contracted in tiles of cells along a phase axis and in
-blocks of entries.  On the quadratic tables F(n) = n(1 + kappa(n-1)) of
-every built-in family the gap is 2 kappa k with the integer k = j (s' - s),
-and the entries are binned by k; on any other table each term is an entry
-of its own.
+evaluated once, folded onto j >= 0, s <= s', in blocks of whole j slabs
+(checks.py holds the complex sum, term by term, that checks it).  That slab
+plan depends on d alone; it is kept (numerics.per_size) while it holds at
+most RETAIN_ENTRIES terms, up to 2s = 90, and larger plans stream from the
+same builder on every call.  The Gram entries go into one table keyed by
+the gap, one row per r2 cell, and S = 1 - sum_g W_g cos(g phi) / d^2 per
+(phi, r2) cell, built and contracted in tiles of cells.  On the quadratic
+tables F(n) = n(1 + kappa(n-1)) of every built-in family the gap is
+2 kappa k with the integer k = j (s' - s), and the entries are binned by
+k; on any other table each term is an entry of its own.
 """
 
 from __future__ import annotations
@@ -165,21 +161,19 @@ def _binomial_pmf(spec: StructureSpec, params: SplitterParams) -> np.ndarray:
     return binom * t2_pow[..., col] * r2_pow[..., gap]
 
 
-def _plan_terms(d: int, folded: bool) -> int:
-    """Terms of the slab plan: C(d + 2, 3) folded, d (2 d^2 + 1) / 3 unfolded."""
-    return d * (d + 1) * (d + 2) // 6 if folded else d * (2 * d * d + 1) // 3
+def _plan_terms(d: int) -> int:
+    """Terms of the slab plan, C(d + 2, 3)."""
+    return d * (d + 1) * (d + 2) // 6
 
 
 @dataclass(frozen=True, eq=False)
 class _SlabBlock:
-    """One block of whole j slabs of the Gram sum; it depends on d alone.
+    """One block of whole j slabs of the folded Gram sum; it depends on d alone.
 
-    rows[0] and rows[1] hold lo_j and hi_j = lo_j + j of each slab, side the
-    widest slab's side m and slab_w the fold weight of each slab, shape
-    (slabs, 1, 1).  pair_w holds the pair weights of (s, s'), shape (m, m),
-    and terms the flat indices of the block's terms in its (slabs, m, m)
-    Gram stack.  edges[0] and edges[1] hold the level indices s and s + j at
-    s = lo_j + u, u < m, clipped to the table, shape (2, slabs, m).  bins
+    rows holds the slab index j of each slab, side the widest slab's side m
+    and slab_w the fold weight of each slab, shape (slabs, 1, 1).  pair_w
+    holds the pair weights of (s, s'), shape (m, m), and terms the flat
+    indices of the block's terms in its (slabs, m, m) Gram stack.  bins
     holds, per term, the position of its k = j (s' - s) in _k_values.  Every
     array is read-only.
     """
@@ -189,48 +183,41 @@ class _SlabBlock:
     slab_w: np.ndarray
     pair_w: np.ndarray
     terms: np.ndarray
-    edges: np.ndarray
     bins: np.ndarray
 
 
-@per_size(lambda d, folded: d * d)
-def _k_values(d: int, folded: bool):
+@per_size(lambda d: d * d)
+def _k_values(d: int):
     """The distinct k = j (s' - s) of the slab plan's terms, ascending, read-only.
 
-    The terms have |j| + |s' - s| <= d - 1, folded with j, s' - s >= 0, and
-    every such product occurs.
+    The terms have j, s' - s >= 0 and j + s' - s <= d - 1, and every such
+    product occurs.
     """
     j = np.arange(d)
     seen = np.zeros(d * d, dtype=bool)
     seen[np.multiply.outer(j, j)[np.add.outer(j, j) < d]] = True
-    k = seen.nonzero()[0]
-    return read_only(k if folded else np.concatenate([-k[:0:-1], k]))
+    return read_only(seen.nonzero()[0])
 
 
 @per_size(_plan_terms)
-def _slab_plan(d: int, folded: bool):
+def _slab_plan(d: int):
     """Yield the _SlabBlock of each block of whole j slabs, in j order.
 
-    Slab j holds s, s' = lo_j + u, u < side_j = d - |j|, lo_j = max(0, -j):
-    folded, j >= 0 and s <= s' with fold weight w = 2 - [j == 0] times
-    2 - [s == s']; unfolded, every j and the whole square with w = 1.  A
-    block holds whole slabs, about _BLOCK_TERMS square entries per cell.
-    Kept plans are tuples; a plan over the budget is this generator.
+    Slab j >= 0 holds s <= s' < side_j = d - j, with fold weight
+    w = 2 - [j == 0] times 2 - [s == s'].  A block holds whole slabs, about
+    _BLOCK_TERMS square entries per cell.  Kept plans are tuples; a plan over
+    the budget is this generator.
     """
-    (ks,) = _k_values(d, folded)
-    k = np.arange(d)
-    j = np.arange(0 if folded else 1 - d, d)
-    side = d - abs(j)
-    rows = np.stack([np.maximum(-j, 0), np.maximum(j, 0)])
-    # Indices past the level table lie outside the domain.
-    edges = np.minimum(rows[..., None] + k, d)
+    (ks,) = _k_values(d)
+    j = k = np.arange(d)
+    side = d - j
     inside = np.greater.outer(side, k)
     # Fold weights, powers of two: 2 - [s == s'] for s <= s' (0 below), and
-    # 2 for j > 0, which is row 0 of pair_w; all 1 unfolded.
-    pair_w = np.sign(k - k[:, None]) + 1.0 if folded else np.ones((d, d))
-    slab_w = pair_w[0, abs(j), None, None]
+    # 2 for j > 0, which is row 0 of pair_w.
+    pair_w = np.sign(k - k[:, None]) + 1.0
+    slab_w = pair_w[0, j, None, None]
     upper = pair_w > 0.0
-    read_only(rows, edges, pair_w, slab_w)
+    read_only(j, pair_w, slab_w)
     sides = side.tolist()
     # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
     starts = list(accumulate((m * m for m in sides), initial=0))
@@ -238,20 +225,16 @@ def _slab_plan(d: int, folded: bool):
         run = list(run)
         block = slice(run[0], run[-1] + 1)
         m = max(sides[block])
-        ok = inside[block, :m]
-        keep = upper[:m, :m] & ok[:, None, :]
-        if not folded:
-            keep &= ok[:, :, None]
+        keep = upper[:m, :m] & inside[block, :m][:, None, :]
         terms = keep.ravel().nonzero()[0]
         # Entry (u, u') of slab j has k = j (u' - u).
         k_terms = (j[block, None, None] * (k[:m] - k[:m, None])).reshape(-1).take(terms)
         bins = np.searchsorted(ks, k_terms).astype(np.int32)
         read_only(terms, bins)
-        yield _SlabBlock(rows[:, block], m, slab_w[block], pair_w[:m, :m], terms,
-                         edges[:, block, :m], bins)
+        yield _SlabBlock(j[block], m, slab_w[block], pair_w[:m, :m], terms, bins)
 
 
-def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, *, folded: bool = True):
+def _gram_slabs(spec: StructureSpec, pmf: np.ndarray):
     """Yield, per block of _slab_plan, the block and its weighted Gram entries.
 
     With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
@@ -266,44 +249,38 @@ def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, *, folded: bool = True):
     rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
     win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
                      strides=b.strides[:-2] + (rs + cs, rs, cs))
-    for block in _slab_plan(d, folded):
+    for block in _slab_plan(d):
         m = block.side
-        lo, hi = block.rows
-        q = win[..., lo, :m, :m] * win[..., hi, :m, :m]
+        j = block.rows
+        q = b[..., None, :m, :m] * win[..., j, :m, :m]
         # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
         gram = np.matmul(q.swapaxes(-1, -2) * block.slab_w, q) * block.pair_w
-        yield block, gram.reshape(*gram.shape[:-3], lo.size * m * m).take(block.terms, axis=-1)
+        yield block, gram.reshape(*gram.shape[:-3], j.size * m * m).take(block.terms, axis=-1)
 
 
 def linear_entropy_closed(spec: StructureSpec, phi,
-                          params: SplitterParams, *,
-                          folded: bool = True) -> EntropyValue:
+                          params: SplitterParams) -> EntropyValue:
     """Closed-form linear entropy of the split phase state, from its Gram table.
 
     The result carries no dependence on the label m.  phi and r2 broadcast
     together, and it has one entropy per cell, shape
     np.broadcast_shapes(phi, r2), each cell equal to its scalar call to the
-    bit.  With folded=True (the default) the sum runs over the half-domain
-    with cosine terms; folded=False keeps the full complex sum, whose
-    imaginary part must come out <= 1e-12 in every cell, as a cross-check
-    path.
+    bit.  The sum runs over the folded half-domain with cosine terms.
     """
-    return _gram_table(spec, params, folded=folded).entropy(phi)
+    return _gram_table(spec, params).entropy(phi)
 
 
 @dataclass(frozen=True, eq=False)
 class _GramTable:
     """S = 1 - sum_g weights[..., g] cos(rates[g] phi) / dim^2 for the cells of r2.
 
-    rates holds the angle per unit phi of each entry, weights one row per r2
-    cell.  Unfolded, the gaps come in both signs, and the sine-weighted sum,
-    the imaginary part of the complex sum, must vanish.
+    rates holds the angle per unit phi of each entry of the folded sum,
+    weights one row per r2 cell.
     """
 
     rates: np.ndarray
     weights: np.ndarray
     dim: int
-    folded: bool = True
 
     def entropy(self, phi) -> EntropyValue:
         """One entropy per cell of np.broadcast_shapes(phi, r2), each its scalar call's bits.
@@ -332,20 +309,13 @@ class _GramTable:
         """sum_g weights[..., g] cos(rates[g] phi) for the cells of phi and weights.
 
         The entries go in blocks of at most _BLOCK_ENTRIES, whose sums add in
-        order.  Unfolded, the imaginary part must vanish.
+        order.
         """
-        purity = imag = 0.0
+        purity = 0.0
         for g in range(0, self.rates.size, _BLOCK_ENTRIES):
             angle = np.multiply.outer(phi, self.rates[g:g + _BLOCK_ENTRIES])
             block = weights[..., g:g + _BLOCK_ENTRIES]
             purity = purity + (block * np.cos(angle)).sum(axis=-1)
-            if not self.folded:
-                imag = imag + (block * np.sin(angle)).sum(axis=-1)
-        if not self.folded:
-            residual = np.abs(imag).max(initial=0.0) / (self.dim * self.dim)
-            if residual > 1e-12:
-                raise NumericalConsistencyError(
-                    f"imaginary residual {residual} in the unfolded sum")
         return purity
 
 
@@ -361,8 +331,7 @@ def _quadratic(spec: StructureSpec) -> bool:
     return bool(dev <= QUADRATIC_TOL * np.abs(levels).max())
 
 
-def _gram_table(spec: StructureSpec, params: SplitterParams, *,
-                folded: bool = True) -> _GramTable:
+def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     """The Gram entries w G_j[s, s'] keyed by their gap, one row per r2 cell.
 
     The gap of the term (j, s, s') is (F(s) - F(s+j)) - (F(s') - F(s'+j)),
@@ -376,7 +345,7 @@ def _gram_table(spec: StructureSpec, params: SplitterParams, *,
     step = max(1, _BLOCK_ENTRIES // spec.dim**2)
     if np.size(params.r2) > step:
         r2 = params.r2.ravel()
-        tiles = (_gram_table(spec, SplitterParams(r2[c:c + step]), folded=folded)
+        tiles = (_gram_table(spec, SplitterParams(r2[c:c + step]))
                  for c in range(0, r2.size, step))
         first = next(tiles)
         weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
@@ -387,22 +356,23 @@ def _gram_table(spec: StructureSpec, params: SplitterParams, *,
         raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
     if not _quadratic(spec):
         mags, gaps = [], []
-        for block, mag in _gram_slabs(spec, pmf, folded=folded):
-            edge_s, edge_sj = spec.levels.take(block.edges)
-            e = edge_s - edge_sj
+        levels = spec.levels
+        for block, mag in _gram_slabs(spec, pmf):
+            # F(s) - F(s + j); level indices past the table lie outside the domain.
+            s = np.arange(block.side)
+            e = levels[s] - levels.take(np.minimum(block.rows[:, None] + s, spec.dim))
             gaps.append((e[:, :, None] - e[:, None, :]).take(block.terms))
             mags.append(mag)
-        return _GramTable(np.concatenate(gaps), np.concatenate(mags, axis=-1),
-                          spec.dim, folded)
-    (ks,) = _k_values(spec.dim, folded)
+        return _GramTable(np.concatenate(gaps), np.concatenate(mags, axis=-1), spec.dim)
+    (ks,) = _k_values(spec.dim)
     cells = pmf.shape[:-2]
     # Bin b of the c-th r2 cell (row-major) is c * ks.size + b.
     first = np.arange(0, pmf[..., 0, 0].size * ks.size, ks.size)[:, None]
     table = np.zeros(first.size * ks.size)
-    for block, mag in _gram_slabs(spec, pmf, folded=folded):
+    for block, mag in _gram_slabs(spec, pmf):
         table += np.bincount((first + block.bins).ravel(), mag.ravel(), table.size)
     return _GramTable(2.0 * (spec.kappa or 0.0) * ks, table.reshape(cells + (ks.size,)),
-                      spec.dim, folded)
+                      spec.dim)
 
 
 def m_independence_report(spec: StructureSpec, phi: float,

@@ -100,7 +100,9 @@ class BipartiteVector:
 
     amp has shape (d, d), d = two_s + 1, for one vector, or (..., d, d) for
     a stack of vectors; amplitudes off the triangle p + k <= two_s must be
-    zero.  get reads one vector.
+    zero.  get reads one vector.  A C-contiguous complex amp is kept without
+    a copy (which would add a vector to every split's peak) and made
+    read-only in place, the caller's array too; any other amp is converted.
     """
 
     two_s: int

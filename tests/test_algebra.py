@@ -1,3 +1,4 @@
+import re
 from math import pi
 
 import numpy as np
@@ -116,6 +117,20 @@ class TestBuildStructure:
     def test_custom_requires_table(self):
         with pytest.raises(InvalidStructureError):
             build_structure(Family.CUSTOM, 2)
+
+    @pytest.mark.parametrize("two_s, levels, error, message", [
+        (0, [0.0, 0.0], InvalidDimensionError, "two_s must be >= 1, got 0"),
+        (2, [0.0, 1.0, 0.0], InvalidStructureError, "level table must have length 4, got (3,)"),
+        (2, [0.5, 1.0, 1.0, 0.0], InvalidStructureError, "F(0) must be 0, got 0.5"),
+    ], ids=["two-s-zero", "wrong-length", "f0-not-zero"])
+    def test_spec_built_directly_refuses(self, two_s, levels, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            StructureSpec(Family.CUSTOM, two_s, None, levels=levels)
+
+    def test_levels_refused_for_a_built_in_family(self):
+        message = "level table only applies to the custom family, not kappa-neg"
+        with pytest.raises(InvalidStructureError, match=f"^{re.escape(message)}$"):
+            build_structure(Family.KAPPA_NEG, 2, levels=[0, 1, 1, 0])
 
     @pytest.mark.parametrize("family, kappa", FAMILIES)
     def test_spacings_are_the_level_differences(self, family, kappa):

@@ -1,6 +1,8 @@
 """The batched check suites against their one-cell-at-a-time loops."""
 
+import json
 from math import pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,11 +73,14 @@ def _phase_suite_loop(seed):
 
 def _entropy_suite_loop(seed):
     """closed_vs_oracle and m_independence with one oracle call per label m,
-    reflection_swap_symmetry with one closed-form call per draw and side."""
+    folded_vs_unfolded with one scalar table call and one reference call per
+    cell, reflection_swap_symmetry with one closed-form call per draw and side."""
     rng = np.random.default_rng(seed)
     phis = np.linspace(0.0, 2.0 * pi, 5)
-    grid = SplitterParams(np.linspace(0.0, 1.0, 5))
-    worst = {"closed_vs_oracle": 0.0, "m_independence": 0.0, "reflection_swap_symmetry": 0.0}
+    r2s = np.linspace(0.0, 1.0, 5)
+    grid = SplitterParams(r2s)
+    worst = dict.fromkeys(("closed_vs_oracle", "folded_vs_unfolded", "m_independence",
+                           "reflection_swap_symmetry"), 0.0)
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
@@ -84,6 +89,12 @@ def _entropy_suite_loop(seed):
                 rho = reduced_density(split_phase_state(spec, m, phis[:, None], grid))
                 worst["closed_vs_oracle"] = max(worst["closed_vs_oracle"], np.max(np.abs(
                     linear_entropy(rho).value - closed)))
+            for phi in phis:
+                for r2 in r2s:
+                    one = linear_entropy_closed(spec, phi, SplitterParams(r2)).value
+                    (want,), (imag,) = checks._quadruple_sum(spec, np.array([phi]), [r2])
+                    worst["folded_vs_unfolded"] = max(worst["folded_vs_unfolded"],
+                                                      abs(one - want[0]), abs(imag[0]))
     for two_s in range(1, 7):
         spec = build_structure(Family.KAPPA_NEG, two_s)
         for _ in range(10):
@@ -177,3 +188,32 @@ def test_m_spread_over_tolerance_is_a_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL entropy.m_independence" in out
     assert out.endswith(f"{len(got) - 1} passed, 1 failed\n")
+
+
+def test_shifted_quadruple_sum_is_a_fail(monkeypatch, capsys):
+    """A reference off by 1e-9 is reported as FAIL, and the checks after it
+    still run."""
+    quadruple_sum = checks._quadruple_sum
+
+    def shifted(spec, phis, r2s):
+        s, imag = quadruple_sum(spec, phis, r2s)
+        return s + 1e-9, imag
+
+    monkeypatch.setattr(checks, "_quadruple_sum", shifted)
+    got = {r.name: r for r in checks.run_suites(["entropy"])}
+    assert not got["folded_vs_unfolded"].passed
+    assert 1e-9 - 1e-12 <= _deviation(got["folded_vs_unfolded"]) <= 1e-9 + 1e-12
+    assert all(r.passed for name, r in got.items() if name != "folded_vs_unfolded")
+    assert main(["check", "--suite", "entropy"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL entropy.folded_vs_unfolded" in out
+    assert out.endswith(f"{len(got) - 1} passed, 1 failed\n")
+
+
+def test_check_names_are_the_benchmark_cells():
+    """Every check, in order, is one cell of the check_suites benchmark
+    workload, which counts a name it does not find as a failed cell."""
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "check_suites.json"
+    names = json.loads(refs.read_text())["names"]
+    assert len(names) == 31
+    assert [f"{r.suite}.{r.name}" for r in checks.run_suites(["all"])] == names

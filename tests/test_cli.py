@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -38,6 +39,7 @@ from phasebeam.cli import (
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+NO_PHASE = "reaches 2^52, where a double angle carries no phase"
 
 
 def _render_csv_reference(table):
@@ -408,7 +410,7 @@ class TestMainCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("usage error: 2 max|phi| max|F| = 2 * 1e+10 * 6e+300 "
-                                "overflows a double\n")
+                                f"{NO_PHASE}\n")
 
     @pytest.mark.parametrize("method", ["closed"])
     def test_doubled_phase_product_overflow_is_usage_error(self, capsys, method):
@@ -417,17 +419,66 @@ class TestMainCompute:
         assert main(["compute", "--two-s", "4", "--phi", "1.1e308", "--r2", "0.5",
                      "--method", method]) == 1
         assert capsys.readouterr().err == ("usage error: 2 max|phi| max|F| = "
-                                           "2 * 1.1e+308 * 1.5 overflows a double\n")
+                                           f"2 * 1.1e+308 * 1.5 {NO_PHASE}\n")
 
     @pytest.mark.parametrize("method", ["oracle", "closed"])
     @pytest.mark.parametrize("argv", [
-        # 2 phi max F = 1.2e308 and 1.5e308, under the largest double
-        ["--family", "kappa-pos", "--kappa", "1e300", "--two-s", "3", "--phi", "1e7"],
-        ["--two-s", "4", "--phi", "5e307"],
+        # 2 phi max F = 4.5e15 (max F = 1.5) and 2.7e15 (max F = 4/3), under 2^52
+        ["--two-s", "4", "--phi", "1.5e15"],
+        ["--two-s", "3", "--phi", "1e15"],
     ])
     def test_phase_product_within_a_double_runs(self, capsys, argv, method):
         assert main(["compute", *argv, "--r2", "0.5", "--method", method]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", [
+        ["compute", "--method", "oracle"], ["compute", "--method", "closed"],
+        ["compute", "--method", "both"], ["sweep"],
+    ], ids=["oracle", "closed", "both", "sweep"])
+    @pytest.mark.parametrize("argv, product", [
+        # finite products from 2^52 on, where a double angle carries no phase
+        (["--family", "kappa-pos", "--kappa", "1e300", "--two-s", "3", "--phi", "1.5"],
+         "2 * 1.5 * 6e+300"),
+        (["--two-s", "4", "--phi", "1.6e15"], "2 * 1.6e+15 * 1.5"),
+    ], ids=["kappa-1e300", "phi-1.6e15"])
+    def test_phase_product_past_2_52_is_usage_error(self, capsys, command, argv, product):
+        assert main([*command, *argv, "--r2", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: 2 max|phi| max|F| = {product} {NO_PHASE}\n"
+
+    def test_kappa_not_a_float_is_usage_error(self, capsys):
+        assert main(["compute", "--family", "kappa-pos", "--kappa", "abc", "--two-s", "2",
+                     "--phi", "0", "--r2", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: argument --kappa: invalid float value: 'abc'\n"
+
+    def test_both_routes_disagreeing_exit_2(self, capsys, monkeypatch):
+        # which phases set the routes apart depends on how their angles are
+        # rounded, so the tolerance is moved below any difference instead
+        monkeypatch.setattr(cli, "BOTH_ROUTES_TOL", -1.0)
+        assert main(["compute", "--two-s", "3", "--phi", "0.7", "--r2", "0.4",
+                     "--method", "both"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split()[0] for line in lines] == ["oracle", "closed", "diff"]
+        assert captured.err == f"error: routes disagree by {float(lines[2].split()[1])}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--two-s", "2", "--phi", "0.7", "--r2", "0.5"],
+        ["sweep", "--two-s", "2", "--phi", "0:1:3", "--r2", "0.5"],
+    ], ids=["compute", "sweep"])
+    def test_broken_pipe_exit_3(self, capsys, monkeypatch, argv):
+        class BrokenPipe:
+            def write(self, data):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            buffer = property(lambda self: self)
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
 
     def test_label_beyond_int64(self, capsys):
         argv = ["compute", "--two-s", "2", "--phi", "0", "--r2", "0.5", "--m"]

@@ -29,7 +29,8 @@ from phasebeam import (
     split_phase_state,
     structure_from_spacings,
 )
-from phasebeam.numerics import log_factorials
+from phasebeam.checks import _quadruple_sum
+from phasebeam.numerics import RETAIN_ENTRIES, log_factorials
 from test_acceptance import _eigh_oracle_rho
 
 FAMILIES = [
@@ -229,41 +230,55 @@ class TestLinearEntropyClosed:
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_folded_matches_unfolded(self):
+        # the folded table against the check suite's complex quadruple sum
         rng = np.random.default_rng(61)
         for family, kappa in FAMILIES:
             for two_s in (1, 2, 4, 6):
                 spec = build_structure(family, two_s, kappa)
                 for _ in range(5):
                     phi = float(rng.uniform(0, 4 * pi))
-                    params = SplitterParams(float(rng.uniform(0, 1)))
-                    folded = linear_entropy_closed(spec, phi, params).value
-                    unfolded = linear_entropy_closed(spec, phi, params,
-                                                     folded=False).value
-                    assert abs(folded - unfolded) <= 1e-13
+                    r2 = float(rng.uniform(0, 1))
+                    folded = linear_entropy_closed(spec, phi, SplitterParams(r2)).value
+                    (want,), (imag,) = _quadruple_sum(spec, np.array([phi]), [r2])
+                    assert abs(folded - want[0]) <= 1e-13
+                    assert abs(imag[0]) <= 1e-13
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 8, 20, 30, 40])
     def test_pinned_to_loop_reference(self, two_s):
-        # 2s = 20, 30 and 40 span several blocks of the numpy sum
+        # 2s = 20, 30 and 40 span several blocks of the numpy sum; the one
+        # folded table against the folded and the unfolded loop
         rng = np.random.default_rng(two_s)
         custom = rng.uniform(0.5, 3.0, two_s)
         specs = [build_structure(family, two_s, kappa) for family, kappa in FAMILIES]
         specs.append(structure_from_spacings(np.diff(np.r_[0.0, custom, 0.0])))
         phis, r2s = (0.0, 1.0, pi, 100.0), (0.0, 1e-9, 0.5, 1.0)
-        for folded in (True, False):
-            reference = _closed_loop_reference(two_s, folded=folded)
-            for spec in specs:
-                grid = linear_entropy_closed(spec, np.array(phis)[:, None], SplitterParams(r2s),
-                                             folded=folded).value
-                assert grid.shape == (4, 4)
+        references = [_closed_loop_reference(two_s, folded=f) for f in (True, False)]
+        for spec in specs:
+            grid = linear_entropy_closed(spec, np.array(phis)[:, None], SplitterParams(r2s)).value
+            assert grid.shape == (4, 4)
+            cells = [[linear_entropy_closed(spec, phi, SplitterParams(r2)).value for r2 in r2s]
+                     for phi in phis]
+            for reference in references:
                 wants, imags = reference(spec, phis, r2s)
-                for i, phi in enumerate(phis):
-                    for j, r2 in enumerate(r2s):
+                for i in range(len(phis)):
+                    for j in range(len(r2s)):
                         want = wants[i][j]
-                        got = linear_entropy_closed(spec, phi, SplitterParams(r2),
-                                                    folded=folded).value
-                        assert abs(got - want) <= 1e-13
+                        assert abs(cells[i][j] - want) <= 1e-13
                         assert abs(grid[i, j] - want) <= 1e-13
                         assert abs(imags[i][j]) <= 1e-13
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 8])
+    def test_quadruple_sum_pinned_to_loop_reference(self, two_s):
+        # the check suite's reference against the unfolded plain loop, S and
+        # the imaginary part, on the three families
+        phis, r2s = (0.0, 1.0, pi, 100.0), (0.0, 1e-9, 0.5, 1.0)
+        reference = _closed_loop_reference(two_s, folded=False)
+        for family, kappa in FAMILIES:
+            spec = build_structure(family, two_s, kappa)
+            got, got_imag = _quadruple_sum(spec, np.array(phis), r2s)
+            wants, imags = reference(spec, phis, r2s)
+            assert np.max(np.abs(got - np.array(wants))) <= 1e-13
+            assert np.max(np.abs(got_imag - np.array(imags))) <= 1e-13
 
     def test_matches_partial_trace_at_two_s_40(self):
         for family, kappa in FAMILIES:
@@ -382,18 +397,16 @@ class TestLinearEntropyClosed:
         phi_one, r2_one = (np.broadcast_to(a, value.shape)[cell] for a in (phi, r2))
         assert value[cell] == linear_entropy_closed(spec, phi_one, SplitterParams(r2_one)).value
 
-    @pytest.mark.parametrize("folded", [True, False])
-    def test_contraction_blocks_add_in_order(self, monkeypatch, folded):
+    def test_contraction_blocks_add_in_order(self, monkeypatch):
         # 20 terms of a CUSTOM table at 2s = 3 in blocks of 6: the block sums
         # agree with one block to roundoff, and each cell is its scalar call
         spec = structure_from_spacings(np.array([1.0, 1.7, 0.6, -3.3]))
         phis, params = np.array([[0.0], [0.7], [2.5]]), SplitterParams(np.array([0.2, 0.5]))
-        whole = linear_entropy_closed(spec, phis, params, folded=folded).value
+        whole = linear_entropy_closed(spec, phis, params).value
         monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 6)
-        blocks = linear_entropy_closed(spec, phis, params, folded=folded).value
+        blocks = linear_entropy_closed(spec, phis, params).value
         assert np.max(np.abs(blocks - whole)) <= 1e-15
-        assert blocks[2, 1] == linear_entropy_closed(spec, 2.5, SplitterParams(0.5),
-                                                     folded=folded).value
+        assert blocks[2, 1] == linear_entropy_closed(spec, 2.5, SplitterParams(0.5)).value
 
 
 def _mpmath_entropy(family, two_s, kappa, phi, r2, levels=None):
@@ -429,15 +442,24 @@ class TestLinearEntropySpectral:
     """linear_entropy_closed on quadratic level tables, whose Gram table it bins
     by the integer k = j (s' - s): the spectral table; and on other tables."""
 
-    def test_pinned_to_eigh_oracle_at_two_s_80(self):
-        # one cell per family against the tests-only eigh oracle's rho, through
-        # the signed-k table (its plan streams at this size)
+    @staticmethod
+    def _pin_to_eigh_oracle(two_s):
+        # one cell per family against the tests-only eigh oracle's rho
         for (family, kappa), phi, r2 in zip(FAMILIES, (0.7, pi, 100.0), (0.3, 0.5, 0.8)):
-            rho = _eigh_oracle_rho(family, 80, kappa, 0, phi, r2)
+            rho = _eigh_oracle_rho(family, two_s, kappa, 0, phi, r2)
             want = 1.0 - float(np.sum(np.abs(rho) ** 2))
-            spec = build_structure(family, 80, kappa)
-            got = linear_entropy_closed(spec, phi, SplitterParams(r2), folded=False).value
+            spec = build_structure(family, two_s, kappa)
+            got = linear_entropy_closed(spec, phi, SplitterParams(r2)).value
             assert abs(got - want) <= 1e-12
+
+    def test_pinned_to_eigh_oracle_at_two_s_80(self):
+        assert entropy._plan_terms(81) <= RETAIN_ENTRIES  # the plan is kept
+        self._pin_to_eigh_oracle(80)
+
+    def test_pinned_to_eigh_oracle_at_two_s_100(self):
+        # 176 851 terms: the plan streams block by block
+        assert entropy._plan_terms(101) == 176851 > RETAIN_ENTRIES
+        self._pin_to_eigh_oracle(100)
 
     @pytest.mark.parametrize("two_s", [2, 10])
     def test_pinned_to_mpmath_reference(self, two_s):
@@ -482,7 +504,7 @@ class TestLinearEntropySpectral:
     def test_quadratic_tables_only(self):
         def keyed_by_k(spec):
             table = entropy._gram_table(spec, BALANCED)
-            return table.rates.size < entropy._plan_terms(spec.dim, True)
+            return table.rates.size < entropy._plan_terms(spec.dim)
 
         rng = np.random.default_rng(17)
         g = rng.uniform(0.5, 1.5, 4)
@@ -650,19 +672,15 @@ class TestPhaseStacks:
         ids=lambda spec: f"{spec.family.value}-{spec.two_s}")
     def test_closed_form_cells_equal_scalar_calls(self, spec):
         # every cell of an array call is its scalar call, to the bit
-        for folded in (True, False):
-            for phis, r2 in self.CELL_CASES:
-                got = linear_entropy_closed(spec, phis, SplitterParams(r2),
-                                            folded=folded).value
-                shape, cells = self._cells(phis, r2)
-                assert np.shape(got) == shape
-                for i, (phi, r2_one) in cells:
-                    one = linear_entropy_closed(spec, phi, SplitterParams(r2_one),
-                                                folded=folded)
-                    assert np.asarray(got)[i] == one.value
-            with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
-                linear_entropy_closed(spec, self.PHI4, SplitterParams(self.R2_5),
-                                      folded=folded)
+        for phis, r2 in self.CELL_CASES:
+            got = linear_entropy_closed(spec, phis, SplitterParams(r2)).value
+            shape, cells = self._cells(phis, r2)
+            assert np.shape(got) == shape
+            for i, (phi, r2_one) in cells:
+                one = linear_entropy_closed(spec, phi, SplitterParams(r2_one))
+                assert np.asarray(got)[i] == one.value
+        with pytest.raises(ValueError):  # (4,) and (5,) do not broadcast
+            linear_entropy_closed(spec, self.PHI4, SplitterParams(self.R2_5))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), two_s=st.sampled_from((1, 2, 5)),
@@ -738,12 +756,11 @@ class TestContractionTiles:
              (PHI5, R2_4[:, None]), (PHI5, PHI5 / 11.0),
              (PHI5[:, None, None], np.linspace(0.0, 1.0, 6).reshape(2, 3)))
 
-    @pytest.mark.parametrize("folded", [True, False])
     @pytest.mark.parametrize("spec", [*(build_structure(family, 5, kappa)
                                         for family, kappa in FAMILIES), _custom_spec(5)],
                              ids=lambda spec: spec.family.value)
-    def test_tiles_equal_one_tile(self, monkeypatch, spec, folded):
-        k = entropy._gram_table(spec, BALANCED, folded=folded).rates.size
+    def test_tiles_equal_one_tile(self, monkeypatch, spec):
+        k = entropy._gram_table(spec, BALANCED).rates.size
         tiles = []
         purity_call = entropy._GramTable._purity
 
@@ -756,8 +773,7 @@ class TestContractionTiles:
             out = []
             for phi, r2 in self.CASES:
                 tiles.clear()
-                value = np.asarray(linear_entropy_closed(spec, phi, SplitterParams(r2),
-                                                         folded=folded).value)
+                value = np.asarray(linear_entropy_closed(spec, phi, SplitterParams(r2)).value)
                 # the tiles cover the cells once, in as many tiles as the bound needs
                 assert sum(np.prod(tile, dtype=int) for tile in tiles) == value.size
                 out.append((value, len(tiles)))
@@ -782,17 +798,16 @@ EMPTY = np.zeros(0)
 
 @pytest.mark.parametrize("route, shape", [
     (lambda spec: linear_entropy_closed(spec, EMPTY, BALANCED).value, (0,)),
-    (lambda spec: linear_entropy_closed(spec, EMPTY, BALANCED, folded=False).value, (0,)),
     (lambda spec: linear_entropy_closed(spec, 0.7, SplitterParams(EMPTY)).value, (0,)),
     (lambda spec: linear_entropy_closed(spec, EMPTY[:, None],
                                         SplitterParams(np.array([0.2, 0.5]))).value, (0, 2)),
-    (lambda spec: linear_entropy_closed(spec, np.ones(3), SplitterParams(EMPTY[:, None]),
-                                        folded=False).value, (0, 3)),
+    (lambda spec: linear_entropy_closed(spec, np.ones(3),
+                                        SplitterParams(EMPTY[:, None])).value, (0, 3)),
     (lambda spec: linear_entropy(np.zeros((0, spec.dim, spec.dim))).value, (0,)),
     (lambda spec: reduced_density(split_phase_state(spec, 0, EMPTY, BALANCED)), (0, 4, 4)),
     (lambda spec: reduced_density(split_number_state(3, SplitterParams(EMPTY))), (0, 4, 4)),
     (lambda spec: reduced_density_closed(spec, 0, EMPTY, BALANCED), (0, 4, 4)),
-], ids=["closed-phi", "unfolded-phi", "closed-r2", "closed-phi-grid", "unfolded-r2-grid",
+], ids=["closed-phi", "closed-r2", "closed-phi-grid", "closed-r2-grid",
         "oracle-stack", "partial-trace", "number-state", "rho-closed"])
 @pytest.mark.parametrize("spec", [build_structure(Family.KAPPA_NEG, 3), _custom_spec(3)],
                          ids=["kappa-neg", "custom"])

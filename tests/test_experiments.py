@@ -303,14 +303,14 @@ class TestDeterminismAndParallel:
                                       Family.KAPPA_NEG, None, 0)
 
         # kappa-neg at 2s = 2 and 3, and a CUSTOM table of d = 4, against r2
-        # of shape (6,) and (2, 3), folded and not
+        # of shape (6,) and (2, 3)
         specs = [build_structure(Family.KAPPA_NEG, 2), build_structure(Family.KAPPA_NEG, 3),
                  structure_from_spacings(np.array([1.0, 1.7, 0.6, -3.3]))]
         grids = [np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6).reshape(2, 3)]
 
         def builds():
-            return [entropy._gram_table(spec, SplitterParams(r2), folded=folded)
-                    for spec in specs for r2 in grids for folded in (True, False)]
+            return [entropy._gram_table(spec, SplitterParams(r2))
+                    for spec in specs for r2 in grids]
 
         calls, tiles = [], []
         self._spy_tables(monkeypatch, calls, tiles)

@@ -1,3 +1,4 @@
+import re
 from math import pi, sqrt
 
 import numpy as np
@@ -168,6 +169,13 @@ class TestEvolution:
         spec = build_structure(Family.PEGG_BARNETT, 2)
         with pytest.raises(DimensionMismatchError):
             evolve(spec, PhaseLabel(3, 0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)])
+    def test_vector_dimension_mismatch(self, shape):
+        spec = build_structure(Family.KAPPA_NEG, 2)
+        message = f"state has shape {shape}, expected (3,)"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            evolve_vector(spec, np.zeros(shape), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(t1=st.floats(-20, 20), t2=st.floats(-20, 20))

@@ -178,6 +178,17 @@ class TestTriangularLayout:
         # signed zeros are zeros
         BipartiteVector(two_s, np.full((two_s + 1, two_s + 1), -0.0 - 0.0j))
 
+    def test_complex_array_is_kept_and_marked_read_only(self):
+        # as documented: a C-contiguous complex amp is kept without a copy
+        a = np.zeros((3, 3), complex)
+        b = BipartiteVector(2, a)
+        assert b.amp is a
+        assert not a.flags.writeable
+        # any other array is converted to a new one, and stays writable
+        f = np.zeros((3, 3))
+        assert not np.shares_memory(BipartiteVector(2, f).amp, f)
+        assert f.flags.writeable
+
     def test_get_refuses_a_stack(self):
         b = split_number_state(2, SplitterParams([0.2, 0.5, 0.7]))
         for p, k in ((0, 0), (1, 1), (0, 2)):

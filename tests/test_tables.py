@@ -50,11 +50,9 @@ def _specs(two_s):
 
 def _every_route(spec, phis, params):
     """Every S and rho of spec on a (phi, r2) grid, as one list of arrays."""
-    out = [linear_entropy_closed(spec, phis[:, None], params, folded=f).value
-           for f in (True, False)]
-    out.append(reduced_density(split_phase_state(spec, 1, phis[:, None], params)))
-    out.append(reduced_density_closed(spec, 2, phis[:, None], params))
-    return out
+    return [linear_entropy_closed(spec, phis[:, None], params).value,
+            reduced_density(split_phase_state(spec, 1, phis[:, None], params)),
+            reduced_density_closed(spec, 2, phis[:, None], params)]
 
 
 @pytest.mark.parametrize("two_s", [3, 12, 30])
@@ -86,11 +84,10 @@ def _arrays(table):
 
 
 @pytest.mark.parametrize("table", [
-    lambda: _slab_plan(9, True),
-    lambda: _slab_plan(9, False),
-    lambda: _k_values(9, False),
+    lambda: _slab_plan(9),
+    lambda: _slab_plan(41),  # several blocks
     lambda: _binomial_table(9),
-    lambda: _k_values(9, True),
+    lambda: _k_values(9),
     lambda: _coefficient_table(8),
     lambda: (log_factorials(8),),
 ])
@@ -103,22 +100,21 @@ def test_kept_arrays_are_read_only(table):
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 41])
-@pytest.mark.parametrize("folded", [True, False])
-def test_plan_terms_counts_the_plan(d, folded):
-    assert sum(block.terms.size for block in _slab_plan(d, folded)) == _plan_terms(d, folded)
+def test_plan_terms_counts_the_plan(d):
+    assert sum(block.terms.size for block in _slab_plan(d)) == _plan_terms(d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 41, 82])
-@pytest.mark.parametrize("folded", [True, False])
-def test_plan_bins_are_the_integer_gaps(d, folded):
-    # k of each term is the gap of L(n) = n(n-1)/2, from the level indices
-    # of the block's edges; every distinct k is met
-    (ks,) = _k_values(d, folded)
+def test_plan_bins_are_the_integer_gaps(d):
+    # k of each term is the gap of L(n) = n(n-1)/2 at the level indices s
+    # and s + j (clipped to the table) of its slab j; every distinct k is met
+    (ks,) = _k_values(d)
     n = np.arange(d + 1)
+    levels = n * (n - 1) // 2
     met = np.zeros(ks.size, dtype=bool)
-    for block in _slab_plan(d, folded):
-        edge_s, edge_sj = (n * (n - 1) // 2).take(block.edges)
-        e = edge_s - edge_sj
+    for block in _slab_plan(d):
+        s = np.arange(block.side)
+        e = levels[s] - levels.take(np.minimum(block.rows[:, None] + s, d))
         assert np.array_equal(ks[block.bins], (e[:, :, None] - e[:, None, :]).take(block.terms))
         met[block.bins] = True
     assert met.all()
@@ -126,12 +122,12 @@ def test_plan_bins_are_the_integer_gaps(d, folded):
 
 
 def test_plan_over_the_budget_streams_without_being_built():
-    assert _plan_terms(81, True) <= RETAIN_ENTRIES  # 2s = 80 is kept
-    assert _slab_plan(81, True) is _slab_plan(81, True)
-    assert _plan_terms(512, True) > RETAIN_ENTRIES
-    plan = _slab_plan(512, True)
+    assert _plan_terms(81) <= RETAIN_ENTRIES  # 2s = 80 is kept
+    assert _slab_plan(81) is _slab_plan(81)
+    assert _plan_terms(512) > RETAIN_ENTRIES
+    plan = _slab_plan(512)
     assert inspect.getgeneratorstate(plan) == inspect.GEN_CREATED
-    assert _slab_plan(512, True) is not plan
+    assert _slab_plan(512) is not plan
 
 
 def test_per_size_budget_holds_every_kept_table():
