@@ -7,11 +7,13 @@ density matrix.  The closed-form route evaluates the quadruple sum over
 With j = n' - n, s = n + l and s' = n + l' the angle depends on (j, s, s')
 alone, and the magnitudes summed over n form one Gram matrix per j, from
 real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
-evaluated once, folded onto j >= 0, s <= s', in blocks of whole j slabs
-(checks.py holds the complex sum, term by term, that checks it).  That slab
-plan depends on d alone; it is kept (numerics.per_size) while it holds at
-most RETAIN_ENTRIES terms, up to 2s = 90, and larger plans stream from the
-same builder on every call.  The Gram entries go into one table keyed by
+evaluated once, folded onto j >= 0, s <= s', in blocks of whole j slabs,
+each term times its fold weight 1, 2 or 4 (checks.py holds the complex sum,
+term by term, that checks it).  That slab plan depends on d alone; it is
+kept (numerics.per_size) while it holds at most RETAIN_ENTRIES terms, up to
+2s = 90.  A larger plan is built once per call that has more than one r2
+build tile, for that call alone, and streams from the same builder in a
+call of one tile.  The Gram entries go into one table keyed by
 the gap, one row per r2 cell, and S = 1 - sum_g W_g cos(g phi) / d^2 per
 (phi, r2) cell, built and contracted in tiles of cells.  On the quadratic
 tables F(n) = n(1 + kappa(n-1)) of every built-in family the gap is
@@ -47,6 +49,12 @@ CLAMP_TOL = 1e-10
 # Terms per block of the Gram sum, counted as (s, s') square entries.
 # At 2s = 40 on a 2-core x86 host, 2^11 ran as fast as 2^12 and 2^13 and
 # kept the peak traced memory of one call at 0.3 MB (0.9 MB at 2^13).
+# Re-measured with per-term fold weights (one r2 value, medians of 7
+# interleaved rounds): 2^12 took 0.90-0.97 of the time of 2^11 at 2s = 20,
+# 40 and 80, the same at 2s = 10 and on a 101-value grid at 2s = 80, and
+# peaked at 0.34 against 0.19 MB at 2s = 40.  The block bounds set the order
+# in which the block sums add, so 2^12 would move the last bits of S; 2^11
+# stays.
 _BLOCK_TERMS = 1 << 11
 
 # A Gram table bins by k where F(0..2s) agree with n(1 + kappa(n-1)) this
@@ -141,14 +149,13 @@ def phase_term(spec: StructureSpec, n: int, n2: int, l: int, l2: int,
 def _binomial_table(d: int):
     """binom(s, n) at [n, s], zero for n > s, with its index tables, read-only.
 
-    Also n and s as a column and the gap s - n, which is negative for n > s.
+    Also 0..d-1 and the gap s - n, which is negative for n > s.
     """
     # ln(k!) for k < d, then +inf: a negative index s - n lands there.
     lgf = np.concatenate([log_factorials(d - 1), np.full(d, inf)])
     k = np.arange(d)
-    col = k[:, None]
-    gap = k - col
-    return read_only(np.exp(lgf[:d] - lgf[col] - lgf[gap]), k, col, gap)
+    gap = k - k[:, None]
+    return read_only(np.exp(lgf[:d] - lgf[k[:, None]] - lgf[gap]), k, gap)
 
 
 def _binomial_pmf(spec: StructureSpec, params: SplitterParams) -> np.ndarray:
@@ -156,9 +163,9 @@ def _binomial_pmf(spec: StructureSpec, params: SplitterParams) -> np.ndarray:
 
     Column s is the binomial distribution of the n of s photons transmitted.
     """
-    binom, k, col, gap = _binomial_table(spec.dim)
+    binom, k, gap = _binomial_table(spec.dim)
     t2_pow, r2_pow = np.power.outer((params.t2, params.r2), k)
-    return binom * t2_pow[..., col] * r2_pow[..., gap]
+    return binom * t2_pow[..., None] * r2_pow[..., gap]
 
 
 def _plan_terms(d: int) -> int:
@@ -170,19 +177,17 @@ def _plan_terms(d: int) -> int:
 class _SlabBlock:
     """One block of whole j slabs of the folded Gram sum; it depends on d alone.
 
-    rows holds the slab index j of each slab, side the widest slab's side m
-    and slab_w the fold weight of each slab, shape (slabs, 1, 1).  pair_w
-    holds the pair weights of (s, s'), shape (m, m), and terms the flat
-    indices of the block's terms in its (slabs, m, m) Gram stack.  bins
-    holds, per term, the position of its k = j (s' - s) in _k_values.  Every
-    array is read-only.
+    rows holds the slab index j of each slab, consecutive, and side the
+    widest slab's side m.  terms holds the flat indices of the block's terms
+    in its (slabs, m, m) Gram stack, weights the fold weight of each term
+    (1, 2 or 4, as uint8) and bins the position of each term's
+    k = j (s' - s) in _k_values.  Every array is read-only.
     """
 
     rows: np.ndarray
     side: int
-    slab_w: np.ndarray
-    pair_w: np.ndarray
     terms: np.ndarray
+    weights: np.ndarray
     bins: np.ndarray
 
 
@@ -203,21 +208,20 @@ def _k_values(d: int):
 def _slab_plan(d: int):
     """Yield the _SlabBlock of each block of whole j slabs, in j order.
 
-    Slab j >= 0 holds s <= s' < side_j = d - j, with fold weight
-    w = 2 - [j == 0] times 2 - [s == s'].  A block holds whole slabs, about
+    Slab j >= 0 holds s <= s' < side_j = d - j, with the per-term fold weight
+    (2 - [j == 0]) (2 - [s == s']).  A block holds whole slabs, about
     _BLOCK_TERMS square entries per cell.  Kept plans are tuples; a plan over
-    the budget is this generator.
+    the budget is this generator, which _gram_table builds once per call when
+    the call has more than one r2 tile.
     """
     (ks,) = _k_values(d)
     j = k = np.arange(d)
     side = d - j
     inside = np.greater.outer(side, k)
-    # Fold weights, powers of two: 2 - [s == s'] for s <= s' (0 below), and
-    # 2 for j > 0, which is row 0 of pair_w.
-    pair_w = np.sign(k - k[:, None]) + 1.0
-    slab_w = pair_w[0, j, None, None]
-    upper = pair_w > 0.0
-    read_only(j, pair_w, slab_w)
+    upper = np.less_equal.outer(k, k)
+    # Fold weights, powers of two: 2 - [s == s'] for s <= s', and 2 - [j == 0].
+    pair_w = np.less.outer(k, k) + np.uint8(1)
+    slab_w = (j > 0) + np.uint8(1)
     sides = side.tolist()
     # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
     starts = list(accumulate((m * m for m in sides), initial=0))
@@ -230,32 +234,37 @@ def _slab_plan(d: int):
         # Entry (u, u') of slab j has k = j (u' - u).
         k_terms = (j[block, None, None] * (k[:m] - k[:m, None])).reshape(-1).take(terms)
         bins = np.searchsorted(ks, k_terms).astype(np.int32)
-        read_only(terms, bins)
-        yield _SlabBlock(j[block], m, slab_w[block], pair_w[:m, :m], terms, bins)
+        weights = (slab_w[block, None, None] * pair_w[:m, :m]).reshape(-1).take(terms)
+        rows = j[block]
+        read_only(rows, terms, weights, bins)
+        yield _SlabBlock(rows, m, terms, weights, bins)
 
 
-def _gram_slabs(spec: StructureSpec, pmf: np.ndarray):
-    """Yield, per block of _slab_plan, the block and its weighted Gram entries.
+def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, plan):
+    """Yield, per block of plan, the block and its weighted Gram entries.
 
     With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
     term magnitudes summed over n are G_j = Q_j^T Q_j.  Each item is
     (block, w G_j[s, s']): the entries with the cells of pmf leading and one
-    axis of the block's terms.
+    axis of the block's terms.  w is 1, 2 or 4, so w G_j is exact.
     """
     d = spec.dim
     # b[..., n, s], zero for n > s and in the padding.
     b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
-    b[..., :d, :d] = np.sqrt(pmf)
+    np.sqrt(pmf, out=b[..., :d, :d])
     rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
     win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
                      strides=b.strides[:-2] + (rs + cs, rs, cs))
-    for block in _slab_plan(d):
+    for block in plan:
         m = block.side
-        j = block.rows
-        q = b[..., None, :m, :m] * win[..., j, :m, :m]
-        # w_j G_j = (w_j Q_j)^T Q_j exactly; two buffers keep numpy off syrk (8 ms at d = 81).
-        gram = np.matmul(q.swapaxes(-1, -2) * block.slab_w, q) * block.pair_w
-        yield block, gram.reshape(*gram.shape[:-3], j.size * m * m).take(block.terms, axis=-1)
+        j0, slabs = block.rows[0], block.rows.size
+        q = b[..., None, :m, :m] * win[..., j0:j0 + slabs, :m, :m]
+        # A copy in the same layout: two buffers keep numpy off syrk (8 ms
+        # at d = 81), and a C-order copy would move the bits.
+        gram = np.matmul(q.swapaxes(-1, -2).copy(order="K"), q)
+        mag = gram.reshape(*gram.shape[:-3], slabs * m * m).take(block.terms, axis=-1)
+        mag *= block.weights
+        yield block, mag
 
 
 def linear_entropy_closed(spec: StructureSpec, phi,
@@ -341,15 +350,24 @@ def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     (r2 cell, k) in term order, and the block sums are added in block order.
     On any other table each term is an entry of its own.  The r2 cells go
     in tiles of at most _BLOCK_ENTRIES // d^2; no row depends on another.
+    A call of more than one tile builds a streamed slab plan once, for its
+    tiles alone.
     """
+    plan = _slab_plan(spec.dim)
     step = max(1, _BLOCK_ENTRIES // spec.dim**2)
-    if np.size(params.r2) > step:
-        r2 = params.r2.ravel()
-        tiles = (_gram_table(spec, SplitterParams(r2[c:c + step]))
-                 for c in range(0, r2.size, step))
-        first = next(tiles)
-        weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
-        return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
+    if np.size(params.r2) <= step:
+        return _gram_rows(spec, params, plan)
+    plan = tuple(plan)
+    r2 = params.r2.ravel()
+    tiles = (_gram_rows(spec, SplitterParams(r2[c:c + step]), plan)
+             for c in range(0, r2.size, step))
+    first = next(tiles)
+    weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
+    return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
+
+
+def _gram_rows(spec: StructureSpec, params: SplitterParams, plan) -> _GramTable:
+    """_gram_table of one tile of r2 cells, from the blocks of plan."""
     pmf = _binomial_pmf(spec, params)
     dev = np.abs(pmf.sum(axis=-2) - 1.0).max(initial=0.0)
     if not dev <= PMF_TOL:
@@ -357,7 +375,7 @@ def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     if not _quadratic(spec):
         mags, gaps = [], []
         levels = spec.levels
-        for block, mag in _gram_slabs(spec, pmf):
+        for block, mag in _gram_slabs(spec, pmf, plan):
             # F(s) - F(s + j); level indices past the table lie outside the domain.
             s = np.arange(block.side)
             e = levels[s] - levels.take(np.minimum(block.rows[:, None] + s, spec.dim))
@@ -366,11 +384,13 @@ def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
         return _GramTable(np.concatenate(gaps), np.concatenate(mags, axis=-1), spec.dim)
     (ks,) = _k_values(spec.dim)
     cells = pmf.shape[:-2]
+    count = prod(cells)
+    table = np.zeros(count * ks.size)
     # Bin b of the c-th r2 cell (row-major) is c * ks.size + b.
-    first = np.arange(0, pmf[..., 0, 0].size * ks.size, ks.size)[:, None]
-    table = np.zeros(first.size * ks.size)
-    for block, mag in _gram_slabs(spec, pmf):
-        table += np.bincount((first + block.bins).ravel(), mag.ravel(), table.size)
+    first = np.arange(0, table.size, ks.size)[:, None]
+    for block, mag in _gram_slabs(spec, pmf, plan):
+        bins = block.bins if count == 1 else (first + block.bins).ravel()
+        table += np.bincount(bins, mag.ravel(), table.size)
     return _GramTable(2.0 * (spec.kappa or 0.0) * ks, table.reshape(cells + (ks.size,)),
                       spec.dim)
 

@@ -1,17 +1,20 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import exp, pi
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebeam import (
@@ -542,6 +545,48 @@ class TestMainCompute:
 
 
 LONG_AXIS_SWEEP = ["sweep", "--two-s", "1", "--phi", "0:1:4194304", "--r2", "0:1:5"]
+
+# Values at the edges of a double: signed zeros, the least and the largest
+# subnormal, the least normal, 1 - 2^-53 and 1e300, and some of their negatives.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.0 - 2.0**-53, 1.0, 0.5, 1e300, -1e300)
+ERROR_PREFIXES = ("usage error: ", "numerical consistency error: ", "error: ")
+
+
+class TestComputeContract:
+    """Every compute argv either prints entropies in [0, 1 - 1/d] or exits
+    cleanly with a documented code and one diagnostic line."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(family_kappa=st.sampled_from((
+               ("kappa-neg", None), ("pegg-barnett", None), ("kappa-pos", 0.5),
+               ("kappa-pos", 5e-324), ("kappa-pos", 1e300), ("kappa-pos", None),
+               ("pegg-barnett", 0.5))),
+           two_s=st.integers(1, 12),
+           method=st.sampled_from(("oracle", "closed", "both")),
+           phi=st.sampled_from(EDGE_FLOATS) | st.floats(-10.0, 10.0),
+           r2=st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0))
+    def test_exit_codes_and_range(self, family_kappa, two_s, method, phi, r2):
+        family, kappa = family_kappa
+        argv = ["compute", "--family", family, "--two-s", str(two_s), f"--phi={phi!r}",
+                f"--r2={r2!r}", "--method", method]
+        if kappa is not None:
+            argv += ["--kappa", repr(kappa)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(ERROR_PREFIXES)
+            return
+        assert err.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        values = [float(line.split()[-1]) for line in (lines[:2] if method == "both" else lines)]
+        assert len(values) == (2 if method == "both" else 1)
+        assert all(0.0 <= v <= 1.0 - 1.0 / (two_s + 1) for v in values)
 
 
 class TestWorkBudget:

@@ -793,6 +793,133 @@ class TestContractionTiles:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestStreamedPlan:
+    """Above 2s = 90 the slab plan is over the per-size budget: a call of more
+    than one r2 build tile builds it once for its tiles, and a one-tile call
+    streams it block by block."""
+
+    @pytest.mark.parametrize("family, kappa", FAMILIES, ids=lambda v: getattr(v, "value", v))
+    def test_tiles_share_one_plan_build(self, monkeypatch, family, kappa):
+        spec = build_structure(family, 95, kappa)
+        assert entropy._plan_terms(spec.dim) > RETAIN_ENTRIES
+        r2 = np.linspace(0.0, 1.0, 15)
+        assert -(-r2.size // (entropy._BLOCK_ENTRIES // spec.dim**2)) == 3  # build tiles
+        builds = []
+        plan_call = entropy._slab_plan
+
+        def counted(d):  # counts the plans that are iterated, not those created
+            builds.append(d)
+            yield from plan_call(d)
+
+        monkeypatch.setattr(entropy, "_slab_plan", counted)
+        got = linear_entropy_closed(spec, 0.9, SplitterParams(r2)).value
+        assert builds == [spec.dim]
+        for value, r2_one in zip(got, r2):
+            assert value == linear_entropy_closed(spec, 0.9, SplitterParams(r2_one)).value
+        assert len(builds) == 1 + r2.size
+
+    def test_one_tile_call_streams(self):
+        # C(203, 3) = 1 373 701 terms at 2s = 200, about 18 MB built; one r2
+        # value streams them, and its peak stays under the 4.27 MB traced
+        # with the pair-weight kernel (3.96 MB with per-term weights)
+        spec = build_structure(Family.KAPPA_NEG, 200)
+        peak, _ = TestLinearEntropyClosed._traced_peak(spec, 0.7, SplitterParams(0.3))
+        assert peak <= 4_273_074
+
+
+# float.hex of linear_entropy_closed per (family, 2s): the scalar call at
+# PIN_PHI, the phase vector PIN_PHIS, then the grid PIN_GRID_PHIS x PIN_R2S
+# row-major, all at r2 = PIN_R2 but the grid.  Frozen from the kernel that
+# weighted whole Gram squares by pairs; the per-term fold weights keep them.
+PIN_PHI, PIN_PHIS, PIN_GRID_PHIS = 0.7, np.array([0.0, 2.5, 100.0]), np.array([[1.3], [5.9]])
+PIN_R2, PIN_R2S = 0.3, np.array([0.0, 0.1, 0.3, 0.5, 0.77, 0.9, 1 - 2**-53, 1.0])
+PINNED_BITS = {
+    (Family.KAPPA_NEG, 3): """
+        0x1.67f66f9f793c8p-3 0x1.f7f3f9d398968p-4 0x1.dd8180a365814p-2 0x1.d7ab0de6f2ad6p-2
+        0x0.0p+0 0x1.19c7162db4a4cp-3 0x1.1fe9f704b6a3ap-2 0x1.489a027937fe2p-2
+        0x1.f731edb029b2cp-3 0x1.19c7162db4a4cp-3 0x1.8000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.e2cbe268d7b90p-3 0x1.dfc54aa731c4ap-2 0x1.0e09337dc1c9bp-1
+        0x1.a742efe5f7020p-2 0x1.e2cbe268d7b94p-3 0x1.4000000000000p-51 0x0.0p+0""",
+    (Family.KAPPA_NEG, 10): """
+        0x1.5263dffe12608p-2 0x1.7bc72f07a56dcp-3 0x1.5f76fdc7cb8e4p-1 0x1.83b5c40b02026p-1
+        0x0.0p+0 0x1.40828a6e1d5a0p-2 0x1.044296d6eb77dp-1 0x1.17d7b8b072ba6p-1
+        0x1.e049e2041ef58p-2 0x1.40828a6e1d5a0p-2 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.0c411c7816ed6p-1 0x1.83462de57293ap-1 0x1.97ff9f8ddc8b3p-1
+        0x1.6d734e505a26ep-1 0x1.0c411c7816ed5p-1 0x1.0000000000000p-52 0x0.0p+0""",
+    (Family.KAPPA_NEG, 40): """
+        0x1.3193be1d76051p-1 0x1.a5593e661f528p-2 0x1.a8f8c48bec335p-1 0x1.ce02a1eda49efp-1
+        0x0.0p+0 0x1.2d2208224d55ep-1 0x1.71c384651595fp-1 0x1.7d06b34d72a54p-1
+        0x1.65e3a308cc258p-1 0x1.2d2208224d565p-1 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.9fc7d522d04d2p-1 0x1.d2f5099d363bcp-1 0x1.d915176a9c91ep-1
+        0x1.cb831d273f6a9p-1 0x1.9fc7d522d04d6p-1 0x1.0000000000000p-52 0x0.0p+0""",
+    (Family.KAPPA_NEG, 95): """
+        0x1.736d76c17119bp-1 0x1.232d206d29fe3p-1 0x1.c601758896f0ep-1 0x1.c987e783b4634p-1
+        0x0.0p+0 0x1.70e19914195b0p-1 0x1.a08323d7b9299p-1 0x1.a83bb97a5898cp-1
+        0x1.9857a95313c38p-1 0x1.70e19914195afp-1 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.ce267c01d2f5ap-1 0x1.e40ff86d56980p-1 0x1.e67af79d1ee79p-1
+        0x1.e137aa334ba06p-1 0x1.ce267c01d2f5ap-1 0x0.0p+0 0x0.0p+0""",
+    (Family.PEGG_BARNETT, 3): """
+        0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4
+        0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab24p-3
+        0x1.c1da89ffe6200p-4 0x1.0add0cca59040p-4 0x1.8000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab24p-3
+        0x1.c1da89ffe6200p-4 0x1.0add0cca59040p-4 0x1.8000000000000p-52 0x0.0p+0""",
+    (Family.PEGG_BARNETT, 10): """
+        0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3
+        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c4p-3
+        0x1.535542c991c70p-3 0x1.a7059d5cdb798p-4 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c4p-3
+        0x1.535542c991c70p-3 0x1.a7059d5cdb798p-4 0x0.0p+0 0x0.0p+0""",
+    (Family.PEGG_BARNETT, 40): """
+        0x1.a5593e661f528p-2 0x1.a5593e661f528p-2 0x1.a5593e661f528p-2 0x1.a5593e661f528p-2
+        0x0.0p+0 0x1.0854e1636be34p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
+        0x1.847e850e3fba8p-2 0x1.0854e1636be4ep-2 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.0854e1636be34p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
+        0x1.847e850e3fba8p-2 0x1.0854e1636be4ep-2 0x0.0p+0 0x0.0p+0""",
+    (Family.PEGG_BARNETT, 95): """
+        0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1
+        0x0.0p+0 0x1.a99c6b7311986p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96896p-1
+        0x1.143f64c5af820p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.a99c6b7311986p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96896p-1
+        0x1.143f64c5af820p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0""",
+    (Family.KAPPA_POS, 3): """
+        0x1.de3b6e60ebeecp-3 0x1.f7f3f9d398968p-4 0x1.d33195b5d22ccp-2 0x1.8571b9a5d0eb4p-3
+        0x0.0p+0 0x1.8d2ad18d7cc1cp-3 0x1.9a878e563f23ap-2 0x1.d5cef4a2459f8p-2
+        0x1.65c778e8fc002p-2 0x1.8d2ad18d7cc20p-3 0x1.0000000000000p-51 0x0.0p+0
+        0x0.0p+0 0x1.4e5dc07b3d618p-4 0x1.46254e6c64bb4p-3 0x1.6efd0b7b5fb80p-3
+        0x1.20893cd7711fcp-3 0x1.4e5dc07b3d620p-4 0x1.8000000000000p-52 0x0.0p+0""",
+    (Family.KAPPA_POS, 10): """
+        0x1.7cc90dee357e2p-1 0x1.7bc72f07a56dcp-3 0x1.83fe5112e0c8dp-1 0x1.6606770729512p-1
+        0x0.0p+0 0x1.0d5e45544f71ap-1 0x1.8405f7a74e2d3p-1 0x1.9804087be0ee8p-1
+        0x1.6e7fbe7c77e12p-1 0x1.0d5e45544f719p-1 0x1.8000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.b161269139d40p-2 0x1.3dfabd9a776f1p-1 0x1.4e5c3a7548328p-1
+        0x1.2c2ced433a787p-1 0x1.b161269139d42p-2 0x1.0000000000000p-53 0x0.0p+0""",
+    (Family.KAPPA_POS, 40): """
+        0x1.d63a135038da0p-1 0x1.a5593e661f528p-2 0x1.c54e4d14dbe36p-1 0x1.d913a25f56c0dp-1
+        0x0.0p+0 0x1.a2f64a1eea6fcp-1 0x1.d67deee8e69a6p-1 0x1.dc150e1fb232fp-1
+        0x1.cf3b41ca22df6p-1 0x1.a2f64a1eea700p-1 0x1.0000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.a1c80b99bb430p-1 0x1.d73a595b74590p-1 0x1.df01062acb6cdp-1
+        0x1.ced43590bc40ep-1 0x1.a1c80b99bb432p-1 0x1.0000000000000p-53 0x0.0p+0""",
+    (Family.KAPPA_POS, 95): """
+        0x1.e6486d362ea4fp-1 0x1.232d206d29fe3p-1 0x1.e1c88f1c60c48p-1 0x1.ed691e43bc28cp-1
+        0x0.0p+0 0x1.d3a61455f76bap-1 0x1.eee037ceea207p-1 0x1.f27d910fadfc5p-1
+        0x1.eac4e05b0fe35p-1 0x1.d3a61455f76bap-1 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.d384c3f373585p-1 0x1.eec480d35ff84p-1 0x1.f2ae9828a28c4p-1
+        0x1.ea90f0b1197c7p-1 0x1.d384c3f373586p-1 0x1.0000000000000p-52 0x0.0p+0""",
+}
+
+
+@pytest.mark.parametrize("family, two_s", PINNED_BITS,
+                         ids=lambda v: getattr(v, "value", v))
+def test_closed_form_bits_pinned(family, two_s):
+    # 2s = 95 streams its plan, and its grid of 8 r2 values takes two tiles
+    spec = build_structure(family, two_s, 0.5 if family is Family.KAPPA_POS else None)
+    values = [linear_entropy_closed(spec, PIN_PHI, SplitterParams(PIN_R2)).value,
+              *linear_entropy_closed(spec, PIN_PHIS, SplitterParams(PIN_R2)).value,
+              *linear_entropy_closed(spec, PIN_GRID_PHIS, SplitterParams(PIN_R2S)).value.ravel()]
+    assert [float(v).hex() for v in values] == PINNED_BITS[family, two_s].split()
+
+
 EMPTY = np.zeros(0)
 
 
