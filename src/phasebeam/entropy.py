@@ -351,28 +351,33 @@ def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     On any other table each term is an entry of its own.  The r2 cells go
     in tiles of at most _BLOCK_ENTRIES // d^2; no row depends on another.
     A call of more than one tile builds a streamed slab plan once, for its
-    tiles alone.
+    tiles alone; the fit of the levels is decided once per call.
     """
     plan = _slab_plan(spec.dim)
+    quadratic = _quadratic(spec)
     step = max(1, _BLOCK_ENTRIES // spec.dim**2)
     if np.size(params.r2) <= step:
-        return _gram_rows(spec, params, plan)
+        return _gram_rows(spec, params, plan, quadratic)
     plan = tuple(plan)
     r2 = params.r2.ravel()
-    tiles = (_gram_rows(spec, SplitterParams(r2[c:c + step]), plan)
+    tiles = (_gram_rows(spec, SplitterParams(r2[c:c + step]), plan, quadratic)
              for c in range(0, r2.size, step))
     first = next(tiles)
     weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
     return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
 
 
-def _gram_rows(spec: StructureSpec, params: SplitterParams, plan) -> _GramTable:
-    """_gram_table of one tile of r2 cells, from the blocks of plan."""
+def _gram_rows(spec: StructureSpec, params: SplitterParams, plan,
+               quadratic: bool) -> _GramTable:
+    """_gram_table of one tile of r2 cells, from the blocks of plan.
+
+    quadratic is _quadratic(spec): whether the entries are binned by k.
+    """
     pmf = _binomial_pmf(spec, params)
     dev = np.abs(pmf.sum(axis=-2) - 1.0).max(initial=0.0)
     if not dev <= PMF_TOL:
         raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
-    if not _quadratic(spec):
+    if not quadratic:
         mags, gaps = [], []
         levels = spec.levels
         for block, mag in _gram_slabs(spec, pmf, plan):

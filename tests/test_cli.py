@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasebeam
 from phasebeam import (
     Family,
     RangeError,
@@ -295,9 +296,7 @@ class TestCsvDecimalKernel:
         # compile, and compute and sweep nothing for the check suites
         code = ("import sys, phasebeam.cli; "
                 "print(*(f'phasebeam.{m}' in sys.modules for m in ('csvfmt', 'checks')))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
-        assert out == "False False\n"
+        assert _fresh(code) == "False False\n"
 
     def test_json_pinned_to_reference(self, capsys, monkeypatch):
         tables = []
@@ -309,6 +308,56 @@ class TestCsvDecimalKernel:
         odd = SweepTable(axes=(Axis("phi", (0.0, 1.0, 2.0, 3.0)),),
                          values=np.array([0.0, -0.0, 5e-324, 0.1]))
         assert render_json(odd) == _render_json_reference(odd)
+
+
+def _fresh(code):
+    """The stdout of code run by a fresh interpreter on this checkout's sources."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('phasebeam.'))"
+
+
+class TestLazyPackage:
+    """The package loads each module on the first use of one of its names."""
+
+    def test_bare_import_loads_no_module(self):
+        bare, after = _fresh(f"import sys, phasebeam; print({LOADED}); "
+                             f"phasebeam.entropy; print({LOADED})").splitlines()
+        assert bare == "[]"
+        assert "'phasebeam.entropy'" in after
+
+    def test_module_import_loads_that_module_alone(self):
+        code = f"import sys; from phasebeam.algebra import build_structure; print({LOADED})"
+        assert _fresh(code) == "['phasebeam.algebra', 'phasebeam.errors']\n"
+
+    def test_public_names_are_their_modules_objects(self):
+        # fresh, so that every name is first looked up through the package
+        code = ("import importlib, phasebeam\n"
+                "for name in phasebeam.__all__[:-1]:\n"
+                "    value = getattr(phasebeam, name)\n"
+                "    assert getattr(importlib.import_module(value.__module__), name) is value\n"
+                "print(phasebeam.__version__)")
+        assert _fresh(code) == "0.1.0\n"
+
+    def test_unknown_name_and_dir(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            phasebeam.nope
+        assert not hasattr(phasebeam, "nope")
+        assert set(phasebeam.__all__) <= set(dir(phasebeam))
+
+    def test_failing_module_raises_its_own_error(self):
+        # an ImportError, not the AttributeError that hasattr turns into False
+        code = ("import sys, phasebeam\n"
+                "sys.modules['numpy'] = None  # every module's import of numpy fails\n"
+                "for probe in (lambda: phasebeam.linear_entropy,\n"
+                "              lambda: hasattr(phasebeam, 'linear_entropy')):\n"
+                "    try:\n"
+                "        probe()\n"
+                "    except ImportError as exc:\n"
+                "        print(type(exc).__name__, exc.name)\n")
+        assert _fresh(code) == "ModuleNotFoundError numpy\n" * 2
 
 
 class TestMainCompute:
@@ -553,15 +602,39 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.22507385850
 ERROR_PREFIXES = ("usage error: ", "numerical consistency error: ", "error: ")
 
 
+def _main_captured(argv):
+    """cli.main(argv) in process, every warning an error: (exit code, stdout, stderr)."""
+    out, err = io.BytesIO(), io.StringIO()
+    text = io.TextIOWrapper(out, encoding="utf-8", newline="")  # sweeps write its buffer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+            code = main(argv)
+    text.flush()
+    return code, out.getvalue().decode(), err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0, 1 or 2, and one diagnostic line with a documented prefix unless 0."""
+    assert code in (0, 1, 2)
+    lines = err.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith(ERROR_PREFIXES)
+    else:
+        assert lines == []
+
+
 class TestComputeContract:
     """Every compute argv either prints entropies in [0, 1 - 1/d] or exits
     cleanly with a documented code and one diagnostic line."""
 
+    FAMILY_KAPPA = st.sampled_from((
+        ("kappa-neg", None), ("pegg-barnett", None), ("kappa-pos", 0.5),
+        ("kappa-pos", 5e-324), ("kappa-pos", 1e300), ("kappa-pos", None),
+        ("pegg-barnett", 0.5)))
+
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(family_kappa=st.sampled_from((
-               ("kappa-neg", None), ("pegg-barnett", None), ("kappa-pos", 0.5),
-               ("kappa-pos", 5e-324), ("kappa-pos", 1e300), ("kappa-pos", None),
-               ("pegg-barnett", 0.5))),
+    @given(family_kappa=FAMILY_KAPPA,
            two_s=st.integers(1, 12),
            method=st.sampled_from(("oracle", "closed", "both")),
            phi=st.sampled_from(EDGE_FLOATS) | st.floats(-10.0, 10.0),
@@ -572,21 +645,68 @@ class TestComputeContract:
                 f"--r2={r2!r}", "--method", method]
         if kappa is not None:
             argv += ["--kappa", repr(kappa)]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 1, 2)
+        code, out, err = _main_captured(argv)
+        _assert_clean_exit(code, err)
         if code:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith(ERROR_PREFIXES)
             return
-        assert err.getvalue() == ""
-        lines = out.getvalue().splitlines()
+        lines = out.splitlines()
         values = [float(line.split()[-1]) for line in (lines[:2] if method == "both" else lines)]
         assert len(values) == (2 if method == "both" else 1)
         assert all(0.0 <= v <= 1.0 - 1.0 / (two_s + 1) for v in values)
+
+
+def _grids(inner):
+    """(points, spec) of a --phi or --r2 grid: a scalar, or start:stop:count
+    with ends from EDGE_FLOATS or inner, often ascending, and a count that
+    may be refused."""
+    end = st.sampled_from(EDGE_FLOATS) | inner
+    ends = st.tuples(end, end).map(sorted) | st.tuples(end, end)
+    return (end.map(lambda v: (1, repr(v)))
+            | st.tuples(ends, st.integers(1, 4)).map(
+                lambda g: (g[1], f"{g[0][0]!r}:{g[0][1]!r}:{g[1]}")))
+
+
+class TestSweepContract:
+    """Every sweep argv either prints one row per cell with S in [0, 1 - 1/d]
+    or exits cleanly with a documented code and one diagnostic line."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(family_kappa=TestComputeContract.FAMILY_KAPPA,
+           # (the 2s values in order, the spec): ints, lists with repeats and
+           # descending runs, and ranges, some empty or below 1
+           two_s=(st.integers(1, 12).map(lambda v: ([v], str(v)))
+                  | st.lists(st.integers(1, 9), min_size=2, max_size=4).map(
+                      lambda vs: (vs, ",".join(map(str, vs))))
+                  | st.tuples(st.integers(0, 8), st.integers(-1, 3)).map(
+                      lambda r: (list(range(r[0], r[0] + r[1] + 1)), f"{r[0]}:{r[0] + r[1]}"))),
+           phi=_grids(st.floats(-10.0, 10.0)),
+           r2=_grids(st.floats(0.0, 1.0)),
+           m=st.integers(-2**70, 2**70) | st.sampled_from((2**63, -2**63 - 1, 2**64)),
+           fmt=st.sampled_from(("csv", "json")))
+    def test_exit_codes_and_rows(self, family_kappa, two_s, phi, r2, m, fmt):
+        family, kappa = family_kappa
+        (two_s, two_s_spec), (phis, phi_spec), (r2s, r2_spec) = two_s, phi, r2
+        argv = ["sweep", "--family", family, f"--two-s={two_s_spec}", f"--phi={phi_spec}",
+                f"--r2={r2_spec}", f"--m={m}", "--format", fmt]
+        if kappa is not None:
+            argv += ["--kappa", repr(kappa)]
+        code, out, err = _main_captured(argv)
+        _assert_clean_exit(code, err)
+        if code:
+            return
+        # the rows run over 2s, then phi, then r2
+        dims = np.repeat(np.array(two_s) + 1, phis * r2s)
+        if fmt == "csv":
+            header, *rows = out.splitlines()
+            cells = np.array([row.split(",") for row in rows], dtype=float)
+            assert header == ("two_s,phi,r2,S" if len(two_s) > 1 else "phi,r2,S")
+            if len(two_s) > 1:
+                assert np.array_equal(cells[:, 0] + 1, dims)
+            values = cells[:, -1]
+        else:
+            values = np.array(json.loads(out)["values"])
+        assert values.shape == dims.shape
+        assert np.all((0.0 <= values) & (values <= 1.0 - 1.0 / dims))
 
 
 class TestWorkBudget:

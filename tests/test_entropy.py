@@ -796,7 +796,7 @@ class TestContractionTiles:
 class TestStreamedPlan:
     """Above 2s = 90 the slab plan is over the per-size budget: a call of more
     than one r2 build tile builds it once for its tiles, and a one-tile call
-    streams it block by block."""
+    streams it block by block.  Either call fits the levels once."""
 
     @pytest.mark.parametrize("family, kappa", FAMILIES, ids=lambda v: getattr(v, "value", v))
     def test_tiles_share_one_plan_build(self, monkeypatch, family, kappa):
@@ -811,9 +811,13 @@ class TestStreamedPlan:
             builds.append(d)
             yield from plan_call(d)
 
+        fits = []
+        fit = entropy._quadratic
         monkeypatch.setattr(entropy, "_slab_plan", counted)
+        monkeypatch.setattr(entropy, "_quadratic", lambda spec: fits.append(spec) or fit(spec))
         got = linear_entropy_closed(spec, 0.9, SplitterParams(r2)).value
         assert builds == [spec.dim]
+        assert fits == [spec]  # the levels are fitted once per call, not per tile
         for value, r2_one in zip(got, r2):
             assert value == linear_entropy_closed(spec, 0.9, SplitterParams(r2_one)).value
         assert len(builds) == 1 + r2.size
