@@ -102,31 +102,27 @@ def algebra_suite(seed: int = 0) -> list[CheckResult]:
             d = spec.dim
             eye = np.eye(d)
             num = number_operator(spec)
-            for phi in rng.uniform(0.0, 4.0 * pi, size=4):
-                e = phase_operator(spec, phi)
-                worst_unitary = max(
-                    worst_unitary,
-                    np.max(np.abs(e.conj().T @ e - eye)),
-                    np.max(np.abs(e @ e.conj().T - eye)))
-                am = ladder_minus(spec, phi)
-                ap = ladder_plus(spec, phi)
-                worst_adjoint = max(worst_adjoint, np.max(np.abs(ap - am.conj().T)))
-                worst_products = max(
-                    worst_products,
-                    np.max(np.abs(ap @ am - np.diag(spec.levels[:d]))),
-                    np.max(np.abs(am @ ap - np.diag(spec.levels[1:]))))
-                worst_number = max(
-                    worst_number,
-                    np.max(np.abs(num @ am - am @ num + am)),
-                    np.max(np.abs(num @ ap - ap @ num - ap)))
-                worst_comm = max(
-                    worst_comm,
-                    np.max(np.abs(am @ ap - ap @ am - np.diag(spec.spacings))))
-                worst_polar = max(
-                    worst_polar,
-                    np.max(np.abs(e @ np.diag(np.sqrt(spec.levels[:d])) - am)))
-                cycle = np.linalg.matrix_power(e, d)
-                worst_cycle = max(worst_cycle, np.max(np.abs(cycle - cycle[0, 0] * eye)))
+            # The operators take one phase; every check runs once over their stacks.
+            phis = rng.uniform(0.0, 4.0 * pi, size=4)
+            e, am, ap = (np.array([op(spec, phi) for phi in phis])
+                         for op in (phase_operator, ladder_minus, ladder_plus))
+            e_h = e.conj().swapaxes(-1, -2)
+            worst_unitary = max(worst_unitary, np.max(np.abs(e_h @ e - eye)),
+                                np.max(np.abs(e @ e_h - eye)))
+            worst_adjoint = max(worst_adjoint,
+                                np.max(np.abs(ap - am.conj().swapaxes(-1, -2))))
+            worst_products = max(
+                worst_products,
+                np.max(np.abs(ap @ am - np.diag(spec.levels[:d]))),
+                np.max(np.abs(am @ ap - np.diag(spec.levels[1:]))))
+            worst_number = max(worst_number, np.max(np.abs(num @ am - am @ num + am)),
+                               np.max(np.abs(num @ ap - ap @ num - ap)))
+            worst_comm = max(worst_comm, np.max(np.abs(
+                am @ ap - ap @ am - np.diag(spec.spacings))))
+            worst_polar = max(worst_polar, np.max(np.abs(
+                e @ np.diag(np.sqrt(spec.levels[:d])) - am)))
+            cycle = np.linalg.matrix_power(e, d)
+            worst_cycle = max(worst_cycle, np.max(np.abs(cycle - cycle[:, :1, :1] * eye)))
             rebuilt = structure_from_spacings(spec.spacings)
             worst_roundtrip = max(worst_roundtrip,
                                   np.max(np.abs(rebuilt.levels - spec.levels)))
@@ -169,10 +165,8 @@ def phase_suite(seed: int = 0) -> list[CheckResult]:
             worst_ortho = max(worst_ortho, np.max(np.abs(gram - np.eye(d))))
             worst_closure = max(worst_closure, np.max(np.abs(
                 closure_matrix(spec, phi) - np.eye(d))))
-            # Drawn pair by pair, in the order of one overlap at a time.
-            draws = [(rng.integers(0, d, size=2), rng.uniform(0.0, 4.0 * pi, size=2))
-                     for _ in range(100)]
-            (m, m2), (p1, p2) = (np.transpose(a) for a in zip(*draws))
+            m, m2 = rng.integers(0, d, size=(2, 100))
+            p1, p2 = rng.uniform(0.0, 4.0 * pi, size=(2, 100))
             direct = overlap_direct(phase_state(spec, m, p1), phase_state(spec, m2, p2))
             worst_overlap = max(worst_overlap, np.max(np.abs(
                 direct - overlap_closed(spec, m, p1, m2, p2))))
@@ -206,16 +200,13 @@ def splitter_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    worst_norm = 0.0
-    worst_mirror = 0.0
-    for n in range(0, 21):
-        r2 = float(rng.uniform(0.0, 1.0))
+    worst_norm = worst_mirror = 0.0
+    for n, r2 in enumerate(rng.uniform(0.0, 1.0, size=21)):
         b = split_number_state(n, SplitterParams(r2))
         worst_norm = max(worst_norm, abs(b.norm() - 1.0))
+        # amp(p, k) against the swapped splitter's amp(k, p), zero off the shell on both
         b_swapped = split_number_state(n, SplitterParams(1.0 - r2))
-        for p in range(n + 1):
-            worst_mirror = max(worst_mirror, abs(
-                abs(b.get(p, n - p)) - abs(b_swapped.get(n - p, p))))
+        worst_mirror = max(worst_mirror, np.max(np.abs(np.abs(b.amp) - np.abs(b_swapped.amp).T)))
     out.append(_result("splitter", "number_state_norm", worst_norm, 1e-12))
     out.append(_result("splitter", "transmit_reflect_mirror", worst_mirror, 1e-12))
 
@@ -223,10 +214,8 @@ def splitter_suite(seed: int = 0) -> list[CheckResult]:
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            # Drawn cell by cell, in the order of one call per (m, phi, r2).
-            draws = [(rng.integers(0, spec.dim), rng.uniform(0.0, 4.0 * pi),
-                      rng.uniform(0.0, 1.0)) for _ in range(20)]
-            m, phi, r2 = (np.array(a) for a in zip(*draws))
+            m = rng.integers(0, spec.dim, size=20)
+            phi, r2 = rng.uniform((0.0, 0.0), (4.0 * pi, 1.0), size=(20, 2)).T
             params = SplitterParams(r2)
             b = split_phase_state(spec, m, phi, params)
             worst_state_norm = max(worst_state_norm, np.max(np.abs(b.norm() - 1.0)))
@@ -276,20 +265,19 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     worst_spread = 0.0
     for two_s in range(1, 7):
         spec = build_structure(Family.KAPPA_NEG, two_s)
-        for _ in range(10):
-            phi = float(rng.uniform(0.0, 4.0 * pi))
-            params = SplitterParams(float(rng.uniform(0.0, 1.0)))
-            # m_independence_report's oracle call over all labels, without its raise.
-            rho = reduced_density(split_phase_state(spec, np.arange(spec.dim), phi, params))
-            values = linear_entropy(rho).value
-            worst_spread = max(worst_spread, float(values.max() - values.min()))
+        phi, r2 = rng.uniform((0.0, 0.0), (4.0 * pi, 1.0), size=(10, 2)).T
+        # m_independence_report's oracle call over all labels, one column per
+        # draw, without its raise.
+        labels = np.arange(spec.dim)[:, None]
+        values = linear_entropy(reduced_density(
+            split_phase_state(spec, labels, phi, SplitterParams(r2)))).value
+        worst_spread = max(worst_spread, float(np.max(values.max(axis=0) - values.min(axis=0))))
     out.append(_result("entropy", "m_independence", worst_spread, M_SPREAD_TOL))
 
     worst_swap = 0.0
     for family, kappa in FAMILIES:
         spec = build_structure(family, 3, kappa)
-        # Drawn pair by pair; one paired call of 10 cells per side.
-        phi, r2 = np.array([rng.uniform((0.0, 0.0), (2.0 * pi, 1.0)) for _ in range(10)]).T
+        phi, r2 = rng.uniform((0.0, 0.0), (2.0 * pi, 1.0), size=(10, 2)).T
         s_a, s_b = (linear_entropy_closed(spec, phi, SplitterParams(x)).value
                     for x in (r2, 1.0 - r2))
         worst_swap = max(worst_swap, np.max(np.abs(s_a - s_b)))

@@ -69,7 +69,13 @@ class _Parser(argparse.ArgumentParser):
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse a finite scalar or an inclusive `start:stop:count` grid."""
     start, stop, count = _grid_spec(text)
-    return (start,) if count == 1 else tuple(float(v) for v in np.linspace(start, stop, count))
+    if count == 1:
+        return (start,)
+    points = np.linspace(start, stop, count)
+    # a span of a few ulps rounds some points onto their neighbours
+    if not (np.diff(points) > 0.0).all():
+        raise UsageError(f"grid must be strictly increasing, got {text!r}")
+    return tuple(points.tolist())
 
 
 def _grid_spec(text: str) -> tuple[float, float, int]:

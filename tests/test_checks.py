@@ -16,23 +16,61 @@ from phasebeam import (
     closure_matrix,
     entropy,
     evolve_vector,
+    ladder_minus,
+    ladder_plus,
     linear_entropy,
     linear_entropy_closed,
+    number_operator,
     overlap_closed,
     overlap_direct,
+    phase_operator,
     phase_state,
     reduced_density,
     reduced_density_closed,
     split_number_state,
     split_phase_state,
 )
-from phasebeam.checks import FAMILIES, entropy_suite, phase_suite, splitter_suite
+from phasebeam.checks import FAMILIES
 from phasebeam.cli import main
+
+
+def _algebra_suite_loop(seed):
+    """The algebra suite's per-phase checks, with the operators built and
+    checked one phase at a time."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(("phase_operator_unitary", "ladder_plus_is_adjoint",
+                           "ladder_products_diagonal", "number_commutators",
+                           "commutator_equals_spacings", "polar_decomposition",
+                           "phase_operator_cyclic"), 0.0)
+
+    def note(name, *residuals):
+        worst[name] = max(worst[name], *(float(np.max(np.abs(r))) for r in residuals))
+
+    for family, kappa in FAMILIES:
+        for two_s in range(1, 9):
+            spec = build_structure(family, two_s, kappa)
+            d = spec.dim
+            eye = np.eye(d)
+            num = number_operator(spec)
+            for phi in rng.uniform(0.0, 4.0 * pi, size=4):
+                e = phase_operator(spec, phi)
+                am = ladder_minus(spec, phi)
+                ap = ladder_plus(spec, phi)
+                note("phase_operator_unitary", e.conj().T @ e - eye, e @ e.conj().T - eye)
+                note("ladder_plus_is_adjoint", ap - am.conj().T)
+                note("ladder_products_diagonal", ap @ am - np.diag(spec.levels[:d]),
+                     am @ ap - np.diag(spec.levels[1:]))
+                note("number_commutators", num @ am - am @ num + am, num @ ap - ap @ num - ap)
+                note("commutator_equals_spacings", am @ ap - ap @ am - np.diag(spec.spacings))
+                note("polar_decomposition", e @ np.diag(np.sqrt(spec.levels[:d])) - am)
+                cycle = np.linalg.matrix_power(e, d)
+                note("phase_operator_cyclic", cycle - cycle[0, 0] * eye)
+    return worst
 
 
 def _phase_suite_loop(seed):
     """The phase suite's looped checks, one label and one overlap per call,
-    drawing from the generator in the same order as the suite."""
+    from the same draws as the suite."""
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(("equiprobability", "orthonormality", "closure",
                            "eigenvalue_relation", "temporal_stability",
@@ -54,9 +92,9 @@ def _phase_suite_loop(seed):
                 for m2, w in enumerate(states):
                     note("orthonormality", abs(overlap_direct(v, w) - (m == m2)))
             note("closure", np.max(np.abs(closure_matrix(spec, phi) - np.eye(d))))
-            for _ in range(100):
-                m, m2 = (int(v) for v in rng.integers(0, d, size=2))
-                p1, p2 = rng.uniform(0.0, 4.0 * pi, size=2)
+            labels = rng.integers(0, d, size=(2, 100))
+            phases = rng.uniform(0.0, 4.0 * pi, size=(2, 100))
+            for m, m2, p1, p2 in zip(*labels.tolist(), *phases.tolist()):
                 direct = overlap_direct(phase_state(spec, m, p1), phase_state(spec, m2, p2))
                 note("overlap_closed_vs_direct",
                      abs(direct - overlap_closed(spec, m, p1, m2, p2)))
@@ -74,7 +112,8 @@ def _phase_suite_loop(seed):
 def _entropy_suite_loop(seed):
     """closed_vs_oracle and m_independence with one oracle call per label m,
     folded_vs_unfolded with one scalar table call and one reference call per
-    cell, reflection_swap_symmetry with one closed-form call per draw and side."""
+    cell, reflection_swap_symmetry with one closed-form call per draw and side.
+    Its scalar uniform draws read the stream as the suite's (10, 2) batches do."""
     rng = np.random.default_rng(seed)
     phis = np.linspace(0.0, 2.0 * pi, 5)
     r2s = np.linspace(0.0, 1.0, 5)
@@ -116,13 +155,13 @@ def _entropy_suite_loop(seed):
 
 
 def _splitter_suite_loop(seed):
-    """The splitter suite's seeded checks with one split, one partial trace
-    and one closed-form rho per (m, phi, r2) draw."""
+    """The splitter suite's seeded checks from the same draws as the suite,
+    with one amplitude per get and one split, one partial trace and one
+    closed-form rho per (m, phi, r2) draw."""
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(("number_state_norm", "transmit_reflect_mirror",
                            "phase_state_norm", "reduced_density_two_routes"), 0.0)
-    for n in range(0, 21):
-        r2 = float(rng.uniform(0.0, 1.0))
+    for n, r2 in enumerate(rng.uniform(0.0, 1.0, size=21).tolist()):
         b = split_number_state(n, SplitterParams(r2))
         worst["number_state_norm"] = max(worst["number_state_norm"], abs(b.norm() - 1.0))
         b_swapped = split_number_state(n, SplitterParams(1.0 - r2))
@@ -132,10 +171,10 @@ def _splitter_suite_loop(seed):
     for family, kappa in FAMILIES:
         for two_s in range(1, 9):
             spec = build_structure(family, two_s, kappa)
-            for _ in range(20):
-                m = int(rng.integers(0, spec.dim))
-                phi = float(rng.uniform(0.0, 4.0 * pi))
-                params = SplitterParams(float(rng.uniform(0.0, 1.0)))
+            labels = rng.integers(0, spec.dim, size=20).tolist()
+            draws = rng.uniform((0.0, 0.0), (4.0 * pi, 1.0), size=(20, 2)).tolist()
+            for m, (phi, r2) in zip(labels, draws):
+                params = SplitterParams(r2)
                 b = split_phase_state(spec, m, phi, params)
                 worst["phase_state_norm"] = max(worst["phase_state_norm"], abs(b.norm() - 1.0))
                 worst["reduced_density_two_routes"] = max(
@@ -149,29 +188,29 @@ def _deviation(result):
     return float(result.detail.split()[2])
 
 
+SUITE_LOOPS = {
+    "algebra": _algebra_suite_loop,
+    "phase": _phase_suite_loop,
+    "splitter": _splitter_suite_loop,
+    "entropy": _entropy_suite_loop,
+}
+
+
 @pytest.mark.parametrize("seed", [0, 5])
-def test_phase_suite_matches_loop(seed):
-    reference = _phase_suite_loop(seed)
-    got = {r.name: r for r in phase_suite(seed)}
+@pytest.mark.parametrize("suite", list(SUITE_LOOPS))
+def test_suite_matches_loop(suite, seed):
+    reference = SUITE_LOOPS[suite](seed)
+    got = {r.name: r for r in checks.SUITES[suite](seed)}
     for name, worst in reference.items():
         # the same samples give the same worst deviation, to its printed digits
         assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_entropy_suite_matches_loop(seed):
-    reference = _entropy_suite_loop(seed)
-    got = {r.name: r for r in entropy_suite(seed)}
-    for name, worst in reference.items():
-        assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-def test_splitter_suite_matches_loop(seed):
-    reference = _splitter_suite_loop(seed)
-    got = {r.name: r for r in splitter_suite(seed)}
-    for name, worst in reference.items():
-        assert _deviation(got[name]) == pytest.approx(worst, rel=1e-3, abs=1e-18)
+def test_every_check_passes_on_the_first_ten_seeds():
+    for seed in range(10):
+        failed = [f"{r.suite}.{r.name}" for r in checks.run_suites(["all"], seed)
+                  if not r.passed]
+        assert failed == [], f"seed {seed}"
 
 
 def test_m_spread_over_tolerance_is_a_fail(monkeypatch, capsys):

@@ -41,6 +41,7 @@ from phasebeam.cli import (
     render_csv,
     render_json,
 )
+from test_acceptance import _eigh_oracle_rho
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 NO_PHASE = "reaches 2^52, where a double angle carries no phase"
@@ -97,6 +98,21 @@ class TestParseGrid:
     def test_strictly_increasing(self):
         values = parse_grid("0:6.283185307179586:128")
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("grid", ["0:5e-324:3", "1:1.0000000000000004:4"])
+    def test_repeated_points_refused(self, capsys, grid):
+        # the ends increase, but a span of a few ulps repeats points
+        assert main(["sweep", "--two-s", "2", "--phi", grid, "--r2", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: grid must be strictly increasing, got {grid!r}\n"
+
+    def test_tight_grid_admitted(self, capsys):
+        assert main(["sweep", "--two-s", "2", "--phi", "1:1.0000000000000004:3",
+                     "--r2", "0.5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "1.0000000000000002",
+                                                       "1.0000000000000004"]
 
     @pytest.mark.parametrize("bad", ["0:1:1", "1:0:5", "a:b:c", "1:2", "x",
                                      "0:1:0", "1:1:5", "0:1:2:3",
@@ -625,8 +641,9 @@ def _assert_clean_exit(code, err):
 
 
 class TestComputeContract:
-    """Every compute argv either prints entropies in [0, 1 - 1/d] or exits
-    cleanly with a documented code and one diagnostic line."""
+    """Every compute argv either prints entropies in [0, 1 - 1/d], each
+    within 1e-10 of the eigh oracle where |phi| <= 10, or exits cleanly with
+    a documented code and one diagnostic line."""
 
     FAMILY_KAPPA = st.sampled_from((
         ("kappa-neg", None), ("pegg-barnett", None), ("kappa-pos", 0.5),
@@ -653,6 +670,11 @@ class TestComputeContract:
         values = [float(line.split()[-1]) for line in (lines[:2] if method == "both" else lines)]
         assert len(values) == (2 if method == "both" else 1)
         assert all(0.0 <= v <= 1.0 - 1.0 / (two_s + 1) for v in values)
+        # every kappa drawn is finite; the oracle shares no code with the package
+        if abs(phi) <= 10.0:
+            rho = _eigh_oracle_rho(cli._CLI_FAMILIES[family], two_s, kappa, 0, phi, r2)
+            want = 1.0 - float(np.sum(np.abs(rho) ** 2))
+            assert all(abs(v - want) <= 1e-10 for v in values)
 
 
 def _grids(inner):
@@ -668,7 +690,8 @@ def _grids(inner):
 
 class TestSweepContract:
     """Every sweep argv either prints one row per cell with S in [0, 1 - 1/d]
-    or exits cleanly with a documented code and one diagnostic line."""
+    and distinct points on each axis, or exits cleanly with a documented code
+    and one diagnostic line."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(family_kappa=TestComputeContract.FAMILY_KAPPA,
@@ -702,10 +725,16 @@ class TestSweepContract:
             assert header == ("two_s,phi,r2,S" if len(two_s) > 1 else "phi,r2,S")
             if len(two_s) > 1:
                 assert np.array_equal(cells[:, 0] + 1, dims)
+            points = cells[:, -3], cells[:, -2]
             values = cells[:, -1]
         else:
-            values = np.array(json.loads(out)["values"])
+            payload = json.loads(out)
+            axes = {a["name"]: a["values"] for a in payload["axes"]}
+            points = axes["phi"], axes["r2"]
+            values = np.array(payload["values"])
         assert values.shape == dims.shape
+        # each axis prints its points once per block, all distinct
+        assert [len(set(p)) for p in points] == [phis, r2s]
         assert np.all((0.0 <= values) & (values <= 1.0 - 1.0 / dims))
 
 
