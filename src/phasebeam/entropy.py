@@ -14,11 +14,14 @@ kept (numerics.per_size) while it holds at most RETAIN_ENTRIES terms, up to
 2s = 90.  A larger plan is built once per call that has more than one r2
 build tile, for that call alone, and streams from the same builder in a
 call of one tile.  The Gram entries go into one table keyed by
-the gap, one row per r2 cell, and S = 1 - sum_g W_g cos(g phi) / d^2 per
-(phi, r2) cell, built and contracted in tiles of cells.  On the quadratic
+the gap, one row per r2 cell, built in tiles of r2 cells.  On the quadratic
 tables F(n) = n(1 + kappa(n-1)) of every built-in family the gap is
 2 kappa k with the integer k = j (s' - s), and the entries are binned by
-k; on any other table each term is an entry of its own.
+k; on any other table each term is an entry of its own.  The table gives
+S = 1 - sum_g W_g cos(g phi) / d^2 per (phi, r2) cell, each cell one entry
+of a matrix product of 16 cosine rows cos(g phi) against 16 weight rows W.
+Every product has that one shape, so a cell has the same bits wherever it
+sits in a call, and in a call of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import inf, prod
 
 import numpy as np
 
-from .algebra import StructureSpec
+from .algebra import Family, StructureSpec
 from .errors import IndexOutOfRangeError, NumericalConsistencyError
 from .numerics import _BLOCK_ENTRIES, log_factorials, per_size, read_only
 from .splitter import (
@@ -66,6 +69,19 @@ QUADRATIC_TOL = 1e-14
 PMF_TOL = 1e-12
 # m_independence_report refuses entropies that vary with m by more.
 M_SPREAD_TOL = 1e-12
+
+# Every cell of a contraction is entry (i, j) of one a @ b^T product of a
+# tile a of _TILE cosine rows cos(phi rates) and a tile b of _TILE weight
+# rows, zero-padded.  OpenBLAS sums a cell in an order that depends on the
+# product's shape: on random data, a cell's bits differed from those of a
+# 16-row tile at side 1 (a dot product), at sides 2-3 and 64 from K = 65
+# entries on, and at side 32 at K = 2 973.  So every product has this one
+# shape, and a cell's bits depend on K alone, not on its place or the call.
+_TILE = 16
+# Entries per block of a tile: a table of more entries is contracted in
+# blocks of this many, fixed by K alone, whose products add in order.  A
+# tile of one block holds _BLOCK_ENTRIES (row, entry) products.
+_TILE_ENTRIES = _BLOCK_ENTRIES // _TILE
 
 
 @dataclass(frozen=True)
@@ -279,12 +295,26 @@ def linear_entropy_closed(spec: StructureSpec, phi,
     return _gram_table(spec, params).entropy(phi)
 
 
+def _tiles(rows: np.ndarray) -> np.ndarray:
+    """rows (n, e) as ceil(n / _TILE) tiles (t, _TILE, e), zero-padded; a view when n fills them."""
+    if len(rows) % _TILE:
+        rows = np.concatenate((rows, np.zeros((-len(rows) % _TILE, rows.shape[1]))))
+    return rows.reshape(-1, _TILE, rows.shape[1])
+
+
+def _tile_products(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b^T for the _TILE x e tiles of a and b, whose leading axes broadcast."""
+    return np.matmul(a, b.swapaxes(-1, -2), out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class _GramTable:
     """S = 1 - sum_g weights[..., g] cos(rates[g] phi) / dim^2 for the cells of r2.
 
     rates holds the angle per unit phi of each entry of the folded sum,
-    weights one row per r2 cell.
+    weights one row per r2 cell.  entropy contracts them as products of
+    tiles of _TILE cosine rows against tiles of _TILE weight rows, one tile
+    shape for every call, so that no cell's bits depend on the call.
     """
 
     rates: np.ndarray
@@ -294,49 +324,95 @@ class _GramTable:
     def entropy(self, phi) -> EntropyValue:
         """One entropy per cell of np.broadcast_shapes(phi, r2), each its scalar call's bits.
 
-        The cells go in tiles along the first axis that phi varies on (axis 0
-        if none), so a tile forms its cosines once for every r2 in it.  A tile
-        holds at most _BLOCK_ENTRIES (cell, entry) products, and at least one row.
+        A scalar call is one tile.  Where phi and r2 never both vary along
+        one axis (a grid) every phase meets every r2 cell in _grid; any
+        other broadcast pairs each cell's own phase and r2 in _pairs.
         """
-        scale = self.dim * self.dim
-        shape = np.broadcast(phi, self.weights[..., 0]).shape  # the cells
-        if not shape:
-            return EntropyValue(1.0 - self._purity(phi, self.weights) / scale,
-                                CLOSED_FORM, self.dim)
-        phi = np.reshape(phi, (1,) * (len(shape) - np.ndim(phi)) + np.shape(phi))
-        weights = np.broadcast_to(self.weights, shape + self.weights.shape[-1:])  # a view
-        axis = next((a for a, n in enumerate(phi.shape) if n > 1), 0)
-        per_row = prod(shape[:axis] + shape[axis + 1:]) * self.rates.size
-        rows = max(1, _BLOCK_ENTRIES // max(1, per_row))
-        purity = np.empty(shape)
-        for r in range(0, shape[axis], rows):
-            tile = (slice(None),) * axis + (slice(r, r + rows),)
-            purity[tile] = self._purity(phi[tile] if phi.size > 1 else phi, weights[tile])
-        return EntropyValue(1.0 - purity / scale, CLOSED_FORM, self.dim)
+        rows = self.weights.reshape(-1, self.rates.size)
+        cells = self.weights.shape[:-1]
+        if np.ndim(phi) == 0 and not cells:  # row 0 of a tile against row 0 of another
+            entries, width, _ = self._blocks()
+            purity = 0.0
+            for g in range(0, entries, width):
+                a, b = np.zeros((2, _TILE, min(width, entries - g)))
+                np.cos(phi * self.rates[g:g + width], out=a[0])
+                b[0] = rows[0, g:g + width]
+                purity += _tile_products(a, b)[0, 0]
+            return EntropyValue(1.0 - purity / (self.dim * self.dim), CLOSED_FORM, self.dim)
+        shape = np.broadcast_shapes(np.shape(phi), cells)
+        n = len(shape)
+        phi_shape = (1,) * (n - np.ndim(phi)) + np.shape(phi)
+        r2_shape = (1,) * (n - len(cells)) + cells
+        if all(1 in sides for sides in zip(phi_shape, r2_shape)):
+            # Axis a of the cells is axis a of phi or of r2, whichever has length > 1.
+            order = [i for a in range(n) for i in (a, n + a)]
+            purity = self._grid(np.ravel(phi), rows).reshape(phi_shape + r2_shape)
+            purity = purity.transpose(order).reshape(shape)
+        else:
+            pairs = np.broadcast_to(np.arange(len(rows)).reshape(cells), shape).ravel()
+            purity = self._pairs(np.broadcast_to(phi, shape).ravel(), rows, pairs).reshape(shape)
+        return EntropyValue(1.0 - purity / (self.dim * self.dim), CLOSED_FORM, self.dim)
 
-    def _purity(self, phi, weights):
-        """sum_g weights[..., g] cos(rates[g] phi) for the cells of phi and weights.
+    def _blocks(self):
+        """(entries, width, step): the entries go in blocks of width, the tiles
+        of a side in blocks of step rows, at most _BLOCK_ENTRIES (row, entry)
+        products (at least one tile)."""
+        entries = self.rates.size
+        width = min(entries, _TILE_ENTRIES)
+        return entries, width, _TILE * max(1, _BLOCK_ENTRIES // (_TILE * width))
 
-        The entries go in blocks of at most _BLOCK_ENTRIES, whose sums add in
-        order.
+    def _grid(self, phis, rows):
+        """purity[p, r] = sum_g rows[r, g] cos(rates[g] phis[p]) for every phase and row.
+
+        Cell (p, r) is entry (p % _TILE, r % _TILE) of the product of phase
+        tile p // _TILE and row tile r // _TILE; each block of entries adds its
+        products in order.
         """
-        purity = 0.0
-        for g in range(0, self.rates.size, _BLOCK_ENTRIES):
-            angle = np.multiply.outer(phi, self.rates[g:g + _BLOCK_ENTRIES])
-            block = weights[..., g:g + _BLOCK_ENTRIES]
-            purity = purity + (block * np.cos(angle)).sum(axis=-1)
-        return purity
+        entries, width, step = self._blocks()
+        out = np.empty((-(-len(phis) // _TILE) * _TILE, -(-len(rows) // _TILE) * _TILE))
+        # tiles[t, u] is out[16 t:16 t + 16, 16 u:16 u + 16], a view.
+        tiles = out.reshape(len(out) // _TILE, _TILE, out.shape[1] // _TILE, _TILE).swapaxes(1, 2)
+        for p in range(0, len(phis), step):
+            for g in range(0, entries, width):
+                a = _tiles(np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
+                for r in range(0, len(rows), step):
+                    b = _tiles(rows[r:r + step, g:g + width])[None]
+                    block = tiles[p // _TILE:(p + step) // _TILE, r // _TILE:(r + step) // _TILE]
+                    if g:
+                        block += _tile_products(a[:, None], b)
+                    else:  # the products of the first block go straight into out
+                        _tile_products(a[:, None], b, block)
+        return out[:len(phis), :len(rows)]
+
+    def _pairs(self, phis, rows, pairs):
+        """purity[c] = sum_g rows[pairs[c], g] cos(rates[g] phis[c]) for each cell c.
+
+        Cell c is entry (c % _TILE, c % _TILE) of the product of tile
+        c // _TILE of its phases and tile c // _TILE of its rows.
+        """
+        entries, width, step = self._blocks()
+        out = np.zeros((-(-len(phis) // _TILE), _TILE))
+        for p in range(0, len(phis), step):
+            for g in range(0, entries, width):
+                a = _tiles(np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
+                b = _tiles(rows[pairs[p:p + step], g:g + width])
+                out[p // _TILE:(p + step) // _TILE] += (
+                    _tile_products(a, b).diagonal(axis1=-2, axis2=-1))
+        return out.reshape(-1)[:len(phis)]
 
 
 def _quadratic(spec: StructureSpec) -> bool:
-    """Whether F(0..2s) fit n(1 + kappa(n-1)) at spec.kappa (0 where it has none).
+    """Whether F(0..2s) = n(1 + kappa(n-1)) at spec.kappa (0 where it has none).
 
-    F(2s+1) = 0 is the truncation and takes no part in the fit.
+    Every built-in family's levels are built by that formula; a CUSTOM table
+    is fitted, to QUADRATIC_TOL relative to max |F|.  F(2s+1) = 0 is the
+    truncation and takes no part in the fit.
     """
-    kappa = spec.kappa or 0.0
+    if spec.family is not Family.CUSTOM:
+        return True
     levels = spec.levels[:spec.dim]
     n = np.arange(spec.dim, dtype=float)
-    dev = np.abs(levels - n * (1.0 + kappa * (n - 1.0))).max()
+    dev = np.abs(levels - n * (1.0 + (spec.kappa or 0.0) * (n - 1.0))).max()
     return bool(dev <= QUADRATIC_TOL * np.abs(levels).max())
 
 

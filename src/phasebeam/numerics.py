@@ -18,9 +18,9 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 RETAIN_ENTRIES = 1 << 17
 
 # Tile bound in entries, so that peak memory does not grow with the cells:
-# a Gram table builds _BLOCK_ENTRIES // d^2 r2 cells at a time and is
-# contracted in tiles of this many (cell, entry) products (at least one row)
-# and blocks of this many entries; a sweep's rho tile holds 1 MiB.
+# a Gram table builds _BLOCK_ENTRIES // d^2 r2 cells at a time, and its
+# contraction takes the tiles of each side in blocks of at most this many
+# (row, entry) products (at least one tile); a sweep's rho tile holds 1 MiB.
 _BLOCK_ENTRIES = 1 << 16
 
 

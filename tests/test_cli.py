@@ -9,7 +9,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
-from math import exp, pi
+from math import exp, inf, nextafter, pi
 from pathlib import Path
 
 import numpy as np
@@ -677,12 +677,20 @@ class TestComputeContract:
             assert all(abs(v - want) <= 1e-10 for v in values)
 
 
+def _ulps_above(value, ulps):
+    """The double ulps steps above value."""
+    for _ in range(ulps):
+        value = nextafter(value, inf)
+    return value
+
+
 def _grids(inner):
     """(points, spec) of a --phi or --r2 grid: a scalar, or start:stop:count
-    with ends from EDGE_FLOATS or inner, often ascending, and a count that
-    may be refused."""
+    with ends from EDGE_FLOATS or inner, often ascending, some 1-3 ulps apart
+    (a span too short for distinct points), and a count that may be refused."""
     end = st.sampled_from(EDGE_FLOATS) | inner
-    ends = st.tuples(end, end).map(sorted) | st.tuples(end, end)
+    near = st.tuples(end, st.integers(1, 3)).map(lambda e: (e[0], _ulps_above(*e)))
+    ends = st.tuples(end, end).map(sorted) | st.tuples(end, end) | near
     return (end.map(lambda v: (1, repr(v)))
             | st.tuples(ends, st.integers(1, 4)).map(
                 lambda g: (g[1], f"{g[0][0]!r}:{g[0][1]!r}:{g[1]}")))

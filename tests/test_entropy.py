@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from math import exp, fsum, pi
 
 import mpmath
@@ -403,7 +404,7 @@ class TestLinearEntropyClosed:
         spec = structure_from_spacings(np.array([1.0, 1.7, 0.6, -3.3]))
         phis, params = np.array([[0.0], [0.7], [2.5]]), SplitterParams(np.array([0.2, 0.5]))
         whole = linear_entropy_closed(spec, phis, params).value
-        monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 6)
+        monkeypatch.setattr(entropy, "_TILE_ENTRIES", 6)
         blocks = linear_entropy_closed(spec, phis, params).value
         assert np.max(np.abs(blocks - whole)) <= 1e-15
         assert blocks[2, 1] == linear_entropy_closed(spec, 2.5, SplitterParams(0.5)).value
@@ -506,6 +507,9 @@ class TestLinearEntropySpectral:
             table = entropy._gram_table(spec, BALANCED)
             return table.rates.size < entropy._plan_terms(spec.dim)
 
+        # the built-in families bin by k by construction, unfitted; only a
+        # CUSTOM table is fitted
+        assert all(keyed_by_k(build_structure(family, 4, kappa)) for family, kappa in FAMILIES)
         rng = np.random.default_rng(17)
         g = rng.uniform(0.5, 1.5, 4)
         assert not keyed_by_k(structure_from_spacings(np.append(g, -g.sum())))
@@ -746,51 +750,82 @@ class TestPhaseStacks:
 
 
 class TestContractionTiles:
-    """_GramTable.entropy tiles its cells; every tiling gives the bits of one tile."""
+    """_GramTable.entropy contracts tiles of _TILE rows in blocks of tiles;
+    every blocking gives the bits of one block."""
 
     PHI5 = np.array([0.0, 0.7, pi, 4.0, 11.0])
     R2_4 = np.array([0.0, 0.3, 0.8, 1.0])
-    # (phi, r2): scalars, a phase vector, an r2 vector, phi[:, None] x r2,
-    # r2[:, None] x phi, an equal-shape pair and a 3-d broadcast
-    CASES = ((1.9, 0.3), (PHI5, 0.3), (1.9, R2_4), (PHI5[:, None], R2_4),
-             (PHI5, R2_4[:, None]), (PHI5, PHI5 / 11.0),
-             (PHI5[:, None, None], np.linspace(0.0, 1.0, 6).reshape(2, 3)))
+    PHI40, R2_20 = np.linspace(0.0, 11.0, 40), np.linspace(0.0, 1.0, 20)
+    # (phi, r2, tiles): scalars, a phase vector, an r2 vector, phi[:, None] x r2,
+    # r2[:, None] x phi, an equal-shape pair, a 3-d broadcast, and 40 x 20
+    # grids both ways and 40 pairs, which fill 3 x 2 and 3 tiles of 16 rows
+    CASES = ((1.9, 0.3, 1), (PHI5, 0.3, 1), (1.9, R2_4, 1), (PHI5[:, None], R2_4, 1),
+             (PHI5, R2_4[:, None], 1), (PHI5, PHI5 / 11.0, 1),
+             (PHI5[:, None, None], np.linspace(0.0, 1.0, 6).reshape(2, 3), 1),
+             (PHI40[:, None], R2_20, 6), (PHI40, R2_20[:, None], 6), (PHI40, PHI40 / 11.0, 3))
 
     @pytest.mark.parametrize("spec", [*(build_structure(family, 5, kappa)
                                         for family, kappa in FAMILIES), _custom_spec(5)],
                              ids=lambda spec: spec.family.value)
     def test_tiles_equal_one_tile(self, monkeypatch, spec):
         k = entropy._gram_table(spec, BALANCED).rates.size
-        tiles = []
-        purity_call = entropy._GramTable._purity
+        products = []
+        product_call = entropy._tile_products
 
-        def spy(table, phi, weights):
-            tiles.append(np.broadcast_shapes(np.shape(phi), weights.shape[:-1]))
-            return purity_call(table, phi, weights)
+        def spy(a, b, out=None):
+            product = product_call(a, b, out)
+            products.append(product.shape)
+            return product
 
         def contract(bound):
             monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", bound)
             out = []
-            for phi, r2 in self.CASES:
-                tiles.clear()
+            for phi, r2, tiles in self.CASES:
+                products.clear()
                 value = np.asarray(linear_entropy_closed(spec, phi, SplitterParams(r2)).value)
-                # the tiles cover the cells once, in as many tiles as the bound needs
-                assert sum(np.prod(tile, dtype=int) for tile in tiles) == value.size
-                out.append((value, len(tiles)))
+                # every product is of _TILE x _TILE tiles, and the tiles cover
+                # the cells once, in as many products as the bound needs
+                assert {shape[-2:] for shape in products} == {(16, 16)}
+                assert sum(np.prod(shape[:-2], dtype=int) for shape in products) == tiles
+                out.append((value, len(products)))
             return out
 
-        monkeypatch.setattr(entropy._GramTable, "_purity", spy)
+        monkeypatch.setattr(entropy, "_tile_products", spy)
         whole = contract(1 << 40)
         assert [n for _, n in whole] == [1] * len(self.CASES)
-        # bounds of at least K keep every block of entries whole; a tile takes
-        # the rows of the first axis that phi varies on (axis 0 if none) that
-        # fit in the bound, at least one
-        for bound, counts in ((k, [1, 5, 4, 5, 5, 5, 5]), (3 * k, [1, 2, 2, 5, 5, 2, 5])):
+        # a block holds the tiles of a side that fit in the bound, at least one:
+        # one or two of 16 rows of K entries
+        for bound, counts in ((16 * k, [1] * 7 + [6, 6, 3]), (32 * k, [1] * 7 + [2, 2, 2])):
             tiled = contract(bound)
             assert [n for _, n in tiled] == counts
             for (got, _), (want, _) in zip(tiled, whole):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 10, 40, 80])
+@pytest.mark.parametrize("family, kappa", [*FAMILIES, (Family.CUSTOM, None)],
+                         ids=lambda v: getattr(v, "value", v))
+def test_cell_bits_do_not_depend_on_tile_position(family, kappa, two_s):
+    # a Gram-table cell contracted alone equals, to the bit, the same cell at
+    # other places of a tile: in a 128 x 101 grid, in the transposed grid and
+    # in a paired call.  The CUSTOM table at 2s = 80 holds 91 881 entries per
+    # r2 value, so its grid has 17 r2 values (two tiles), not 101
+    spec = _custom_spec(two_s) if family is Family.CUSTOM else build_structure(family, two_s, kappa)
+    phis = np.linspace(0.0, 2 * pi, 128)
+    r2 = np.linspace(0.0, 1.0, 101)[::6 if family is Family.CUSTOM and two_s == 80 else 1]
+    table = entropy._gram_table(spec, SplitterParams(r2))
+    grid = table.entropy(phis[:, None]).value
+    swapped = replace(table, weights=table.weights[:, None]).entropy(phis).value
+    # tile edges and corners, and cells drawn once
+    rows = np.r_[0, 15, 16, 17, 127, np.random.default_rng(two_s).integers(0, 128, 11)]
+    cols = np.r_[0, 15, 16, r2.size - 2, r2.size - 1,
+                 np.random.default_rng(two_s + 1).integers(0, r2.size, 11)]
+    rows, cols = np.meshgrid(rows, cols)
+    paired = replace(table, weights=table.weights[cols.ravel()]).entropy(phis[rows.ravel()]).value
+    for cell, (i, j) in enumerate(zip(rows.ravel(), cols.ravel())):
+        alone = replace(table, weights=table.weights[j]).entropy(phis[i]).value
+        assert grid[i, j] == swapped[j, i] == paired[cell] == alone
 
 
 class TestStreamedPlan:
@@ -833,8 +868,10 @@ class TestStreamedPlan:
 
 # float.hex of linear_entropy_closed per (family, 2s): the scalar call at
 # PIN_PHI, the phase vector PIN_PHIS, then the grid PIN_GRID_PHIS x PIN_R2S
-# row-major, all at r2 = PIN_R2 but the grid.  Frozen from the kernel that
-# weighted whole Gram squares by pairs; the per-term fold weights keep them.
+# row-major, all at r2 = PIN_R2 but the grid.  Re-frozen when the contraction
+# became products of fixed 16 x 16 tiles: 47 of the 240 values moved, by 1-4
+# ulps of the value (16 at two pegg-barnett cells of 2s = 10, S ~ 0.1), and at
+# most 2.2e-16; three cells at r2 = 1 - 2^-53 moved between 0 and 2^-53 or 2^-52.
 PIN_PHI, PIN_PHIS, PIN_GRID_PHIS = 0.7, np.array([0.0, 2.5, 100.0]), np.array([[1.3], [5.9]])
 PIN_R2, PIN_R2S = 0.3, np.array([0.0, 0.1, 0.3, 0.5, 0.77, 0.9, 1 - 2**-53, 1.0])
 PINNED_BITS = {
@@ -843,25 +880,25 @@ PINNED_BITS = {
         0x0.0p+0 0x1.19c7162db4a4cp-3 0x1.1fe9f704b6a3ap-2 0x1.489a027937fe2p-2
         0x1.f731edb029b2cp-3 0x1.19c7162db4a4cp-3 0x1.8000000000000p-52 0x0.0p+0
         0x0.0p+0 0x1.e2cbe268d7b90p-3 0x1.dfc54aa731c4ap-2 0x1.0e09337dc1c9bp-1
-        0x1.a742efe5f7020p-2 0x1.e2cbe268d7b94p-3 0x1.4000000000000p-51 0x0.0p+0""",
+        0x1.a742efe5f701ep-2 0x1.e2cbe268d7b94p-3 0x1.4000000000000p-51 0x0.0p+0""",
     (Family.KAPPA_NEG, 10): """
-        0x1.5263dffe12608p-2 0x1.7bc72f07a56dcp-3 0x1.5f76fdc7cb8e4p-1 0x1.83b5c40b02026p-1
-        0x0.0p+0 0x1.40828a6e1d5a0p-2 0x1.044296d6eb77dp-1 0x1.17d7b8b072ba6p-1
-        0x1.e049e2041ef58p-2 0x1.40828a6e1d5a0p-2 0x0.0p+0 0x0.0p+0
-        0x0.0p+0 0x1.0c411c7816ed6p-1 0x1.83462de57293ap-1 0x1.97ff9f8ddc8b3p-1
-        0x1.6d734e505a26ep-1 0x1.0c411c7816ed5p-1 0x1.0000000000000p-52 0x0.0p+0""",
+        0x1.5263dffe1260ap-2 0x1.7bc72f07a56dcp-3 0x1.5f76fdc7cb8e4p-1 0x1.83b5c40b02026p-1
+        0x0.0p+0 0x1.40828a6e1d59ep-2 0x1.044296d6eb77ep-1 0x1.17d7b8b072ba6p-1
+        0x1.e049e2041ef56p-2 0x1.40828a6e1d59cp-2 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.0c411c7816ed6p-1 0x1.83462de57293ap-1 0x1.97ff9f8ddc8b2p-1
+        0x1.6d734e505a26ep-1 0x1.0c411c7816ed6p-1 0x1.0000000000000p-52 0x0.0p+0""",
     (Family.KAPPA_NEG, 40): """
-        0x1.3193be1d76051p-1 0x1.a5593e661f528p-2 0x1.a8f8c48bec335p-1 0x1.ce02a1eda49efp-1
-        0x0.0p+0 0x1.2d2208224d55ep-1 0x1.71c384651595fp-1 0x1.7d06b34d72a54p-1
-        0x1.65e3a308cc258p-1 0x1.2d2208224d565p-1 0x0.0p+0 0x0.0p+0
+        0x1.3193be1d76052p-1 0x1.a5593e661f528p-2 0x1.a8f8c48bec335p-1 0x1.ce02a1eda49eep-1
+        0x0.0p+0 0x1.2d2208224d55dp-1 0x1.71c384651595ep-1 0x1.7d06b34d72a54p-1
+        0x1.65e3a308cc258p-1 0x1.2d2208224d564p-1 0x0.0p+0 0x0.0p+0
         0x0.0p+0 0x1.9fc7d522d04d2p-1 0x1.d2f5099d363bcp-1 0x1.d915176a9c91ep-1
         0x1.cb831d273f6a9p-1 0x1.9fc7d522d04d6p-1 0x1.0000000000000p-52 0x0.0p+0""",
     (Family.KAPPA_NEG, 95): """
-        0x1.736d76c17119bp-1 0x1.232d206d29fe3p-1 0x1.c601758896f0ep-1 0x1.c987e783b4634p-1
-        0x0.0p+0 0x1.70e19914195b0p-1 0x1.a08323d7b9299p-1 0x1.a83bb97a5898cp-1
-        0x1.9857a95313c38p-1 0x1.70e19914195afp-1 0x0.0p+0 0x0.0p+0
+        0x1.736d76c17119cp-1 0x1.232d206d29fe3p-1 0x1.c601758896f0dp-1 0x1.c987e783b4634p-1
+        0x0.0p+0 0x1.70e19914195b0p-1 0x1.a08323d7b9299p-1 0x1.a83bb97a5898bp-1
+        0x1.9857a95313c39p-1 0x1.70e19914195b0p-1 0x0.0p+0 0x0.0p+0
         0x0.0p+0 0x1.ce267c01d2f5ap-1 0x1.e40ff86d56980p-1 0x1.e67af79d1ee79p-1
-        0x1.e137aa334ba06p-1 0x1.ce267c01d2f5ap-1 0x0.0p+0 0x0.0p+0""",
+        0x1.e137aa334ba07p-1 0x1.ce267c01d2f5ap-1 0x0.0p+0 0x0.0p+0""",
     (Family.PEGG_BARNETT, 3): """
         0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4
         0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab24p-3
@@ -870,46 +907,46 @@ PINNED_BITS = {
         0x1.c1da89ffe6200p-4 0x1.0add0cca59040p-4 0x1.8000000000000p-52 0x0.0p+0""",
     (Family.PEGG_BARNETT, 10): """
         0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3
-        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c4p-3
-        0x1.535542c991c70p-3 0x1.a7059d5cdb798p-4 0x0.0p+0 0x0.0p+0
-        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c4p-3
-        0x1.535542c991c70p-3 0x1.a7059d5cdb798p-4 0x0.0p+0 0x0.0p+0""",
+        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c8p-3
+        0x1.535542c991c70p-3 0x1.a7059d5cdb788p-4 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c8p-3
+        0x1.535542c991c70p-3 0x1.a7059d5cdb788p-4 0x0.0p+0 0x0.0p+0""",
     (Family.PEGG_BARNETT, 40): """
         0x1.a5593e661f528p-2 0x1.a5593e661f528p-2 0x1.a5593e661f528p-2 0x1.a5593e661f528p-2
-        0x0.0p+0 0x1.0854e1636be34p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
+        0x0.0p+0 0x1.0854e1636be36p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
         0x1.847e850e3fba8p-2 0x1.0854e1636be4ep-2 0x0.0p+0 0x0.0p+0
-        0x0.0p+0 0x1.0854e1636be34p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
+        0x0.0p+0 0x1.0854e1636be36p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
         0x1.847e850e3fba8p-2 0x1.0854e1636be4ep-2 0x0.0p+0 0x0.0p+0""",
     (Family.PEGG_BARNETT, 95): """
         0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1
-        0x0.0p+0 0x1.a99c6b7311986p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96896p-1
-        0x1.143f64c5af820p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0
-        0x0.0p+0 0x1.a99c6b7311986p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96896p-1
-        0x1.143f64c5af820p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0""",
+        0x0.0p+0 0x1.a99c6b7311988p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96898p-1
+        0x1.143f64c5af821p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x1.a99c6b7311988p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96898p-1
+        0x1.143f64c5af821p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0""",
     (Family.KAPPA_POS, 3): """
         0x1.de3b6e60ebeecp-3 0x1.f7f3f9d398968p-4 0x1.d33195b5d22ccp-2 0x1.8571b9a5d0eb4p-3
         0x0.0p+0 0x1.8d2ad18d7cc1cp-3 0x1.9a878e563f23ap-2 0x1.d5cef4a2459f8p-2
         0x1.65c778e8fc002p-2 0x1.8d2ad18d7cc20p-3 0x1.0000000000000p-51 0x0.0p+0
-        0x0.0p+0 0x1.4e5dc07b3d618p-4 0x1.46254e6c64bb4p-3 0x1.6efd0b7b5fb80p-3
+        0x0.0p+0 0x1.4e5dc07b3d618p-4 0x1.46254e6c64bb4p-3 0x1.6efd0b7b5fb7cp-3
         0x1.20893cd7711fcp-3 0x1.4e5dc07b3d620p-4 0x1.8000000000000p-52 0x0.0p+0""",
     (Family.KAPPA_POS, 10): """
         0x1.7cc90dee357e2p-1 0x1.7bc72f07a56dcp-3 0x1.83fe5112e0c8dp-1 0x1.6606770729512p-1
         0x0.0p+0 0x1.0d5e45544f71ap-1 0x1.8405f7a74e2d3p-1 0x1.9804087be0ee8p-1
-        0x1.6e7fbe7c77e12p-1 0x1.0d5e45544f719p-1 0x1.8000000000000p-52 0x0.0p+0
-        0x0.0p+0 0x1.b161269139d40p-2 0x1.3dfabd9a776f1p-1 0x1.4e5c3a7548328p-1
-        0x1.2c2ced433a787p-1 0x1.b161269139d42p-2 0x1.0000000000000p-53 0x0.0p+0""",
+        0x1.6e7fbe7c77e12p-1 0x1.0d5e45544f71ap-1 0x1.8000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.b161269139d40p-2 0x1.3dfabd9a776f0p-1 0x1.4e5c3a7548328p-1
+        0x1.2c2ced433a786p-1 0x1.b161269139d40p-2 0x0.0p+0 0x0.0p+0""",
     (Family.KAPPA_POS, 40): """
-        0x1.d63a135038da0p-1 0x1.a5593e661f528p-2 0x1.c54e4d14dbe36p-1 0x1.d913a25f56c0dp-1
-        0x0.0p+0 0x1.a2f64a1eea6fcp-1 0x1.d67deee8e69a6p-1 0x1.dc150e1fb232fp-1
-        0x1.cf3b41ca22df6p-1 0x1.a2f64a1eea700p-1 0x1.0000000000000p-52 0x0.0p+0
-        0x0.0p+0 0x1.a1c80b99bb430p-1 0x1.d73a595b74590p-1 0x1.df01062acb6cdp-1
+        0x1.d63a135038da0p-1 0x1.a5593e661f528p-2 0x1.c54e4d14dbe36p-1 0x1.d913a25f56c0ep-1
+        0x0.0p+0 0x1.a2f64a1eea6fbp-1 0x1.d67deee8e69a6p-1 0x1.dc150e1fb2330p-1
+        0x1.cf3b41ca22df6p-1 0x1.a2f64a1eea6ffp-1 0x1.0000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.a1c80b99bb42fp-1 0x1.d73a595b74590p-1 0x1.df01062acb6cdp-1
         0x1.ced43590bc40ep-1 0x1.a1c80b99bb432p-1 0x1.0000000000000p-53 0x0.0p+0""",
     (Family.KAPPA_POS, 95): """
         0x1.e6486d362ea4fp-1 0x1.232d206d29fe3p-1 0x1.e1c88f1c60c48p-1 0x1.ed691e43bc28cp-1
         0x0.0p+0 0x1.d3a61455f76bap-1 0x1.eee037ceea207p-1 0x1.f27d910fadfc5p-1
-        0x1.eac4e05b0fe35p-1 0x1.d3a61455f76bap-1 0x0.0p+0 0x0.0p+0
+        0x1.eac4e05b0fe35p-1 0x1.d3a61455f76bbp-1 0x1.0000000000000p-52 0x0.0p+0
         0x0.0p+0 0x1.d384c3f373585p-1 0x1.eec480d35ff84p-1 0x1.f2ae9828a28c4p-1
-        0x1.ea90f0b1197c7p-1 0x1.d384c3f373586p-1 0x1.0000000000000p-52 0x0.0p+0""",
+        0x1.ea90f0b1197c8p-1 0x1.d384c3f373585p-1 0x0.0p+0 0x0.0p+0""",
 }
 
 

@@ -100,19 +100,20 @@ class TestSweepR2Phi:
 
         # the same slice by Gram tables
         _force_route(monkeypatch, True)
-        purity_call = entropy._GramTable._purity
-        # each contraction tile with the weights of one r2 value of three
-        # scaled: S = -0.05 there, beyond the clamp band, then S = 0.9125 > 1 - 1/d
+        product_call = entropy._tile_products
+        # each tile product with the weights of one r2 value of three (row 1
+        # of the weight tile) scaled: S = -0.05 there, beyond the clamp band,
+        # then S = 0.9125 > 1 - 1/d
         for scale in (1.2, 0.1):
-            rows = np.array([1.0, scale, 1.0])[:, None]
+            rows = np.r_[1.0, scale, np.ones(14)][:, None]
 
-            def scaled(table, phi, weights, rows=rows):
-                return purity_call(table, phi, weights * rows)
+            def scaled(a, b, out=None, rows=rows):
+                return product_call(a, b * rows, out)
 
-            monkeypatch.setattr(entropy._GramTable, "_purity", scaled)
+            monkeypatch.setattr(entropy, "_tile_products", scaled)
             with pytest.raises(NumericalConsistencyError):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
-        monkeypatch.setattr(entropy._GramTable, "_purity", purity_call)
+        monkeypatch.setattr(entropy, "_tile_products", product_call)
         # one binomial column of one r2 value sums to 1 + 1e-11
         pmf_call = entropy._binomial_pmf
 
@@ -254,48 +255,49 @@ class TestDeterminismAndParallel:
     @staticmethod
     def _spy_tables(monkeypatch, calls, tiles):
         """Take every slice by tables; record (2s, phi shape, r2 shape) per
-        linear_entropy_closed call and (2s, phi shape, weights cells) per
-        contraction tile."""
+        linear_entropy_closed call and (2s, phase tiles, r2 tiles) per
+        contraction product."""
         from phasebeam import entropy, experiments
 
         closed_call = experiments.linear_entropy_closed
-        purity_call = entropy._GramTable._purity
+        product_call = entropy._tile_products
 
         def closed(spec, phi, params):
             calls.append((spec.two_s, np.shape(phi), np.shape(params.r2)))
             return closed_call(spec, phi, params)
 
-        def purity(table, phi, weights):
-            tiles.append((table.dim - 1, np.shape(phi), weights.shape[:-1]))
-            return purity_call(table, phi, weights)
+        def product(a, b, out=None):
+            tiles.append((calls[-1][0], a.shape[0], b.shape[1]))
+            return product_call(a, b, out)
 
         _force_route(monkeypatch, True)
         monkeypatch.setattr(experiments, "linear_entropy_closed", closed)
-        monkeypatch.setattr(entropy._GramTable, "_purity", purity)
+        monkeypatch.setattr(entropy, "_tile_products", product)
 
     def test_table_phi_blocks_match_one_block(self, monkeypatch):
         from phasebeam import entropy
 
-        phis = np.linspace(0, 2 * pi, 7)
+        phis = np.linspace(0, 2 * pi, 40)
         calls, tiles = [], []
         self._spy_tables(monkeypatch, calls, tiles)
         whole = sweep_r2_phi(3, phis, (0.2, 0.5))
-        assert calls == [(3, (7, 1), (2,))]
-        assert tiles == [(3, (7, 1), (7, 2))]
+        # 40 phases fill 3 tiles of 16, and both r2 values one
+        assert calls == [(3, (40, 1), (2,))]
+        assert tiles == [(3, 3, 1)]
         calls.clear()
         tiles.clear()
-        # d^2 = 16 and 3 distinct k at 2s = 3: one table of both r2 values,
-        # contracted in tiles of 32 // (3 * 2) = 5 phases, the last one short
-        monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 2 * 16)
+        # 3 distinct k at 2s = 3: one table of both r2 values, contracted in
+        # blocks of 96 // (16 * 3) = 2 phase tiles, the last one short
+        monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 2 * 16 * 3)
         assert np.array_equal(sweep_r2_phi(3, phis, (0.2, 0.5)).values, whole.values)
-        assert calls == [(3, (7, 1), (2,))]
-        assert tiles == [(3, (5, 1), (5, 2)), (3, (2, 1), (2, 2))]
+        assert calls == [(3, (40, 1), (2,))]
+        assert tiles == [(3, 2, 1), (3, 1, 1)]
 
     def test_table_tiles_match_one_block(self, monkeypatch):
         from phasebeam import SplitterParams, build_structure, entropy, experiments
         from phasebeam.algebra import structure_from_spacings
 
-        phis = np.linspace(0, 2 * pi, 7)
+        phis = np.linspace(0, 2 * pi, 40)
         r2s = (0.0, 0.2, 0.5, 0.9, 1.0)
 
         def sweep():
@@ -315,9 +317,9 @@ class TestDeterminismAndParallel:
         calls, tiles = [], []
         self._spy_tables(monkeypatch, calls, tiles)
         whole, whole_builds = sweep(), builds()
-        # one call per 2s slice, contracted with all 7 phases at once
-        assert calls == [(2, (7, 1), (5,)), (3, (7, 1), (5,))]
-        assert tiles == [(2, (7, 1), (7, 5)), (3, (7, 1), (7, 5))]
+        # one call per 2s slice, contracted with all 3 phase tiles at once
+        assert calls == [(2, (40, 1), (5,)), (3, (40, 1), (5,))]
+        assert tiles == [(2, 3, 1), (3, 3, 1)]
         calls.clear()
         tiles.clear()
         pmfs = []
@@ -328,14 +330,13 @@ class TestDeterminismAndParallel:
             return pmf_call(spec, params)
 
         # the table builds its r2 cells in tiles of 32 // d^2: 3 at 2s = 2
-        # and 2 at 2s = 3, the last one short; its 2 and 3 distinct k go in
-        # phase tiles of 32 // (2 * 5) = 3 and 32 // (3 * 5) = 2
+        # and 2 at 2s = 3, the last one short; with 2 and 3 distinct k, a
+        # contraction block holds max(1, 32 // (16 k)) = 1 phase tile
         monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 32)
         monkeypatch.setattr(entropy, "_binomial_pmf", spy_pmf)
         assert np.array_equal(sweep().values, whole.values)
-        assert calls == [(2, (7, 1), (5,)), (3, (7, 1), (5,))]
-        assert tiles == ([(2, (3, 1), (3, 5))] * 2 + [(2, (1, 1), (1, 5))]
-                         + [(3, (2, 1), (2, 5))] * 3 + [(3, (1, 1), (1, 5))])
+        assert calls == [(2, (40, 1), (5,)), (3, (40, 1), (5,))]
+        assert tiles == [(2, 1, 1)] * 3 + [(3, 1, 1)] * 3
         assert pmfs == [(2, 3), (2, 2), (3, 2), (3, 2), (3, 1)]
         # each tiled table is the whole build to the bit, in the shape of r2
         for tiled, one in zip(builds(), whole_builds, strict=True):
