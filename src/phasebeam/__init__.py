@@ -18,22 +18,19 @@ __version__ = "0.1.0"
 # Each public name under its module, in the order of __all__.
 _PUBLIC = {
     "algebra": ("Family", "StructureSpec", "build_structure", "structure_from_spacings",
-                "ladder_minus", "ladder_plus", "number_operator", "hamiltonian",
-                "phase_operator"),
-    "phase_states": ("PhaseLabel", "phase_state", "apply_phase_operator", "evolve",
-                     "evolve_vector", "overlap_direct", "overlap_closed", "closure_matrix"),
+                "ladder_minus", "ladder_plus", "number_operator", "phase_operator"),
+    "phase_states": ("phase_state", "apply_phase_operator", "evolve_vector",
+                     "overlap_direct", "overlap_closed", "closure_matrix"),
     "splitter": ("SplitterParams", "BipartiteVector", "tri_size", "split_number_state",
                  "split_phase_state", "reduced_density", "reduced_density_closed",
                  "validate_density"),
-    "entropy": ("EntropyValue", "MIndependenceReport", "linear_entropy",
-                "linear_entropy_closed", "phase_term", "m_independence_report"),
+    "entropy": ("EntropyValue", "linear_entropy", "linear_entropy_closed"),
     "experiments": ("Axis", "SweepTable", "entropy_point", "sweep_r2_phi",
                     "sweep_phi_balanced", "sweep_s_balanced"),
     "errors": ("PhasebeamError", "InvalidDimensionError", "InvalidStructureError",
                "NonPositiveLevelError", "TraceNotZeroError", "MissingKappaError",
-               "DimensionMismatchError", "NotNormalizedError", "IndexOutOfRangeError",
-               "InvalidDensityError", "NumericalConsistencyError", "UsageError",
-               "RangeError"),
+               "DimensionMismatchError", "NotNormalizedError", "InvalidDensityError",
+               "NumericalConsistencyError", "UsageError", "RangeError"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 # The submodules an attribute reaches from a bare import; cli, checks and

@@ -2,9 +2,9 @@
 
 An algebra instance is specified by a table of energy levels F(0)..F(2s+1)
 with F(0) = F(2s+1) = 0 and F(n) > 0 in between.  The table fixes the level
-spacings G(n) = F(n+1) - F(n), the ladder operators, the Hamiltonian
-diag(F) and the unitary phase operator obtained from the polar
-decomposition of the lowering operator.
+spacings G(n) = F(n+1) - F(n), the ladder operators (whose product
+a+ a- is the Hamiltonian diag(F)) and the unitary phase operator obtained
+from the polar decomposition of the lowering operator.
 """
 
 from __future__ import annotations
@@ -45,13 +45,17 @@ class StructureSpec:
     Attributes
     ----------
     family : Family
-        Which construction produced the tables.
+        Which construction produced the tables; a string is coerced with
+        Family(...), and an unknown value is an InvalidStructureError.
     two_s : int
         2s; the Fock space has dimension d = 2s + 1.
     kappa : float or None
         Deformation parameter, where the family has one.
     levels : ndarray, shape (2s+2,)
-        F(0)..F(2s+1).  F(0) = F(2s+1) = 0, F(n) > 0 for 0 < n <= 2s.
+        F(0)..F(2s+1).  F(0) = F(2s+1) = 0, F(n) > 0 for 0 < n <= 2s.  A
+        built-in family derives them as n(1 + kappa(n-1)) (kappa or 0), and a
+        table passed alongside must equal that one bit for bit; CUSTOM
+        requires one.
     spacings : ndarray, shape (2s+1,)
         G(0)..G(2s) = np.diff(levels), set once the levels pass their checks
         (not an argument); sum(G) = F(2s+1) - F(0).
@@ -60,13 +64,28 @@ class StructureSpec:
     family: Family
     two_s: int
     kappa: float | None
-    levels: np.ndarray = field(repr=False)
+    levels: np.ndarray | None = field(default=None, repr=False)
     spacings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        family = _family(self.family)
+        object.__setattr__(self, "family", family)
         if self.two_s < 1:
             raise InvalidDimensionError(f"two_s must be >= 1, got {self.two_s}")
-        levels = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
+        if family is Family.CUSTOM:
+            if self.levels is None:
+                raise InvalidStructureError("custom family requires a level table")
+            levels = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
+        else:
+            # The closed form's binning by k trusts the family, so its levels are
+            # the formula's, never a table that merely carries its name.
+            levels = _levels_from_closed_form(self.two_s, self.kappa or 0.0)
+            if self.levels is not None and not np.array_equal(
+                    np.ascontiguousarray(self.levels, dtype=float).view(np.int64),
+                    levels.view(np.int64)):
+                raise InvalidStructureError(
+                    f"{family.value} levels are n(1 + kappa(n-1)) at kappa = "
+                    f"{self.kappa}; a table passed alongside must equal them")
         d = self.two_s + 1
         if levels.shape != (d + 1,):
             raise InvalidStructureError(
@@ -95,6 +114,15 @@ class StructureSpec:
         return self.two_s + 1
 
 
+def _family(value) -> Family:
+    """value as a Family member; an unknown value is an InvalidStructureError."""
+    try:
+        return Family(value)
+    except ValueError:
+        raise InvalidStructureError(
+            f"unknown family {value!r}; choose from {[f.value for f in Family]}") from None
+
+
 def _levels_from_closed_form(two_s: int, kappa: float) -> np.ndarray:
     """F(n) = n(1 + kappa(n-1)); kappa = 0 gives Pegg-Barnett's F(n) = n exactly."""
     # F(2s) is the largest level for kappa >= 0 (kappa-neg's are below 2s);
@@ -119,8 +147,8 @@ def build_structure(
 
     Parameters
     ----------
-    family : Family
-        Table construction to use.
+    family : Family or str
+        Table construction to use, coerced with Family(...).
     two_s : int
         2s >= 1; the representation has dimension 2s + 1.
     kappa : float, optional
@@ -134,14 +162,11 @@ def build_structure(
     -------
     StructureSpec
     """
+    family = _family(family)
     if two_s < 1:
         raise InvalidDimensionError(f"two_s must be >= 1, got {two_s}")
 
-    if family is Family.CUSTOM:
-        if levels is None:
-            raise InvalidStructureError("custom family requires a level table")
-        table = np.asarray(levels, dtype=float)
-    else:
+    if family is not Family.CUSTOM:
         if levels is not None:
             raise InvalidStructureError(
                 f"level table only applies to the custom family, not {family.value}")
@@ -159,9 +184,8 @@ def build_structure(
             if not 0 < kappa < inf:
                 raise MissingKappaError(
                     f"kappa must be finite and > 0 for kappa-pos, got {kappa}")
-        table = _levels_from_closed_form(two_s, 0.0 if kappa is None else kappa)
 
-    return StructureSpec(family=family, two_s=two_s, kappa=kappa, levels=table)
+    return StructureSpec(family=family, two_s=two_s, kappa=kappa, levels=levels)
 
 
 def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSpec:
@@ -206,11 +230,6 @@ def ladder_plus(spec: StructureSpec, phi: float) -> np.ndarray:
 def number_operator(spec: StructureSpec) -> np.ndarray:
     """diag(0, 1, ..., 2s)."""
     return np.diag(np.arange(spec.dim, dtype=float)).astype(complex)
-
-
-def hamiltonian(spec: StructureSpec) -> np.ndarray:
-    """diag(F(0), ..., F(2s)); equals ladder_plus @ ladder_minus for any phi."""
-    return np.diag(spec.levels[: spec.dim]).astype(complex)
 
 
 def phase_operator(spec: StructureSpec, phi: float) -> np.ndarray:

@@ -23,11 +23,7 @@ from .algebra import (
     phase_operator,
     structure_from_spacings,
 )
-from .entropy import (
-    M_SPREAD_TOL,
-    linear_entropy,
-    linear_entropy_closed,
-)
+from .entropy import linear_entropy, linear_entropy_closed
 from .numerics import ipow
 from .phase_states import (
     apply_phase_operator,
@@ -51,6 +47,9 @@ FAMILIES = (
     (Family.KAPPA_NEG, None),
     (Family.KAPPA_POS, 0.5),
 )
+# entropy.m_independence fails where the entropies of the labels m at one
+# (phi, r2) spread by more.
+M_SPREAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,7 @@ def entropy_suite(seed: int = 0) -> list[CheckResult]:
     for two_s in range(1, 7):
         spec = build_structure(Family.KAPPA_NEG, two_s)
         phi, r2 = rng.uniform((0.0, 0.0), (4.0 * pi, 1.0), size=(10, 2)).T
-        # m_independence_report's oracle call over all labels, one column per
-        # draw, without its raise.
+        # One oracle call over all labels, one column per draw.
         labels = np.arange(spec.dim)[:, None]
         values = linear_entropy(reduced_density(
             split_phase_state(spec, labels, phi, SplitterParams(r2)))).value

@@ -103,13 +103,9 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     return start, stop, count
 
 
-def parse_two_s(text: str) -> tuple[int, ...]:
-    """Parse an int, a comma list, or an inclusive `lo:hi` integer range."""
-    return tuple(chain(*_two_s_runs(text)))
-
-
 def _two_s_runs(text: str) -> tuple[range, ...]:
-    """Check a two-s spec without building it: its values as ranges."""
+    """Parse an int, a comma list, or an inclusive `lo:hi` integer range as
+    ranges of its values, without building them."""
     try:
         if ":" in text:
             lo_s, hi_s = text.split(":")
@@ -238,16 +234,6 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def render_csv(table: SweepTable) -> str:
-    """Header, then one row per cell: coordinates row-major, S last.
-
-    Every number prints as "%.17g" % v, so each reads back to the same
-    double.  phasebeam.csvfmt writes the bytes; it loads on the first CSV,
-    not with the CLI.
-    """
-    return emit(table, "csv").decode("utf-8")
-
-
 def render_json(table: SweepTable) -> str:
     payload = {
         "axes": [{"name": a.name, "values": list(a.values)} for a in table.axes],
@@ -258,7 +244,12 @@ def render_json(table: SweepTable) -> str:
 
 
 def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
-    """Serialize a sweep table; writes to `stream` (binary) when given."""
+    """Serialize a sweep table; writes to `stream` (binary) when given.
+
+    A CSV is a header, then one row per cell, coordinates row-major and S
+    last, each number "%.17g" % v; phasebeam.csvfmt, loaded on the first
+    CSV, writes it.
+    """
     if fmt == "csv":
         from .csvfmt import csv_bytes
 

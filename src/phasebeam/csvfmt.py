@@ -115,7 +115,7 @@ def g17_records(values: np.ndarray) -> np.ndarray:
 
 
 def csv_bytes(table: SweepTable) -> bytes:
-    """The CSV of cli.render_csv, encoded as UTF-8.
+    """The CSV of cli.emit(table, "csv"): a header, then one row per cell.
 
     Each block of BLOCK_ROWS rows is an array of byte records: one field per
     axis, taken from that axis's cells (each formatted once, NUL-padded),

@@ -33,14 +33,9 @@ from math import inf, prod
 import numpy as np
 
 from .algebra import Family, StructureSpec
-from .errors import IndexOutOfRangeError, NumericalConsistencyError
+from .errors import NumericalConsistencyError
 from .numerics import _BLOCK_ENTRIES, log_factorials, per_size, read_only
-from .splitter import (
-    SplitterParams,
-    reduced_density,
-    split_phase_state,
-    validate_density,
-)
+from .splitter import SplitterParams, validate_density
 
 ORACLE = "oracle"
 CLOSED_FORM = "closed"
@@ -67,8 +62,6 @@ QUADRATIC_TOL = 1e-14
 # the largest deviations measured were 5.6e-14 at 2s = 80 (101 r2 values)
 # and 7.4e-13 at 511 (2001 r2 values).
 PMF_TOL = 1e-12
-# m_independence_report refuses entropies that vary with m by more.
-M_SPREAD_TOL = 1e-12
 
 # Every cell of a contraction is entry (i, j) of one a @ b^T product of a
 # tile a of _TILE cosine rows cos(phi rates) and a tile b of _TILE weight
@@ -106,15 +99,6 @@ class EntropyValue:
         object.__setattr__(self, "value", float(value) if value.ndim == 0 else value)
 
 
-@dataclass(frozen=True)
-class MIndependenceReport:
-    """Entropy spread over all phase-state labels m at fixed (phi, r2)."""
-
-    value: float
-    spread: float
-    values: tuple[float, ...]
-
-
 def _clamp_unit_interval(s):
     """s clipped to [0, 1]; s is a float or an array of entropies.
 
@@ -139,26 +123,6 @@ def linear_entropy(rho: np.ndarray, *, validate: bool = True) -> EntropyValue:
         validate_density(rho)
     purity = (rho.real**2 + rho.imag**2).sum(axis=(-2, -1))
     return EntropyValue(1.0 - purity, ORACLE, rho.shape[-1])
-
-
-def phase_term(spec: StructureSpec, n: int, n2: int, l: int, l2: int,
-               phi: float) -> float:
-    """Angle [F(n+l) + F(n2+l2) - F(n2+l) - F(n+l2)] * phi of one term.
-
-    Vanishes whenever n == n2 or l == l2; changes sign under swapping
-    l <-> l2 (and likewise under n <-> n2), and is invariant under swapping
-    both pairs simultaneously.
-    """
-    top = spec.two_s + 1
-    for idx in (n, n2, l, l2):
-        if idx < 0:
-            raise IndexOutOfRangeError(f"negative index {idx}")
-    for idx in (n + l, n2 + l2, n2 + l, n + l2):
-        if idx > top:
-            raise IndexOutOfRangeError(f"level index {idx} exceeds 2s+1 = {top}")
-    levels = spec.levels
-    return float(levels[n + l] + levels[n2 + l2]
-                 - levels[n2 + l] - levels[n + l2]) * phi
 
 
 @per_size(lambda d: d * d)
@@ -475,14 +439,3 @@ def _gram_rows(spec: StructureSpec, params: SplitterParams, plan,
     return _GramTable(2.0 * (spec.kappa or 0.0) * ks, table.reshape(cells + (ks.size,)),
                       spec.dim)
 
-
-def m_independence_report(spec: StructureSpec, phi: float,
-                          params: SplitterParams) -> MIndependenceReport:
-    """Oracle entropy for every m from one split; the spread must not exceed M_SPREAD_TOL."""
-    rho = reduced_density(split_phase_state(spec, np.arange(spec.dim), phi, params))
-    values = linear_entropy(rho).value.tolist()
-    spread = max(values) - min(values)
-    if spread > M_SPREAD_TOL:
-        raise NumericalConsistencyError(
-            f"entropy varies with m by {spread} (tolerance {M_SPREAD_TOL})")
-    return MIndependenceReport(values[0], spread, tuple(values))

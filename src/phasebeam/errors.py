@@ -34,10 +34,6 @@ class NotNormalizedError(PhasebeamError, ValueError):
     """A state vector expected to have unit norm does not."""
 
 
-class IndexOutOfRangeError(PhasebeamError, IndexError):
-    """A level-table index lies outside 0..2s+1."""
-
-
 class InvalidDensityError(PhasebeamError, ValueError):
     """Matrix fails the density-matrix invariants (Hermiticity, unit trace,
     positive semidefiniteness)."""

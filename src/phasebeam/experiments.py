@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .algebra import Family, build_structure
+from .algebra import Family, _family, build_structure
 from .entropy import linear_entropy, linear_entropy_closed
 from .numerics import _BLOCK_ENTRIES
 from .splitter import (
@@ -162,6 +162,7 @@ def _sweep(names, two_s, phis, r2s, family: Family, kappa: float | None,
 
     Each grid coordinate not named must hold a single value; it goes in meta.
     """
+    family = _family(family)
     grid = {"two_s": tuple(int(v) for v in two_s), "phi": _as_float_tuple(phis),
             "r2": _as_float_tuple(r2s)}
     values = _entropy_grid(*grid.values(), family, kappa, m)

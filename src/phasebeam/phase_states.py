@@ -8,25 +8,12 @@ the label: e^{-iHt}|m, phi> = |m, phi + t>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
 
 from .algebra import StructureSpec, phase_operator
 from .errors import DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class PhaseLabel:
-    """Label (m, phi) of a phase state; m is stored reduced mod 2s+1."""
-
-    two_s: int
-    m: int
-    phi: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", self.m % (self.two_s + 1))
 
 
 def phase_state(spec: StructureSpec, m, phi) -> np.ndarray:
@@ -62,14 +49,6 @@ def apply_phase_operator(spec: StructureSpec, phi: float, state: np.ndarray) -> 
     return (phase_operator(spec, phi) @ state[..., None])[..., 0]
 
 
-def evolve(spec: StructureSpec, label: PhaseLabel, t: float) -> PhaseLabel:
-    """Time evolution acts on labels as (m, phi) -> (m, phi + t)."""
-    if label.two_s != spec.two_s:
-        raise DimensionMismatchError(
-            f"label two_s={label.two_s} does not match spec two_s={spec.two_s}")
-    return PhaseLabel(spec.two_s, label.m, label.phi + t)
-
-
 def evolve_vector(spec: StructureSpec, state: np.ndarray, t: float) -> np.ndarray:
     """Apply e^{-iHt} componentwise: amp[n] -> e^{-i F(n) t} amp[n]."""
     state = np.asarray(state, dtype=complex)
@@ -97,10 +76,11 @@ def overlap_closed(spec: StructureSpec, m, phi, m2, phi2) -> complex | np.ndarra
     x(n) = -(m - m2) n + d (phi - phi2) F(n) / (2 pi), where a root-of-unity
     power with non-integer exponent means q^x := e^{2 pi i x / d}.  The four
     labels broadcast together; one pair gives a complex.  Each label is
-    reduced mod d first, as in phase_state, so every product with n is exact.
+    reduced mod d first, as in phase_state, so every product with n is exact;
+    the difference is formed in int64, so that unsigned labels do not wrap.
     """
     d = spec.dim
-    dm = m % d - m2 % d
+    dm = np.subtract(m % d, m2 % d, dtype=np.int64)
     exponent = (np.multiply.outer(-dm, np.arange(d))
                 + np.multiply.outer(d / (2.0 * pi) * (phi - phi2), spec.levels[:d]))
     out = np.exp(2j * pi * exponent / d).sum(axis=-1) / d

@@ -22,7 +22,6 @@ from phasebeam import (
     ladder_plus,
     linear_entropy,
     linear_entropy_closed,
-    m_independence_report,
     overlap_closed,
     overlap_direct,
     phase_operator,
@@ -336,11 +335,12 @@ def test_c10_entropy_m_independence():
     worst = 0.0
     for two_s in range(1, 7):
         spec = build_structure(Family.KAPPA_NEG, two_s)
-        for _ in range(10):
-            phi = float(rng.uniform(0.0, 4.0 * pi))
-            params = SplitterParams(float(rng.uniform(0.0, 1.0)))
-            report = m_independence_report(spec, phi, params)
-            worst = max(worst, report.spread)
+        # the stream of ten scalar (phi, r2) draws, one column per draw
+        phi, r2 = rng.uniform((0.0, 0.0), (4.0 * pi, 1.0), size=(10, 2)).T
+        labels = np.arange(spec.dim)[:, None]
+        values = linear_entropy(reduced_density(
+            split_phase_state(spec, labels, phi, SplitterParams(r2)))).value
+        worst = max(worst, float(np.max(values.max(axis=0) - values.min(axis=0))))
     ok = worst <= 1e-12
     _report(10, ok, f"entropy spread over m <= {worst:.3e} (tol 1e-12)")
     assert worst <= 1e-12

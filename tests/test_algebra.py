@@ -12,14 +12,18 @@ from phasebeam import (
     InvalidStructureError,
     MissingKappaError,
     NonPositiveLevelError,
+    SplitterParams,
     StructureSpec,
     TraceNotZeroError,
     build_structure,
-    hamiltonian,
     ladder_minus,
     ladder_plus,
+    linear_entropy,
+    linear_entropy_closed,
     number_operator,
     phase_operator,
+    reduced_density,
+    split_phase_state,
     structure_from_spacings,
 )
 
@@ -131,6 +135,51 @@ class TestBuildStructure:
         message = "level table only applies to the custom family, not kappa-neg"
         with pytest.raises(InvalidStructureError, match=f"^{re.escape(message)}$"):
             build_structure(Family.KAPPA_NEG, 2, levels=[0, 1, 1, 0])
+
+    @pytest.mark.parametrize("family, two_s, kappa, levels", [
+        (Family.KAPPA_NEG, 2, -0.5, [0, 5, 1, 0]),
+        (Family.KAPPA_POS, 3, 0.5, [0, 1, 2, 3, 0]),
+    ], ids=["kappa-neg", "kappa-pos"])
+    def test_spec_refuses_a_foreign_table_under_a_built_in_family(
+            self, family, two_s, kappa, levels):
+        # the closed form bins a built-in family by k unfitted: these tables
+        # gave S = 0.1715 and 0.2656 at phi = 0.7, r2 = 0.5 against an
+        # oracle 0.1346 and 0.1370
+        with pytest.raises(InvalidStructureError, match="must equal them"):
+            StructureSpec(family, two_s, kappa, levels)
+
+    @pytest.mark.parametrize("family, kappa", FAMILIES)
+    def test_spec_derives_a_built_in_familys_levels(self, family, kappa):
+        for two_s in (1, 2, 5, 40):
+            built = build_structure(family, two_s, kappa)
+            for levels in (None, built.levels.tolist()):
+                spec = StructureSpec(family, two_s, built.kappa, levels)
+                assert spec.levels.tobytes() == built.levels.tobytes()
+            off = built.levels.copy()
+            off[1] = np.nextafter(off[1], 2.0)
+            with pytest.raises(InvalidStructureError):
+                StructureSpec(family, two_s, built.kappa, off)
+
+    def test_family_names_are_coerced(self):
+        spec = build_structure("kappa-neg", 4)
+        ref = build_structure(Family.KAPPA_NEG, 4)
+        assert spec.family is Family.KAPPA_NEG and spec.kappa == ref.kappa
+        assert spec.levels.tobytes() == ref.levels.tobytes()
+        params = SplitterParams(0.5)
+        closed = linear_entropy_closed(spec, 0.7, params).value
+        oracle = linear_entropy(reduced_density(split_phase_state(spec, 0, 0.7, params))).value
+        # the Pegg-Barnett levels, built under the name, gave 0.142
+        assert closed == pytest.approx(0.224, abs=5e-4)
+        assert abs(closed - oracle) <= 1e-12
+        assert StructureSpec("kappa-pos", 3, 0.5).family is Family.KAPPA_POS
+        assert build_structure("custom", 2, levels=[0, 1, 1, 0]).family is Family.CUSTOM
+
+    @pytest.mark.parametrize("family", ["bogus", 3, None])
+    def test_unknown_family_refused(self, family):
+        with pytest.raises(InvalidStructureError, match="^unknown family"):
+            build_structure(family, 3)
+        with pytest.raises(InvalidStructureError, match="^unknown family"):
+            StructureSpec(family, 3, None, [0.0, 1.0, 1.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("family, kappa", FAMILIES)
     def test_spacings_are_the_level_differences(self, family, kappa):
@@ -276,24 +325,26 @@ class TestLadders:
 
 
 class TestHamiltonian:
+    """The Hamiltonian diag(F(0), ..., F(2s)) of each family."""
+
     def test_linear_spectrum(self):
         spec = build_structure(Family.PEGG_BARNETT, 2)
-        assert np.array_equal(np.diag(hamiltonian(spec)).real, [0.0, 1.0, 2.0])
+        assert np.array_equal(spec.levels[:spec.dim], [0.0, 1.0, 2.0])
 
     def test_concave_spectrum(self):
         spec = build_structure(Family.KAPPA_NEG, 2)
-        assert np.allclose(np.diag(hamiltonian(spec)).real, [0.0, 1.0, 1.0])
+        assert np.allclose(spec.levels[:spec.dim], [0.0, 1.0, 1.0])
 
     def test_convex_spectrum(self):
         spec = build_structure(Family.KAPPA_POS, 2, kappa=1.0)
-        assert np.array_equal(np.diag(hamiltonian(spec)).real, [0.0, 1.0, 4.0])
+        assert np.array_equal(spec.levels[:spec.dim], [0.0, 1.0, 4.0])
 
     def test_equals_ladder_product(self):
         for family, kappa in FAMILIES:
             spec = build_structure(family, 6, kappa)
             for phi in (0.0, 1.3, 9.9):
                 product = ladder_plus(spec, phi) @ ladder_minus(spec, phi)
-                assert np.max(np.abs(product - hamiltonian(spec))) <= 1e-12
+                assert np.max(np.abs(product - np.diag(spec.levels[:spec.dim]))) <= 1e-12
 
 
 class TestPhaseOperator:

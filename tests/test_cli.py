@@ -37,8 +37,6 @@ from phasebeam.cli import (
     main,
     parse_args,
     parse_grid,
-    parse_two_s,
-    render_csv,
     render_json,
 )
 from test_acceptance import _eigh_oracle_rho
@@ -67,20 +65,20 @@ def _render_json_reference(table):
 
 
 def _kernel_bytes(values):
-    """The S records of render_csv's decimal kernel, padding removed."""
+    """The S records of the CSV's decimal kernel, padding removed."""
     return csvfmt.g17_records(np.asarray(values, dtype=float)).tobytes().replace(b"\0", b"")
 
 
 def _assert_prints_as_g17(values):
     """Every value prints as "%.17g" % v, through the kernel and, where the
-    value is a valid entropy, through render_csv."""
+    value is a valid entropy, through emit's CSV."""
     values = np.asarray(values, dtype=float)
     assert _kernel_bytes(values) == b"".join(b"%.17g\n" % v for v in values.tolist())
     entropies = values[(values >= 0.0) & (values <= 1.0)]  # SweepTable refuses NaN
     if entropies.size:
         table = SweepTable(axes=(Axis("i", tuple(map(float, range(entropies.size)))),),
                            values=entropies)
-        assert render_csv(table) == _render_csv_reference(table)
+        assert emit(table, "csv").decode() == _render_csv_reference(table)
 
 
 class TestParseGrid:
@@ -123,20 +121,25 @@ class TestParseGrid:
             parse_grid(bad)
 
 
+def _two_s(text):
+    """The 2s values of a one-point sweep's --two-s text."""
+    return parse_args(["sweep", "--phi", "0", "--r2", "0.5", "--two-s", text]).two_s
+
+
 class TestParseTwoS:
     def test_forms(self):
-        assert parse_two_s("2") == (2,)
-        assert parse_two_s("1,2,5") == (1, 2, 5)
-        assert parse_two_s("1:4") == (1, 2, 3, 4)
+        assert _two_s("2") == (2,)
+        assert _two_s("1,2,5") == (1, 2, 5)
+        assert _two_s("1:4") == (1, 2, 3, 4)
 
     @pytest.mark.parametrize("bad", ["0", "x", "3:1", "1,0", "-2"])
     def test_rejects(self, bad):
         with pytest.raises(UsageError):
-            parse_two_s(bad)
+            _two_s(bad)
 
     def test_range_error_is_usage_error(self):
         with pytest.raises(RangeError):
-            parse_two_s("0")
+            _two_s("0")
 
 
 class TestParseArgs:
@@ -195,7 +198,7 @@ class TestEmit:
             meta={"family": "kappa-neg", "two_s": 1})
 
     def test_csv_layout(self):
-        text = render_csv(self._table())
+        text = emit(self._table(), "csv").decode()
         lines = text.split("\n")
         assert lines[0] == "phi,r2,S"
         assert len(lines) == 8          # header + 6 rows + trailing newline
@@ -205,7 +208,7 @@ class TestEmit:
     def test_csv_roundtrip_precision(self):
         table = SweepTable(axes=(Axis("phi", (pi / 7,)),),
                            values=np.array([1.0 / 3.0]), meta={})
-        line = render_csv(table).split("\n")[1]
+        line = emit(table, "csv").decode().split("\n")[1]
         phi_text, s_text = line.split(",")
         assert float(phi_text) == pi / 7
         assert float(s_text) == 1.0 / 3.0
@@ -213,7 +216,7 @@ class TestEmit:
     def test_one_by_one_sweep_is_two_lines(self):
         table = SweepTable(axes=(Axis("phi", (0.5,)), Axis("r2", (0.25,))),
                            values=np.array([0.1]), meta={})
-        lines = render_csv(table).splitlines()
+        lines = emit(table, "csv").decode().splitlines()
         assert len(lines) == 2
 
     def test_no_bom_lf_only(self):
@@ -251,7 +254,7 @@ class TestEmit:
 
 
 class TestCsvDecimalKernel:
-    """S prints as "%.17g" % v from render_csv's exact decimal kernel."""
+    """S prints as "%.17g" % v from the CSV's exact decimal kernel."""
 
     def test_seeded_decades(self):
         rng = np.random.default_rng(2024)
@@ -820,9 +823,10 @@ class TestWorkBudget:
         # the plan's work summed over the 2s values: on 32 phases x 2 r2
         # values, Gram tables from 2s = 7 on and one rho per cell below
         argv = ["sweep", "--two-s", spec, "--phi", "0:1:32", "--r2", "0:1:2"]
-        work = sum(w for _, _, w in experiments._plan(parse_two_s(spec), 32, 2))
+        values = parse_args(argv).two_s
+        work = sum(w for _, _, w in experiments._plan(values, 32, 2))
         monkeypatch.setattr(cli, "CUBE_BUDGET", work)
-        assert parse_args(argv).two_s == parse_two_s(spec)
+        assert parse_args(argv).two_s == values
         monkeypatch.setattr(cli, "CUBE_BUDGET", work - 1)
         with pytest.raises(UsageError, match="the sweep needs"):
             parse_args(argv)

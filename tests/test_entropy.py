@@ -13,7 +13,6 @@ from phasebeam import (
     BipartiteVector,
     EntropyValue,
     Family,
-    IndexOutOfRangeError,
     InvalidDensityError,
     NotNormalizedError,
     NumericalConsistencyError,
@@ -22,8 +21,6 @@ from phasebeam import (
     entropy,
     linear_entropy,
     linear_entropy_closed,
-    m_independence_report,
-    phase_term,
     reduced_density,
     reduced_density_closed,
     split_number_state,
@@ -141,52 +138,6 @@ class TestEntropyValue:
         ev = EntropyValue(0.5, "closed", 2)
         assert ev.value == 0.5
         assert ev.dim == 2
-
-
-class TestPhaseTerm:
-    def setup_method(self):
-        self.spec = build_structure(Family.KAPPA_POS, 3, kappa=0.5)
-
-    def test_zero_when_n_equal(self):
-        assert phase_term(self.spec, 1, 1, 0, 2, 1.7) == 0.0
-
-    def test_zero_when_l_equal(self):
-        assert phase_term(self.spec, 0, 2, 1, 1, 1.7) == 0.0
-
-    def test_value(self):
-        # levels are [0, 1, 3, 6, 0]; bracket = F(1)+F(1)-F(2)-F(0) = -1
-        assert phase_term(self.spec, 0, 1, 1, 0, 2.0) == pytest.approx(-2.0)
-
-    def test_antisymmetric_in_l_swap(self):
-        for args in [(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 0, 1)]:
-            n, n2, l, l2 = args
-            assert phase_term(self.spec, n, n2, l, l2, 0.9) == pytest.approx(
-                -phase_term(self.spec, n, n2, l2, l, 0.9), abs=1e-14)
-
-    def test_antisymmetric_in_n_swap(self):
-        # swapping n <-> n' also flips the sign; only the simultaneous
-        # swap of both pairs leaves the angle invariant
-        for args in [(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 0, 1)]:
-            n, n2, l, l2 = args
-            assert phase_term(self.spec, n, n2, l, l2, 0.9) == pytest.approx(
-                -phase_term(self.spec, n2, n, l, l2, 0.9), abs=1e-14)
-
-    def test_invariant_under_double_swap(self):
-        for args in [(0, 1, 1, 0), (0, 2, 1, 0), (1, 2, 0, 1)]:
-            n, n2, l, l2 = args
-            assert phase_term(self.spec, n, n2, l, l2, 0.9) == pytest.approx(
-                phase_term(self.spec, n2, n, l2, l, 0.9), abs=1e-14)
-
-    def test_index_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            phase_term(self.spec, 2, 0, 3, 0, 1.0)   # 2 + 3 > 2s + 1
-        with pytest.raises(IndexOutOfRangeError):
-            phase_term(self.spec, -1, 0, 0, 0, 1.0)
-
-    def test_top_of_table_allowed(self):
-        # n + l = 2s + 1 indexes the last table entry, which is legal
-        assert phase_term(self.spec, 1, 0, 3, 0, 1.0) == pytest.approx(
-            (0.0 + 0.0 - 6.0 - 1.0) * 1.0)
 
 
 class TestLinearEntropyClosed:
@@ -528,15 +479,16 @@ class TestLinearEntropySpectral:
 
 
 class TestMIndependence:
+    """One oracle call over every label m, as the check entropy.m_independence makes."""
+
     def test_spread_within_tolerance(self):
         rng = np.random.default_rng(71)
         for two_s in (1, 2, 3):
             spec = build_structure(Family.KAPPA_NEG, two_s)
             phi = float(rng.uniform(0, 4 * pi))
-            report = m_independence_report(spec, phi, SplitterParams(0.3))
-            assert report.spread <= 1e-12
-            assert len(report.values) == spec.dim
-            assert report.value == report.values[0]
+            values = oracle_entropy(spec, np.arange(spec.dim), phi, SplitterParams(0.3)).value
+            assert values.shape == (spec.dim,)
+            assert values.max() - values.min() <= 1e-12
 
     def test_values_match_scalar_calls(self):
         rng = np.random.default_rng(73)
@@ -544,21 +496,15 @@ class TestMIndependence:
             for two_s in (1, 2, 5, 9):
                 spec = build_structure(family, two_s, kappa)
                 phi, r2 = rng.uniform(0.0, 4 * pi), rng.uniform()
-                report = m_independence_report(spec, phi, SplitterParams(r2))
-                for m, value in enumerate(report.values):
+                values = oracle_entropy(spec, np.arange(spec.dim), phi, SplitterParams(r2)).value
+                for m, value in enumerate(values):
                     one = oracle_entropy(spec, m, phi, SplitterParams(r2)).value
                     assert abs(value - one) <= 1e-15
 
     def test_zero_reflection_all_zero(self):
         spec = build_structure(Family.KAPPA_NEG, 2)
-        report = m_independence_report(spec, 1.0, SplitterParams(0.0))
-        assert all(v == 0.0 for v in report.values)
-
-    def test_raises_on_absurd_tolerance(self, monkeypatch):
-        monkeypatch.setattr(entropy, "M_SPREAD_TOL", -1.0)
-        spec = build_structure(Family.KAPPA_NEG, 2)
-        with pytest.raises(NumericalConsistencyError):
-            m_independence_report(spec, 1.0, SplitterParams(0.4))
+        values = oracle_entropy(spec, np.arange(spec.dim), 1.0, SplitterParams(0.0)).value
+        assert np.all(values == 0.0)
 
 
 class TestClamping:

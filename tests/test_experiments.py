@@ -5,6 +5,7 @@ import pytest
 
 from phasebeam import (
     Family,
+    InvalidStructureError,
     SweepTable,
     Axis,
     entropy_point,
@@ -125,6 +126,15 @@ class TestSweepR2Phi:
         monkeypatch.setattr(entropy, "_binomial_pmf", off)
         with pytest.raises(NumericalConsistencyError, match="pmf"):
             sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
+
+    def test_family_name_coerced_before_the_grid(self):
+        by_name = sweep_r2_phi(2, (0.0, 0.7), (0.3, 0.5), family="kappa-neg")
+        by_member = sweep_r2_phi(2, (0.0, 0.7), (0.3, 0.5), family=Family.KAPPA_NEG)
+        assert by_name.meta == by_member.meta
+        assert by_name.meta["family"] == "kappa-neg"
+        assert np.array_equal(by_name.values, by_member.values)
+        with pytest.raises(InvalidStructureError, match="^unknown family"):
+            sweep_r2_phi(2, (0.0, 0.7), (0.3, 0.5), family="bogus")
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from phasebeam import (
     DimensionMismatchError,
     Family,
-    PhaseLabel,
     apply_phase_operator,
     build_structure,
     closure_matrix,
-    evolve,
     evolve_vector,
     overlap_closed,
     overlap_direct,
@@ -84,6 +82,20 @@ class TestPhaseState:
             direct = overlap_direct(phase_state(spec, m, 0.4), phase_state(spec, m2, 0.9))
             assert np.max(np.abs(got - direct)) <= 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_overlap_every_integer_dtype(self, dtype):
+        # a difference of reduced unsigned labels wrapped: errors up to 1.0
+        rng = np.random.default_rng(43)
+        for family, kappa in FAMILIES:
+            for two_s in (1, 2, 3, 4, 9):
+                spec = build_structure(family, two_s, kappa)
+                m, m2 = (a.ravel().astype(dtype) for a in np.indices((spec.dim, spec.dim)))
+                p1, p2 = rng.uniform(0.0, 4 * pi, size=(2, m.size))
+                closed = overlap_closed(spec, m, p1, m2, p2)
+                direct = overlap_direct(phase_state(spec, m, p1), phase_state(spec, m2, p2))
+                assert np.max(np.abs(closed - direct)) <= 1e-12
+
     def test_phi_zero_collapses_families(self):
         # at phi = 0 every family reduces to the Fourier transform of the
         # number basis, so all tables with the same dimension agree
@@ -92,13 +104,6 @@ class TestPhaseState:
                       for f, k in FAMILIES]
             for other in states[1:]:
                 assert np.array_equal(states[0], other)
-
-
-class TestPhaseLabel:
-    def test_reduction(self):
-        assert PhaseLabel(2, 5, 0.0).m == 2
-        assert PhaseLabel(2, -1, 0.0).m == 2
-        assert PhaseLabel(4, 3, 1.5).m == 3
 
 
 class TestEigenvalueRelation:
@@ -140,8 +145,6 @@ class TestEigenvalueRelation:
 class TestEvolution:
     def test_zero_time_identity(self):
         spec = build_structure(Family.KAPPA_NEG, 3)
-        label = PhaseLabel(3, 1, 0.9)
-        assert evolve(spec, label, 0.0) == label
         v = phase_state(spec, 1, 0.9)
         assert np.array_equal(evolve_vector(spec, v, 0.0), v)
 
@@ -159,16 +162,6 @@ class TestEvolution:
                 phi, t = rng.uniform(-2 * pi, 2 * pi, size=2)
                 evolved = evolve_vector(spec, phase_state(spec, m, phi), t)
                 assert np.max(np.abs(evolved - phase_state(spec, m, phi + t))) <= 1e-12
-
-    def test_label_arithmetic(self):
-        spec = build_structure(Family.PEGG_BARNETT, 2)
-        out = evolve(spec, PhaseLabel(2, 1, 0.25), 1.5)
-        assert out == PhaseLabel(2, 1, 1.75)
-
-    def test_label_dimension_mismatch(self):
-        spec = build_structure(Family.PEGG_BARNETT, 2)
-        with pytest.raises(DimensionMismatchError):
-            evolve(spec, PhaseLabel(3, 0, 0.0), 1.0)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3)])
     def test_vector_dimension_mismatch(self, shape):
