@@ -50,7 +50,10 @@ class StructureSpec:
     two_s : int
         2s; the Fock space has dimension d = 2s + 1.
     kappa : float or None
-        Deformation parameter, where the family has one.
+        Deformation parameter, where the family has one: -1/(2s) for
+        KAPPA_NEG (another value is refused; None is filled in), a finite
+        kappa > 0 for KAPPA_POS (else MissingKappaError), None for
+        PEGG_BARNETT (a value passed is dropped).
     levels : ndarray, shape (2s+2,)
         F(0)..F(2s+1).  F(0) = F(2s+1) = 0, F(n) > 0 for 0 < n <= 2s.  A
         built-in family derives them as n(1 + kappa(n-1)) (kappa or 0), and a
@@ -78,8 +81,24 @@ class StructureSpec:
             levels = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
         else:
             # The closed form's binning by k trusts the family, so its levels are
-            # the formula's, never a table that merely carries its name.
-            levels = _levels_from_closed_form(self.two_s, self.kappa or 0.0)
+            # the formula's, never a table that merely carries its name, and its
+            # kappa is the family's.
+            kappa = self.kappa
+            if family is Family.PEGG_BARNETT:
+                kappa = None
+            elif family is Family.KAPPA_NEG:
+                fixed = -1.0 / self.two_s
+                if kappa is not None and not abs(kappa - fixed) <= 1e-12:
+                    raise InvalidStructureError(
+                        f"kappa for {family.value} is fixed to -1/(2s) = {fixed}, got {kappa}")
+                kappa = fixed
+            elif kappa is None:
+                raise MissingKappaError("kappa > 0 is required for kappa-pos")
+            elif not 0 < kappa < inf:
+                raise MissingKappaError(
+                    f"kappa must be finite and > 0 for kappa-pos, got {kappa}")
+            object.__setattr__(self, "kappa", kappa)
+            levels = _levels_from_closed_form(self.two_s, kappa or 0.0)
             if self.levels is not None and not np.array_equal(
                     np.ascontiguousarray(self.levels, dtype=float).view(np.int64),
                     levels.view(np.int64)):
@@ -163,28 +182,9 @@ def build_structure(
     StructureSpec
     """
     family = _family(family)
-    if two_s < 1:
-        raise InvalidDimensionError(f"two_s must be >= 1, got {two_s}")
-
-    if family is not Family.CUSTOM:
-        if levels is not None:
-            raise InvalidStructureError(
-                f"level table only applies to the custom family, not {family.value}")
-        if family is Family.PEGG_BARNETT:
-            kappa = None
-        elif family is Family.KAPPA_NEG:
-            fixed = -1.0 / two_s
-            if kappa is not None and not abs(kappa - fixed) <= 1e-12:
-                raise InvalidStructureError(
-                    f"kappa for {family.value} is fixed to -1/(2s) = {fixed}, got {kappa}")
-            kappa = fixed
-        elif family is Family.KAPPA_POS:
-            if kappa is None:
-                raise MissingKappaError("kappa > 0 is required for kappa-pos")
-            if not 0 < kappa < inf:
-                raise MissingKappaError(
-                    f"kappa must be finite and > 0 for kappa-pos, got {kappa}")
-
+    if family is not Family.CUSTOM and levels is not None:
+        raise InvalidStructureError(
+            f"level table only applies to the custom family, not {family.value}")
     return StructureSpec(family=family, two_s=two_s, kappa=kappa, levels=levels)
 
 

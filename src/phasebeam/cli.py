@@ -243,25 +243,29 @@ def render_json(table: SweepTable) -> str:
     return json.dumps(payload) + "\n"
 
 
-def emit(table: SweepTable, fmt: str, stream=None) -> bytes:
-    """Serialize a sweep table; writes to `stream` (binary) when given.
+def emit(table: SweepTable, fmt: str, stream=None) -> bytes | None:
+    """Serialize a sweep table: write it to the binary `stream` and return
+    None, or, without a stream, return its bytes.
 
     A CSV is a header, then one row per cell, coordinates row-major and S
-    last, each number "%.17g" % v; phasebeam.csvfmt, loaded on the first
-    CSV, writes it.
+    last, each number "%.17g" % v.  phasebeam.csvfmt, loaded on the first
+    CSV, formats it in blocks of rows, and each block is written to the
+    stream as soon as it is formatted.
     """
     if fmt == "csv":
-        from .csvfmt import csv_bytes
+        from .csvfmt import csv_blocks
 
-        data = csv_bytes(table)
+        blocks = csv_blocks(table)
     elif fmt == "json":
-        data = render_json(table).encode("utf-8")
+        blocks = (render_json(table).encode("utf-8"),)
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    if stream is not None:
-        stream.write(data)
-        stream.flush()
-    return data
+    if stream is None:
+        return b"".join(blocks)
+    for block in blocks:
+        stream.write(block)
+    stream.flush()
+    return None
 
 
 def _check_phase_product(specs, phis) -> None:

@@ -2,8 +2,10 @@
 
 Every number prints as "%.17g" % v.  Each axis value is formatted by Python
 once; each S goes through g17_records, an exact decimal kernel whose bytes
-equal Python's.  The CLI imports this module on its first CSV, so that
-`compute` and `check` neither load nor compile it.
+equal Python's.  csv_blocks yields the CSV a block at a time, so a caller
+can write each block as soon as it is formatted.  The CLI imports this
+module on its first CSV, so that `compute` and `check` neither load nor
+compile it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .experiments import SweepTable
 
-# Rows per block of csv_bytes.  A row's record is about 70 bytes on the README
+# Rows per block of csv_blocks.  A row's record is about 70 bytes on the README
 # grids.  Writing the qutrit surface again and again, 2^11 rows kept a
 # process's peak RSS at that of per-row formatting (within 0.1 MB) and cost
 # 0.3 ms more than 2^12 rows, which raised it by 0.8 MB.
@@ -71,8 +73,9 @@ def g17_records(values: np.ndarray) -> np.ndarray:
     floor(log10(x)) and moves by one where hi + lo lies outside
     [10^16, 10^17).  D never rounds up to 10^17: below each power of ten
     from 1e-4 to 1, the nearest double lies at least 8 units of the 17th
-    digit away.  Every other value (zeros, subnormals, anything below 1e-4
-    or from 1 up, NaN) is formatted by Python, once per distinct bit pattern.
+    digit away.  An exact +0.0 prints as "0".  Every other value (-0.0,
+    subnormals, anything below 1e-4 or from 1 up, NaN) is formatted by
+    Python, once per distinct bit pattern.
 
     A record is seven uint32 words: "0.", the leading zeros and the first
     digit, four groups of four digits, the newline.  Every byte not printed
@@ -81,6 +84,7 @@ def g17_records(values: np.ndarray) -> np.ndarray:
     """
     lead, quads, quads_kept = _digit_words()
     fast = (values >= 1e-4) & (values < 1.0)
+    zero = values.view(np.int64) == 0  # +0.0 alone: -0.0 has its sign bit set
     x = np.where(fast, values, 0.5)
     e10 = np.floor(np.log10(x)).astype(np.int64)
     hi, lo = _times_pow10(x, 16 - e10)
@@ -106,7 +110,8 @@ def g17_records(values: np.ndarray) -> np.ndarray:
     words[:, 5] = quads_kept.take(groups[3])
     words[:, 6] = np.frombuffer(b"\n\0\0\0", np.uint32)
     text = words.view("S28").ravel()
-    odd = np.flatnonzero(~fast)
+    text[zero] = b"0\n"
+    odd = np.flatnonzero(~(fast | zero))
     if odd.size:
         bits, inverse = np.unique(values[odd].view(np.int64), return_inverse=True)
         odd_text = np.array([b"%.17g\n" % v for v in bits.view(np.float64).tolist()], "S28")
@@ -114,25 +119,37 @@ def g17_records(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def csv_bytes(table: SweepTable) -> bytes:
-    """The CSV of cli.emit(table, "csv"): a header, then one row per cell.
+def csv_blocks(table: SweepTable):
+    """Yield the CSV of cli.emit(table, "csv"): the header, then blocks of rows.
 
-    Each block of BLOCK_ROWS rows is an array of byte records: one field per
-    axis, taken from that axis's cells (each formatted once, NUL-padded),
-    and one for S.  Deleting the NUL bytes leaves the block's rows.
+    A block is an array of records in one reused buffer: a field per axis,
+    each cell formatted once and NUL-padded, and one for S; deleting the NULs
+    leaves its rows.  Where the last axis fits in BLOCK_ROWS, a block holds
+    whole runs of it, whose field is tiled into the buffer once; a longer one
+    goes a slice of one run, at most BLOCK_ROWS rows, at a time.
     """
-    header = ",".join([axis.name for axis in table.axes] + ["S"]) + "\n"
+    yield (",".join([axis.name for axis in table.axes] + ["S"]) + "\n").encode("utf-8")
     cells = [np.array([b"%.17g," % v for v in axis.values]) for axis in table.axes]
+    *outer, last = cells
+    values = table.values.reshape(-1, len(last))
+    runs, width = len(values), min(len(last), BLOCK_ROWS)
+    per_block = min(runs, BLOCK_ROWS // width)
     record = np.dtype([(f"a{i}", c.dtype) for i, c in enumerate(cells)] + [("S", "S28")])
-    chunks = [header.encode("utf-8")]
-    for lo in range(0, table.values.size, BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + BLOCK_ROWS, table.values.size))
-        buf = bytearray(rows.size * record.itemsize)
-        block = np.frombuffer(buf, record)
-        stride = table.values.size
-        for i, c in enumerate(cells):
-            stride //= len(c)
-            block[f"a{i}"] = c.take(rows // stride % len(c))
-        block["S"] = g17_records(table.values[lo:lo + rows.size])
-        chunks.append(buf.translate(None, b"\0"))
-    return b"".join(chunks)
+    buf = bytearray(per_block * width * record.itemsize)
+    block = np.frombuffer(buf, record)
+    if width == len(last):
+        block[f"a{len(outer)}"] = np.tile(last, per_block)
+    for r0 in range(0, runs, per_block):
+        run = np.arange(r0, min(r0 + per_block, runs))
+        # a leading axis of length 1 gives a one-axis table its one run
+        index = np.unravel_index(run, (1, *table.shape[:-1]))[1:]
+        texts = [c.take(i) for c, i in zip(outer, index)]
+        for lo in range(0, len(last), width):
+            hi = min(lo + width, len(last))
+            rows = block[:run.size * (hi - lo)]
+            for i, t in enumerate(texts):
+                rows[f"a{i}"] = np.repeat(t, hi - lo)
+            if width < len(last):
+                rows[f"a{len(outer)}"] = last[lo:hi]
+            rows["S"] = g17_records(values[run[0]:run[-1] + 1, lo:hi].ravel())
+            yield (buf if rows.size == block.size else buf[:rows.nbytes]).translate(None, b"\0")

@@ -174,6 +174,34 @@ class TestBuildStructure:
         assert StructureSpec("kappa-pos", 3, 0.5).family is Family.KAPPA_POS
         assert build_structure("custom", 2, levels=[0, 1, 1, 0]).family is Family.CUSTOM
 
+    def test_spec_refuses_a_foreign_kappa_for_kappa_neg(self):
+        # 0.5 built kappa-pos's convex levels [0, 1, 3, 6, 0] under the name
+        with pytest.raises(InvalidStructureError, match="fixed to -1/\\(2s\\)"):
+            StructureSpec(Family.KAPPA_NEG, 3, 0.5)
+
+    def test_spec_drops_kappa_for_pegg_barnett(self):
+        # 0.5 built kappa-pos's levels [0, 1, 3, 6, 0] under the name
+        spec = StructureSpec(Family.PEGG_BARNETT, 3, 0.5)
+        assert spec.kappa is None
+        assert spec.levels.tolist() == [0.0, 1.0, 2.0, 3.0, 0.0]
+
+    def test_spec_fills_in_kappa_neg_kappa(self):
+        # None built Pegg-Barnett's levels [0, 1, 2, 3, 0] under the name
+        spec = StructureSpec(Family.KAPPA_NEG, 3, None)
+        ref = build_structure(Family.KAPPA_NEG, 3)
+        assert spec.kappa == ref.kappa == -1.0 / 3.0
+        assert spec.levels.tobytes() == ref.levels.tobytes()
+
+    def test_spec_requires_kappa_for_kappa_pos(self):
+        # None built Pegg-Barnett's levels [0, 1, 2, 3, 0] under the name
+        with pytest.raises(MissingKappaError, match="required"):
+            StructureSpec(Family.KAPPA_POS, 3, None)
+
+    @pytest.mark.parametrize("kappa", [-0.2, 0.0, float("inf"), float("nan")])
+    def test_spec_refuses_a_non_positive_kappa_for_kappa_pos(self, kappa):
+        with pytest.raises(MissingKappaError, match="finite and > 0"):
+            StructureSpec(Family.KAPPA_POS, 3, kappa)
+
     @pytest.mark.parametrize("family", ["bogus", 3, None])
     def test_unknown_family_refused(self, family):
         with pytest.raises(InvalidStructureError, match="^unknown family"):

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import phasebeam
 from phasebeam import (
     Family,
+    NumericalConsistencyError,
     RangeError,
     SweepTable,
     Axis,
@@ -251,6 +253,56 @@ class TestEmit:
         values = np.resize([0.1, 1e-300, 5e-324, 1.0, 0.0, 1.0 / 3.0], size)
         table = SweepTable(axes=axes, values=values)
         assert emit(table, "csv") == _render_csv_reference(table).encode("utf-8")
+
+    @pytest.mark.parametrize("shape", [
+        (csvfmt.BLOCK_ROWS - 1,), (csvfmt.BLOCK_ROWS,), (csvfmt.BLOCK_ROWS + 1,),
+        (5 * csvfmt.BLOCK_ROWS // 2,), (3, 4, 1), (2, 3, 2 * csvfmt.BLOCK_ROWS + 5),
+        (9, 128, 101),
+    ], ids=["one-short", "one-block", "one-over", "two-and-a-half", "last-axis-1",
+            "last-axis-long", "partial-last-block"])
+    def test_csv_blocks_match_per_row_formatting(self, shape):
+        # the blocks hold whole runs of the last axis, or slices of one run
+        # where the last axis is longer than a block, so each edge is checked
+        axes = tuple(Axis(f"x{i}", tuple(np.linspace(i, i + 1, n).tolist()))
+                     for i, n in enumerate(shape))
+        values = np.random.default_rng(len(shape)).uniform(0.0, 1.0, int(np.prod(shape)))
+        values[::7] = np.resize([0.0, -0.0, 1e-300, 1.0, 5e-324], values[::7].size)
+        table = SweepTable(axes=axes, values=values)
+        expected = _render_csv_reference(table).encode("utf-8")
+        assert emit(table, "csv") == expected
+        stream = io.BytesIO()
+        assert emit(table, "csv", stream) is None
+        assert stream.getvalue() == expected
+        blocks = list(csvfmt.csv_blocks(table))
+        assert max(block.count(b"\n") for block in blocks[1:]) <= csvfmt.BLOCK_ROWS
+
+    def test_csv_memory_is_bounded(self):
+        # 258 560 rows, 15 MB of CSV: joined into one bytes, the writer
+        # traced over 30 MB; streamed, the reused block buffer is all it keeps
+        class Md5Stream:
+            def __init__(self):
+                self.md5 = hashlib.md5()
+
+            def write(self, data):
+                self.md5.update(data)
+
+            def flush(self):
+                pass
+
+        shape = (20, 128, 101)
+        axes = tuple(Axis(name, tuple(np.linspace(0.0, 1.0, n).tolist()))
+                     for name, n in zip(("two_s", "phi", "r2"), shape))
+        table = SweepTable(axes=axes, values=np.random.default_rng(28).uniform(
+            0.0, 1.0, int(np.prod(shape))))
+        stream = Md5Stream()
+        tracemalloc.start()
+        try:
+            emit(table, "csv", stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert stream.md5.hexdigest() == hashlib.md5(emit(table, "csv")).hexdigest()
 
 
 class TestCsvDecimalKernel:
@@ -885,6 +937,40 @@ class TestMainSweep:
         assert len(payload["values"]) == 5
         assert payload["meta"]["two_s"] == 2
         assert list(payload["meta"]) == ["family", "m", "kappa", "method", "two_s"]
+
+    def test_sweep_into_a_closed_pipe_exits_3(self):
+        # a reader that leaves after 100 bytes of a 15 MB CSV; written whole,
+        # the CSV went out as one write that came back short, unseen, and the
+        # run exited 0
+        proc = subprocess.Popen([sys.executable, "-m", "phasebeam.cli", "sweep", "--two-s", "1:20"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": SRC})
+        with proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 3
+        assert err == b"i/o error: [Errno 32] Broken pipe\n"
+
+    def test_failing_sweep_prints_nothing(self, capsysbinary, monkeypatch):
+        # the table is finished before emit writes its first block, so a
+        # slice that fails leaves no partial CSV on stdout
+        closed = experiments.linear_entropy_closed
+        slices = []
+
+        def fail_last(spec, phi, params):
+            slices.append(spec.two_s)
+            if spec.two_s == 3:
+                raise NumericalConsistencyError("purity above 1 at 2s = 3")
+            return closed(spec, phi, params)
+
+        monkeypatch.setattr(experiments, "linear_entropy_closed", fail_last)
+        assert main(["sweep", "--two-s", "1:3"]) == 2
+        out, err = capsysbinary.readouterr()
+        assert slices == [1, 2, 3]
+        assert out == b""
+        assert err.decode().splitlines() == [
+            "numerical consistency error: purity above 1 at 2s = 3"]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--two-s", "2", "--phi", "0:6.28:6", "--r2", "0:1:5",
