@@ -53,7 +53,8 @@ class StructureSpec:
         Deformation parameter, where the family has one: -1/(2s) for
         KAPPA_NEG (another value is refused; None is filled in), a finite
         kappa > 0 for KAPPA_POS (else MissingKappaError), None for
-        PEGG_BARNETT (a value passed is dropped).
+        PEGG_BARNETT and CUSTOM (a value passed is dropped: a CUSTOM table
+        is keyed by its levels alone).
     levels : ndarray, shape (2s+2,)
         F(0)..F(2s+1).  F(0) = F(2s+1) = 0, F(n) > 0 for 0 < n <= 2s.  A
         built-in family derives them as n(1 + kappa(n-1)) (kappa or 0), and a
@@ -79,6 +80,7 @@ class StructureSpec:
             if self.levels is None:
                 raise InvalidStructureError("custom family requires a level table")
             levels = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
+            object.__setattr__(self, "kappa", None)
         else:
             # The closed form's binning by k trusts the family, so its levels are
             # the formula's, never a table that merely carries its name, and its
@@ -173,7 +175,8 @@ def build_structure(
     kappa : float, optional
         Deformation parameter.  Required (> 0) for KAPPA_POS; for
         KAPPA_NEG it is fixed to -1/(2s) and may only be passed
-        redundantly; ignored for PEGG_BARNETT.
+        redundantly; ignored for PEGG_BARNETT and CUSTOM, whose spec
+        stores None.
     levels : array_like, optional
         Full level table F(0)..F(2s+1) for the CUSTOM family.
 

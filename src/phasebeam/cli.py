@@ -250,7 +250,8 @@ def emit(table: SweepTable, fmt: str, stream=None) -> bytes | None:
     A CSV is a header, then one row per cell, coordinates row-major and S
     last, each number "%.17g" % v.  phasebeam.csvfmt, loaded on the first
     CSV, formats it in blocks of rows, and each block is written to the
-    stream as soon as it is formatted.
+    stream as soon as it is formatted, until every byte is out: a write
+    that takes no byte (a count of 0 or None) is an OSError.
     """
     if fmt == "csv":
         from .csvfmt import csv_blocks
@@ -263,7 +264,12 @@ def emit(table: SweepTable, fmt: str, stream=None) -> bytes | None:
     if stream is None:
         return b"".join(blocks)
     for block in blocks:
-        stream.write(block)
+        rest = memoryview(block)
+        while rest:
+            count = stream.write(rest)
+            if not count:
+                raise OSError(f"short write: {len(rest)} bytes not written")
+            rest = rest[count:]
     stream.flush()
     return None
 

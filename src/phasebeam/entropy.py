@@ -17,7 +17,7 @@ call of one tile.  The Gram entries go into one table keyed by
 the gap, one row per r2 cell, built in tiles of r2 cells.  On the quadratic
 tables F(n) = n(1 + kappa(n-1)) of every built-in family the gap is
 2 kappa k with the integer k = j (s' - s), and the entries are binned by
-k; on any other table each term is an entry of its own.  The table gives
+k; on a CUSTOM table each term is an entry of its own.  The table gives
 S = 1 - sum_g W_g cos(g phi) / d^2 per (phi, r2) cell, each cell one entry
 of a matrix product of 16 cosine rows cos(g phi) against 16 weight rows W.
 Every product has that one shape, so a cell has the same bits wherever it
@@ -55,9 +55,6 @@ CLAMP_TOL = 1e-10
 # stays.
 _BLOCK_TERMS = 1 << 11
 
-# A Gram table bins by k where F(0..2s) agree with n(1 + kappa(n-1)) this
-# closely, relative to max |F|.
-QUADRATIC_TOL = 1e-14
 # Every column of a Gram table's binomial pmf must sum to 1 this closely;
 # the largest deviations measured were 5.6e-14 at 2s = 80 (101 r2 values)
 # and 7.4e-13 at 511 (2001 r2 values).
@@ -288,21 +285,12 @@ class _GramTable:
     def entropy(self, phi) -> EntropyValue:
         """One entropy per cell of np.broadcast_shapes(phi, r2), each its scalar call's bits.
 
-        A scalar call is one tile.  Where phi and r2 never both vary along
-        one axis (a grid) every phase meets every r2 cell in _grid; any
-        other broadcast pairs each cell's own phase and r2 in _pairs.
+        Where phi and r2 never both vary along one axis (a grid, a scalar
+        call included: one tile) every phase meets every r2 cell in _grid;
+        any other broadcast pairs each cell's own phase and r2 in _pairs.
         """
         rows = self.weights.reshape(-1, self.rates.size)
         cells = self.weights.shape[:-1]
-        if np.ndim(phi) == 0 and not cells:  # row 0 of a tile against row 0 of another
-            entries, width, _ = self._blocks()
-            purity = 0.0
-            for g in range(0, entries, width):
-                a, b = np.zeros((2, _TILE, min(width, entries - g)))
-                np.cos(phi * self.rates[g:g + width], out=a[0])
-                b[0] = rows[0, g:g + width]
-                purity += _tile_products(a, b)[0, 0]
-            return EntropyValue(1.0 - purity / (self.dim * self.dim), CLOSED_FORM, self.dim)
         shape = np.broadcast_shapes(np.shape(phi), cells)
         n = len(shape)
         phi_shape = (1,) * (n - np.ndim(phi)) + np.shape(phi)
@@ -365,59 +353,39 @@ class _GramTable:
         return out.reshape(-1)[:len(phis)]
 
 
-def _quadratic(spec: StructureSpec) -> bool:
-    """Whether F(0..2s) = n(1 + kappa(n-1)) at spec.kappa (0 where it has none).
-
-    Every built-in family's levels are built by that formula; a CUSTOM table
-    is fitted, to QUADRATIC_TOL relative to max |F|.  F(2s+1) = 0 is the
-    truncation and takes no part in the fit.
-    """
-    if spec.family is not Family.CUSTOM:
-        return True
-    levels = spec.levels[:spec.dim]
-    n = np.arange(spec.dim, dtype=float)
-    dev = np.abs(levels - n * (1.0 + (spec.kappa or 0.0) * (n - 1.0))).max()
-    return bool(dev <= QUADRATIC_TOL * np.abs(levels).max())
-
-
 def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     """The Gram entries w G_j[s, s'] keyed by their gap, one row per r2 cell.
 
     The gap of the term (j, s, s') is (F(s) - F(s+j)) - (F(s') - F(s'+j)),
-    exactly 0 where j == 0 or s == s'.  On a quadratic table
-    F(n) = n(1 + kappa(n-1)) it is 2 kappa k with the integer k = j (s' - s),
-    so the entries are binned by k: np.bincount sums each block's entries per
-    (r2 cell, k) in term order, and the block sums are added in block order.
-    On any other table each term is an entry of its own.  The r2 cells go
-    in tiles of at most _BLOCK_ENTRIES // d^2; no row depends on another.
-    A call of more than one tile builds a streamed slab plan once, for its
-    tiles alone; the fit of the levels is decided once per call.
+    exactly 0 where j == 0 or s == s'.  Every built-in family's levels are
+    F(n) = n(1 + kappa(n-1)), where it is 2 kappa k with the integer
+    k = j (s' - s), so the entries are binned by k: np.bincount sums each
+    block's entries per (r2 cell, k) in term order, and the block sums are
+    added in block order.  On a CUSTOM table each term is an entry of its
+    own.  The r2 cells go in tiles of at most _BLOCK_ENTRIES // d^2; no row
+    depends on another.  A call of more than one tile builds a streamed slab
+    plan once, for its tiles alone.
     """
     plan = _slab_plan(spec.dim)
-    quadratic = _quadratic(spec)
     step = max(1, _BLOCK_ENTRIES // spec.dim**2)
     if np.size(params.r2) <= step:
-        return _gram_rows(spec, params, plan, quadratic)
+        return _gram_rows(spec, params, plan)
     plan = tuple(plan)
     r2 = params.r2.ravel()
-    tiles = (_gram_rows(spec, SplitterParams(r2[c:c + step]), plan, quadratic)
+    tiles = (_gram_rows(spec, SplitterParams(r2[c:c + step]), plan)
              for c in range(0, r2.size, step))
     first = next(tiles)
     weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
     return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
 
 
-def _gram_rows(spec: StructureSpec, params: SplitterParams, plan,
-               quadratic: bool) -> _GramTable:
-    """_gram_table of one tile of r2 cells, from the blocks of plan.
-
-    quadratic is _quadratic(spec): whether the entries are binned by k.
-    """
+def _gram_rows(spec: StructureSpec, params: SplitterParams, plan) -> _GramTable:
+    """_gram_table of one tile of r2 cells, from the blocks of plan."""
     pmf = _binomial_pmf(spec, params)
     dev = np.abs(pmf.sum(axis=-2) - 1.0).max(initial=0.0)
     if not dev <= PMF_TOL:
         raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
-    if not quadratic:
+    if spec.family is Family.CUSTOM:
         mags, gaps = [], []
         levels = spec.levels
         for block, mag in _gram_slabs(spec, pmf, plan):

@@ -185,6 +185,14 @@ class TestBuildStructure:
         assert spec.kappa is None
         assert spec.levels.tolist() == [0.0, 1.0, 2.0, 3.0, 0.0]
 
+    def test_spec_drops_kappa_for_custom(self):
+        # a CUSTOM table is keyed by its levels alone, even kappa-pos's at 0.5
+        levels = build_structure(Family.KAPPA_POS, 6, 0.5).levels
+        for spec in (build_structure(Family.CUSTOM, 6, 0.5, levels=levels),
+                     StructureSpec(Family.CUSTOM, 6, 0.5, levels)):
+            assert spec.kappa is None
+            assert spec.levels.tobytes() == levels.tobytes()
+
     def test_spec_fills_in_kappa_neg_kappa(self):
         # None built Pegg-Barnett's levels [0, 1, 2, 3, 0] under the name
         spec = StructureSpec(Family.KAPPA_NEG, 3, None)

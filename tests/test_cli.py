@@ -285,6 +285,7 @@ class TestEmit:
 
             def write(self, data):
                 self.md5.update(data)
+                return len(data)
 
             def flush(self):
                 pass
@@ -303,6 +304,32 @@ class TestEmit:
             tracemalloc.stop()
         assert peak < 4e6
         assert stream.md5.hexdigest() == hashlib.md5(emit(table, "csv")).hexdigest()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_writes_are_resumed(self, fmt):
+        # a stream that takes at most 1 000 bytes per write, as a pipe can:
+        # each block, the last one and a JSON payload included, is written on
+        # until every byte is out
+        class ShortStream:
+            def __init__(self):
+                self.data = bytearray()
+
+            def write(self, data):
+                taken = bytes(data[:1000])
+                self.data += taken
+                return len(taken)
+
+            def flush(self):
+                pass
+
+        shape = (2, csvfmt.BLOCK_ROWS + 5)
+        axes = tuple(Axis(f"x{i}", tuple(np.linspace(0.0, 1.0, n).tolist()))
+                     for i, n in enumerate(shape))
+        table = SweepTable(axes=axes, values=np.random.default_rng(29).uniform(
+            0.0, 1.0, int(np.prod(shape))))
+        stream = ShortStream()
+        assert emit(table, fmt, stream) is None
+        assert bytes(stream.data) == emit(table, fmt)
 
 
 class TestCsvDecimalKernel:
@@ -937,6 +964,34 @@ class TestMainSweep:
         assert len(payload["values"]) == 5
         assert payload["meta"]["two_s"] == 2
         assert list(payload["meta"]) == ["family", "m", "kappa", "method", "two_s"]
+
+    @pytest.mark.parametrize("argv, md5", [
+        (["--two-s", "1"], "0cdaad720f29b92bb2dbaac61f2a1879"),
+        (["--two-s", "2"], "30f4264635175008f96bebfa64151656"),
+        (["--two-s", "3"], "ee062e175e52793cbe78ba8538f2ab71"),
+        (["--two-s", "1:10", "--r2", "0.5"], "69b3e27b7fc9636e3980e2fde583b936"),
+        (["--two-s", "1:40", "--phi", "0:6.283185307179586:5", "--r2", "0.5"],
+         "bf73f882ee89ec5fe86484c716b7130b"),
+    ], ids=["qubit", "qutrit", "quartit", "balanced_phi", "growth"])
+    def test_readme_sweeps_pinned_md5(self, argv, md5, capsysbinary):
+        # the five standard sweeps of README, every stdout byte
+        assert main(["sweep", *argv]) == 0
+        assert hashlib.md5(capsysbinary.readouterr().out).hexdigest() == md5
+
+    @pytest.mark.parametrize("count", [0, None])
+    def test_write_that_takes_nothing_exits_3(self, capsys, monkeypatch, count):
+        class Stuck:
+            def write(self, data):
+                return count
+
+            def flush(self):
+                pass
+
+            buffer = property(lambda self: self)
+
+        monkeypatch.setattr(sys, "stdout", Stuck())
+        assert main(["sweep", "--two-s", "2", "--phi", "0:1:3", "--r2", "0.5"]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: short write: ")
 
     def test_sweep_into_a_closed_pipe_exits_3(self):
         # a reader that leaves after 100 bytes of a 15 MB CSV; written whole,

@@ -442,40 +442,43 @@ class TestLinearEntropySpectral:
             spec = build_structure(family, two_s, kappa)
             return linear_entropy_closed(spec, phi, params).value
 
+        def oracle(family, phi, kappa=None):  # the partial trace shares no code with the table
+            return oracle_entropy(build_structure(family, two_s, kappa), 0, phi, params).value
+
         # S depends on phi only through kappa phi: exactly so for a power of two
         s = closed(Family.KAPPA_POS, phi, kappa)
         other = closed(Family.KAPPA_POS, phi / scale, kappa * scale)
         if scale in (0.5, 2.0):
             assert other == s
         assert abs(other - s) <= 1e-12
+        assert abs(oracle(Family.KAPPA_POS, phi / scale, kappa * scale)
+                   - oracle(Family.KAPPA_POS, phi, kappa)) <= 1e-12
         # even in kappa: kappa-neg is kappa-pos at kappa = 1/(2s)
         assert closed(Family.KAPPA_NEG, phi) == closed(Family.KAPPA_POS, phi, 1.0 / two_s)
+        assert abs(oracle(Family.KAPPA_NEG, phi)
+                   - oracle(Family.KAPPA_POS, phi, 1.0 / two_s)) <= 1e-12
         # Pegg-Barnett has kappa = 0
         assert closed(Family.PEGG_BARNETT, phi) == closed(Family.PEGG_BARNETT, 0.0)
+        assert abs(oracle(Family.PEGG_BARNETT, phi) - oracle(Family.PEGG_BARNETT, 0.0)) <= 1e-12
 
     def test_quadratic_tables_only(self):
         def keyed_by_k(spec):
             table = entropy._gram_table(spec, BALANCED)
             return table.rates.size < entropy._plan_terms(spec.dim)
 
-        # the built-in families bin by k by construction, unfitted; only a
-        # CUSTOM table is fitted
+        # the built-in families bin by k by construction; a CUSTOM table keeps
+        # one entry per term, whatever its levels
         assert all(keyed_by_k(build_structure(family, 4, kappa)) for family, kappa in FAMILIES)
         rng = np.random.default_rng(17)
         g = rng.uniform(0.5, 1.5, 4)
         assert not keyed_by_k(structure_from_spacings(np.append(g, -g.sum())))
-        # kappa-neg levels as a custom table: the spec has no kappa, so 0, and
-        # each term keeps its own entry
-        custom = structure_from_spacings(build_structure(Family.KAPPA_NEG, 4).spacings)
-        assert not keyed_by_k(custom)
-        assert keyed_by_k(build_structure(Family.KAPPA_NEG, 4))
-        assert abs(linear_entropy_closed(custom, 0.7, BALANCED).value - linear_entropy_closed(
-            build_structure(Family.KAPPA_NEG, 4), 0.7, BALANCED).value) <= 1e-15
-        # F(n) = n as a custom table fits kappa = 0
-        linear = structure_from_spacings(np.append(np.ones(4), -4.0))
-        assert keyed_by_k(linear)
-        assert linear_entropy_closed(linear, 0.7, BALANCED).value == linear_entropy_closed(
-            build_structure(Family.PEGG_BARNETT, 4), 0.7, BALANCED).value
+        # kappa-neg levels and F(n) = n as custom tables agree with their families
+        for family, g in ((Family.KAPPA_NEG, build_structure(Family.KAPPA_NEG, 4).spacings),
+                          (Family.PEGG_BARNETT, np.append(np.ones(4), -4.0))):
+            custom = structure_from_spacings(g)
+            assert not keyed_by_k(custom)
+            assert abs(linear_entropy_closed(custom, 0.7, BALANCED).value - linear_entropy_closed(
+                build_structure(family, 4), 0.7, BALANCED).value) <= 1e-15
 
 
 class TestMIndependence:
@@ -777,7 +780,7 @@ def test_cell_bits_do_not_depend_on_tile_position(family, kappa, two_s):
 class TestStreamedPlan:
     """Above 2s = 90 the slab plan is over the per-size budget: a call of more
     than one r2 build tile builds it once for its tiles, and a one-tile call
-    streams it block by block.  Either call fits the levels once."""
+    streams it block by block."""
 
     @pytest.mark.parametrize("family, kappa", FAMILIES, ids=lambda v: getattr(v, "value", v))
     def test_tiles_share_one_plan_build(self, monkeypatch, family, kappa):
@@ -792,13 +795,9 @@ class TestStreamedPlan:
             builds.append(d)
             yield from plan_call(d)
 
-        fits = []
-        fit = entropy._quadratic
         monkeypatch.setattr(entropy, "_slab_plan", counted)
-        monkeypatch.setattr(entropy, "_quadratic", lambda spec: fits.append(spec) or fit(spec))
         got = linear_entropy_closed(spec, 0.9, SplitterParams(r2)).value
         assert builds == [spec.dim]
-        assert fits == [spec]  # the levels are fitted once per call, not per tile
         for value, r2_one in zip(got, r2):
             assert value == linear_entropy_closed(spec, 0.9, SplitterParams(r2_one)).value
         assert len(builds) == 1 + r2.size
