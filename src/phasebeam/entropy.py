@@ -5,19 +5,16 @@ density matrix.  The closed-form route evaluates the quadruple sum over
 (n, n', l, l') whose terms carry the angle
     [F(n+l) + F(n'+l') - F(n'+l) - F(n+l')] * phi.
 With j = n' - n, s = n + l and s' = n + l' the angle depends on (j, s, s')
-alone, and the magnitudes summed over n form one Gram matrix per j, from
-real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real and is
-evaluated once, folded onto j >= 0, s <= s', in blocks of whole j slabs,
-each term times its fold weight 1, 2 or 4 (checks.py holds the complex sum,
-term by term, that checks it).  That slab plan depends on d alone; it is
-kept (numerics.per_size) while it holds at most RETAIN_ENTRIES terms, up to
-2s = 90.  A larger plan is built once per call that has more than one r2
-build tile, for that call alone, and streams from the same builder in a
-call of one tile.  The Gram entries go into one table keyed by
-the gap, one row per r2 cell, built in tiles of r2 cells.  On the quadratic
-tables F(n) = n(1 + kappa(n-1)) of every built-in family the gap is
-2 kappa k with the integer k = j (s' - s), and the entries are binned by
-k; on a CUSTOM table each term is an entry of its own.  The table gives
+alone, and the magnitudes summed over n form one Gram matrix G_j per j, from
+real products of sqrt(binom(s, n)) t^n r^(s-n).  The sum is real, folded
+onto j >= 0, s <= s', each term times its fold weight 1, 2 or 4 (checks.py
+holds the complex sum, term by term, that checks it).  It goes into one
+table keyed by the gap, one row per r2 cell, built in tiles of r2 cells.
+On the quadratic levels F(n) = n(1 + kappa(n-1)) of every built-in family
+the gap is 2 kappa k, the same for every entry of the diagonal tau = s' - s
+of G_j, k = j tau: the diagonal sums are binned by k through a (j, tau) ->
+bin table, kept (numerics.per_size) up to 2s = 361.  On a CUSTOM table each
+term is an entry of its own.  The table gives
 S = 1 - sum_g W_g cos(g phi) / d^2 per (phi, r2) cell, each cell one entry
 of a matrix product of 16 cosine rows cos(g phi) against 16 weight rows W.
 Every product has that one shape, so a cell has the same bits wherever it
@@ -26,15 +23,16 @@ sits in a call, and in a call of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, groupby
-from math import inf, prod
+from math import inf
 
 import numpy as np
 
 from .algebra import Family, StructureSpec
 from .errors import NumericalConsistencyError
 from .numerics import _BLOCK_ENTRIES, log_factorials, per_size, read_only
+from .phase_states import _finite_phases
 from .splitter import SplitterParams, validate_density
 
 ORACLE = "oracle"
@@ -50,8 +48,8 @@ CLAMP_TOL = 1e-10
 # Re-measured with per-term fold weights (one r2 value, medians of 7
 # interleaved rounds): 2^12 took 0.90-0.97 of the time of 2^11 at 2s = 20,
 # 40 and 80, the same at 2s = 10 and on a 101-value grid at 2s = 80, and
-# peaked at 0.34 against 0.19 MB at 2s = 40.  The block bounds set the order
-# in which the block sums add, so 2^12 would move the last bits of S; 2^11
+# peaked at 0.34 against 0.19 MB at 2s = 40.  The block bounds set the
+# shapes of the Gram products, so 2^12 would move the last bits of S; 2^11
 # stays.
 _BLOCK_TERMS = 1 << 11
 
@@ -135,113 +133,65 @@ def _binomial_table(d: int):
     return read_only(np.exp(lgf[:d] - lgf[k[:, None]] - lgf[gap]), k, gap)
 
 
-def _binomial_pmf(spec: StructureSpec, params: SplitterParams) -> np.ndarray:
-    """pmf[..., n, s] = binom(s, n) t2^n r2^(s-n), zero for n > s, after any r2 axes.
-
-    Column s is the binomial distribution of the n of s photons transmitted.
-    """
+def _binomial_pmf(spec: StructureSpec, r2: np.ndarray) -> np.ndarray:
+    """pmf[..., n, s] = binom(s, n) t2^n r2^(s-n), t2 = 1 - r2, zero for n > s, after the
+    axes of r2: column s is the binomial distribution of the n of s photons transmitted."""
     binom, k, gap = _binomial_table(spec.dim)
-    t2_pow, r2_pow = np.power.outer((params.t2, params.r2), k)
+    t2_pow, r2_pow = np.power.outer((1.0 - r2, r2), k)
     return binom * t2_pow[..., None] * r2_pow[..., gap]
 
 
-def _plan_terms(d: int) -> int:
-    """Terms of the slab plan, C(d + 2, 3)."""
-    return d * (d + 1) * (d + 2) // 6
-
-
-@dataclass(frozen=True, eq=False)
-class _SlabBlock:
-    """One block of whole j slabs of the folded Gram sum; it depends on d alone.
-
-    rows holds the slab index j of each slab, consecutive, and side the
-    widest slab's side m.  terms holds the flat indices of the block's terms
-    in its (slabs, m, m) Gram stack, weights the fold weight of each term
-    (1, 2 or 4, as uint8) and bins the position of each term's
-    k = j (s' - s) in _k_values.  Every array is read-only.
-    """
-
-    rows: np.ndarray
-    side: int
-    terms: np.ndarray
-    weights: np.ndarray
-    bins: np.ndarray
-
-
 @per_size(lambda d: d * d)
-def _k_values(d: int):
-    """The distinct k = j (s' - s) of the slab plan's terms, ascending, read-only.
-
-    The terms have j, s' - s >= 0 and j + s' - s <= d - 1, and every such
-    product occurs.
+def _k_bins(d: int):
+    """ks, the distinct k = j tau of the Gram diagonals j + tau < d, ascending;
+    bins[j, tau], the place of j tau in ks there and ks.size, a dump bin,
+    elsewhere; and folds[r, tau], 2 - [tau == 0] where r + tau < d and 0
+    elsewhere, whose rows from j on mask a block of side d - j.  Read-only.
     """
     j = np.arange(d)
+    k, inside = np.multiply.outer(j, j), np.add.outer(j, j) < d
     seen = np.zeros(d * d, dtype=bool)
-    seen[np.multiply.outer(j, j)[np.add.outer(j, j) < d]] = True
-    return read_only(seen.nonzero()[0])
+    seen[k[inside]] = True
+    ks = seen.nonzero()[0]
+    return read_only(ks, np.where(inside, seen.cumsum()[k] - 1, ks.size),
+                     inside * (2.0 - (j == 0)))
 
 
-@per_size(_plan_terms)
-def _slab_plan(d: int):
-    """Yield the _SlabBlock of each block of whole j slabs, in j order.
-
-    Slab j >= 0 holds s <= s' < side_j = d - j, with the per-term fold weight
-    (2 - [j == 0]) (2 - [s == s']).  A block holds whole slabs, about
-    _BLOCK_TERMS square entries per cell.  Kept plans are tuples; a plan over
-    the budget is this generator, which _gram_table builds once per call when
-    the call has more than one r2 tile.
-    """
-    (ks,) = _k_values(d)
-    j = k = np.arange(d)
-    side = d - j
-    inside = np.greater.outer(side, k)
-    upper = np.less_equal.outer(k, k)
-    # Fold weights, powers of two: 2 - [s == s'] for s <= s', and 2 - [j == 0].
-    pair_w = np.less.outer(k, k) + np.uint8(1)
-    slab_w = (j > 0) + np.uint8(1)
-    sides = side.tolist()
-    # A block starts at each slab whose first entry passes a multiple of _BLOCK_TERMS.
-    starts = list(accumulate((m * m for m in sides), initial=0))
-    for _, run in groupby(range(j.size), lambda i: starts[i] // _BLOCK_TERMS):
-        run = list(run)
-        block = slice(run[0], run[-1] + 1)
-        m = max(sides[block])
-        keep = upper[:m, :m] & inside[block, :m][:, None, :]
-        terms = keep.ravel().nonzero()[0]
-        # Entry (u, u') of slab j has k = j (u' - u).
-        k_terms = (j[block, None, None] * (k[:m] - k[:m, None])).reshape(-1).take(terms)
-        bins = np.searchsorted(ks, k_terms).astype(np.int32)
-        weights = (slab_w[block, None, None] * pair_w[:m, :m]).reshape(-1).take(terms)
-        rows = j[block]
-        read_only(rows, terms, weights, bins)
-        yield _SlabBlock(rows, m, terms, weights, bins)
+@per_size(lambda d: d)
+def _slab_blocks(d: int):
+    """(j, slabs) per block of whole j slabs of side d - j, in j order: a block
+    starts at each slab whose first square entry passes a multiple of _BLOCK_TERMS."""
+    starts = list(accumulate((m * m for m in range(d, 0, -1)), initial=0))
+    runs = [list(run) for _, run in groupby(range(d), lambda j: starts[j] // _BLOCK_TERMS)]
+    return tuple((run[0], len(run)) for run in runs)
 
 
-def _gram_slabs(spec: StructureSpec, pmf: np.ndarray, plan):
-    """Yield, per block of plan, the block and its weighted Gram entries.
+def _gram_slabs(spec: StructureSpec, pmf: np.ndarray):
+    """Yield (j, gram, diagonals) per block of whole slabs, j its first slab.
 
     With b[n, s] = sqrt(pmf[n, s]) and Q_j[n, s] = b[n, s] b[n+j, s+j], the
-    term magnitudes summed over n are G_j = Q_j^T Q_j.  Each item is
-    (block, w G_j[s, s']): the entries with the cells of pmf leading and one
-    axis of the block's terms.  w is 1, 2 or 4, so w G_j is exact.
+    term magnitudes summed over n are G_j = Q_j^T Q_j, exactly 0 where s or
+    s' >= d - j.  gram is the block's C-contiguous (..., slabs, m, m) stack,
+    m = d - j, the cells of pmf leading; diagonals[..., i, s, tau] =
+    gram[..., i, s, s + tau] is a view of it, which past s + tau = m - 1
+    reads on into the next row or into m spare zeros after the stack.
     """
     d = spec.dim
     # b[..., n, s], zero for n > s and in the padding.
     b = np.zeros(pmf.shape[:-2] + (2 * d, 2 * d))
     np.sqrt(pmf, out=b[..., :d, :d])
     rs, cs = b.strides[-2:]  # win[..., i, u, v] = b[..., i + u, i + v], a view
-    win = np.ndarray(b.shape[:-2] + (d, d, d), buffer=b,
-                     strides=b.strides[:-2] + (rs + cs, rs, cs))
-    for block in plan:
-        m = block.side
-        j0, slabs = block.rows[0], block.rows.size
-        q = b[..., None, :m, :m] * win[..., j0:j0 + slabs, :m, :m]
+    win = np.ndarray(b.shape[:-2] + (d, d, d), float, b, 0, b.strides[:-2] + (rs + cs, rs, cs))
+    for j, slabs in _slab_blocks(d):
+        m = d - j
+        q = b[..., None, :m, :m] * win[..., j:j + slabs, :m, :m]
+        buffer = np.zeros(q.size + m)
+        gram = np.ndarray(q.shape, float, buffer)
         # A copy in the same layout: two buffers keep numpy off syrk (8 ms
         # at d = 81), and a C-order copy would move the bits.
-        gram = np.matmul(q.swapaxes(-1, -2).copy(order="K"), q)
-        mag = gram.reshape(*gram.shape[:-3], slabs * m * m).take(block.terms, axis=-1)
-        mag *= block.weights
-        yield block, mag
+        np.matmul(q.swapaxes(-1, -2).copy(order="K"), q, out=gram)
+        rs, cs = gram.strides[-2:]
+        yield j, gram, np.ndarray(q.shape, float, buffer, 0, gram.strides[:-2] + (rs + cs, cs))
 
 
 def linear_entropy_closed(spec: StructureSpec, phi,
@@ -253,14 +203,19 @@ def linear_entropy_closed(spec: StructureSpec, phi,
     np.broadcast_shapes(phi, r2), each cell equal to its scalar call to the
     bit.  The sum runs over the folded half-domain with cosine terms.
     """
-    return _gram_table(spec, params).entropy(phi)
+    return _gram_table(spec, params).entropy(_finite_phases(phi))
 
 
-def _tiles(rows: np.ndarray) -> np.ndarray:
-    """rows (n, e) as ceil(n / _TILE) tiles (t, _TILE, e), zero-padded; a view when n fills them."""
-    if len(rows) % _TILE:
-        rows = np.concatenate((rows, np.zeros((-len(rows) % _TILE, rows.shape[1]))))
-    return rows.reshape(-1, _TILE, rows.shape[1])
+def _tiles(buffer: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows (n, e) copied into buffer, as ceil(n / _TILE) tiles (t, _TILE, e), a view of it.
+
+    The rows of buffer past n pad the last tile: zeros, or in a side's
+    shorter last block rows of the block before, which reach only cells past
+    the end of the side.
+    """
+    n, e = rows.shape
+    buffer[:n, :e] = rows
+    return buffer[:-(-n // _TILE) * _TILE, :e].reshape(-1, _TILE, e)
 
 
 def _tile_products(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -290,17 +245,19 @@ class _GramTable:
         any other broadcast pairs each cell's own phase and r2 in _pairs.
         """
         rows = self.weights.reshape(-1, self.rates.size)
-        cells = self.weights.shape[:-1]
-        shape = np.broadcast_shapes(np.shape(phi), cells)
-        n = len(shape)
-        phi_shape = (1,) * (n - np.ndim(phi)) + np.shape(phi)
+        phi_shape, cells = np.shape(phi), self.weights.shape[:-1]
+        n = max(len(phi_shape), len(cells))
+        phi_shape = (1,) * (n - len(phi_shape)) + phi_shape
         r2_shape = (1,) * (n - len(cells)) + cells
         if all(1 in sides for sides in zip(phi_shape, r2_shape)):
-            # Axis a of the cells is axis a of phi or of r2, whichever has length > 1.
-            order = [i for a in range(n) for i in (a, n + a)]
-            purity = self._grid(np.ravel(phi), rows).reshape(phi_shape + r2_shape)
-            purity = purity.transpose(order).reshape(shape)
+            purity = self._grid(np.ravel(phi), rows)
+            if 1 not in purity.shape:
+                # Axis a of the cells is axis a of phi or of r2, whichever has length > 1.
+                order = [i for a in range(n) for i in (a, n + a)]
+                purity = purity.reshape(phi_shape + r2_shape).transpose(order)
+            purity = purity.reshape([p * r for p, r in zip(phi_shape, r2_shape)])
         else:
+            shape = np.broadcast_shapes(np.shape(phi), cells)
             pairs = np.broadcast_to(np.arange(len(rows)).reshape(cells), shape).ravel()
             purity = self._pairs(np.broadcast_to(phi, shape).ravel(), rows, pairs).reshape(shape)
         return EntropyValue(1.0 - purity / (self.dim * self.dim), CLOSED_FORM, self.dim)
@@ -324,11 +281,13 @@ class _GramTable:
         out = np.empty((-(-len(phis) // _TILE) * _TILE, -(-len(rows) // _TILE) * _TILE))
         # tiles[t, u] is out[16 t:16 t + 16, 16 u:16 u + 16], a view.
         tiles = out.reshape(len(out) // _TILE, _TILE, out.shape[1] // _TILE, _TILE).swapaxes(1, 2)
+        # One buffer per side for a block of its rows.
+        a_rows, b_rows = np.zeros((2, min(step, max(out.shape)), width))
         for p in range(0, len(phis), step):
             for g in range(0, entries, width):
-                a = _tiles(np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
+                a = _tiles(a_rows, np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
                 for r in range(0, len(rows), step):
-                    b = _tiles(rows[r:r + step, g:g + width])[None]
+                    b = _tiles(b_rows, rows[r:r + step, g:g + width])[None]
                     block = tiles[p // _TILE:(p + step) // _TILE, r // _TILE:(r + step) // _TILE]
                     if g:
                         block += _tile_products(a[:, None], b)
@@ -344,66 +303,67 @@ class _GramTable:
         """
         entries, width, step = self._blocks()
         out = np.zeros((-(-len(phis) // _TILE), _TILE))
+        a_rows, b_rows = np.zeros((2, min(step, out.size), width))
         for p in range(0, len(phis), step):
             for g in range(0, entries, width):
-                a = _tiles(np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
-                b = _tiles(rows[pairs[p:p + step], g:g + width])
+                a = _tiles(a_rows, np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
+                b = _tiles(b_rows, rows[pairs[p:p + step], g:g + width])
                 out[p // _TILE:(p + step) // _TILE] += (
                     _tile_products(a, b).diagonal(axis1=-2, axis2=-1))
         return out.reshape(-1)[:len(phis)]
 
 
 def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
-    """The Gram entries w G_j[s, s'] keyed by their gap, one row per r2 cell.
+    """The Gram entries keyed by their gap, one row per r2 cell.
 
     The gap of the term (j, s, s') is (F(s) - F(s+j)) - (F(s') - F(s'+j)),
-    exactly 0 where j == 0 or s == s'.  Every built-in family's levels are
-    F(n) = n(1 + kappa(n-1)), where it is 2 kappa k with the integer
-    k = j (s' - s), so the entries are binned by k: np.bincount sums each
-    block's entries per (r2 cell, k) in term order, and the block sums are
-    added in block order.  On a CUSTOM table each term is an entry of its
-    own.  The r2 cells go in tiles of at most _BLOCK_ENTRIES // d^2; no row
-    depends on another.  A call of more than one tile builds a streamed slab
-    plan once, for its tiles alone.
+    exactly 0 where j == 0 or s == s'.  On every built-in family's levels it
+    is 2 kappa k, k = j tau, tau = s' - s: each diagonal tau of G_j is summed
+    over s, and one np.bincount per tile of r2 cells adds the sums per (r2
+    cell, k) in (j, tau) order.  On a CUSTOM table each term is an entry of
+    its own.  The tiles hold at most _BLOCK_ENTRIES // d^2 r2 cells.
     """
-    plan = _slab_plan(spec.dim)
     step = max(1, _BLOCK_ENTRIES // spec.dim**2)
-    if np.size(params.r2) <= step:
-        return _gram_rows(spec, params, plan)
-    plan = tuple(plan)
-    r2 = params.r2.ravel()
-    tiles = (_gram_rows(spec, SplitterParams(r2[c:c + step]), plan)
-             for c in range(0, r2.size, step))
-    first = next(tiles)
-    weights = np.concatenate([first.weights, *(tile.weights for tile in tiles)])
-    return replace(first, weights=weights.reshape(params.r2.shape + (-1,)))
+    r2 = np.ravel(params.r2)
+    tiles = [_gram_rows(spec, r2[c:c + step]) for c in range(0, max(r2.size, 1), step)]
+    rates = tiles[0][0]
+    weights = np.concatenate([rows for _, rows in tiles])
+    return _GramTable(rates, weights.reshape(np.shape(params.r2) + rates.shape), spec.dim)
 
 
-def _gram_rows(spec: StructureSpec, params: SplitterParams, plan) -> _GramTable:
-    """_gram_table of one tile of r2 cells, from the blocks of plan."""
-    pmf = _binomial_pmf(spec, params)
+def _gram_rows(spec: StructureSpec, r2: np.ndarray):
+    """(rates, weights) of _gram_table for a vector of r2 cells, each entry
+    times its fold weight (2 - [j == 0]) (2 - [s == s'])."""
+    pmf = _binomial_pmf(spec, r2)
     dev = np.abs(pmf.sum(axis=-2) - 1.0).max(initial=0.0)
     if not dev <= PMF_TOL:
         raise NumericalConsistencyError(f"a column of the binomial pmf is off 1 by {dev}")
+    d = spec.dim
     if spec.family is Family.CUSTOM:
+        k, levels = np.arange(d), spec.levels
         mags, gaps = [], []
-        levels = spec.levels
-        for block, mag in _gram_slabs(spec, pmf, plan):
+        for j, gram, _ in _gram_slabs(spec, pmf):
+            slabs, m = gram.shape[-3:-1]
+            j, s = k[j:j + slabs], k[:m]
+            # The terms s <= s' < d - j of each slab, in (j, s, s') order.
+            keep = np.less_equal.outer(s, s) & np.less.outer(j, d - s)[:, None, :]
+            weights = np.multiply.outer(1.0 + (j > 0), 1.0 + np.less.outer(s, s))
+            flat = gram.reshape(gram.shape[:-3] + (keep.size,))  # a view
+            mags.append(np.compress(keep.ravel(), flat, axis=-1) * weights[keep])
             # F(s) - F(s + j); level indices past the table lie outside the domain.
-            s = np.arange(block.side)
-            e = levels[s] - levels.take(np.minimum(block.rows[:, None] + s, spec.dim))
-            gaps.append((e[:, :, None] - e[:, None, :]).take(block.terms))
-            mags.append(mag)
-        return _GramTable(np.concatenate(gaps), np.concatenate(mags, axis=-1), spec.dim)
-    (ks,) = _k_values(spec.dim)
-    cells = pmf.shape[:-2]
-    count = prod(cells)
-    table = np.zeros(count * ks.size)
-    # Bin b of the c-th r2 cell (row-major) is c * ks.size + b.
-    first = np.arange(0, table.size, ks.size)[:, None]
-    for block, mag in _gram_slabs(spec, pmf, plan):
-        bins = block.bins if count == 1 else (first + block.bins).ravel()
-        table += np.bincount(bins, mag.ravel(), table.size)
-    return _GramTable(2.0 * (spec.kappa or 0.0) * ks, table.reshape(cells + (ks.size,)),
-                      spec.dim)
-
+            e = levels[s] - levels.take(np.minimum(j[:, None] + s, d))
+            gaps.append((e[:, :, None] - e[:, None, :])[keep])
+        return np.concatenate(gaps), np.concatenate(mags, axis=-1)
+    ks, bins, folds = _k_bins(d)
+    # sums[c, j, tau] = sum_s G_j[s, s + tau] of the c-th r2 cell, times its
+    # fold weight (2 - [j == 0]) (2 - [tau == 0]); 0 past the blocks.
+    sums = np.zeros(pmf.shape[:-2] + (d, d))
+    for j, gram, diagonals in _gram_slabs(spec, pmf):
+        slabs, m = gram.shape[-3:-1]
+        np.einsum("...st,st->...t", diagonals, folds[j:, :m], out=sums[:, j:j + slabs, :m])
+    sums[:, 1:] *= 2.0
+    width = ks.size + 1
+    # Bin b of the c-th r2 cell is c * width + b; the last one of each cell is the dump bin.
+    keys = bins if len(sums) == 1 else np.add.outer(np.arange(0, len(sums) * width, width), bins)
+    table = np.bincount(keys.ravel(), sums.ravel(), len(sums) * width)
+    return 2.0 * (spec.kappa or 0.0) * ks, table.reshape(-1, width)[:, :-1]

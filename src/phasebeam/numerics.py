@@ -13,8 +13,9 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 # A table that depends only on a size is kept for the next call while it
 # holds at most this many entries; each cache of such tables holds at most
-# this many entries in all.  2^17 keeps the closed form's slab plan up to
-# 2s = 90 (129 766 terms).
+# this many entries in all.  2^17 keeps every d x d table (the closed form's
+# binomials and (j, tau) bins, the partial trace's coefficients) up to
+# 2s = 361, d^2 = 131 044.
 RETAIN_ENTRIES = 1 << 17
 
 # Tile bound in entries, so that peak memory does not grow with the cells:
@@ -44,11 +45,10 @@ def per_size(entries):
     """Keep the tables of a builder whose result depends only on its arguments.
 
     entries(*args) counts the entries of the table for args before it is
-    built.  A table of at most RETAIN_ENTRIES entries is built as
-    tuple(build(*args)) and kept; the least recently used are dropped while
-    the kept tables hold more than RETAIN_ENTRIES entries in all.  A larger
-    table is build(*args) itself on every call, so a builder that yields its
-    parts streams them.  The builder marks its arrays read-only.
+    built.  A table of at most RETAIN_ENTRIES entries is kept; the least
+    recently used are dropped while the kept tables hold more than
+    RETAIN_ENTRIES entries in all.  A larger table is built afresh on every
+    call.  The builder returns a tuple and marks its arrays read-only.
     """
     def wrap(build):
         kept = OrderedDict()
@@ -60,14 +60,12 @@ def per_size(entries):
                 if args in kept:
                     kept.move_to_end(args)
                     return kept[args][1]
-            size = entries(*args)
-            if size > RETAIN_ENTRIES:
-                return build(*args)
-            value = tuple(build(*args))
-            with lock:
-                kept[args] = size, value
-                while sum(n for n, _ in kept.values()) > RETAIN_ENTRIES:
-                    kept.popitem(last=False)
+            size, value = entries(*args), build(*args)
+            if size <= RETAIN_ENTRIES:
+                with lock:
+                    kept[args] = size, value
+                    while sum(n for n, _ in kept.values()) > RETAIN_ENTRIES:
+                        kept.popitem(last=False)
             return value
 
         def cache_clear():

@@ -24,7 +24,15 @@ def phase_state(spec: StructureSpec, m, phi) -> np.ndarray:
     label.shape + (d,), one vector per label.
     """
     d = spec.dim
+    phi = _finite_phases(phi)
     return np.exp(-1j * np.multiply.outer(phi, spec.levels[:d])) * _root_powers(m, d) / sqrt(d)
+
+
+def _finite_phases(phi):
+    """phi, or a ValueError naming a non-finite phase that it holds."""
+    if not (finite := np.isfinite(phi)).all():
+        raise ValueError(f"phase phi must be finite, got {np.asarray(phi)[~finite].flat[0]}")
+    return phi
 
 
 def _root_powers(m, d: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import StructureSpec
 from .errors import InvalidDensityError, NotNormalizedError
 from .numerics import ipow, log_factorials, per_size, read_only
-from .phase_states import _root_powers, phase_state
+from .phase_states import _finite_phases, _root_powers, phase_state
 
 # reduced_density's bound on a norm's distance from 1, then validate_density's
 # on |rho - rho^H|, the trace's distance from 1 and -lambda_min.
@@ -216,6 +216,7 @@ def reduced_density_closed(spec: StructureSpec, m, phi,
     np.broadcast_shapes(m, phi, r2) + (d, d), one rho per cell.  The phase
     factor is formed once per (m, phi) and the weight once per r2.
     """
+    phi = _finite_phases(phi)
     d = spec.dim
     shell = _coefficient_table(spec.two_s)[0]
     weight = _coefficients(spec.two_s, params) / sqrt(d)

@@ -118,8 +118,8 @@ class TestSweepR2Phi:
         # one binomial column of one r2 value sums to 1 + 1e-11
         pmf_call = entropy._binomial_pmf
 
-        def off(spec, params):
-            pmf = pmf_call(spec, params)
+        def off(spec, r2):
+            pmf = pmf_call(spec, r2)
             pmf[1, 0, 1] += 1e-11
             return pmf
 
@@ -335,9 +335,9 @@ class TestDeterminismAndParallel:
         pmfs = []
         pmf_call = entropy._binomial_pmf
 
-        def spy_pmf(spec, params):
-            pmfs.append((spec.two_s, np.size(params.r2)))
-            return pmf_call(spec, params)
+        def spy_pmf(spec, r2):
+            pmfs.append((spec.two_s, np.size(r2)))
+            return pmf_call(spec, r2)
 
         # the table builds its r2 cells in tiles of 32 // d^2: 3 at 2s = 2
         # and 2 at 2s = 3, the last one short; with 2 and 3 distinct k, a

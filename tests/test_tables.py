@@ -2,19 +2,21 @@
 every route the same bits as a table built afresh."""
 
 import dataclasses
-import inspect
 import sys
 import threading
+from collections import defaultdict
+from math import comb, fsum
 
 import numpy as np
 import pytest
 
 from phasebeam.algebra import Family, build_structure, structure_from_spacings
 from phasebeam.entropy import (
+    _binomial_pmf,
     _binomial_table,
-    _k_values,
-    _plan_terms,
-    _slab_plan,
+    _gram_table,
+    _k_bins,
+    _slab_blocks,
     linear_entropy_closed,
 )
 from phasebeam.numerics import RETAIN_ENTRIES, log_factorials, per_size
@@ -26,7 +28,7 @@ from phasebeam.splitter import (
     split_phase_state,
 )
 
-CACHES = (_slab_plan, _k_values, _binomial_table, _coefficient_table)
+CACHES = (_k_bins, _slab_blocks, _binomial_table, _coefficient_table)
 
 
 @pytest.fixture
@@ -84,10 +86,10 @@ def _arrays(table):
 
 
 @pytest.mark.parametrize("table", [
-    lambda: _slab_plan(9),
-    lambda: _slab_plan(41),  # several blocks
+    lambda: _k_bins(9),
+    lambda: _k_bins(41),
     lambda: _binomial_table(9),
-    lambda: _k_values(9),
+    lambda: _k_bins(1),
     lambda: _coefficient_table(8),
     lambda: (log_factorials(8),),
 ])
@@ -99,35 +101,79 @@ def test_kept_arrays_are_read_only(table):
             a.flat[0] = a.flat[0]
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 41])
-def test_plan_terms_counts_the_plan(d):
-    assert sum(block.terms.size for block in _slab_plan(d)) == _plan_terms(d)
+def _terms(d):
+    """The folded terms (j, s, s') of dimension d, j >= 0 and s <= s' < d - j,
+    in (j, s, s') order, each with its fold weight (2 - [j == 0]) (2 - [s == s'])."""
+    return [(j, s, t, (2 - (j == 0)) * (2 - (s == t)))
+            for j in range(d) for s in range(d - j) for t in range(s, d - j)]
+
+
+@pytest.mark.parametrize("d", [2, 5, 41])
+def test_custom_table_keeps_one_entry_per_term(d):
+    # one entry per folded term, in (j, s, s') order: its gap, and its
+    # fold-weighted Gram entry
+    spec = _specs(d - 1)[3]
+    r2 = np.array([0.3, 0.8])
+    table = _gram_table(spec, SplitterParams(r2))
+    assert table.rates.size == comb(d + 2, 3)
+    assert table.weights.shape == (2, comb(d + 2, 3))
+    levels = spec.levels.tolist()
+    gap = [(levels[s] - levels[min(s + j, d)]) - (levels[t] - levels[min(t + j, d)])
+           for j, s, t, _ in _terms(d)]
+    assert table.rates.tolist() == gap
+    b = np.sqrt(_binomial_pmf(spec, r2))
+    for row, cell in zip(table.weights, b):
+        want = [w * fsum(cell[n, s] * cell[n + j, s + j] * cell[n, t] * cell[n + j, t + j]
+                         for n in range(d - j)) for j, s, t, w in _terms(d)]
+        assert np.abs(row - want).max() <= 4 * np.spacing(max(want))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 41, 82])
-def test_plan_bins_are_the_integer_gaps(d):
-    # k of each term is the gap of L(n) = n(n-1)/2 at the level indices s
-    # and s + j (clipped to the table) of its slab j; every distinct k is met
-    (ks,) = _k_values(d)
+def test_k_bins_are_the_integer_gaps(d):
+    # each (j, tau) with j + tau < d lands in the bin of k = j tau, which is
+    # the gap of L(n) = n(n-1)/2 at the level indices s, s + j of every term
+    # with s' - s = tau; every other (j, tau) lands in the dump bin
+    ks, bins, folds = _k_bins(d)
+    j, tau = np.indices((d, d))
+    inside = j + tau < d
+    assert np.array_equal(ks, np.unique((j * tau)[inside]))
+    assert np.array_equal(ks[bins[inside]], (j * tau)[inside])
+    assert (bins[~inside] == ks.size).all()
+    assert np.array_equal(folds, inside * np.where(tau > 0, 2.0, 1.0))
     n = np.arange(d + 1)
     levels = n * (n - 1) // 2
-    met = np.zeros(ks.size, dtype=bool)
-    for block in _slab_plan(d):
-        s = np.arange(block.side)
-        e = levels[s] - levels.take(np.minimum(block.rows[:, None] + s, d))
-        assert np.array_equal(ks[block.bins], (e[:, :, None] - e[:, None, :]).take(block.terms))
-        met[block.bins] = True
-    assert met.all()
-    assert np.array_equal(ks, np.unique(ks))
+    for j_, s, t, _ in _terms(d) if d < 82 else ():
+        gap = (levels[s] - levels[s + j_]) - (levels[t] - levels[t + j_])
+        assert ks[bins[j_, t - s]] == gap
 
 
-def test_plan_over_the_budget_streams_without_being_built():
-    assert _plan_terms(81) <= RETAIN_ENTRIES  # 2s = 80 is kept
-    assert _slab_plan(81) is _slab_plan(81)
-    assert _plan_terms(512) > RETAIN_ENTRIES
-    plan = _slab_plan(512)
-    assert inspect.getgeneratorstate(plan) == inspect.GEN_CREATED
-    assert _slab_plan(512) is not plan
+def test_k_bins_are_kept_up_to_two_s_361():
+    # d^2 entries: kept up to d = 362, and built afresh on each call above
+    assert 362**2 <= RETAIN_ENTRIES < 363**2
+    assert _k_bins(362) is _k_bins(362)
+    assert _k_bins(363) is not _k_bins(363)
+
+
+@pytest.mark.parametrize("family, kappa", [
+    (Family.PEGG_BARNETT, None), (Family.KAPPA_NEG, None), (Family.KAPPA_POS, 0.37),
+], ids=["pegg-barnett", "kappa-neg", "kappa-pos"])
+@pytest.mark.parametrize("d", [2, 3, 11, 41])
+def test_weight_rows_are_the_sums_of_the_terms_of_each_k(family, kappa, d):
+    # the built-in table's row of each r2 cell against math.fsum over the
+    # fold-weighted Gram entries of the terms of each k = j (s' - s)
+    r2 = np.array([0.0, 0.3, 0.77, 1.0])
+    spec = build_structure(family, d - 1, kappa)
+    table = _gram_table(spec, SplitterParams(r2))
+    ks = _k_bins(d)[0]
+    assert np.array_equal(table.rates, 2.0 * (spec.kappa or 0.0) * ks)
+    b = np.sqrt(_binomial_pmf(spec, r2))
+    for row, cell in zip(table.weights, b):
+        by_k = defaultdict(list)
+        for j, s, t, w in _terms(d):
+            q = cell[:d - j, :d - j] * cell[j:, j:]  # Q_j[n, s] = b[n, s] b[n + j, s + j]
+            by_k[j * (t - s)].append(w * fsum(q[:, s] * q[:, t]))
+        want = np.array([fsum(by_k[k]) for k in ks.tolist()])
+        assert np.abs(row - want).max() <= 4 * np.spacing(want.sum())
 
 
 def test_per_size_budget_holds_every_kept_table():
