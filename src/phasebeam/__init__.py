@@ -26,7 +26,7 @@ _PUBLIC = {
                  "validate_density"),
     "entropy": ("EntropyValue", "linear_entropy", "linear_entropy_closed"),
     "experiments": ("Axis", "SweepTable", "entropy_point", "sweep_r2_phi",
-                    "sweep_phi_balanced", "sweep_s_balanced"),
+                    "sweep_s_balanced"),
     "errors": ("PhasebeamError", "InvalidDimensionError", "InvalidStructureError",
                "NonPositiveLevelError", "TraceNotZeroError", "MissingKappaError",
                "DimensionMismatchError", "NotNormalizedError", "InvalidDensityError",

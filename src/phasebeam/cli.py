@@ -4,10 +4,13 @@ Three subcommands: `compute` evaluates the entropy at a single parameter
 point, `sweep` produces a CSV/JSON grid with the same table builder as the
 library's sweep_* functions, `check` runs the invariant suites.  Sweeps run
 in one process; `sweep --serial` is accepted for compatibility and ignored.
-Exit codes: 0 success, 1 usage error (a run that experiments._plan prices
+Exit codes: 0 success, 1 usage error (a run that experiments._price prices
 over CUBE_BUDGET included), 2 numerical-consistency failure (any
 ArithmeticError, such as an overflow), 3 I/O failure.  Data goes to
-stdout, diagnostics to stderr.
+stdout, diagnostics to stderr.  experiments._price prices every run before
+it starts: compute as a 1 x 1 plane by the routes its --method runs, a
+sweep slice by slice through _plan, a grid axis as the phases of a 2s = 1
+sweep.
 """
 
 from __future__ import annotations
@@ -24,18 +27,18 @@ import numpy as np
 from .algebra import Family, build_structure
 from .entropy import linear_entropy, linear_entropy_closed
 from .errors import PhasebeamError, RangeError, UsageError
-from .experiments import CELL_FLOOR, SweepTable, _plan, _route_work, _sweep
+from .experiments import SweepTable, _plan, _price, _sweep
 from .splitter import SplitterParams, reduced_density, split_phase_state
 
 # `compute --method both` refuses to report routes that disagree by more.
 BOTH_ROUTES_TOL = 1e-8
-# The work budget in multiply-adds, checked against the price of a run's
-# route (experiments._plan) before it starts; a run priced above it is a
-# usage error.  2^34 admits the partial-trace compute up to 2s = 2579, the
-# closed form up to 2s = 511 (1.9 s there on a 2-core x86 host, where
-# 2s = 2200 by the partial trace takes 3.5-5 s), the default 128 x 101
-# sweep up to 2s = 160, 2^24 points on an axis.
-CUBE_BUDGET = 1 << 34
+# The work budget in the multiply-adds of experiments._price, checked
+# against the price of a run's routes before it starts; a run priced above
+# it is a usage error.  2^36 admits compute up to 2s = 2537 by the partial
+# trace (4.2 s on a 2-vCPU x86 host), 720 by the closed form (2.0 s) and
+# 715 by both, the default 128 x 101 sweep up to 2s = 218 (3.6-4.0 s) and
+# 16 268 813 points on a grid axis.
+CUBE_BUDGET = 1 << 36
 
 _CLI_FAMILIES = {
     "pegg-barnett": Family.PEGG_BARNETT,
@@ -97,7 +100,8 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise UsageError(f"grid span must be finite, got {text!r}")
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
-    _check_budget(f"the grid {text!r}", count, CUBE_BUDGET // CELL_FLOOR, "points")
+    # priced as the phases of the cheapest sweep: 2s = 1, one r2 value
+    _check_budget(f"the grid {text!r}", min(_price(2, count, 1)))
     if not start < stop:
         raise UsageError(f"grid must be strictly increasing, got {text!r}")
     return start, stop, count
@@ -204,30 +208,28 @@ def parse_args(argv=None) -> RunConfig:
     if ns.command == "compute":
         if sum(r.stop - r.start for r in runs) != 1 or phases * r2s != 1:
             raise UsageError("compute takes scalar --two-s, --phi and --r2")
-        dim = runs[0].start + 1
-        if ns.method in ("oracle", "both"):
-            _check_budget("the partial-trace route", _route_work(dim, False), CUBE_BUDGET, "d^3")
-        if ns.method != "oracle":
-            _check_budget("the closed form", _route_work(dim, True), CUBE_BUDGET, "multiply-adds")
+        tables, rho = _price(runs[0].start + 1, 1, 1)
+        work = {"oracle": rho, "closed": tables, "both": rho + tables}[ns.method]
+        _check_budget(f"compute --method {ns.method}", work)
         extra = {"method": ns.method}
     else:
         # summed slice by slice, so a long range stops at the first past the budget
         work = 0
         for two_s, _, slice_work in _plan(chain(*runs), phases, r2s):
             work += slice_work
-            _check_budget("the sweep", work, CUBE_BUDGET, f"multiply-adds by 2s = {two_s}")
+            _check_budget("the sweep", work, f"multiply-adds by 2s = {two_s}")
         extra = {"fmt": ns.fmt}
     return RunConfig(command=ns.command, family=family, kappa=ns.kappa, m=ns.m,
                      two_s=tuple(chain(*runs)), phi=parse_grid(ns.phi),
                      r2=_check_r2_range(parse_grid(ns.r2)), **extra)
 
 
-def _check_budget(what: str, work: int, budget: int, unit: str) -> None:
-    """Refuse a run whose estimated work exceeds its budget."""
-    if work > budget:
+def _check_budget(what: str, work: int, unit: str = "multiply-adds") -> None:
+    """Refuse a run whose estimated work exceeds CUBE_BUDGET."""
+    if work > CUBE_BUDGET:
         about = work if work < 1e300 else inf  # an int beyond any float prints as inf
         raise UsageError(f"{what} needs about {about:.3g} {unit}, over the "
-                         f"work budget of {budget:.3g}")
+                         f"work budget of {CUBE_BUDGET:.3g}")
 
 
 def _fmt_float(x: float) -> str:

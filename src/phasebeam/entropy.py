@@ -218,11 +218,6 @@ def _tiles(buffer: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return buffer[:-(-n // _TILE) * _TILE, :e].reshape(-1, _TILE, e)
 
 
-def _tile_products(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """a @ b^T for the _TILE x e tiles of a and b, whose leading axes broadcast."""
-    return np.matmul(a, b.swapaxes(-1, -2), out=out)
-
-
 @dataclass(frozen=True, eq=False)
 class _GramTable:
     """S = 1 - sum_g weights[..., g] cos(rates[g] phi) / dim^2 for the cells of r2.
@@ -287,12 +282,12 @@ class _GramTable:
             for g in range(0, entries, width):
                 a = _tiles(a_rows, np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
                 for r in range(0, len(rows), step):
-                    b = _tiles(b_rows, rows[r:r + step, g:g + width])[None]
+                    b = _tiles(b_rows, rows[r:r + step, g:g + width])[None].swapaxes(-1, -2)
                     block = tiles[p // _TILE:(p + step) // _TILE, r // _TILE:(r + step) // _TILE]
                     if g:
-                        block += _tile_products(a[:, None], b)
+                        block += np.matmul(a[:, None], b)
                     else:  # the products of the first block go straight into out
-                        _tile_products(a[:, None], b, block)
+                        np.matmul(a[:, None], b, out=block)
         return out[:len(phis), :len(rows)]
 
     def _pairs(self, phis, rows, pairs):
@@ -307,9 +302,8 @@ class _GramTable:
         for p in range(0, len(phis), step):
             for g in range(0, entries, width):
                 a = _tiles(a_rows, np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
-                b = _tiles(b_rows, rows[pairs[p:p + step], g:g + width])
-                out[p // _TILE:(p + step) // _TILE] += (
-                    _tile_products(a, b).diagonal(axis1=-2, axis2=-1))
+                b = _tiles(b_rows, rows[pairs[p:p + step], g:g + width]).swapaxes(-1, -2)
+                out[p // _TILE:(p + step) // _TILE] += np.matmul(a, b).diagonal(axis1=-2, axis2=-1)
         return out.reshape(-1)[:len(phis)]
 
 
@@ -326,8 +320,9 @@ def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     step = max(1, _BLOCK_ENTRIES // spec.dim**2)
     r2 = np.ravel(params.r2)
     tiles = [_gram_rows(spec, r2[c:c + step]) for c in range(0, max(r2.size, 1), step)]
-    rates = tiles[0][0]
-    weights = np.concatenate([rows for _, rows in tiles])
+    rates, weights = tiles[0]
+    if len(tiles) > 1:
+        weights = np.concatenate([rows for _, rows in tiles])
     return _GramTable(rates, weights.reshape(np.shape(params.r2) + rates.shape), spec.dim)
 
 
@@ -366,4 +361,6 @@ def _gram_rows(spec: StructureSpec, r2: np.ndarray):
     # Bin b of the c-th r2 cell is c * width + b; the last one of each cell is the dump bin.
     keys = bins if len(sums) == 1 else np.add.outer(np.arange(0, len(sums) * width, width), bins)
     table = np.bincount(keys.ravel(), sums.ravel(), len(sums) * width)
-    return 2.0 * (spec.kappa or 0.0) * ks, table.reshape(-1, width)[:, :-1]
+    # kappa (2 k), not (2 kappa) k: doubling an int is exact, and 2 kappa
+    # overflows from kappa = 2^1023 on, where inf * 0 at k = 0 is NaN
+    return (spec.kappa or 0.0) * (2 * ks), table.reshape(-1, width)[:, :-1]

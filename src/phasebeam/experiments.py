@@ -1,14 +1,15 @@
 """Parameter sweeps of the output entanglement over (r2, phi, 2s) grids.
 
 All sweeps default to the concave level table F(n) = n(2s+1-n)/(2s) (the
-kappa-neg family) and m = 0 (the entropy does not depend on m).  The three
+kappa-neg family) and m = 0 (the entropy does not depend on m).  The two
 sweep_* functions and the CLI's sweep build their tables with one builder,
 which differs between them only in the axes it names.  It makes one call
 of the grid evaluator, which takes each 2s slice of the (phi, r2) plane by
 the route that _plan names for it, one linear_entropy_closed call (one Gram
-table) or one rho per cell (_rho_tiles).  _plan also prices each slice by
-that route, and the CLI sums the price against its work budget before a
-run starts.  Every S is bounded as on the single-point routes, all in one
+table) or one rho per cell (_rho_tiles).  _price prices both routes in one
+unit; _plan takes the cheaper and yields its price, which the CLI sums
+against its work budget before a run starts, as it does _price for
+compute.  Every S is bounded as on the single-point routes, all in one
 process.  The serial keyword is accepted for compatibility and changes
 nothing.
 """
@@ -30,12 +31,10 @@ from .splitter import (
     split_phase_state,
 )
 
-# The thresholds of _plan's route; and the multiply-adds it adds per sweep
-# cell on either route, for the cell's share of per-call work and its CSV row.
-_TABLE_PHASES = 16
-_TABLE_DIM_PER_PHASE = 6
-_TABLE_MIN_WORK = 1 << 15
-CELL_FLOOR = 1 << 10
+# _price's weights in multiply-adds: one entry of a route's elementwise
+# work, and one sweep cell's CSV row, on either route.
+_ENTRY = 1 << 9
+CELL_FLOOR = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -88,31 +87,33 @@ def entropy_point(two_s: int, m: int, phi: float, r2: float,
     return linear_entropy(rho).value
 
 
-def _route_work(dim: int, tables: bool) -> int:
-    """Multiply-adds of one r2 value's Gram table, or of one rho and its purity."""
-    return dim**4 // 4 if tables else dim**3
+def _price(dim: int, phases: int, r2s: int) -> tuple[int, int]:
+    """(tables, rho): the work of a phases x r2s slice at dimension dim by
+    one Gram table per r2 value, and by one rho per cell.
+
+    Both are in multiply-adds (a complex one counts 4), and each entry of
+    elementwise work counts _ENTRY.  One rho is d^3 complex multiply-adds
+    and d^2 entries.  One r2 value's table is d^4/4 multiply-adds and
+    4 d^2 entries, and each phase's row of cosines d^2/16 entries.  Every
+    cell adds CELL_FLOOR on either route.  Timed on both routes from
+    2s = 2 to 160 in process (2-vCPU x86 host), a unit took 0.04-0.10 ns,
+    median 0.06, wherever a route took 5 ms or more.
+    """
+    entries, cells = dim * dim, phases * r2s
+    rho = cells * entries * (4 * dim + _ENTRY)
+    tables = entries * (r2s * (entries // 4 + 4 * _ENTRY) + phases * _ENTRY // 16)
+    return tables + cells * CELL_FLOOR, rho + cells * CELL_FLOOR
 
 
 def _plan(dims, phases: int, r2s: int):
     """Yield (2s, tables, work) per 2s of dims, lazily, on a phases x r2s plane.
 
-    A table for one r2 value took at most as long as 12-14 rho cells up to
-    d = 81, 22 at d = 161 and 32 at d = 321, and a table call about 0.1 ms
-    more than a rho tile (2-core x86 host, numpy 2.4).  So a slice goes by
-    tables where it has max(16, d // 6) phases per r2 value (a margin at
-    every d measured) and one rho per cell would cost _TABLE_MIN_WORK or
-    more.  work prices the route taken, plus CELL_FLOOR per cell: one rho per
-    cell, or a table per r2 value and about d^2/4 per cell to contract it, at
-    most the rho price, since tables go only where they ran faster.
+    Each slice goes by the route that _price prices lower (rho on a tie),
+    and work is that price.
     """
-    cells = phases * r2s
     for two_s in dims:
-        dim = two_s + 1
-        rho = cells * _route_work(dim, False)
-        tables = (phases >= max(_TABLE_PHASES, dim // _TABLE_DIM_PER_PHASE)
-                  and rho >= _TABLE_MIN_WORK)
-        work = min(r2s * _route_work(dim, True) + cells * (dim**2 // 4), rho) if tables else rho
-        yield two_s, tables, work + cells * CELL_FLOOR
+        tables, rho = _price(two_s + 1, phases, r2s)
+        yield two_s, tables < rho, min(tables, rho)
 
 
 def _rho_tiles(spec, m: int, phi_axis, r2_axis, out) -> None:
@@ -180,14 +181,6 @@ def sweep_r2_phi(two_s: int, phi_grid, r2_grid, *,
                  serial: bool = False) -> SweepTable:
     """Entropy surface over a (phi, r2) grid at fixed dimension; phi-major."""
     return _sweep(("phi", "r2"), (two_s,), phi_grid, r2_grid, family, kappa, m)
-
-
-def sweep_phi_balanced(two_s_list, phi_grid, *,
-                       family: Family = Family.KAPPA_NEG,
-                       kappa: float | None = None, m: int = 0,
-                       serial: bool = False) -> SweepTable:
-    """Entropy against phi at the balanced splitter, one row per 2s."""
-    return _sweep(("two_s", "phi"), two_s_list, phi_grid, (0.5,), family, kappa, m)
 
 
 def sweep_s_balanced(two_s_max: int = 40,

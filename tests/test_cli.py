@@ -27,6 +27,7 @@ from phasebeam import (
     Axis,
     UsageError,
     build_structure,
+    entropy_point,
     linear_entropy,
     linear_entropy_closed,
     reduced_density,
@@ -670,6 +671,31 @@ class TestMainCompute:
         assert captured.out == ""
         assert captured.err == "error: level table must be finite\n"
 
+    def test_kappa_past_2_1023_at_two_s_1_agrees_with_the_oracle(self):
+        # F(1) = 1 for any kappa, and the one gap at d = 2 is 0; a rate formed
+        # as (2 kappa) k was inf * 0 = NaN there from kappa = 2^1023 on
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-m", "phasebeam.cli", *argv,
+                 "--family", "kappa-pos", "--kappa", "1e308", "--two-s", "1"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+
+        def oracle(phi, r2):
+            return entropy_point(1, 0, phi, r2, Family.KAPPA_POS, 1e308)
+
+        both = run("compute", "--phi", "1", "--r2", "0.5", "--method", "both")
+        assert (both.returncode, both.stderr) == (0, "")
+        values = dict(line.split() for line in both.stdout.splitlines())
+        for route in ("oracle", "closed"):
+            assert abs(float(values[route]) - oracle(1.0, 0.5)) <= 1e-10
+        sweep = run("sweep")
+        assert (sweep.returncode, sweep.stderr) == (0, "")
+        rows = np.array([line.split(",") for line in sweep.stdout.splitlines()[1:]],
+                        dtype=float).reshape(128, 101, 3)
+        # every eighth phase, each against the oracle at every r2 value
+        for phi, r2, s in rows[::8].reshape(-1, 3):
+            assert abs(s - oracle(phi, r2)) <= 1e-10
+
     def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
         # an overflow raised inside the oracle route ends the run as a
         # numerical error; _log_powers runs on every call, whatever the
@@ -846,10 +872,10 @@ class TestWorkBudget:
         # a 2s range too long to build, and one whose estimate is beyond any float
         (["sweep", "--two-s", "1:10000000000"], "_entropy_grid"),
         (["sweep", "--two-s", "1:" + "9" * 400], "_entropy_grid"),
-        (["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
+        (["compute", "--two-s", "721", "--phi", "0", "--r2", "0.5",
           "--method", "closed"], "linear_entropy_closed"),
-        # the default grid's 101 Gram tables at 2s = 161
-        (["sweep", "--two-s", "161"], "_entropy_grid"),
+        # the default grid's 101 Gram tables at 2s = 219
+        (["sweep", "--two-s", "219"], "_entropy_grid"),
     ])
     def test_refused_without_starting(self, capsys, monkeypatch, argv, route):
         def started(*args, **kwargs):
@@ -884,8 +910,8 @@ class TestWorkBudget:
         try:
             start = time.perf_counter()
             # the plan is summed up to the first 2s past the budget
-            with pytest.raises(UsageError, match=r"the sweep needs about 1\.76e\+10 "
-                               r"multiply-adds by 2s = 78,"):
+            with pytest.raises(UsageError, match=r"the sweep needs about 7\.15e\+10 "
+                               r"multiply-adds by 2s = 84,"):
                 parse_args(["sweep", "--two-s", "1:10000000000"])
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
@@ -900,7 +926,7 @@ class TestWorkBudget:
     @pytest.mark.parametrize("spec", ["1:40", "7:23", "40:40", "2,5,9", "3"])
     def test_two_s_estimate_is_exact(self, monkeypatch, spec):
         # the plan's work summed over the 2s values: on 32 phases x 2 r2
-        # values, Gram tables from 2s = 7 on and one rho per cell below
+        # values, Gram tables at every 2s
         argv = ["sweep", "--two-s", spec, "--phi", "0:1:32", "--r2", "0:1:2"]
         values = parse_args(argv).two_s
         work = sum(w for _, _, w in experiments._plan(values, 32, 2))
@@ -911,27 +937,71 @@ class TestWorkBudget:
             parse_args(argv)
 
     def test_message_names_estimate_and_budget(self):
-        with pytest.raises(UsageError, match=r"1\.72e\+10") as err:
+        with pytest.raises(UsageError, match=r"6\.87e\+10") as err:
             parse_args(["compute", "--two-s", "1000", "--phi", "0", "--r2", "0.5",
                         "--method", "both"])
-        assert "2.51e+11 multiply-adds" in str(err.value)
-        with pytest.raises(UsageError, match=r"1\.72e\+10"):
+        assert "compute --method both needs about 2.58e+11 multiply-adds" in str(err.value)
+        with pytest.raises(UsageError, match=r"oracle needs about 1\.13e\+11 .* 6\.87e\+10"):
             parse_args(["compute", "--two-s", "3000", "--phi", "0", "--r2", "0.5"])
-        with pytest.raises(UsageError, match="the closed form needs about 1.73e"):
-            parse_args(["compute", "--two-s", "512", "--phi", "0", "--r2", "0.5",
+        with pytest.raises(UsageError, match="compute --method closed needs about 6.9e"):
+            parse_args(["compute", "--two-s", "721", "--phi", "0", "--r2", "0.5",
                         "--method", "closed"])
 
     def test_large_standard_runs_admitted(self):
         big = ["--two-s", "2200", "--phi", "0", "--r2", "0.5"]
         for argv in (["compute", *big], ["sweep", *big], ["sweep", "--two-s", "80"],
                      ["sweep", "--two-s", "160"],
-                     # tables priced at the rho route they passed over
                      ["sweep", "--two-s", "161", "--phi", "0:1:32"],
                      ["sweep", "--two-s", "400", "--phi", "0:1:66", "--r2", "0:1:3"],
                      ["sweep", "--two-s", "1:40", "--phi", "0:6.283185307179586:5",
                       "--r2", "0.5"],
                      ["compute", "--two-s", "511", *big[2:], "--method", "closed"]):
             assert parse_args(argv).command == argv[0]
+
+    # README's limits, each the largest run admitted, and one step past it
+    @pytest.mark.parametrize("admitted, past, message", [
+        (["compute", "--two-s", "2537"], ["compute", "--two-s", "2538"],
+         "compute --method oracle needs about 6.88e+10 multiply-adds"),
+        (["compute", "--method", "closed", "--two-s", "720"],
+         ["compute", "--method", "closed", "--two-s", "721"],
+         "compute --method closed needs about 6.9e+10 multiply-adds"),
+        (["compute", "--method", "both", "--two-s", "715"],
+         ["compute", "--method", "both", "--two-s", "716"],
+         "compute --method both needs about 6.89e+10 multiply-adds"),
+        (["sweep", "--two-s", "218"], ["sweep", "--two-s", "219"],
+         "the sweep needs about 6.94e+10 multiply-adds by 2s = 219"),
+        (["sweep", "--two-s", "1:83"], ["sweep", "--two-s", "1:84"],
+         "the sweep needs about 7.15e+10 multiply-adds by 2s = 84"),
+        (["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:16268813"],
+         ["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:16268814"],
+         "the grid '0:1:16268814' needs about 6.87e+10 multiply-adds"),
+    ], ids=["oracle", "closed", "both", "sweep", "range", "axis"])
+    def test_each_stated_limit_refused_one_step_past(self, capsys, admitted, past, message):
+        point = ["--phi", "0", "--r2", "0.5"] if admitted[0] == "compute" else []
+        assert parse_args(admitted + point).command == admitted[0]
+        assert main(past + point) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}, over the work budget of 6.87e+10\n"
+
+    @pytest.mark.parametrize("two_s", [1, 2, 10, 40, 160, 700, 2500])
+    def test_compute_prices_one_cell_as_the_plan(self, monkeypatch, two_s):
+        # compute prices the route each --method runs on a 1 x 1 plane, as
+        # the plan does (both routes for both), and a one-cell sweep costs
+        # the cheaper of the two
+        tables, rho = experiments._price(two_s + 1, 1, 1)
+        [(_, route, work)] = experiments._plan((two_s,), 1, 1)
+        assert work == (tables if route else rho) == min(tables, rho)
+        point = ["--two-s", str(two_s), "--phi", "0", "--r2", "0.5"]
+        for argv, price in ((["compute", *point], rho),
+                            (["compute", *point, "--method", "closed"], tables),
+                            (["compute", *point, "--method", "both"], rho + tables),
+                            (["sweep", *point], work)):
+            monkeypatch.setattr(cli, "CUBE_BUDGET", price)
+            assert parse_args(argv).command == argv[0]
+            monkeypatch.setattr(cli, "CUBE_BUDGET", price - 1)
+            with pytest.raises(UsageError, match=" needs about "):
+                parse_args(argv)
 
 
 class TestMainSweep:
@@ -965,17 +1035,17 @@ class TestMainSweep:
         assert payload["meta"]["two_s"] == 2
         assert list(payload["meta"]) == ["family", "m", "kappa", "method", "two_s"]
 
-    # Re-frozen when the Gram table came to be binned from the diagonal sums
-    # of each G_j: of the 12 928 values of the qubit, qutrit and quartit
-    # sweeps 2 560, 4 914 and 6 130 moved, and 253 of the 1 280 of
-    # balanced_phi, each by at most 2.2e-16; growth goes by the rho route.
+    # Re-frozen when one price came to route each 2s slice: balanced_phi's
+    # slices 2s = 1..5 and every slice of growth went from one rho per cell
+    # to Gram tables, and 576 of 1 280 and 197 of 200 values moved, by at
+    # most 1.3e-15 and 2.7e-15.
     @pytest.mark.parametrize("argv, md5", [
         (["--two-s", "1"], "b6c9c6502c4108d3585b8ccb6bd35076"),
         (["--two-s", "2"], "295caa3b05aaa3976b89e2d07e3d1970"),
         (["--two-s", "3"], "a1dfbda632f285ba0e530e850515114e"),
-        (["--two-s", "1:10", "--r2", "0.5"], "8f9ed7938ce8a06e46891cc58f2ba09f"),
+        (["--two-s", "1:10", "--r2", "0.5"], "c61a931edc1fdf28731d0fc99b742b07"),
         (["--two-s", "1:40", "--phi", "0:6.283185307179586:5", "--r2", "0.5"],
-         "bf73f882ee89ec5fe86484c716b7130b"),
+         "0060ea8558a03a06805fa63d81476f4c"),
     ], ids=["qubit", "qutrit", "quartit", "balanced_phi", "growth"])
     def test_readme_sweeps_pinned_md5(self, argv, md5, capsysbinary):
         # the five standard sweeps of README, every stdout byte

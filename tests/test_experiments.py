@@ -9,11 +9,17 @@ from phasebeam import (
     SweepTable,
     Axis,
     entropy_point,
-    sweep_phi_balanced,
     sweep_r2_phi,
     sweep_s_balanced,
 )
 from phasebeam.cli import main
+
+
+def _phi_balanced(two_s, phis, family=Family.KAPPA_NEG, kappa=None, m=0):
+    """S against phi at the balanced splitter, one row per 2s, as the CLI builds it."""
+    from phasebeam import experiments
+
+    return experiments._sweep(("two_s", "phi"), two_s, phis, (0.5,), family, kappa, m)
 
 
 def _force_route(monkeypatch, tables):
@@ -83,7 +89,7 @@ class TestSweepR2Phi:
         assert grid.shape == (2, 2)
         assert grid[1, 1] == pytest.approx(0.4488015069303436, abs=1e-12)
 
-    def test_every_cell_is_checked(self, monkeypatch):
+    def test_every_cell_is_checked(self, monkeypatch, spy_products):
         from phasebeam import InvalidDensityError, NumericalConsistencyError
         from phasebeam import entropy, experiments
 
@@ -101,20 +107,15 @@ class TestSweepR2Phi:
 
         # the same slice by Gram tables
         _force_route(monkeypatch, True)
-        product_call = entropy._tile_products
-        # each tile product with the weights of one r2 value of three (row 1
-        # of the weight tile) scaled: S = -0.05 there, beyond the clamp band,
-        # then S = 0.9125 > 1 - 1/d
+        # each tile product with the weights of one r2 value of three (column
+        # 1 of the transposed weight tile) scaled: S = -0.05 there, beyond the
+        # clamp band, then S = 0.9125 > 1 - 1/d
         for scale in (1.2, 0.1):
-            rows = np.r_[1.0, scale, np.ones(14)][:, None]
-
-            def scaled(a, b, out=None, rows=rows):
-                return product_call(a, b * rows, out)
-
-            monkeypatch.setattr(entropy, "_tile_products", scaled)
+            columns = np.r_[1.0, scale, np.ones(14)]
+            spy_products(lambda a, b, out, columns=columns: np.matmul(a, b * columns, out=out))
             with pytest.raises(NumericalConsistencyError):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
-        monkeypatch.setattr(entropy, "_tile_products", product_call)
+        monkeypatch.setattr(entropy, "np", np)
         # one binomial column of one r2 value sums to 1 + 1e-11
         pmf_call = entropy._binomial_pmf
 
@@ -145,19 +146,19 @@ class TestSweepR2Phi:
 
 class TestSweepPhiBalanced:
     def test_qubit_row_constant(self):
-        table = sweep_phi_balanced((1,), np.linspace(0, 2 * pi, 16), serial=True)
+        table = _phi_balanced((1,), np.linspace(0, 2 * pi, 16))
         assert np.allclose(table.values, 0.125, atol=1e-12)
 
     def test_qutrit_row_parity(self):
         grid = np.linspace(0.0, 2 * pi, 17)
-        table = sweep_phi_balanced((2,), grid, serial=True)
+        table = _phi_balanced((2,), grid)
         row = table.grid()[0]
         assert np.max(np.abs(row - row[::-1])) <= 1e-12
 
     def test_quartit_row_sign_pattern(self):
         # rises, falls, rises again across [0, 2pi]
         grid = np.linspace(0.0, 2 * pi, 33)
-        table = sweep_phi_balanced((3,), grid, serial=True)
+        table = _phi_balanced((3,), grid)
         signs = np.sign(np.diff(table.grid()[0]))
         runs = []
         for s in signs:
@@ -168,7 +169,7 @@ class TestSweepPhiBalanced:
         assert [r[0] for r in runs] == [1.0, -1.0, 1.0]
 
     def test_axes_and_meta(self):
-        table = sweep_phi_balanced((1, 2), (0.0, 1.0), serial=True)
+        table = _phi_balanced((1, 2), (0.0, 1.0))
         assert [a.name for a in table.axes] == ["two_s", "phi"]
         assert table.shape == (2, 2)
         assert table.meta["r2"] == 0.5
@@ -236,6 +237,7 @@ class TestDeterminismAndParallel:
         from phasebeam import experiments
 
         phis = np.linspace(0, 2 * pi, 7)
+        _force_route(monkeypatch, False)
         whole = sweep_r2_phi(3, phis, (0.2, 0.5))
         # blocks of two phases, the last one short
         monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * 4 * 4)
@@ -247,6 +249,7 @@ class TestDeterminismAndParallel:
 
         phis = np.linspace(0, 2 * pi, 7)
         r2s = (0.0, 0.2, 0.5, 0.9, 1.0)
+        _force_route(monkeypatch, False)
         whole = sweep_r2_phi(3, phis, r2s)
         tiles = []
         tile_call = experiments.reduced_density_closed
@@ -263,33 +266,32 @@ class TestDeterminismAndParallel:
         assert len(tiles) == 4 * 3
 
     @staticmethod
-    def _spy_tables(monkeypatch, calls, tiles):
+    def _spy_tables(monkeypatch, spy_products, calls, tiles):
         """Take every slice by tables; record (2s, phi shape, r2 shape) per
         linear_entropy_closed call and (2s, phase tiles, r2 tiles) per
         contraction product."""
-        from phasebeam import entropy, experiments
+        from phasebeam import experiments
 
         closed_call = experiments.linear_entropy_closed
-        product_call = entropy._tile_products
 
         def closed(spec, phi, params):
             calls.append((spec.two_s, np.shape(phi), np.shape(params.r2)))
             return closed_call(spec, phi, params)
 
-        def product(a, b, out=None):
+        def product(a, b, out):
             tiles.append((calls[-1][0], a.shape[0], b.shape[1]))
-            return product_call(a, b, out)
+            return np.matmul(a, b, out=out)
 
         _force_route(monkeypatch, True)
         monkeypatch.setattr(experiments, "linear_entropy_closed", closed)
-        monkeypatch.setattr(entropy, "_tile_products", product)
+        spy_products(product)
 
-    def test_table_phi_blocks_match_one_block(self, monkeypatch):
+    def test_table_phi_blocks_match_one_block(self, monkeypatch, spy_products):
         from phasebeam import entropy
 
         phis = np.linspace(0, 2 * pi, 40)
         calls, tiles = [], []
-        self._spy_tables(monkeypatch, calls, tiles)
+        self._spy_tables(monkeypatch, spy_products, calls, tiles)
         whole = sweep_r2_phi(3, phis, (0.2, 0.5))
         # 40 phases fill 3 tiles of 16, and both r2 values one
         assert calls == [(3, (40, 1), (2,))]
@@ -303,7 +305,7 @@ class TestDeterminismAndParallel:
         assert calls == [(3, (40, 1), (2,))]
         assert tiles == [(3, 2, 1), (3, 1, 1)]
 
-    def test_table_tiles_match_one_block(self, monkeypatch):
+    def test_table_tiles_match_one_block(self, monkeypatch, spy_products):
         from phasebeam import SplitterParams, build_structure, entropy, experiments
         from phasebeam.algebra import structure_from_spacings
 
@@ -325,7 +327,7 @@ class TestDeterminismAndParallel:
                     for spec in specs for r2 in grids]
 
         calls, tiles = [], []
-        self._spy_tables(monkeypatch, calls, tiles)
+        self._spy_tables(monkeypatch, spy_products, calls, tiles)
         whole, whole_builds = sweep(), builds()
         # one call per 2s slice, contracted with all 3 phase tiles at once
         assert calls == [(2, (40, 1), (5,)), (3, (40, 1), (5,))]
@@ -389,14 +391,28 @@ def test_sweeps_use_only_public_entropy_names():
 class TestRouteChoice:
     """The plan's route and work for each 2s slice, as the sweep runs them."""
 
+    # Each slice by the route that ran faster, in process (medians of 5
+    # alternating rounds, 2-vCPU x86 host): one case on either side of each
+    # measured crossover of phases per r2 value, and the README sweeps.
     @pytest.mark.parametrize("dim, phases, r2s, tables", [
         (3, 128, 101, True),     # the default qutrit surface
+        (3, 15, 101, True),      # 0.21 against 1.70 ms at 16 phases
+        (3, 5, 101, True),       # 0.16 against 0.65 ms
+        (7, 5, 101, True),       # 0.43 against 1.67 ms
         (11, 128, 1, True),      # sweep --two-s 1:10 --r2 0.5 at 2s = 10
-        (4, 128, 1, False),      # ... and at 2s = 3: under 2^15 multiply-adds
-        (41, 5, 1, False),       # the growth table: 5 phases per r2 value
-        (3, 15, 101, False),     # under 16 phases per r2 value
-        (161, 26, 1, True),      # d // 6 = 26 phases
-        (161, 25, 1, False),
+        (4, 128, 1, True),       # ... and at 2s = 3
+        (41, 5, 1, True),        # the growth table at 2s = 40: 0.45 against 0.55 ms
+        (21, 2, 101, False),     # rho 4.8 against 8.2 ms
+        (21, 16, 101, True),     # tables 9.1 against 27 ms
+        (41, 1, 101, False),     # rho 10 against 25 ms
+        (41, 5, 101, True),      # tables 23 against 46 ms
+        (81, 1, 101, False),     # rho 47 against 127 ms
+        (81, 5, 101, True),      # tables 109 against 203 ms
+        (161, 5, 1, False),      # rho 9.4 against 12.6 ms
+        (161, 5, 8, False),      # rho 75 against 94 ms
+        (161, 8, 8, True),
+        (161, 25, 1, True),      # tables 13.7 against 30 ms at 16 phases
+        (161, 26, 1, True),
         (2201, 1, 1, False),     # sweep --two-s 2200 --phi 0 --r2 0.5
     ])
     def test_threshold(self, dim, phases, r2s, tables):
@@ -411,18 +427,29 @@ class TestRouteChoice:
         from phasebeam import experiments
 
         floor = experiments.CELL_FLOOR
-        # the default grid at 2s = 160 by tables: 101 tables of 161^4 // 4,
-        # 161^2 // 4 per cell to contract; 2s = 2200 one rho
+        # the default grid at 2s = 160 by tables: per r2 value 161^4 // 4
+        # multiply-adds and 4 * 2^9 per entry of 161^2, and 2^9 // 16 per
+        # entry per phase; 2s = 2200 by one rho per cell, 4 * 2201 + 2^9 per
+        # entry
         plan = experiments._plan((160, 2200), 128, 101)
-        assert next(plan) == (160, True, 101 * 167974560 + 128 * 101 * (6480 + floor))
-        assert next(plan) == (2200, False, 128 * 101 * (2201**3 + floor))
-        # tables at 2s = 161 on 32 phases, priced at the rho route they passed over
-        assert list(experiments._plan((161,), 32, 101)) == [
-            (161, True, 32 * 101 * (162**3 + floor))]
+        assert next(plan) == (160, True, 161**2 * (101 * (6480 + 2048) + 128 * 32)
+                              + 128 * 101 * floor)
+        assert next(plan) == (2200, False, 128 * 101 * (2201**2 * (8804 + 512) + floor))
         assert list(experiments._plan((1, 40), 5, 1)) == [
-            (1, False, 5 * (8 + floor)), (40, False, 5 * (41**3 + floor))]
+            (1, True, 4 * (2049 + 5 * 32) + 5 * floor),
+            (40, True, 41**2 * (420 + 2048 + 5 * 32) + 5 * floor)]
         # dims is read lazily, so a range need not be built
-        assert next(experiments._plan(count(1), 2, 3)) == (1, False, 6 * (8 + floor))
+        assert next(experiments._plan(count(1), 1, 3)) == (1, False, 3 * (4 * 520 + floor))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7, 11, 21, 41, 81, 161, 321, 2201])
+    def test_route_is_the_cheaper_price(self, dim):
+        from phasebeam import experiments
+
+        for phases in (1, 2, 5, 8, 16, 32, 128):
+            for r2s in (1, 8, 101):
+                tables, rho = experiments._price(dim, phases, r2s)
+                assert list(experiments._plan((dim - 1,), phases, r2s)) == [
+                    (dim - 1, tables < rho, min(tables, rho))]
 
     def test_each_slice_picks_its_route(self, monkeypatch):
         from phasebeam import experiments
@@ -446,13 +473,14 @@ class TestRouteChoice:
             monkeypatch.setattr(experiments, name, spy)
         monkeypatch.setattr(experiments, "_plan", plan)
         for flip in (True, False):
-            for phases in (1, 5, 128, 32):
+            for phases in (1, 128, 32, 5):
                 named.clear()
                 ran.clear()
-                sweep_phi_balanced((1, 30, 200), np.linspace(0, 2 * pi, phases))
+                _phi_balanced((1, 30, 200), np.linspace(0, 2 * pi, phases))
                 assert ran == named and len(named) == 3
-        # 32 * d^3 is under 2^15 at d = 2; d // 6 = 33 > 32 at d = 201
-        assert ran == [(1, "_rho_tiles"), (30, "linear_entropy_closed"), (200, "_rho_tiles")]
+        # on 5 phases one table per slice is the cheaper up to d = 95
+        assert ran == [(1, "linear_entropy_closed"), (30, "linear_entropy_closed"),
+                       (200, "_rho_tiles")]
 
 
 class TestSweepsPinnedToEntropyPoint:
@@ -481,7 +509,7 @@ class TestSweepsPinnedToEntropyPoint:
                 balanced = [point[phi, 0.5] for phi in self.PHIS]
                 compare(sweep_r2_phi(two_s, self.PHIS, self.R2S, m=m, **kw).values,
                         [point[phi, r2] for phi in self.PHIS for r2 in self.R2S])
-                compare(sweep_phi_balanced((two_s,), self.PHIS, m=m, **kw).values,
+                compare(_phi_balanced((two_s,), self.PHIS, m=m, **kw).values,
                         balanced)
                 compare(sweep_s_balanced(two_s, self.PHIS, m=m, **kw).grid()[:, -1],
                         balanced)
@@ -499,8 +527,7 @@ class TestReadmeSweepsPinnedToRhoRoute:
     """The five README sweeps, every cell, against one rho per cell.
 
     The reference is one stack of reduced_density_closed per 2s,
-    S = 1 - Tr(rho^2); the sweeps take Gram tables at 2s = 1, 2, 3 and
-    at 2s = 6..10 of the 1:10 sweep, and that same rho route elsewhere.
+    S = 1 - Tr(rho^2); the sweeps take Gram tables at every 2s.
     """
 
     @pytest.mark.parametrize("argv", [
