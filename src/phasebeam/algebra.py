@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from math import inf, isfinite
 
 import numpy as np
@@ -183,12 +184,25 @@ def build_structure(
     Returns
     -------
     StructureSpec
+        A built-in family's is shared (frozen, arrays read-only) by every call
+        whose (family, two_s, kappa) are equal and of the same types.
     """
     family = _family(family)
-    if family is not Family.CUSTOM and levels is not None:
+    if family is Family.CUSTOM:
+        return StructureSpec(family=family, two_s=two_s, kappa=kappa, levels=levels)
+    if levels is not None:
         raise InvalidStructureError(
             f"level table only applies to the custom family, not {family.value}")
-    return StructureSpec(family=family, two_s=two_s, kappa=kappa, levels=levels)
+    try:
+        return _shared_spec(family, two_s, kappa)
+    except TypeError:  # an unhashable argument builds on every call
+        return StructureSpec(family=family, two_s=two_s, kappa=kappa)
+
+
+# A spec holds 2d floats, so 128 stay within 5 MB up to 2s = 2537 (compute's largest).
+@lru_cache(maxsize=128, typed=True)
+def _shared_spec(family: Family, two_s: int, kappa: float | None) -> StructureSpec:
+    return StructureSpec(family=family, two_s=two_s, kappa=kappa)
 
 
 def structure_from_spacings(spacings: "np.ndarray | list[float]") -> StructureSpec:

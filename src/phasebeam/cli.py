@@ -10,7 +10,7 @@ ArithmeticError, such as an overflow), 3 I/O failure.  Data goes to
 stdout, diagnostics to stderr.  experiments._price prices every run before
 it starts: compute as a 1 x 1 plane by the routes its --method runs, a
 sweep slice by slice through _plan, a grid axis as the phases of a 2s = 1
-sweep.
+sweep plus _AXIS_POINT per point.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from math import inf, isfinite, pi
 
@@ -37,8 +38,11 @@ BOTH_ROUTES_TOL = 1e-8
 # it is a usage error.  2^36 admits compute up to 2s = 2537 by the partial
 # trace (4.2 s on a 2-vCPU x86 host), 720 by the closed form (2.0 s) and
 # 715 by both, the default 128 x 101 sweep up to 2s = 218 (3.6-4.0 s) and
-# 16 268 813 points on a grid axis.
+# 6 628 035 points on a grid axis (4.3-5.8 s, 1.34 GB).
 CUBE_BUDGET = 1 << 36
+# A grid axis point's work beyond its cell's: its Python float and CSV field;
+# fitted to sweep --two-s 1 --phi 0:1:N --r2 0.5 (0.63 us per point).
+_AXIS_POINT = 12 << 9
 
 _CLI_FAMILIES = {
     "pegg-barnett": Family.PEGG_BARNETT,
@@ -100,8 +104,8 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise UsageError(f"grid span must be finite, got {text!r}")
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
-    # priced as the phases of the cheapest sweep: 2s = 1, one r2 value
-    _check_budget(f"the grid {text!r}", min(_price(2, count, 1)))
+    # priced as the phases of the cheapest sweep (2s = 1, one r2 value), and per point
+    _check_budget(f"the grid {text!r}", min(_price(2, count, 1)) + count * _AXIS_POINT)
     if not start < stop:
         raise UsageError(f"grid must be strictly increasing, got {text!r}")
     return start, stop, count
@@ -148,6 +152,7 @@ def _family(text: str) -> Family:
     return _CLI_FAMILIES[text]
 
 
+@cache  # one parser per process, built on first use
 def build_parser() -> _Parser:
     parser = _Parser(prog="phasebeam",
                      description="Beam-splitter entanglement of phase states")
@@ -285,7 +290,7 @@ def _check_phase_product(specs, phis) -> None:
     family, no angle exceeds 2 max|phi| max|F|; from 2^52 on, consecutive
     doubles are a radian or more apart, so no angle holds a phase.
     """
-    phi = max(abs(v) for v in phis)
+    phi = max(max(phis), -min(phis))
     level = max(float(np.abs(spec.levels).max()) for spec in specs)
     if not 2.0 * phi * level < 2.0**52:
         raise UsageError(f"2 max|phi| max|F| = 2 * {phi:.6g} * {level:.6g} "

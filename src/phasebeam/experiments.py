@@ -154,7 +154,7 @@ def _entropy_grid(dims, phis, r2s, family: Family, kappa: float | None,
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 def _sweep(names, two_s, phis, r2s, family: Family, kappa: float | None,
@@ -171,7 +171,8 @@ def _sweep(names, two_s, phis, r2s, family: Family, kappa: float | None,
     for name in [name for name in grid if name not in names]:
         (meta[name],) = grid[name]
     values = np.moveaxis(values, [list(grid).index(name) for name in names], range(len(names)))
-    return SweepTable(axes=tuple(Axis(name, _as_float_tuple(grid[name])) for name in names),
+    axes = {**grid, "two_s": _as_float_tuple(grid["two_s"])}
+    return SweepTable(axes=tuple(Axis(name, axes[name]) for name in names),
                       values=values.ravel(), meta=meta)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import StructureSpec, phase_operator
 from .errors import DimensionMismatchError
+from .numerics import per_size, read_only
 
 
 def phase_state(spec: StructureSpec, m, phi) -> np.ndarray:
@@ -39,13 +40,23 @@ def _root_powers(m, d: int) -> np.ndarray:
     """q^{mn} for n = 0..d-1 along a last axis, one row per label m.
 
     A Python int is reduced mod d before numpy sees it, so labels beyond
-    int64 work; an array label must have an integer dtype.
+    int64 work; an array label must have an integer dtype and is reduced in
+    the 64-bit type of its sign.  Each q^(mn mod d) comes from a kept table.
     """
-    if not isinstance(m, int):
+    if isinstance(m, int):
+        m = m % d
+    else:
         m = np.asarray(m)
         if not np.issubdtype(m.dtype, np.integer):
             raise ValueError(f"phase-state labels must be integers, got dtype {m.dtype}")
-    return np.exp(2j * pi * (np.multiply.outer(m % d, np.arange(d)) % d) / d)
+        m = (m.astype(np.uint64 if m.dtype.kind == "u" else np.int64) % d).astype(np.int64)
+    return _unit_roots(d)[0][np.multiply.outer(m, np.arange(d)) % d]
+
+
+@per_size(lambda d: d)
+def _unit_roots(d: int) -> tuple[np.ndarray]:
+    """q^k = exp(2j pi k / d) for k = 0..d-1, read-only: a direct exp's bits."""
+    return read_only(np.exp(2j * pi * np.arange(d) / d))
 
 
 def apply_phase_operator(spec: StructureSpec, phi: float, state: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from phasebeam import (
     split_phase_state,
     structure_from_spacings,
 )
+from phasebeam import algebra
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -235,6 +236,89 @@ class TestBuildStructure:
             spec.levels[1] = 5.0
         with pytest.raises(ValueError):
             spec.spacings[0] = 5.0
+
+
+class TestSharedSpecs:
+    """build_structure returns one spec per built-in (family, 2s, kappa)."""
+
+    @pytest.mark.parametrize("family, kappa", FAMILIES)
+    def test_one_spec_per_key(self, family, kappa):
+        for two_s in (1, 2, 40, 97):
+            # the name first at 97, a key no other test builds
+            first = build_structure(family.value if two_s == 97 else family, two_s, kappa)
+            for name in (family, family.value):
+                assert build_structure(name, two_s, kappa) is first
+
+    def test_two_kappas_two_specs(self):
+        a = build_structure(Family.KAPPA_POS, 3, 0.5)
+        b = build_structure(Family.KAPPA_POS, 3, 0.7)
+        assert a is not b
+        assert (a.kappa, b.kappa) == (0.5, 0.7)
+        assert not np.array_equal(a.levels, b.levels)
+
+    def test_argument_types_are_kept(self):
+        # equal arguments of other types are other keys, so a spec holds
+        # the types it was asked for
+        as_int = build_structure(Family.KAPPA_POS, 3, 1)
+        as_float = build_structure(Family.KAPPA_POS, 3, 1.0)
+        assert as_int is not as_float
+        assert type(as_int.kappa) is int and type(as_float.kappa) is float
+        assert type(build_structure(Family.PEGG_BARNETT, np.int64(3)).two_s) is np.int64
+        assert type(build_structure(Family.PEGG_BARNETT, 3).two_s) is int
+
+    def test_unhashable_argument_builds_every_call(self):
+        kappa = np.array(0.5)  # a 0-d array has no hash
+        a = build_structure(Family.KAPPA_POS, 3, kappa)
+        assert build_structure(Family.KAPPA_POS, 3, kappa) is not a
+        assert np.array_equal(a.levels, build_structure(Family.KAPPA_POS, 3, 0.5).levels)
+
+    def test_custom_tables_are_never_shared(self):
+        for levels in ([0.0, 1.0, 1.5, 0.0], (0.0, 1.0, 1.5, 0.0)):
+            a = build_structure(Family.CUSTOM, 2, levels=levels)
+            b = build_structure("custom", 2, levels=levels)
+            assert a is not b
+            assert np.array_equal(a.levels, b.levels)
+        g = [1.0, 0.5, -1.5]
+        assert structure_from_spacings(g) is not structure_from_spacings(g)
+
+    @pytest.mark.parametrize("family, kappa", FAMILIES)
+    def test_shared_tables_refuse_writes(self, family, kappa):
+        spec = build_structure(family, 5, kappa)
+        levels = spec.levels.copy()
+        for table in (spec.levels, spec.spacings):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1.0
+        with pytest.raises(AttributeError):
+            spec.kappa = 0.25
+        assert np.array_equal(build_structure(family, 5, kappa).levels, levels)
+
+    @pytest.mark.parametrize("family, kappa, error", [
+        (Family.KAPPA_POS, 0.0, MissingKappaError),
+        (Family.KAPPA_NEG, 0.25, InvalidStructureError),
+    ])
+    def test_refused_build_is_not_kept(self, family, kappa, error):
+        before = algebra._shared_spec.cache_info()
+        for _ in range(3):
+            with pytest.raises(error):
+                build_structure(family, 4, kappa)
+        after = algebra._shared_spec.cache_info()
+        # every call ran the build, and none found or left a spec
+        assert after.misses == before.misses + 3
+        assert after.hits == before.hits
+        assert after.currsize == before.currsize
+
+    def test_bound_evicts_the_least_recent(self):
+        bound = algebra._shared_spec.cache_info().maxsize
+        first = build_structure(Family.KAPPA_POS, 2, 1.0)
+        assert build_structure(Family.KAPPA_POS, 2, 1.0) is first
+        for i in range(1, bound + 1):
+            build_structure(Family.KAPPA_POS, 2, 1.0 + i)
+        assert algebra._shared_spec.cache_info().currsize == bound
+        again = build_structure(Family.KAPPA_POS, 2, 1.0)
+        assert again is not first
+        assert np.array_equal(again.levels, first.levels)
 
 
 class TestStructureFromSpacings:

@@ -342,6 +342,16 @@ class TestCsvDecimalKernel:
             _assert_prints_as_g17(10.0 ** rng.uniform(e, e + 1, 2000))
         _assert_prints_as_g17(rng.uniform(0.0, 1.0, 20000))
 
+    def test_axis_values_print_as_g17(self):
+        # each axis field goes through the kernel too, with "," for "\n"
+        rng = np.random.default_rng(2025)
+        magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 3000)
+        values = (*EDGE_FLOATS, nextafter(1e-4, 0.0), 1e-4, nextafter(1.0, 0.0),
+                  *(magnitudes * rng.choice([-1.0, 1.0], 3000)).tolist(),
+                  *rng.uniform(0.0, 1.0, 3000).tolist())
+        table = SweepTable(axes=(Axis("x", values),), values=np.full(len(values), 0.25))
+        assert emit(table, "csv").decode() == _render_csv_reference(table)
+
     @pytest.mark.parametrize("e10", [-1, -2, -3, -4])
     def test_half_even_ties(self, e10):
         # x = m 2^-(q+1) with m odd puts x 10^q, q = 16 - e10, exactly halfway
@@ -972,9 +982,9 @@ class TestWorkBudget:
          "the sweep needs about 6.94e+10 multiply-adds by 2s = 219"),
         (["sweep", "--two-s", "1:83"], ["sweep", "--two-s", "1:84"],
          "the sweep needs about 7.15e+10 multiply-adds by 2s = 84"),
-        (["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:16268813"],
-         ["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:16268814"],
-         "the grid '0:1:16268814' needs about 6.87e+10 multiply-adds"),
+        (["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:6628035"],
+         ["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:6628036"],
+         "the grid '0:1:6628036' needs about 6.87e+10 multiply-adds"),
     ], ids=["oracle", "closed", "both", "sweep", "range", "axis"])
     def test_each_stated_limit_refused_one_step_past(self, capsys, admitted, past, message):
         point = ["--phi", "0", "--r2", "0.5"] if admitted[0] == "compute" else []
@@ -983,6 +993,23 @@ class TestWorkBudget:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: {message}, over the work budget of 6.87e+10\n"
+
+    def test_axis_limit_checked_without_building_the_axis(self, capsys):
+        # README's limit for sweep --two-s 1 --phi 0:1:N --r2 0.5
+        limit = 6_628_035
+        tracemalloc.start()
+        try:
+            assert cli._grid_spec(f"0:1:{limit}") == (0.0, 1.0, limit)
+            with pytest.raises(UsageError, match=f"the grid '0:1:{limit + 1}' needs"):
+                cli._grid_spec(f"0:1:{limit + 1}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert main(["sweep", "--two-s", "1", "--r2", "0.5", "--phi", f"0:1:{limit + 1}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: the grid '0:1:{limit + 1}' needs about ")
 
     @pytest.mark.parametrize("two_s", [1, 2, 10, 40, 160, 700, 2500])
     def test_compute_prices_one_cell_as_the_plan(self, monkeypatch, two_s):
@@ -1050,6 +1077,16 @@ class TestMainSweep:
     def test_readme_sweeps_pinned_md5(self, argv, md5, capsysbinary):
         # the five standard sweeps of README, every stdout byte
         assert main(["sweep", *argv]) == 0
+        assert hashlib.md5(capsysbinary.readouterr().out).hexdigest() == md5
+
+    # Every line of check --suite all, frozen from the code before build_structure
+    # shared its specs: a check whose name, verdict or printed residual moves fails.
+    @pytest.mark.parametrize("seed, md5", [
+        (0, "271db8adfa96dac305d45bd8e9ae3621"),
+        (42, "8abcc923e94b88c78b0871f016bddded"),
+    ])
+    def test_check_all_pinned_md5(self, seed, md5, capsysbinary):
+        assert main(["check", "--suite", "all", "--seed", str(seed)]) == 0
         assert hashlib.md5(capsysbinary.readouterr().out).hexdigest() == md5
 
     @pytest.mark.parametrize("count", [0, None])
@@ -1131,3 +1168,31 @@ class TestMainCheck:
         # one report line per check plus the summary
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+class TestOneParser:
+    """build_parser builds the parser once; each call of main parses afresh."""
+
+    CALLS = (
+        ["compute", "--two-s", "3", "--phi", "0.7", "--r2", "0.3", "--method", "both"],
+        ["compute", "--two-s", "2", "--phi", "0.7"],  # no --r2: exit 1 from the parser
+        ["sweep", "--two-s", "2"],
+        ["check", "--suite", "entropy"],
+        ["sweep", "--two-s", "2"],
+    )
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_equal_calls_alone(self, capsysbinary):
+        alone = []
+        for argv in self.CALLS:
+            done = subprocess.run([sys.executable, "-m", "phasebeam.cli", *argv],
+                                  capture_output=True, env={**os.environ, "PYTHONPATH": SRC})
+            alone.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in alone] == [0, 1, 0, 0, 0]
+        cli.build_parser.cache_clear()  # so that the first call below builds it
+        for argv, (code, out, err) in zip(self.CALLS, alone):
+            assert main(argv) == code
+            captured = capsysbinary.readouterr()
+            assert (captured.out, captured.err) == (out, err)

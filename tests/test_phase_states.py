@@ -17,6 +17,7 @@ from phasebeam import (
     overlap_direct,
     phase_state,
 )
+from phasebeam.phase_states import _root_powers, _unit_roots
 
 FAMILIES = [
     (Family.PEGG_BARNETT, None),
@@ -331,3 +332,66 @@ class TestLabelAxis:
             overlap_direct(np.ones((2, 3)), np.ones((2, 4)))
         with pytest.raises(DimensionMismatchError):
             apply_phase_operator(spec, 0.0, np.ones((4, 5)))
+
+
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _direct_roots(m, d):
+    """q^{mn} as each entry was formed before the table of q^k: one exp per entry."""
+    return np.exp(2j * pi * (np.multiply.outer(m % d, np.arange(d)) % d) / d)
+
+
+class TestRootPowers:
+    """_root_powers gathers from the table of q^k the bits of one exp per entry."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @pytest.mark.parametrize("d", [2, 3, 41, 362])
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    def test_table_equals_direct_exp(self, d, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(d)
+        m = np.concatenate([
+            np.arange(max(info.min, -d - 2), min(info.max, 2 * d + 2) + 1, dtype=dtype),
+            np.array([info.min, info.min + 1, info.max - 1, info.max], dtype=dtype),
+            rng.integers(info.min, info.max, size=64, dtype=dtype, endpoint=True),
+        ])
+        assert m.dtype == dtype
+        got = _root_powers(m, d)
+        assert got.shape == (m.size, d)
+        # the direct form on the labels reduced exactly (an int8 label
+        # cannot take % 362 in its own type)
+        reduced = np.array([v % d for v in m.tolist()], dtype=np.int64)
+        assert np.array_equal(self._bits(got), self._bits(_direct_roots(reduced, d)))
+        if d <= info.max:  # and on the labels themselves, where their type holds d
+            assert np.array_equal(self._bits(got), self._bits(_direct_roots(m, d)))
+
+    @pytest.mark.parametrize("d", [2, 3, 41, 362])
+    def test_python_ints_beyond_int64(self, d):
+        for m in (0, 1, -1, d, 2**63, 2**64 + 3, -(2**70) - 1, 10**30 + 7, True):
+            got = _root_powers(m, d)
+            assert got.shape == (d,)
+            assert np.array_equal(self._bits(got), self._bits(_direct_roots(m, d)))
+
+    def test_label_shapes_and_scalars(self):
+        m = np.array([[0, 5], [-3, 2**40]])
+        got = _root_powers(m, 7)
+        assert got.shape == (2, 2, 7)
+        for i in np.ndindex(2, 2):
+            assert np.array_equal(self._bits(got[i]), self._bits(_root_powers(int(m[i]), 7)))
+        assert np.array_equal(self._bits(_root_powers(np.int64(5), 7)),
+                              self._bits(_root_powers(5, 7)))
+
+    def test_table_is_kept_and_read_only(self):
+        (table,) = _unit_roots(41)
+        assert _unit_roots(41)[0] is table
+        assert not table.flags.writeable
+        assert table.shape == (41,)
+        # a gathered row is the caller's own
+        row = _root_powers(3, 41)
+        row[0] = 0.0
+        assert table[0] == 1.0
