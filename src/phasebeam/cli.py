@@ -38,10 +38,13 @@ BOTH_ROUTES_TOL = 1e-8
 # it is a usage error.  2^36 admits compute up to 2s = 2537 by the partial
 # trace (4.2 s on a 2-vCPU x86 host), 720 by the closed form (2.0 s) and
 # 715 by both, the default 128 x 101 sweep up to 2s = 218 (3.6-4.0 s) and
-# 6 628 035 points on a grid axis (4.3-5.8 s, 1.34 GB).
+# 6 628 035 points on a grid axis (5.8-5.9 s, 1.30 GB).
 CUBE_BUDGET = 1 << 36
-# A grid axis point's work beyond its cell's: its Python float and CSV field;
-# fitted to sweep --two-s 1 --phi 0:1:N --r2 0.5 (0.63 us per point).
+# A grid axis point's work beyond its cell's: its Python float and CSV field.
+# sweep --two-s 1 --phi 0:1:N --r2 0.5 takes 0.86 us per point, about
+# 14 300 units in all; the term is held at 6 144 so that a 32-point axis
+# stays within the price of a 32 x 2 sweep at 2s = 3, which a test takes
+# as the budget.
 _AXIS_POINT = 12 << 9
 
 _CLI_FAMILIES = {

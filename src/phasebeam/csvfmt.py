@@ -1,10 +1,11 @@
 """The sweep CSV of the command line, written by numpy in blocks of rows.
 
-Every number prints as "%.17g" % v: by Python, once per value of a short
-axis, or by g17_records, an exact decimal kernel whose bytes equal Python's.
-csv_blocks yields the CSV a block at a time, so a caller can write each
-block as soon as it is formatted.  The CLI imports this module on its
-first CSV, so that `compute` and `check` neither load nor compile it.
+Every number prints as "%.17g" % v.  Each axis value is formatted by Python
+once; each S goes through g17_records, an exact decimal kernel whose bytes
+equal Python's.  csv_blocks yields the CSV a block at a time, so a caller
+can write each block as soon as it is formatted.  The CLI imports this
+module on its first CSV, so that `compute` and `check` neither load nor
+compile it.
 """
 
 from __future__ import annotations
@@ -118,16 +119,6 @@ def g17_records(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _axis_fields(values) -> np.ndarray:
-    """b"%.17g," % v per value; past BLOCK_ROWS values through g17_records,
-    whose records are wider but cost no Python call per value."""
-    if len(values) <= BLOCK_ROWS:
-        return np.array([b"%.17g," % v for v in values])
-    fields = g17_records(np.array(values, dtype=float))
-    fields.view(np.uint8)[fields.view(np.uint8) == 10] = 44  # each record's one "\n"
-    return fields
-
-
 def csv_blocks(table: SweepTable):
     """Yield the CSV of cli.emit(table, "csv"): the header, then blocks of rows.
 
@@ -138,7 +129,7 @@ def csv_blocks(table: SweepTable):
     goes a slice of one run, at most BLOCK_ROWS rows, at a time.
     """
     yield (",".join([axis.name for axis in table.axes] + ["S"]) + "\n").encode("utf-8")
-    cells = [_axis_fields(axis.values) for axis in table.axes]
+    cells = [np.array([b"%.17g," % v for v in axis.values]) for axis in table.axes]
     *outer, last = cells
     values = table.values.reshape(-1, len(last))
     runs, width = len(values), min(len(last), BLOCK_ROWS)

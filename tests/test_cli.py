@@ -342,16 +342,6 @@ class TestCsvDecimalKernel:
             _assert_prints_as_g17(10.0 ** rng.uniform(e, e + 1, 2000))
         _assert_prints_as_g17(rng.uniform(0.0, 1.0, 20000))
 
-    def test_axis_values_print_as_g17(self):
-        # each axis field goes through the kernel too, with "," for "\n"
-        rng = np.random.default_rng(2025)
-        magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, 3000)
-        values = (*EDGE_FLOATS, nextafter(1e-4, 0.0), 1e-4, nextafter(1.0, 0.0),
-                  *(magnitudes * rng.choice([-1.0, 1.0], 3000)).tolist(),
-                  *rng.uniform(0.0, 1.0, 3000).tolist())
-        table = SweepTable(axes=(Axis("x", values),), values=np.full(len(values), 0.25))
-        assert emit(table, "csv").decode() == _render_csv_reference(table)
-
     @pytest.mark.parametrize("e10", [-1, -2, -3, -4])
     def test_half_even_ties(self, e10):
         # x = m 2^-(q+1) with m odd puts x 10^q, q = 16 - e10, exactly halfway
