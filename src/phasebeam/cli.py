@@ -9,8 +9,8 @@ over CUBE_BUDGET included), 2 numerical-consistency failure (any
 ArithmeticError, such as an overflow), 3 I/O failure.  Data goes to
 stdout, diagnostics to stderr.  experiments._price prices every run before
 it starts: compute as a 1 x 1 plane by the routes its --method runs, a
-sweep slice by slice through _plan, a grid axis as the phases of a 2s = 1
-sweep plus _AXIS_POINT per point.
+sweep slice by slice through _plan plus _AXIS_POINT per point of its phi
+and r2 axes, and a grid axis, before it is built, as the cheapest sweep on it.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ BOTH_ROUTES_TOL = 1e-8
 # 715 by both, the default 128 x 101 sweep up to 2s = 218 (3.6-4.0 s) and
 # 6 628 035 points on a grid axis (5.8-5.9 s, 1.30 GB).
 CUBE_BUDGET = 1 << 36
-# A grid axis point's work beyond its cell's: its Python float and CSV field.
-# sweep --two-s 1 --phi 0:1:N --r2 0.5 takes 0.86 us per point, about
-# 14 300 units in all; the term is held at 6 144 so that a 32-point axis
-# stays within the price of a 32 x 2 sweep at 2s = 3, which a test takes
-# as the budget.
-_AXIS_POINT = 12 << 9
+# A grid axis point's work beyond its cell's: its Python float and CSV field,
+# counted in a sweep's price once per point of its phi and r2 axes.
+# sweep --two-s 1 --phi 0:1:N --r2 0.5 took 0.86 us per point, about 14 300
+# units in all, of which its cell is priced at 4 224.
+_AXIS_POINT = 20 << 9
 
 _CLI_FAMILIES = {
     "pegg-barnett": Family.PEGG_BARNETT,
@@ -107,8 +106,9 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise UsageError(f"grid span must be finite, got {text!r}")
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
-    # priced as the phases of the cheapest sweep (2s = 1, one r2 value), and per point
-    _check_budget(f"the grid {text!r}", min(_price(2, count, 1)) + count * _AXIS_POINT)
+    # priced as the cheapest sweep on it (2s = 1, one point on the other axis),
+    # so that an axis over the budget is refused before it is built
+    _check_budget(f"the grid {text!r}", min(_price(2, count, 1)) + (count + 1) * _AXIS_POINT)
     if not start < stop:
         raise UsageError(f"grid must be strictly increasing, got {text!r}")
     return start, stop, count
@@ -221,8 +221,9 @@ def parse_args(argv=None) -> RunConfig:
         _check_budget(f"compute --method {ns.method}", work)
         extra = {"method": ns.method}
     else:
-        # summed slice by slice, so a long range stops at the first past the budget
-        work = 0
+        # every axis point, then slice by slice, so that a long range stops
+        # at the first slice past the budget
+        work = (phases + r2s) * _AXIS_POINT
         for two_s, _, slice_work in _plan(chain(*runs), phases, r2s):
             work += slice_work
             _check_budget("the sweep", work, f"multiply-adds by 2s = {two_s}")

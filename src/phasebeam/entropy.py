@@ -13,8 +13,12 @@ table keyed by the gap, one row per r2 cell, built in tiles of r2 cells.
 On the quadratic levels F(n) = n(1 + kappa(n-1)) of every built-in family
 the gap is 2 kappa k, the same for every entry of the diagonal tau = s' - s
 of G_j, k = j tau: the diagonal sums are binned by k through a (j, tau) ->
-bin table, kept (numerics.per_size) up to 2s = 361.  On a CUSTOM table each
-term is an entry of its own.  The table gives
+bin table, kept (numerics.per_size) up to 2s = 361.  Up to 2s = _POLY_TWO_S
+the weights are not built per call: each W_k is a polynomial of degree
+2d - 2 in r2 with non-negative coefficients, the same for every built-in
+family, kept one table per size (_weight_poly), and a call's rows are one
+small product of the powers of its r2 values against it.  On a CUSTOM table
+each term is an entry of its own.  The table gives
 S = 1 - sum_g W_g cos(g phi) / d^2 per (phi, r2) cell, each cell one entry
 of a matrix product of 16 cosine rows cos(g phi) against 16 weight rows W.
 Every product has that one shape, so a cell has the same bits wherever it
@@ -24,10 +28,13 @@ sits in a call, and in a call of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, groupby
 from math import inf
+from threading import Lock
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import Family, StructureSpec
 from .errors import NumericalConsistencyError
@@ -57,6 +64,17 @@ _BLOCK_TERMS = 1 << 11
 # the largest deviations measured were 5.6e-14 at 2s = 80 (101 r2 values)
 # and 7.4e-13 at 511 (2001 r2 values).
 PMF_TOL = 1e-12
+
+# The largest 2s whose built-in Gram weights are kept, one table per size, as
+# polynomials in r2 (_weight_poly); a call there forms its rows as one small
+# product.  Above it, and on every CUSTOM table, each call builds its rows from
+# the Gram blocks.  The bound is set by the first call at any kept size, which
+# builds the index tables (_poly_plan) of every kept size: at 2s = 40 that call
+# costs about 5 ms more than one Gram build and traces 1.2 MB; with the bound
+# at 80 it traced 6.7 MB at any kept size, and the first call at 2s = 80 took
+# 8x a Gram build there, which pays back only after about 30 calls of one size
+# (2.1 ms a call against 0.2 ms kept; x86, tracemalloc on).
+_POLY_TWO_S = 40
 
 # Every cell of a contraction is entry (i, j) of one a @ b^T product of a
 # tile a of _TILE cosine rows cos(phi rates) and a tile b of _TILE weight
@@ -155,6 +173,162 @@ def _k_bins(d: int):
     ks = seen.nonzero()[0]
     return read_only(ks, np.where(inside, seen.cumsum()[k] - 1, ks.size),
                      inside * (2.0 - (j == 0)))
+
+
+@dataclass(frozen=True, eq=False)
+class _PolyPlan:
+    """Index tables of the kept Gram weights of the sizes d <= D = _POLY_TWO_S + 1.
+
+    The term (j, tau, s, n) of the folded sum, x = s - n, a = n + j, is
+    E t2^(2n+j) r2^(2x+tau), E^2 = binom(e, a) binom(e-j, e-a) binom(e-tau, a)
+    binom(e-v, x), on the shell e = s + v, v = j + tau.  Swapping t2 and r2
+    maps the terms of (j, tau) to those of (tau, j), so the plan holds the
+    pairs j <= tau alone, those with j = tau at half weight.  The sums of a
+    pair at size d are Y[i] = sum E binom(2(d-1-e), i - 2x) over its shells
+    e < d; its weight is t2^j r2^tau (t2 + r2)^v sum_i Y[i] t2^(2(d-1-v)-i) r2^i.
+    Read-only.
+    """
+
+    ks: np.ndarray        # the k = j tau by the first size j + tau + 1 that holds them, then k
+    column: np.ndarray    # column[k]: the place of k in ks
+    sizes: np.ndarray     # sizes[d]: how many of ks size d holds, its first ones
+    pascal: np.ndarray    # binom(v, m) at [v, 2D + m], zero-padded by 2D on either side, exact
+    gather: np.ndarray    # pascal.flat[gather + steps e]: the four binomials of each term on shell e
+    steps: np.ndarray     # (4D, 4D + 1, 4D, 4D + 1): one row down, or one row down and one on
+    ends: np.ndarray      # shell e has the first ends[e] terms, those of tau + a <= e
+    weights: np.ndarray   # (2 - [j == 0]) (2 - [tau == 0]) of each term, halved where j == tau
+    places: np.ndarray    # places + 2e: where each term adds to the sums of its pair
+    segments: np.ndarray  # pair (j, v - j), j <= v // 2, holds 2D - 1 - v sums from
+    keys: np.ndarray      # segments[v] + j (2D - 1 - v) on; keys[i]: [k, tau + i] of a k-major table
+
+
+@cache
+def _poly_plan() -> _PolyPlan:
+    """The one _PolyPlan of the process."""
+    d = _POLY_TWO_S + 1
+    width = 2 * d - 1
+    j, tau = np.array([(j, tau) for j in range(d) for tau in range(j, d - j)]).T
+    first = {}
+    for v, k in sorted(zip((j + tau).tolist(), (j * tau).tolist())):
+        first.setdefault(k, v + 1)
+    ks = np.array(sorted(first, key=lambda k: (first[k], k)))
+    column = np.zeros(ks.max() + 1, dtype=np.intp)
+    column[ks] = np.arange(ks.size)
+    pascal = np.zeros((d, 4 * d))
+    pascal[:, 2 * d] = 1.0
+    for n in range(1, d):
+        pascal[n, 2 * d + 1:3 * d] = pascal[n - 1, 2 * d + 1:3 * d] + pascal[n - 1, 2 * d:3 * d - 1]
+    # the pairs (j, v - j), j <= v // 2, by v, and where their sums start
+    halves = np.arange(d) // 2 + 1
+    firsts = np.cumsum(halves) - halves
+    pv = np.repeat(np.arange(d), halves)
+    pj = np.arange(pv.size) - np.repeat(firsts, halves)
+    length = width - pv
+    start = np.cumsum(length) - length
+    keys = np.repeat(column[pj * (pv - pj)] * width + pv - pj - start, length) + np.arange(length.sum())
+    # the terms a = j..d - 1 - tau of each pair, by c = tau + a, then by pair
+    c, p = (np.arange(d)[:, None] >= j + tau).nonzero()
+    j, tau = j[p], tau[p]
+    a, v = c - tau, j + tau
+    return _PolyPlan(*read_only(
+        ks, column, np.bincount(list(first.values()), minlength=d + 1).cumsum(), pascal,
+        # binom(e, a), binom(e-j, e-a), binom(e-tau, a) and binom(e-v, e-c) of shell e
+        # are pascal[e - (0, j, tau, v), 2d + (a, -a, a, -c) + e (0, 1, 0, 1)]
+        (2 * d + np.stack([a, -a - 4 * d * j, a - 4 * d * tau, -c - 4 * d * v])).astype(np.int16),
+        4 * d + np.array([[0], [1], [0], [1]]),
+        np.bincount(c, minlength=d).cumsum(),
+        (2.0 - (j == 0)) * (2.0 - (tau == 0)) * np.where(j == tau, 0.5, 1.0),
+        start[firsts[v] + j] - 2 * c, np.append(start[firsts], keys.size),
+        keys.astype(np.int32)))
+
+
+class _PairSums:
+    """The pair sums Y of the last size formed, from which the next larger size
+    continues: each shell's terms are formed once, and Y of a size is the same
+    whatever sizes came before it."""
+
+    def __init__(self):
+        self.lock = Lock()
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.size, self.sums = 0, None
+
+    def raised(self, d: int) -> np.ndarray:
+        """Size d's pair sums, each times (1 + z)^v z^tau, z = r2 / t2: the
+        terms of pair (j, v - j) raised to degree 2d - 2, in its segment."""
+        plan = _poly_plan()
+        with self.lock:
+            if self.sums is None or self.size > d:
+                self.size, self.sums = 0, np.zeros(plan.segments[-1])
+            sums = self.sums
+            for e in range(self.size, d):  # sums of size e + 1: times (t2 + r2)^2, then shell e
+                old = sums[:plan.segments[e]].copy()
+                sums[1:old.size] += 2.0 * old[:-1]
+                sums[2:old.size] += old[:-2]
+                n = plan.ends[e]
+                terms = np.sqrt(plan.pascal.take(plan.gather[:, :n] + plan.steps * e).prod(axis=0))
+                sums[plan.places[:n] + 2 * e] += terms * plan.weights[:n]
+            self.size = d
+            raised = np.zeros(plan.segments[d])
+            # bands[v, i, m] = binom(v, i + m - 2D), a view of the kept Pascal rows
+            bands = sliding_window_view(plan.pascal, 2 * _POLY_TWO_S + 1, axis=1)
+            for v in range(d):
+                block = slice(plan.segments[v], plan.segments[v + 1])
+                rows, cols = 2 * (d - 1 - v) + 1, 2 * d - 1 - v
+                # binom(v, c - r) at [r, c]
+                raise_v = bands[v, 2:2 + cols, ::-1][:, :rows].T
+                np.matmul(sums[block].reshape(v // 2 + 1, -1)[:, :rows], raise_v,
+                          out=raised[block].reshape(v // 2 + 1, -1)[:, :cols])
+        return raised
+
+
+_PAIR_SUMS = _PairSums()
+
+
+@per_size(lambda d: _poly_plan().sizes[d] * (2 * d - 1))
+def _weight_poly(d: int):
+    """(ks, poly) of size d <= _POLY_TWO_S + 1, read-only: W_k(r2) of the k in
+    ks is sum_i poly[k, i] t2^(2d-2-i) r2^i, t2 = 1 - r2.
+
+    Each coefficient is a sum of non-negative terms; at r2 = 0 and at r2 = 1
+    the weights are exactly (d^2, 0, ...), so S = 0 there.
+    """
+    plan = _poly_plan()
+    width, k = 2 * _POLY_TWO_S + 1, plan.sizes[d]
+    raised = _PAIR_SUMS.raised(d)
+    half = np.bincount(plan.keys[:raised.size], raised, k * width).reshape(k, width)[:, :2 * d - 1]
+    poly = half + half[:, ::-1]
+    pure = np.zeros(k)
+    pure[0] = d * d
+    if not (poly.min() >= 0.0 and poly.max() < inf
+            and np.array_equal(poly[:, 0], pure) and np.array_equal(poly[:, -1], pure)):
+        raise NumericalConsistencyError(
+            f"the kept Gram weights of d = {d} are not finite, non-negative and "
+            f"(d^2, 0, ...) at r2 = 0 and 1")
+    seen = np.zeros(plan.column.size, dtype=bool)
+    seen[plan.ks[:k]] = True
+    ks = seen.nonzero()[0]  # ascending, as _k_bins
+    return read_only(ks, poly[plan.column[ks]])
+
+
+def _poly_rows(poly: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """The weight row of each r2 cell: products of tiles of _TILE rows
+    t2^(2d-2-i) r2^i, zero-padded, against poly, so that no row's bits depend
+    on the call.
+
+    t2 = 1 - r2 rounds to t, and a power t^m would raise that rounding m
+    times; t2^m is taken as t^m (1 + m (t2 - t) / t) instead, with t2 - t =
+    (1 - t) - r2 exact.
+    """
+    powers = np.arange(poly.shape[1])
+    t = 1.0 - r2
+    slip = np.divide((1.0 - t) - r2, t, out=np.zeros(r2.size), where=t > 0.0)
+    basis = np.zeros((-(-r2.size // _TILE) * _TILE, powers.size))
+    cells = basis[:r2.size]
+    np.multiply(np.power.outer(t, powers[::-1]), np.power.outer(r2, powers), out=cells)
+    cells += cells * np.multiply.outer(slip, powers[::-1])
+    return np.matmul(basis.reshape(-1, _TILE, powers.size), poly.T).reshape(-1, len(poly))[:r2.size]
 
 
 @per_size(lambda d: d)
@@ -273,21 +447,27 @@ class _GramTable:
         products in order.
         """
         entries, width, step = self._blocks()
-        out = np.empty((-(-len(phis) // _TILE) * _TILE, -(-len(rows) // _TILE) * _TILE))
-        # tiles[t, u] is out[16 t:16 t + 16, 16 u:16 u + 16], a view.
-        tiles = out.reshape(len(out) // _TILE, _TILE, out.shape[1] // _TILE, _TILE).swapaxes(1, 2)
-        # One buffer per side for a block of its rows.
-        a_rows, b_rows = np.zeros((2, min(step, max(out.shape)), width))
+        side, cols = -(-len(phis) // _TILE) * _TILE, -(-len(rows) // _TILE) * _TILE
+        # One buffer per side for a block of its rows, and one for the cells of
+        # a block of phase tiles; a call of more blocks copies each one's live
+        # cells to out, so that no phase holds the padding of the r2 side.
+        a_rows, b_rows = np.zeros((2, min(step, max(side, cols)), width))
+        cells = np.empty((min(step, side), cols))
+        # tiles[t, u] is cells[16 t:16 t + 16, 16 u:16 u + 16], a view.
+        tiles = cells.reshape(len(cells) // _TILE, _TILE, cols // _TILE, _TILE).swapaxes(1, 2)
+        out = cells if side <= step else np.empty((len(phis), len(rows)))
         for p in range(0, len(phis), step):
             for g in range(0, entries, width):
                 a = _tiles(a_rows, np.cos(np.multiply.outer(phis[p:p + step], self.rates[g:g + width])))
                 for r in range(0, len(rows), step):
                     b = _tiles(b_rows, rows[r:r + step, g:g + width])[None].swapaxes(-1, -2)
-                    block = tiles[p // _TILE:(p + step) // _TILE, r // _TILE:(r + step) // _TILE]
+                    block = tiles[:len(a), r // _TILE:(r + step) // _TILE]
                     if g:
                         block += np.matmul(a[:, None], b)
-                    else:  # the products of the first block go straight into out
+                    else:  # the products of the first block go straight into the tiles
                         np.matmul(a[:, None], b, out=block)
+            if out is not cells:
+                out[p:p + step] = cells[:len(phis) - p, :len(rows)]
         return out[:len(phis), :len(rows)]
 
     def _pairs(self, phis, rows, pairs):
@@ -314,16 +494,28 @@ def _gram_table(spec: StructureSpec, params: SplitterParams) -> _GramTable:
     exactly 0 where j == 0 or s == s'.  On every built-in family's levels it
     is 2 kappa k, k = j tau, tau = s' - s: each diagonal tau of G_j is summed
     over s, and one np.bincount per tile of r2 cells adds the sums per (r2
-    cell, k) in (j, tau) order.  On a CUSTOM table each term is an entry of
-    its own.  The tiles hold at most _BLOCK_ENTRIES // d^2 r2 cells.
+    cell, k) in (j, tau) order; up to 2s = _POLY_TWO_S the rows of those k
+    come from the kept polynomials instead.  On a CUSTOM table each term is
+    an entry of its own.  The tiles hold at most _BLOCK_ENTRIES // d^2 r2 cells.
     """
-    step = max(1, _BLOCK_ENTRIES // spec.dim**2)
     r2 = np.ravel(params.r2)
-    tiles = [_gram_rows(spec, r2[c:c + step]) for c in range(0, max(r2.size, 1), step)]
-    rates, weights = tiles[0]
-    if len(tiles) > 1:
-        weights = np.concatenate([rows for _, rows in tiles])
+    if spec.family is not Family.CUSTOM and spec.two_s <= _POLY_TWO_S:
+        ks, poly = _weight_poly(spec.dim)
+        rates, weights = _rates(spec, ks), _poly_rows(poly, r2)
+    else:
+        step = max(1, _BLOCK_ENTRIES // spec.dim**2)
+        tiles = [_gram_rows(spec, r2[c:c + step]) for c in range(0, max(r2.size, 1), step)]
+        rates, weights = tiles[0]
+        if len(tiles) > 1:
+            weights = np.concatenate([rows for _, rows in tiles])
     return _GramTable(rates, weights.reshape(np.shape(params.r2) + rates.shape), spec.dim)
+
+
+def _rates(spec: StructureSpec, ks: np.ndarray) -> np.ndarray:
+    """The angle per unit phi of each k: kappa (2 k), not (2 kappa) k, since
+    doubling an int is exact, and 2 kappa overflows from kappa = 2^1023 on,
+    where inf * 0 at k = 0 is NaN."""
+    return (spec.kappa or 0.0) * (2 * ks)
 
 
 def _gram_rows(spec: StructureSpec, r2: np.ndarray):
@@ -361,6 +553,4 @@ def _gram_rows(spec: StructureSpec, r2: np.ndarray):
     # Bin b of the c-th r2 cell is c * width + b; the last one of each cell is the dump bin.
     keys = bins if len(sums) == 1 else np.add.outer(np.arange(0, len(sums) * width, width), bins)
     table = np.bincount(keys.ravel(), sums.ravel(), len(sums) * width)
-    # kappa (2 k), not (2 kappa) k: doubling an int is exact, and 2 kappa
-    # overflows from kappa = 2^1023 on, where inf * 0 at k = 0 is NaN
-    return (spec.kappa or 0.0) * (2 * ks), table.reshape(-1, width)[:, :-1]
+    return _rates(spec, ks), table.reshape(-1, width)[:, :-1]

@@ -925,11 +925,11 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("spec", ["1:40", "7:23", "40:40", "2,5,9", "3"])
     def test_two_s_estimate_is_exact(self, monkeypatch, spec):
-        # the plan's work summed over the 2s values: on 32 phases x 2 r2
-        # values, Gram tables at every 2s
+        # the plan's work summed over the 2s values, and the 32 + 2 axis
+        # points: on 32 phases x 2 r2 values, Gram tables at every 2s
         argv = ["sweep", "--two-s", spec, "--phi", "0:1:32", "--r2", "0:1:2"]
         values = parse_args(argv).two_s
-        work = sum(w for _, _, w in experiments._plan(values, 32, 2))
+        work = sum(w for _, _, w in experiments._plan(values, 32, 2)) + 34 * cli._AXIS_POINT
         monkeypatch.setattr(cli, "CUBE_BUDGET", work)
         assert parse_args(argv).two_s == values
         monkeypatch.setattr(cli, "CUBE_BUDGET", work - 1)
@@ -972,9 +972,9 @@ class TestWorkBudget:
          "the sweep needs about 6.94e+10 multiply-adds by 2s = 219"),
         (["sweep", "--two-s", "1:83"], ["sweep", "--two-s", "1:84"],
          "the sweep needs about 7.15e+10 multiply-adds by 2s = 84"),
-        (["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:6628035"],
-         ["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:6628036"],
-         "the grid '0:1:6628036' needs about 6.87e+10 multiply-adds"),
+        (["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:4751068"],
+         ["sweep", "--two-s", "1", "--r2", "0.5", "--phi", "0:1:4751069"],
+         "the grid '0:1:4751069' needs about 6.87e+10 multiply-adds"),
     ], ids=["oracle", "closed", "both", "sweep", "range", "axis"])
     def test_each_stated_limit_refused_one_step_past(self, capsys, admitted, past, message):
         point = ["--phi", "0", "--r2", "0.5"] if admitted[0] == "compute" else []
@@ -986,7 +986,7 @@ class TestWorkBudget:
 
     def test_axis_limit_checked_without_building_the_axis(self, capsys):
         # README's limit for sweep --two-s 1 --phi 0:1:N --r2 0.5
-        limit = 6_628_035
+        limit = 4_751_068
         tracemalloc.start()
         try:
             assert cli._grid_spec(f"0:1:{limit}") == (0.0, 1.0, limit)
@@ -1005,7 +1005,7 @@ class TestWorkBudget:
     def test_compute_prices_one_cell_as_the_plan(self, monkeypatch, two_s):
         # compute prices the route each --method runs on a 1 x 1 plane, as
         # the plan does (both routes for both), and a one-cell sweep costs
-        # the cheaper of the two
+        # the cheaper of the two and its two axis points
         tables, rho = experiments._price(two_s + 1, 1, 1)
         [(_, route, work)] = experiments._plan((two_s,), 1, 1)
         assert work == (tables if route else rho) == min(tables, rho)
@@ -1013,7 +1013,7 @@ class TestWorkBudget:
         for argv, price in ((["compute", *point], rho),
                             (["compute", *point, "--method", "closed"], tables),
                             (["compute", *point, "--method", "both"], rho + tables),
-                            (["sweep", *point], work)):
+                            (["sweep", *point], work + 2 * cli._AXIS_POINT)):
             monkeypatch.setattr(cli, "CUBE_BUDGET", price)
             assert parse_args(argv).command == argv[0]
             monkeypatch.setattr(cli, "CUBE_BUDGET", price - 1)
@@ -1055,14 +1055,17 @@ class TestMainSweep:
     # Re-frozen when one price came to route each 2s slice: balanced_phi's
     # slices 2s = 1..5 and every slice of growth went from one rho per cell
     # to Gram tables, and 576 of 1 280 and 197 of 200 values moved, by at
-    # most 1.3e-15 and 2.7e-15.
+    # most 1.3e-15 and 2.7e-15.  Re-frozen again when the weights at 2s <= 40
+    # came from kept polynomials in r2: 7 296, 6 874 and 8 653 of 12 928, 779
+    # of 1 280 and 117 of 200 values moved, by at most 3.3e-16, 6.7e-16,
+    # 5.6e-16, 6.7e-16 and 7.8e-16.
     @pytest.mark.parametrize("argv, md5", [
-        (["--two-s", "1"], "b6c9c6502c4108d3585b8ccb6bd35076"),
-        (["--two-s", "2"], "295caa3b05aaa3976b89e2d07e3d1970"),
-        (["--two-s", "3"], "a1dfbda632f285ba0e530e850515114e"),
-        (["--two-s", "1:10", "--r2", "0.5"], "c61a931edc1fdf28731d0fc99b742b07"),
+        (["--two-s", "1"], "fe4233d04b8739ddac2c58eb2fd713ad"),
+        (["--two-s", "2"], "3ab1f3eb1f54fbf0902495148bc93472"),
+        (["--two-s", "3"], "0dbf941185f4370eb5843383a9240edc"),
+        (["--two-s", "1:10", "--r2", "0.5"], "9519996a01e7010daaf621076b5c4d96"),
         (["--two-s", "1:40", "--phi", "0:6.283185307179586:5", "--r2", "0.5"],
-         "0060ea8558a03a06805fa63d81476f4c"),
+         "5a467325c8fb006559f5a9fc97762e78"),
     ], ids=["qubit", "qutrit", "quartit", "balanced_phi", "growth"])
     def test_readme_sweeps_pinned_md5(self, argv, md5, capsysbinary):
         # the five standard sweeps of README, every stdout byte
@@ -1071,9 +1074,11 @@ class TestMainSweep:
 
     # Every line of check --suite all, frozen from the code before build_structure
     # shared its specs: a check whose name, verdict or printed residual moves fails.
+    # Re-frozen when the weights at 2s <= 40 came from kept polynomials in r2:
+    # the printed residuals of three entropy checks (two at seed 42) went down.
     @pytest.mark.parametrize("seed, md5", [
-        (0, "271db8adfa96dac305d45bd8e9ae3621"),
-        (42, "8abcc923e94b88c78b0871f016bddded"),
+        (0, "55d75bdd75abaaab3f4a55469a057ea4"),
+        (42, "fec1ec17ea236b3b81b5c8ab27e1ff25"),
     ])
     def test_check_all_pinned_md5(self, seed, md5, capsysbinary):
         assert main(["check", "--suite", "all", "--seed", str(seed)]) == 0

@@ -161,6 +161,24 @@ class TestLinearEntropyClosed:
                 assert got.value == pytest.approx(r2 * (1 - r2) / 2, abs=1e-12)
                 assert got.method == "closed"
 
+    @pytest.mark.parametrize("family, kappa", FAMILIES, ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 5, 8])
+    def test_oracle_is_a_polynomial_of_degree_d_minus_1_in_u(self, family, kappa, two_s):
+        # every term is t2^a r2^b with a + b <= 2d - 2, and S(r2) = S(1 - r2),
+        # so at a fixed phase S is a polynomial of degree d - 1 in
+        # u = r2 (1 - r2), and of no lower degree; the oracle route shares
+        # no code with the closed form's tables
+        spec = build_structure(family, two_s, kappa)
+        r2 = np.linspace(0.0, 0.5, 41)
+        u = r2 * (1.0 - r2)
+        s = oracle_entropy(spec, 0, 0.7, SplitterParams(r2)).value
+
+        def residual(degree):
+            return np.abs(np.polynomial.Chebyshev.fit(u, s, degree)(u) - s).max()
+
+        assert residual(spec.dim - 1) <= 1e-13
+        assert residual(spec.dim - 2) >= 1e-9
+
     def test_qutrit_phi_ordering(self):
         spec = build_structure(Family.KAPPA_NEG, 2)
         s_zero = linear_entropy_closed(spec, 0.0, BALANCED).value
@@ -818,27 +836,32 @@ class TestTiledBuild:
 # cells at r2 = 1 - 2^-53, which moved by up to 8.9e-15, from 0-5 2^-53 to
 # 2.2e-16-9.1e-15: a 40-digit mpmath reference at 2s = 40 reads 2.06e-15,
 # 4.38e-15 and 4.44e-15 where they now read 2.00e-15, 4.33e-15 and 4.33e-15.
+# Re-frozen for 2s <= 40 when those weights came from kept polynomials in r2:
+# 116 of the 180 values there moved, by at most 1.2e-15 (1-32 ulps of the
+# value).  Against 40-digit mpmath sums at 2s = 40 the moved cells read
+# errors of 1.6e-15 to 2.5e-15 where they read 3.8e-16 to 1.7e-15; the cells
+# at r2 = 1 - 2^-53 moved by one 2^-53 step.  2s = 95 did not move.
 PIN_PHI, PIN_PHIS, PIN_GRID_PHIS = 0.7, np.array([0.0, 2.5, 100.0]), np.array([[1.3], [5.9]])
 PIN_R2, PIN_R2S = 0.3, np.array([0.0, 0.1, 0.3, 0.5, 0.77, 0.9, 1 - 2**-53, 1.0])
 PINNED_BITS = {
     (Family.KAPPA_NEG, 3): """
-        0x1.67f66f9f793c8p-3 0x1.f7f3f9d398968p-4 0x1.dd8180a365814p-2 0x1.d7ab0de6f2ad6p-2
-        0x0.0p+0 0x1.19c7162db4a4cp-3 0x1.1fe9f704b6a3ap-2 0x1.489a027937fe0p-2
-        0x1.f731edb029b28p-3 0x1.19c7162db4a48p-3 0x1.0000000000000p-52 0x0.0p+0
-        0x0.0p+0 0x1.e2cbe268d7b90p-3 0x1.dfc54aa731c4ap-2 0x1.0e09337dc1c9ap-1
-        0x1.a742efe5f701cp-2 0x1.e2cbe268d7b90p-3 0x1.0000000000000p-51 0x0.0p+0""",
+        0x1.67f66f9f793c8p-3 0x1.f7f3f9d398968p-4 0x1.dd8180a365814p-2 0x1.d7ab0de6f2ad8p-2
+        0x0.0p+0 0x1.19c7162db4a48p-3 0x1.1fe9f704b6a3ap-2 0x1.489a027937fe4p-2
+        0x1.f731edb029b2cp-3 0x1.19c7162db4a48p-3 0x1.0000000000000p-53 0x0.0p+0
+        0x0.0p+0 0x1.e2cbe268d7b90p-3 0x1.dfc54aa731c4ap-2 0x1.0e09337dc1c9cp-1
+        0x1.a742efe5f701ep-2 0x1.e2cbe268d7b90p-3 0x1.8000000000000p-52 0x0.0p+0""",
     (Family.KAPPA_NEG, 10): """
-        0x1.5263dffe12608p-2 0x1.7bc72f07a56dcp-3 0x1.5f76fdc7cb8e4p-1 0x1.83b5c40b02026p-1
-        0x0.0p+0 0x1.40828a6e1d59cp-2 0x1.044296d6eb77cp-1 0x1.17d7b8b072ba6p-1
-        0x1.e049e2041ef56p-2 0x1.40828a6e1d59ep-2 0x1.8000000000000p-51 0x0.0p+0
-        0x0.0p+0 0x1.0c411c7816ed5p-1 0x1.83462de572939p-1 0x1.97ff9f8ddc8b2p-1
-        0x1.6d734e505a26ep-1 0x1.0c411c7816ed8p-1 0x1.4000000000000p-50 0x0.0p+0""",
+        0x1.5263dffe12600p-2 0x1.7bc72f07a56bcp-3 0x1.5f76fdc7cb8e1p-1 0x1.83b5c40b02023p-1
+        0x0.0p+0 0x1.40828a6e1d59ep-2 0x1.044296d6eb778p-1 0x1.17d7b8b072ba5p-1
+        0x1.e049e2041ef56p-2 0x1.40828a6e1d59cp-2 0x1.8000000000000p-51 0x0.0p+0
+        0x0.0p+0 0x1.0c411c7816ed6p-1 0x1.83462de572937p-1 0x1.97ff9f8ddc8b2p-1
+        0x1.6d734e505a26dp-1 0x1.0c411c7816ed5p-1 0x1.4000000000000p-50 0x0.0p+0""",
     (Family.KAPPA_NEG, 40): """
-        0x1.3193be1d76052p-1 0x1.a5593e661f528p-2 0x1.a8f8c48bec335p-1 0x1.ce02a1eda49efp-1
-        0x0.0p+0 0x1.2d2208224d55dp-1 0x1.71c384651595fp-1 0x1.7d06b34d72a54p-1
-        0x1.65e3a308cc258p-1 0x1.2d2208224d563p-1 0x1.2000000000000p-49 0x0.0p+0
-        0x0.0p+0 0x1.9fc7d522d04d2p-1 0x1.d2f5099d363bdp-1 0x1.d915176a9c91ep-1
-        0x1.cb831d273f6a9p-1 0x1.9fc7d522d04d4p-1 0x1.3800000000000p-48 0x0.0p+0""",
+        0x1.3193be1d76048p-1 0x1.a5593e661f50cp-2 0x1.a8f8c48bec332p-1 0x1.ce02a1eda49ecp-1
+        0x0.0p+0 0x1.2d2208224d560p-1 0x1.71c3846515958p-1 0x1.7d06b34d72a54p-1
+        0x1.65e3a308cc254p-1 0x1.2d2208224d55fp-1 0x1.2000000000000p-49 0x0.0p+0
+        0x0.0p+0 0x1.9fc7d522d04d4p-1 0x1.d2f5099d363bcp-1 0x1.d915176a9c91dp-1
+        0x1.cb831d273f6a8p-1 0x1.9fc7d522d04d3p-1 0x1.3800000000000p-48 0x0.0p+0""",
     (Family.KAPPA_NEG, 95): """
         0x1.736d76c17119cp-1 0x1.232d206d29fe3p-1 0x1.c601758896f0dp-1 0x1.c987e783b4634p-1
         0x0.0p+0 0x1.70e19914195b0p-1 0x1.a08323d7b9299p-1 0x1.a83bb97a5898cp-1
@@ -847,22 +870,22 @@ PINNED_BITS = {
         0x1.e137aa334ba07p-1 0x1.ce267c01d2f5ap-1 0x1.3000000000000p-47 0x0.0p+0""",
     (Family.PEGG_BARNETT, 3): """
         0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4 0x1.f7f3f9d398968p-4
-        0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab20p-3
-        0x1.c1da89ffe6200p-4 0x1.0add0cca59030p-4 0x1.0000000000000p-52 0x0.0p+0
-        0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab20p-3
-        0x1.c1da89ffe6200p-4 0x1.0add0cca59030p-4 0x1.0000000000000p-52 0x0.0p+0""",
+        0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab30p-3
+        0x1.c1da89ffe6210p-4 0x1.0add0cca59038p-4 0x1.0000000000000p-53 0x0.0p+0
+        0x0.0p+0 0x1.0add0cca59030p-4 0x1.f7f3f9d398968p-4 0x1.1882c4e8fab30p-3
+        0x1.c1da89ffe6210p-4 0x1.0add0cca59038p-4 0x1.0000000000000p-53 0x0.0p+0""",
     (Family.PEGG_BARNETT, 10): """
-        0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3 0x1.7bc72f07a56dcp-3
-        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c8p-3
-        0x1.535542c991c74p-3 0x1.a7059d5cdb798p-4 0x1.0000000000000p-52 0x0.0p+0
-        0x0.0p+0 0x1.a7059d5cdb788p-4 0x1.7bc72f07a56dcp-3 0x1.a91fa7acc92c8p-3
-        0x1.535542c991c74p-3 0x1.a7059d5cdb798p-4 0x1.0000000000000p-52 0x0.0p+0""",
+        0x1.7bc72f07a56bcp-3 0x1.7bc72f07a56bcp-3 0x1.7bc72f07a56bcp-3 0x1.7bc72f07a56bcp-3
+        0x0.0p+0 0x1.a7059d5cdb790p-4 0x1.7bc72f07a56bcp-3 0x1.a91fa7acc92b4p-3
+        0x1.535542c991c68p-3 0x1.a7059d5cdb788p-4 0x1.0000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.a7059d5cdb790p-4 0x1.7bc72f07a56bcp-3 0x1.a91fa7acc92b4p-3
+        0x1.535542c991c68p-3 0x1.a7059d5cdb788p-4 0x1.0000000000000p-52 0x0.0p+0""",
     (Family.PEGG_BARNETT, 40): """
-        0x1.a5593e661f528p-2 0x1.a5593e661f528p-2 0x1.a5593e661f528p-2 0x1.a5593e661f528p-2
-        0x0.0p+0 0x1.0854e1636be36p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
-        0x1.847e850e3fba8p-2 0x1.0854e1636be4ap-2 0x1.4000000000000p-51 0x0.0p+0
-        0x0.0p+0 0x1.0854e1636be36p-2 0x1.a5593e661f528p-2 0x1.c6e928d468f52p-2
-        0x1.847e850e3fba8p-2 0x1.0854e1636be4ap-2 0x1.4000000000000p-51 0x0.0p+0""",
+        0x1.a5593e661f50cp-2 0x1.a5593e661f50cp-2 0x1.a5593e661f50cp-2 0x1.a5593e661f50cp-2
+        0x0.0p+0 0x1.0854e1636be3ep-2 0x1.a5593e661f50cp-2 0x1.c6e928d468f50p-2
+        0x1.847e850e3fb9cp-2 0x1.0854e1636be3ap-2 0x1.4000000000000p-51 0x0.0p+0
+        0x0.0p+0 0x1.0854e1636be3ep-2 0x1.a5593e661f50cp-2 0x1.c6e928d468f50p-2
+        0x1.847e850e3fb9cp-2 0x1.0854e1636be3ap-2 0x1.4000000000000p-51 0x0.0p+0""",
     (Family.PEGG_BARNETT, 95): """
         0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1 0x1.232d206d29fe3p-1
         0x0.0p+0 0x1.a99c6b7311988p-2 0x1.232d206d29fe3p-1 0x1.31db8dbd96898p-1
@@ -871,22 +894,22 @@ PINNED_BITS = {
         0x1.143f64c5af822p-1 0x1.a99c6b7311988p-2 0x0.0p+0 0x0.0p+0""",
     (Family.KAPPA_POS, 3): """
         0x1.de3b6e60ebeecp-3 0x1.f7f3f9d398968p-4 0x1.d33195b5d22ccp-2 0x1.8571b9a5d0eb4p-3
-        0x0.0p+0 0x1.8d2ad18d7cc1cp-3 0x1.9a878e563f23ap-2 0x1.d5cef4a2459f6p-2
-        0x1.65c778e8fc000p-2 0x1.8d2ad18d7cc1cp-3 0x1.8000000000000p-52 0x0.0p+0
-        0x0.0p+0 0x1.4e5dc07b3d618p-4 0x1.46254e6c64bb4p-3 0x1.6efd0b7b5fb78p-3
-        0x1.20893cd7711f8p-3 0x1.4e5dc07b3d618p-4 0x1.0000000000000p-52 0x0.0p+0""",
+        0x0.0p+0 0x1.8d2ad18d7cc18p-3 0x1.9a878e563f23ap-2 0x1.d5cef4a2459f8p-2
+        0x1.65c778e8fc002p-2 0x1.8d2ad18d7cc1cp-3 0x1.0000000000000p-52 0x0.0p+0
+        0x0.0p+0 0x1.4e5dc07b3d618p-4 0x1.46254e6c64bb4p-3 0x1.6efd0b7b5fb84p-3
+        0x1.20893cd771200p-3 0x1.4e5dc07b3d618p-4 0x1.0000000000000p-53 0x0.0p+0""",
     (Family.KAPPA_POS, 10): """
-        0x1.7cc90dee357e2p-1 0x1.7bc72f07a56dcp-3 0x1.83fe5112e0c8cp-1 0x1.6606770729512p-1
-        0x0.0p+0 0x1.0d5e45544f71ap-1 0x1.8405f7a74e2d3p-1 0x1.9804087be0ee8p-1
-        0x1.6e7fbe7c77e12p-1 0x1.0d5e45544f71cp-1 0x1.6000000000000p-50 0x0.0p+0
-        0x0.0p+0 0x1.b161269139d40p-2 0x1.3dfabd9a776f0p-1 0x1.4e5c3a7548328p-1
-        0x1.2c2ced433a786p-1 0x1.b161269139d42p-2 0x1.c000000000000p-51 0x0.0p+0""",
+        0x1.7cc90dee357e0p-1 0x1.7bc72f07a56bcp-3 0x1.83fe5112e0c8ap-1 0x1.660677072950fp-1
+        0x0.0p+0 0x1.0d5e45544f71cp-1 0x1.8405f7a74e2d0p-1 0x1.9804087be0ee7p-1
+        0x1.6e7fbe7c77e12p-1 0x1.0d5e45544f71ap-1 0x1.6000000000000p-50 0x0.0p+0
+        0x0.0p+0 0x1.b161269139d42p-2 0x1.3dfabd9a776eep-1 0x1.4e5c3a7548328p-1
+        0x1.2c2ced433a786p-1 0x1.b161269139d40p-2 0x1.c000000000000p-51 0x0.0p+0""",
     (Family.KAPPA_POS, 40): """
-        0x1.d63a135038da0p-1 0x1.a5593e661f528p-2 0x1.c54e4d14dbe36p-1 0x1.d913a25f56c0ep-1
-        0x0.0p+0 0x1.a2f64a1eea6fbp-1 0x1.d67deee8e69a6p-1 0x1.dc150e1fb2330p-1
-        0x1.cf3b41ca22df6p-1 0x1.a2f64a1eea6fdp-1 0x1.3800000000000p-48 0x0.0p+0
-        0x0.0p+0 0x1.a1c80b99bb42fp-1 0x1.d73a595b74590p-1 0x1.df01062acb6cep-1
-        0x1.ced43590bc40ep-1 0x1.a1c80b99bb430p-1 0x1.3000000000000p-48 0x0.0p+0""",
+        0x1.d63a135038d9ep-1 0x1.a5593e661f50cp-2 0x1.c54e4d14dbe34p-1 0x1.d913a25f56c0cp-1
+        0x0.0p+0 0x1.a2f64a1eea6fcp-1 0x1.d67deee8e69a5p-1 0x1.dc150e1fb232fp-1
+        0x1.cf3b41ca22df5p-1 0x1.a2f64a1eea6fbp-1 0x1.3800000000000p-48 0x0.0p+0
+        0x0.0p+0 0x1.a1c80b99bb430p-1 0x1.d73a595b7458ep-1 0x1.df01062acb6cdp-1
+        0x1.ced43590bc40dp-1 0x1.a1c80b99bb42fp-1 0x1.3000000000000p-48 0x0.0p+0""",
     (Family.KAPPA_POS, 95): """
         0x1.e6486d362ea4fp-1 0x1.232d206d29fe3p-1 0x1.e1c88f1c60c48p-1 0x1.ed691e43bc28cp-1
         0x0.0p+0 0x1.d3a61455f76bap-1 0x1.eee037ceea207p-1 0x1.f27d910fadfc6p-1

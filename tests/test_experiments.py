@@ -116,17 +116,30 @@ class TestSweepR2Phi:
             with pytest.raises(NumericalConsistencyError):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
         monkeypatch.setattr(entropy, "np", np)
-        # one binomial column of one r2 value sums to 1 + 1e-11
+        # one coefficient of the kept weights of 2s = 1 comes out negative
+        raised_call = entropy._PAIR_SUMS.raised
+
+        def off(d):
+            raised = raised_call(d)
+            raised[0] = -1e-11
+            return raised
+
+        entropy._weight_poly.cache_clear()
+        monkeypatch.setattr(entropy._PAIR_SUMS, "raised", off)
+        with pytest.raises(NumericalConsistencyError, match="kept Gram weights"):
+            sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
+        # above _POLY_TWO_S each call builds its weights from the binomial
+        # pmf: one column of one r2 value sums to 1 + 1e-11
         pmf_call = entropy._binomial_pmf
 
-        def off(spec, r2):
+        def off_pmf(spec, r2):
             pmf = pmf_call(spec, r2)
             pmf[1, 0, 1] += 1e-11
             return pmf
 
-        monkeypatch.setattr(entropy, "_binomial_pmf", off)
+        monkeypatch.setattr(entropy, "_binomial_pmf", off_pmf)
         with pytest.raises(NumericalConsistencyError, match="pmf"):
-            sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
+            sweep_r2_phi(entropy._POLY_TWO_S + 1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
 
     def test_family_name_coerced_before_the_grid(self):
         by_name = sweep_r2_phi(2, (0.0, 0.7), (0.3, 0.5), family="kappa-neg")
@@ -341,20 +354,22 @@ class TestDeterminismAndParallel:
             pmfs.append((spec.two_s, np.size(r2)))
             return pmf_call(spec, r2)
 
-        # the table builds its r2 cells in tiles of 32 // d^2: 3 at 2s = 2
-        # and 2 at 2s = 3, the last one short; with 2 and 3 distinct k, a
-        # contraction block holds max(1, 32 // (16 k)) = 1 phase tile
+        # with 2 and 3 distinct k, a contraction block holds
+        # max(1, 32 // (16 k)) = 1 phase tile; kappa-neg at 2s = 2 and 3 forms
+        # its rows from kept polynomials, with no binomial pmf
         monkeypatch.setattr(entropy, "_BLOCK_ENTRIES", 32)
         monkeypatch.setattr(entropy, "_binomial_pmf", spy_pmf)
         assert np.array_equal(sweep().values, whole.values)
         assert calls == [(2, (40, 1), (5,)), (3, (40, 1), (5,))]
         assert tiles == [(2, 1, 1)] * 3 + [(3, 1, 1)] * 3
-        assert pmfs == [(2, 3), (2, 2), (3, 2), (3, 2), (3, 1)]
-        # each tiled table is the whole build to the bit, in the shape of r2
+        assert pmfs == []
+        # each tiled table is the whole build to the bit, in the shape of r2;
+        # the CUSTOM table builds its 6 r2 cells in tiles of 32 // d^2 = 2
         for tiled, one in zip(builds(), whole_builds, strict=True):
             assert tiled.weights.shape == one.weights.shape
             assert tiled.rates.tobytes() == one.rates.tobytes()
             assert tiled.weights.tobytes() == one.weights.tobytes()
+        assert pmfs == [(3, 2)] * 6
 
     def test_routes_agree(self, monkeypatch):
         from phasebeam import experiments

@@ -7,16 +7,22 @@ import threading
 from collections import defaultdict
 from math import comb, fsum
 
+import mpmath
 import numpy as np
 import pytest
 
 from phasebeam.algebra import Family, build_structure, structure_from_spacings
+from phasebeam import entropy
 from phasebeam.entropy import (
+    _PAIR_SUMS,
+    _POLY_TWO_S,
     _binomial_pmf,
     _binomial_table,
+    _gram_rows,
     _gram_table,
     _k_bins,
     _slab_blocks,
+    _weight_poly,
     linear_entropy_closed,
 )
 from phasebeam.numerics import RETAIN_ENTRIES, log_factorials, per_size
@@ -28,7 +34,7 @@ from phasebeam.splitter import (
     split_phase_state,
 )
 
-CACHES = (_k_bins, _slab_blocks, _binomial_table, _coefficient_table)
+CACHES = (_k_bins, _slab_blocks, _binomial_table, _coefficient_table, _weight_poly, _PAIR_SUMS)
 
 
 @pytest.fixture
@@ -92,6 +98,8 @@ def _arrays(table):
     lambda: _k_bins(1),
     lambda: _coefficient_table(8),
     lambda: (log_factorials(8),),
+    lambda: _weight_poly(2),
+    lambda: _weight_poly(_POLY_TWO_S + 1),
 ])
 def test_kept_arrays_are_read_only(table):
     arrays = list(_arrays(table()))
@@ -157,16 +165,20 @@ def test_k_bins_are_kept_up_to_two_s_361():
 @pytest.mark.parametrize("family, kappa", [
     (Family.PEGG_BARNETT, None), (Family.KAPPA_NEG, None), (Family.KAPPA_POS, 0.37),
 ], ids=["pegg-barnett", "kappa-neg", "kappa-pos"])
-@pytest.mark.parametrize("d", [2, 3, 11, 41])
+@pytest.mark.parametrize("d", [2, 3, 11, 41, 42])
 def test_weight_rows_are_the_sums_of_the_terms_of_each_k(family, kappa, d):
     # the built-in table's row of each r2 cell against math.fsum over the
-    # fold-weighted Gram entries of the terms of each k = j (s' - s)
+    # fold-weighted Gram entries of the terms of each k = j (s' - s), at
+    # t2 = 1 - r2 exactly: 1 - r2 rounds to t, and the pmf's t^n is taken to
+    # t2^n = t^n (1 + n (t2 - t) / t), t2 - t = (1 - t) - r2 exact
     r2 = np.array([0.0, 0.3, 0.77, 1.0])
     spec = build_structure(family, d - 1, kappa)
     table = _gram_table(spec, SplitterParams(r2))
     ks = _k_bins(d)[0]
     assert np.array_equal(table.rates, 2.0 * (spec.kappa or 0.0) * ks)
-    b = np.sqrt(_binomial_pmf(spec, r2))
+    rounded = 1.0 - r2
+    slip = np.divide((1.0 - rounded) - r2, rounded, out=np.zeros(r2.size), where=rounded > 0.0)
+    b = np.sqrt(_binomial_pmf(spec, r2) * (1.0 + np.multiply.outer(slip, np.arange(d)))[:, :, None])
     for row, cell in zip(table.weights, b):
         by_k = defaultdict(list)
         for j, s, t, w in _terms(d):
@@ -174,6 +186,87 @@ def test_weight_rows_are_the_sums_of_the_terms_of_each_k(family, kappa, d):
             by_k[j * (t - s)].append(w * fsum(q[:, s] * q[:, t]))
         want = np.array([fsum(by_k[k]) for k in ks.tolist()])
         assert np.abs(row - want).max() <= 4 * np.spacing(want.sum())
+
+
+BUILT_IN = [(Family.PEGG_BARNETT, None), (Family.KAPPA_NEG, None), (Family.KAPPA_POS, 0.37)]
+
+
+@pytest.mark.parametrize("family, kappa", BUILT_IN, ids=["pegg-barnett", "kappa-neg", "kappa-pos"])
+def test_kept_weights_are_pure_at_r2_0_and_1(family, kappa):
+    # at every kept size the rows of r2 = 0 and 1 are exactly (d^2, 0, ...),
+    # so S = 0 there at any phase
+    phis = np.array([0.0, 0.7, 2.5, 100.0])
+    for d in range(2, _POLY_TWO_S + 2):
+        spec = build_structure(family, d - 1, kappa)
+        weights = _gram_table(spec, SplitterParams(np.array([0.0, 1.0]))).weights
+        pure = np.zeros(weights.shape[1])
+        pure[0] = d * d
+        assert np.array_equal(weights, [pure, pure])
+        assert not linear_entropy_closed(spec, phis[:, None], SplitterParams(np.array([0.0, 1.0]))).value.any()
+
+
+def test_kept_weights_against_40_digit_sums():
+    # at d = 11 the kept rows are within 1 eps of sum W of the Gram sums taken
+    # with 40 digits at t2 = 1 - r2 exactly; a basis of powers of the rounded
+    # 1 - r2 read up to 3.2 eps there (at r2 = 1e-9)
+    d = 11
+    r2 = np.array([1e-9, 0.1, 0.3, 0.45, 0.7])
+    rows = _gram_table(build_structure(Family.KAPPA_NEG, d - 1), SplitterParams(r2)).weights
+    ks = _k_bins(d)[0].tolist()
+    with mpmath.workdps(40):
+        for row, x in zip(rows, r2.tolist()):
+            r = mpmath.mpf(x)
+            b = [[mpmath.sqrt(comb(s, n) * (1 - r)**n * r**(s - n)) for s in range(d)] for n in range(d)]
+            want = dict.fromkeys(ks, 0)
+            for j, s, t, w in _terms(d):
+                want[j * (t - s)] += w * mpmath.fsum(
+                    b[n][s] * b[n + j][s + j] * b[n][t] * b[n + j][t + j] for n in range(d - j))
+            err = max(abs(v - want[k]) for v, k in zip(row.tolist(), ks))
+            assert err <= np.finfo(float).eps * mpmath.fsum(want.values())
+
+
+@pytest.mark.parametrize("family, kappa", BUILT_IN, ids=["pegg-barnett", "kappa-neg", "kappa-pos"])
+def test_kept_weights_match_the_gram_build(family, kappa):
+    # every kept size's rows against the per-call Gram build that serves the
+    # sizes above _POLY_TWO_S, within 4 d eps of sum W, the ends of r2 included
+    r2 = np.array([0.0, 1e-9, 0.3, 0.5, 0.77, 1.0 - 1e-9, 1.0])
+    for d in range(2, _POLY_TWO_S + 2):
+        spec = build_structure(family, d - 1, kappa)
+        table = _gram_table(spec, SplitterParams(r2))
+        rates, rows = _gram_rows(spec, r2)
+        assert table.rates.tobytes() == rates.tobytes()
+        total = rows.sum(axis=1, keepdims=True)
+        assert (np.abs(table.weights - rows) <= 4 * d * np.finfo(float).eps * total).all()
+
+
+def test_kept_weights_do_not_depend_on_the_sizes_before(clear_tables):
+    # a size continued from a smaller one, from scratch, or after a larger
+    # one has the same bits
+    clear_tables()
+    fresh = [_weight_poly(d) for d in (12, 30)]
+    for order in ((5, 12, 30), (30, 12), (41, 30, 12)):
+        clear_tables()
+        got = {d: _weight_poly(d) for d in order}
+        for d, want in zip((12, 30), fresh):
+            for a, b in zip(got[d], want, strict=True):
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("two_s, built", [(_POLY_TWO_S, False), (_POLY_TWO_S + 1, True)])
+def test_gram_build_only_above_the_kept_sizes(monkeypatch, two_s, built):
+    # a built-in family reads its kept weights up to _POLY_TWO_S and builds
+    # its Gram blocks above it; a CUSTOM table builds them at every size
+    calls = []
+    pmf = entropy._binomial_pmf
+
+    def spy(spec, r2):
+        calls.append(spec.family)
+        return pmf(spec, r2)
+
+    monkeypatch.setattr(entropy, "_binomial_pmf", spy)
+    for spec in _specs(two_s):
+        linear_entropy_closed(spec, 0.7, SplitterParams(0.3))
+    assert calls == [*[Family.KAPPA_NEG, Family.PEGG_BARNETT, Family.KAPPA_POS] * built, Family.CUSTOM]
 
 
 def test_per_size_budget_holds_every_kept_table():
