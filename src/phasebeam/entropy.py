@@ -17,8 +17,10 @@ bin table, kept (numerics.per_size) up to 2s = 361.  Up to 2s = _POLY_TWO_S
 the weights are not built per call: each W_k is a polynomial of degree
 2d - 2 in r2 with non-negative coefficients, the same for every built-in
 family, kept one table per size (_weight_poly), and a call's rows are one
-small product of the powers of its r2 values against it.  On a CUSTOM table
-each term is an entry of its own.  The table gives
+small product of the powers of its r2 values against it.  A size's table is
+binned from its pair sums (_pair_sums), which continue those of the size
+below it by one shell of terms.  On a CUSTOM table each term is an entry of
+its own.  The table gives
 S = 1 - sum_g W_g cos(g phi) / d^2 per (phi, r2) cell, each cell one entry
 of a matrix product of 16 cosine rows cos(g phi) against 16 weight rows W.
 Every product has that one shape, so a cell has the same bits wherever it
@@ -28,13 +30,11 @@ sits in a call, and in a call of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, groupby
 from math import inf
-from threading import Lock
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import Family, StructureSpec
 from .errors import NumericalConsistencyError
@@ -68,12 +68,14 @@ PMF_TOL = 1e-12
 # The largest 2s whose built-in Gram weights are kept, one table per size, as
 # polynomials in r2 (_weight_poly); a call there forms its rows as one small
 # product.  Above it, and on every CUSTOM table, each call builds its rows from
-# the Gram blocks.  The bound is set by the first call at any kept size, which
-# builds the index tables (_poly_plan) of every kept size: at 2s = 40 that call
-# costs about 5 ms more than one Gram build and traces 1.2 MB; with the bound
-# at 80 it traced 6.7 MB at any kept size, and the first call at 2s = 80 took
-# 8x a Gram build there, which pays back only after about 30 calls of one size
-# (2.1 ms a call against 0.2 ms kept; x86, tracemalloc on).
+# the Gram blocks.  A first call at a size also builds the pair sums of the
+# sizes below it, down to the last size built, at a cost that grows as d^4
+# from scratch.  With the bound raised to 80, a first one-value call took
+# 9.5 / 17 / 23 / 38 / 98 ms at 2s = 40 / 48 / 56 / 64 / 80, a Gram build
+# 1.3-3.9 ms, and each later kept call saved 0.4-2.5 ms: the table pays back
+# after 19 calls at 2s = 40 and after 31-38 calls from 48 to 80 (medians of
+# 7 fresh processes, x86).  Raising the bound would also move the last bits
+# of S above 40.
 _POLY_TWO_S = 40
 
 # Every cell of a contraction is entry (i, j) of one a @ b^T product of a
@@ -175,141 +177,91 @@ def _k_bins(d: int):
                      inside * (2.0 - (j == 0)))
 
 
-@dataclass(frozen=True, eq=False)
-class _PolyPlan:
-    """Index tables of the kept Gram weights of the sizes d <= D = _POLY_TWO_S + 1.
+@lru_cache(maxsize=1)
+def _pair_sums(d: int):
+    """(binom, j, tau, sums) of size d, read-only: binom(n, m) at [n, m],
+    n < d, m < 2d, exact and zero for m > n; j and tau of the pairs j <= tau,
+    j + tau < d, by v = j + tau, then by j, so that each size's pairs are the
+    first ones of the next size's; and the pair sums Y, one row of 2d - 1 per
+    pair.
 
     The term (j, tau, s, n) of the folded sum, x = s - n, a = n + j, is
     E t2^(2n+j) r2^(2x+tau), E^2 = binom(e, a) binom(e-j, e-a) binom(e-tau, a)
-    binom(e-v, x), on the shell e = s + v, v = j + tau.  Swapping t2 and r2
-    maps the terms of (j, tau) to those of (tau, j), so the plan holds the
-    pairs j <= tau alone, those with j = tau at half weight.  The sums of a
-    pair at size d are Y[i] = sum E binom(2(d-1-e), i - 2x) over its shells
-    e < d; its weight is t2^j r2^tau (t2 + r2)^v sum_i Y[i] t2^(2(d-1-v)-i) r2^i.
-    Read-only.
+    binom(e-v, x), on the shell e = s + v, v = j + tau.  A pair's sums at
+    size d are Y[i] = sum E binom(2(d-1-e), i - 2x) over its shells e < d:
+    size d - 1's sums times (1 + z)^2, plus the terms of shell d - 1.  Only
+    the last size built is kept, for the next larger one to continue from.
     """
-
-    ks: np.ndarray        # the k = j tau by the first size j + tau + 1 that holds them, then k
-    column: np.ndarray    # column[k]: the place of k in ks
-    sizes: np.ndarray     # sizes[d]: how many of ks size d holds, its first ones
-    pascal: np.ndarray    # binom(v, m) at [v, 2D + m], zero-padded by 2D on either side, exact
-    gather: np.ndarray    # pascal.flat[gather + steps e]: the four binomials of each term on shell e
-    steps: np.ndarray     # (4D, 4D + 1, 4D, 4D + 1): one row down, or one row down and one on
-    ends: np.ndarray      # shell e has the first ends[e] terms, those of tau + a <= e
-    weights: np.ndarray   # (2 - [j == 0]) (2 - [tau == 0]) of each term, halved where j == tau
-    places: np.ndarray    # places + 2e: where each term adds to the sums of its pair
-    segments: np.ndarray  # pair (j, v - j), j <= v // 2, holds 2D - 1 - v sums from
-    keys: np.ndarray      # segments[v] + j (2D - 1 - v) on; keys[i]: [k, tau + i] of a k-major table
-
-
-@cache
-def _poly_plan() -> _PolyPlan:
-    """The one _PolyPlan of the process."""
-    d = _POLY_TWO_S + 1
-    width = 2 * d - 1
-    j, tau = np.array([(j, tau) for j in range(d) for tau in range(j, d - j)]).T
-    first = {}
-    for v, k in sorted(zip((j + tau).tolist(), (j * tau).tolist())):
-        first.setdefault(k, v + 1)
-    ks = np.array(sorted(first, key=lambda k: (first[k], k)))
-    column = np.zeros(ks.max() + 1, dtype=np.intp)
-    column[ks] = np.arange(ks.size)
-    pascal = np.zeros((d, 4 * d))
-    pascal[:, 2 * d] = 1.0
-    for n in range(1, d):
-        pascal[n, 2 * d + 1:3 * d] = pascal[n - 1, 2 * d + 1:3 * d] + pascal[n - 1, 2 * d:3 * d - 1]
-    # the pairs (j, v - j), j <= v // 2, by v, and where their sums start
-    halves = np.arange(d) // 2 + 1
-    firsts = np.cumsum(halves) - halves
-    pv = np.repeat(np.arange(d), halves)
-    pj = np.arange(pv.size) - np.repeat(firsts, halves)
-    length = width - pv
-    start = np.cumsum(length) - length
-    keys = np.repeat(column[pj * (pv - pj)] * width + pv - pj - start, length) + np.arange(length.sum())
-    # the terms a = j..d - 1 - tau of each pair, by c = tau + a, then by pair
-    c, p = (np.arange(d)[:, None] >= j + tau).nonzero()
-    j, tau = j[p], tau[p]
-    a, v = c - tau, j + tau
-    return _PolyPlan(*read_only(
-        ks, column, np.bincount(list(first.values()), minlength=d + 1).cumsum(), pascal,
-        # binom(e, a), binom(e-j, e-a), binom(e-tau, a) and binom(e-v, e-c) of shell e
-        # are pascal[e - (0, j, tau, v), 2d + (a, -a, a, -c) + e (0, 1, 0, 1)]
-        (2 * d + np.stack([a, -a - 4 * d * j, a - 4 * d * tau, -c - 4 * d * v])).astype(np.int16),
-        4 * d + np.array([[0], [1], [0], [1]]),
-        np.bincount(c, minlength=d).cumsum(),
-        (2.0 - (j == 0)) * (2.0 - (tau == 0)) * np.where(j == tau, 0.5, 1.0),
-        start[firsts[v] + j] - 2 * c, np.append(start[firsts], keys.size),
-        keys.astype(np.int32)))
+    if d == 1:  # the one pair (0, 0), and its one term, on shell 0
+        pair = np.zeros(1, dtype=np.intp)
+        return read_only(np.eye(1, 2), pair, pair, np.ones((1, 1)))
+    e = d - 1
+    old_binom, old_j, old_tau, old = _pair_sums(e)
+    binom = np.zeros((d, 2 * d))
+    binom[:e, :2 * e] = old_binom
+    binom[e, 0] = 1.0
+    binom[e, 1:2 * e] = old_binom[e - 1, 1:] + old_binom[e - 1, :-1]
+    new = np.arange(e // 2 + 1)  # j of the new pairs, those of v = e
+    j, tau = np.concatenate((old_j, new)), np.concatenate((old_tau, e - new))
+    # times (1 + z)^2: Y[i] + 2 Y[i-1] + Y[i-2], added in that order
+    n, w = old.shape
+    sums = np.zeros((j.size, 2 * d - 1))
+    np.multiply(old, 2.0, out=sums[:n, 1:w + 1])
+    sums[:n, :w] += old
+    sums[:n, 2:] += old
+    # E of shell e at [pair, x], zero where x > e - v: binom(e, a) =
+    # binom(e, tau + x) and binom(e-tau, a) = binom(e-tau, x), the same four
+    # exact binomials multiplied in the same order
+    outer = binom[e] * binom[e - new]  # binom(e, m) binom(e-j, m) at [j, m]
+    at_tau = np.ndarray((len(outer), d, d), float, outer, 0, (*outer.strides, 8))  # [j, tau, x]: m = tau + x
+    terms = at_tau[j, tau]
+    terms *= binom[e - tau, :d]
+    terms *= binom[e - j - tau, :d]
+    sums[:, ::2] += np.sqrt(terms, out=terms)
+    return read_only(binom, j, tau, sums)
 
 
-class _PairSums:
-    """The pair sums Y of the last size formed, from which the next larger size
-    continues: each shell's terms are formed once, and Y of a size is the same
-    whatever sizes came before it."""
-
-    def __init__(self):
-        self.lock = Lock()
-        self.cache_clear()
-
-    def cache_clear(self):
-        self.size, self.sums = 0, None
-
-    def raised(self, d: int) -> np.ndarray:
-        """Size d's pair sums, each times (1 + z)^v z^tau, z = r2 / t2: the
-        terms of pair (j, v - j) raised to degree 2d - 2, in its segment."""
-        plan = _poly_plan()
-        with self.lock:
-            if self.sums is None or self.size > d:
-                self.size, self.sums = 0, np.zeros(plan.segments[-1])
-            sums = self.sums
-            for e in range(self.size, d):  # sums of size e + 1: times (t2 + r2)^2, then shell e
-                old = sums[:plan.segments[e]].copy()
-                sums[1:old.size] += 2.0 * old[:-1]
-                sums[2:old.size] += old[:-2]
-                n = plan.ends[e]
-                terms = np.sqrt(plan.pascal.take(plan.gather[:, :n] + plan.steps * e).prod(axis=0))
-                sums[plan.places[:n] + 2 * e] += terms * plan.weights[:n]
-            self.size = d
-            raised = np.zeros(plan.segments[d])
-            # bands[v, i, m] = binom(v, i + m - 2D), a view of the kept Pascal rows
-            bands = sliding_window_view(plan.pascal, 2 * _POLY_TWO_S + 1, axis=1)
-            for v in range(d):
-                block = slice(plan.segments[v], plan.segments[v + 1])
-                rows, cols = 2 * (d - 1 - v) + 1, 2 * d - 1 - v
-                # binom(v, c - r) at [r, c]
-                raise_v = bands[v, 2:2 + cols, ::-1][:, :rows].T
-                np.matmul(sums[block].reshape(v // 2 + 1, -1)[:, :rows], raise_v,
-                          out=raised[block].reshape(v // 2 + 1, -1)[:, :cols])
-        return raised
-
-
-_PAIR_SUMS = _PairSums()
-
-
-@per_size(lambda d: _poly_plan().sizes[d] * (2 * d - 1))
+@per_size(lambda d: _k_bins(d)[0].size * (2 * d - 1))
 def _weight_poly(d: int):
     """(ks, poly) of size d <= _POLY_TWO_S + 1, read-only: W_k(r2) of the k in
-    ks is sum_i poly[k, i] t2^(2d-2-i) r2^i, t2 = 1 - r2.
+    ks, those of _k_bins(d), is sum_i poly[k, i] t2^(2d-2-i) r2^i, t2 = 1 - r2.
 
-    Each coefficient is a sum of non-negative terms; at r2 = 0 and at r2 = 1
-    the weights are exactly (d^2, 0, ...), so S = 0 there.
+    The weight of pair (j, tau) is t2^j r2^tau (t2 + r2)^v sum_i Y[i]
+    t2^(2(d-1-v)-i) r2^i, Y its _pair_sums.  Swapping t2 and r2 maps the
+    terms of (j, tau) to those of (tau, j), so poly is the sum over the pairs
+    j <= tau of each k plus its mirror image, those with j == tau at half
+    weight.  Each coefficient is a sum of non-negative terms; at r2 = 0 and at
+    r2 = 1 the weights are exactly (d^2, 0, ...), so S = 0 there.
     """
-    plan = _poly_plan()
-    width, k = 2 * _POLY_TWO_S + 1, plan.sizes[d]
-    raised = _PAIR_SUMS.raised(d)
-    half = np.bincount(plan.keys[:raised.size], raised, k * width).reshape(k, width)[:, :2 * d - 1]
+    ks, bins, _ = _k_bins(d)
+    binom, j, tau, sums = _pair_sums(d)
+    w = 2 * d - 1
+    pascal = np.zeros((d, 4 * d))  # binom(n, m) at [n, 2d + m], zero-padded
+    pascal[:, 2 * d:] = binom
+    raised = np.zeros(sums.shape)
+    first = 0
+    for v in range(d):  # each pair's sums times (1 + z)^v, z = r2 / t2
+        n, rows, cols = v // 2 + 1, 2 * (d - 1 - v) + 1, w - v
+        # binom(v, c - r) at [r, c], a view of Pascal row v
+        band = np.ndarray((rows, cols), float, pascal, 8 * (4 * d * v + 2 * d), (-8, 8))
+        np.matmul(sums[first:first + n, :rows], band, out=raised[first:first + n, :cols])
+        first += n
+    # the fold weight (2 - [j == 0]) (2 - [tau == 0]), halved where j == tau:
+    # a power of 2, so weighting the raised sums is weighting every term
+    raised *= ((2.0 - (j == 0)) * (2.0 - (tau == 0)) / (1.0 + (j == tau)))[:, None]
+    # times t2^j r2^tau: column i of pair (j, tau) adds to [k, tau + i], k = j tau,
+    # in pair order; the columns past w - 1 take only zeros
+    keys = (bins[j, tau] * (w + d) + tau)[:, None] + np.arange(w)
+    half = np.bincount(keys.ravel(), raised.ravel(), ks.size * (w + d)).reshape(-1, w + d)[:, :w]
     poly = half + half[:, ::-1]
-    pure = np.zeros(k)
+    pure = np.zeros(ks.size)
     pure[0] = d * d
     if not (poly.min() >= 0.0 and poly.max() < inf
             and np.array_equal(poly[:, 0], pure) and np.array_equal(poly[:, -1], pure)):
         raise NumericalConsistencyError(
             f"the kept Gram weights of d = {d} are not finite, non-negative and "
             f"(d^2, 0, ...) at r2 = 0 and 1")
-    seen = np.zeros(plan.column.size, dtype=bool)
-    seen[plan.ks[:k]] = True
-    ks = seen.nonzero()[0]  # ascending, as _k_bins
-    return read_only(ks, poly[plan.column[ks]])
+    return read_only(ks, poly)
 
 
 def _poly_rows(poly: np.ndarray, r2: np.ndarray) -> np.ndarray:

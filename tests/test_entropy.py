@@ -179,6 +179,35 @@ class TestLinearEntropyClosed:
         assert residual(spec.dim - 1) <= 1e-13
         assert residual(spec.dim - 2) >= 1e-9
 
+    @pytest.mark.parametrize("family, kappa", FAMILIES, ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("two_s", [1, 2, 5, 10, 40])
+    def test_oracle_weak_splitter_slope(self, family, kappa, two_s):
+        # to first order in r the output is |phi>|0> + i r (a|phi>)|1>, so
+        # S / u tends to (d - 1) - 2 |<a>|^2 as u = r2 (1 - r2) -> 0, with
+        # <a> = sum_{n >= 1} sqrt(n) conj(c_{n-1}) c_n over the amplitudes
+        # c_n = e^{-i F(n) phi} / sqrt(d) of |0, phi>, F(n) = n(1 + kappa(n-1))
+        # and kappa the family's: the slope is formed here from the paper's
+        # definitions alone, so it checks the levels, kappa and the splitter
+        # convention that both routes share.  f = S / u = slope + b u + O(u^2)
+        # at u1 and u2 ~ 2 u1 extrapolates, linearly in u, to slope + O(u^2).
+        # Relative tolerance: S carries about d eps of roundoff, so f carries
+        # d eps / u and the extrapolation about 2.5 d eps / u1, taken as
+        # 4 d eps / (slope u1); the O(u^2) term is of order (d^2 u2)^2.
+        spec = build_structure(family, two_s, kappa)
+        d = spec.dim
+        phis = np.linspace(0.0, 2 * pi, 9)
+        r2 = np.array([1e-6, 2e-6])
+        u = r2 * (1.0 - r2)
+        f = oracle_entropy(spec, 0, phis[:, None], SplitterParams(r2)).value / u
+        limit = (u[1] * f[:, 0] - u[0] * f[:, 1]) / (u[1] - u[0])
+        rule = {Family.PEGG_BARNETT: 0.0, Family.KAPPA_NEG: -1.0 / two_s, Family.KAPPA_POS: kappa}
+        n = np.arange(d)
+        c = np.exp(-1j * np.multiply.outer(phis, n * (1.0 + rule[family] * (n - 1.0)))) / np.sqrt(d)
+        a = (np.sqrt(n[1:]) * c[:, :-1].conj() * c[:, 1:]).sum(axis=-1)
+        slope = (d - 1) - 2.0 * np.abs(a) ** 2
+        tol = 4 * d * np.finfo(float).eps / (slope * u[0]) + (d * d * u[1]) ** 2
+        assert (np.abs(limit - slope) <= tol * slope).all()
+
     def test_qutrit_phi_ordering(self):
         spec = build_structure(Family.KAPPA_NEG, 2)
         s_zero = linear_entropy_closed(spec, 0.0, BALANCED).value

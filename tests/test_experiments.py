@@ -116,16 +116,20 @@ class TestSweepR2Phi:
             with pytest.raises(NumericalConsistencyError):
                 sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
         monkeypatch.setattr(entropy, "np", np)
-        # one coefficient of the kept weights of 2s = 1 comes out negative
-        raised_call = entropy._PAIR_SUMS.raised
+        # one coefficient of the kept weights of 2s = 1 comes out negative:
+        # the middle pair sum of the pair (0, 0) set to -10 takes the middle
+        # coefficient of W_0 from 6 to -6
+        pair_sums = entropy._pair_sums
 
         def off(d):
-            raised = raised_call(d)
-            raised[0] = -1e-11
-            return raised
+            *rest, sums = pair_sums(d)
+            sums = sums.copy()
+            sums[0, 1] = -10.0
+            return *rest, sums
 
+        pair_sums(2)  # kept, so that off(2) builds no smaller size
         entropy._weight_poly.cache_clear()
-        monkeypatch.setattr(entropy._PAIR_SUMS, "raised", off)
+        monkeypatch.setattr(entropy, "_pair_sums", off)
         with pytest.raises(NumericalConsistencyError, match="kept Gram weights"):
             sweep_r2_phi(1, (0.0, 1.0, 2.0), (0.2, 0.5, 0.8))
         # above _POLY_TWO_S each call builds its weights from the binomial

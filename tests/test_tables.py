@@ -2,6 +2,7 @@
 every route the same bits as a table built afresh."""
 
 import dataclasses
+import hashlib
 import sys
 import threading
 from collections import defaultdict
@@ -12,20 +13,21 @@ import numpy as np
 import pytest
 
 from phasebeam.algebra import Family, build_structure, structure_from_spacings
-from phasebeam import entropy
+from phasebeam import entropy, phase_states, splitter
 from phasebeam.entropy import (
-    _PAIR_SUMS,
     _POLY_TWO_S,
     _binomial_pmf,
     _binomial_table,
     _gram_rows,
     _gram_table,
     _k_bins,
+    _pair_sums,
     _slab_blocks,
     _weight_poly,
     linear_entropy_closed,
 )
 from phasebeam.numerics import RETAIN_ENTRIES, log_factorials, per_size
+from phasebeam.phase_states import _unit_roots
 from phasebeam.splitter import (
     SplitterParams,
     _coefficient_table,
@@ -34,7 +36,8 @@ from phasebeam.splitter import (
     split_phase_state,
 )
 
-CACHES = (_k_bins, _slab_blocks, _binomial_table, _coefficient_table, _weight_poly, _PAIR_SUMS)
+CACHES = (_k_bins, _slab_blocks, _binomial_table, _coefficient_table, _weight_poly, _pair_sums,
+          _unit_roots)
 
 
 @pytest.fixture
@@ -44,6 +47,15 @@ def clear_tables():
         for cache in CACHES:
             cache.cache_clear()
     return clear
+
+
+def test_every_kept_table_is_cleared():
+    # every module-level cache of the routes' modules is in CACHES, so that
+    # the tests that clear the kept tables build all of them afresh
+    kept = [value for module in (entropy, splitter, phase_states)
+            for value in vars(module).values() if callable(getattr(value, "cache_clear", None))]
+    assert kept
+    assert [value for value in kept if value not in CACHES] == []
 
 
 def _specs(two_s):
@@ -100,6 +112,9 @@ def _arrays(table):
     lambda: (log_factorials(8),),
     lambda: _weight_poly(2),
     lambda: _weight_poly(_POLY_TWO_S + 1),
+    lambda: _pair_sums(2),
+    lambda: _pair_sums(_POLY_TWO_S + 1),
+    lambda: _unit_roots(8),
 ])
 def test_kept_arrays_are_read_only(table):
     arrays = list(_arrays(table()))
@@ -239,6 +254,32 @@ def test_kept_weights_match_the_gram_build(family, kappa):
         assert (np.abs(table.weights - rows) <= 4 * d * np.finfo(float).eps * total).all()
 
 
+# sha256 of the bytes of ks (little-endian int64) then poly (little-endian
+# float64) of _weight_poly(d), first 16 hex digits, frozen for every kept size
+KEPT_DIGESTS = {
+    2: "ed77788dba6b4453", 3: "f1857cea80a9b64d", 4: "3f32acf61a776d82", 5: "95e8b58cd358887b",
+    6: "1be1c39f57c30864", 7: "39f236431885accd", 8: "c54a7fb89e7ad1d9", 9: "12659062b9ad555b",
+    10: "a3c697ec5fa79f79", 11: "e7c018215bbfd5d3", 12: "f163395e0448b61a", 13: "5685503ede559f37",
+    14: "040a3d9ed3f3f0d3", 15: "9edd290b26c8d1c5", 16: "438c56c0208d449f", 17: "f49906840d911b9d",
+    18: "3bf1ff3a957a07e6", 19: "69b3343533826a53", 20: "354a974d63704bb3", 21: "5931c7afd404de76",
+    22: "289f545052a62d37", 23: "b60d2211bca332dd", 24: "f704492d9c1b461d", 25: "af89a0f1288d6629",
+    26: "0a52d91e909d7b51", 27: "9fca9744089a8d73", 28: "208a050ded3af143", 29: "87be89c9f789e7d4",
+    30: "e74a43d4433d6742", 31: "669d29431f242500", 32: "cc4c38597c026dbb", 33: "5719aa41196cddb1",
+    34: "5f721690214a8a81", 35: "c41515a5e0ee3fb7", 36: "8a2f71b6687d7fce", 37: "18ff1f6606df7bcb",
+    38: "502e744304a04eae", 39: "c7db09fc134bea50", 40: "0143b08c0c84231d", 41: "b5839b683942c02d",
+}
+
+
+def test_kept_weights_keep_their_bits():
+    assert sorted(KEPT_DIGESTS) == list(range(2, _POLY_TWO_S + 2))
+    got = {}
+    for d in KEPT_DIGESTS:
+        ks, poly = _weight_poly(d)
+        data = ks.astype("<i8").tobytes() + poly.astype("<f8").tobytes()
+        got[d] = hashlib.sha256(data).hexdigest()[:16]
+    assert got == KEPT_DIGESTS
+
+
 def test_kept_weights_do_not_depend_on_the_sizes_before(clear_tables):
     # a size continued from a smaller one, from scratch, or after a larger
     # one has the same bits
@@ -250,6 +291,55 @@ def test_kept_weights_do_not_depend_on_the_sizes_before(clear_tables):
         for d, want in zip((12, 30), fresh):
             for a, b in zip(got[d], want, strict=True):
                 assert a.tobytes() == b.tobytes()
+
+
+def test_a_first_call_builds_only_its_own_sizes(monkeypatch, clear_tables):
+    # a first closed-form call at 2s = 2 builds the pair sums of d = 1, 2
+    # and 3, the sizes its table continues, and of no larger size
+    built = []
+    pair_sums = entropy._pair_sums
+
+    def spy(d):
+        built.append(d)
+        return pair_sums(d)
+
+    clear_tables()
+    monkeypatch.setattr(entropy, "_pair_sums", spy)
+    linear_entropy_closed(build_structure(Family.KAPPA_NEG, 2), 0.7, SplitterParams(0.3))
+    assert set(built) == {1, 2, 3}
+
+
+def test_kept_weights_are_shared_safely_by_threads(clear_tables):
+    # threads that build, read and clear the kept weights at mixed sizes get
+    # the bits of serial calls
+    sizes = (41, 12, 30, 5)
+    clear_tables()
+    want = {d: [a.tobytes() for a in _weight_poly(d)] for d in sizes}
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(24):
+                d = sizes[(seed + i) % len(sizes)]
+                assert [a.tobytes() for a in _weight_poly(d)] == want[d]
+                if i % 5 == seed % 5:
+                    _weight_poly.cache_clear()
+                    _pair_sums.cache_clear()
+        except Exception as exc:  # reported below with its thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 @pytest.mark.parametrize("two_s, built", [(_POLY_TWO_S, False), (_POLY_TWO_S + 1, True)])
